@@ -3,6 +3,8 @@
 import argparse
 import sys
 
+import numpy as np
+
 from irslink.experiment import (
     ExperimentSpec,
     export_results,
@@ -70,7 +72,6 @@ def main(argv=None) -> int:
             irs_sizes=tuple(args.irs_sizes),
             modes=tuple(args.modes),
             seed=args.seed,
-            output_dir=args.output_dir,
             snr_csv_path=args.snr_csv,
             optimizer_overrides=overrides,
         )
@@ -85,6 +86,14 @@ def main(argv=None) -> int:
         print("m,phase_macs,beamforming_macs,seconds")
         for row in rows:
             print(f"{row['m']},{row['phase_macs']},{row['beamforming_macs']},{row['seconds']:.3f}")
+        if len({row["m"] for row in rows}) > 1:
+            logm = np.log2([row["m"] for row in rows])
+            for label, key, expected in (
+                ("phase-optimization", "phase_macs", "cubic rebuild expected ~3"),
+                ("beamforming", "beamforming_macs", "quadratic projection expected ~2"),
+            ):
+                slope = np.polyfit(logm, np.log2([row[key] for row in rows]), 1)[0]
+                print(f"{label} MAC slope: {slope:.2f} ({expected})", file=sys.stderr)
         return 0
     return 1
 

@@ -10,7 +10,7 @@ is written last as a completion marker.
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from irslink.metrics import (
     UtilityReport,
     UtilityRow,
     conditional_utility,
+    processing_delay,
     queuing_delay,
     rate,
     routing_utility,
@@ -31,10 +32,12 @@ from irslink.optimizer import AoResult, RcgConfig, alternating_optimize
 from irslink.scenario import (
     STOCK_CODEBOOKS,
     CodebookScenario,
-    IrsPanel,
     Scenario,
     associate_users,
+    default_scenario,
     load_scenario,
+    with_codebook,
+    with_irs_elements,
 )
 
 VALID_MODES = ("mean_gain", "min_gain", "no_irs", "with_irs", "external_snr")
@@ -48,7 +51,6 @@ class ExperimentSpec:
     irs_sizes: tuple[int, ...] = (24,)
     modes: tuple[str, ...] = ("with_irs", "no_irs")
     seed: int = 0
-    output_dir: str = "results"
     snr_csv_path: str | None = None
     optimizer_overrides: dict = field(default_factory=dict)
 
@@ -116,46 +118,6 @@ def export_snr_csv(trace: ExternalSnrTrace, path) -> None:
             writer.writerow([node, peer, f"{snr:.12g}"])
 
 
-def with_irs_elements(scenario: Scenario, m: int) -> Scenario:
-    """Scenario copy with the IRS resized to m total elements.
-
-    Elements are split across the existing panel origins (two default wall
-    positions when the scenario has none); m = 0 removes the IRS.
-    """
-    if m == scenario.n_irs_elements:
-        return scenario
-    spacing = scenario.params.wavelength_dl / 2.0
-    if scenario.irs_panels:
-        origins = [p.origin for p in scenario.irs_panels]
-        spacing = scenario.irs_panels[0].spacing
-    else:
-        origins = [(0.0, 7.0, 1.2), (10.0, 7.0, 1.2)]
-    panels = []
-    if m > 0:
-        base, extra = divmod(m, len(origins))
-        for k, origin in enumerate(origins):
-            count = base + (1 if k < extra else 0)
-            if count == 0:
-                continue
-            m_z = 1
-            m_y = count
-            for rows in range(int(np.sqrt(count)), 0, -1):
-                if count % rows == 0:
-                    m_z, m_y = rows, count // rows
-                    break
-            panels.append(IrsPanel(origin, m_y, m_z, spacing))
-    return Scenario(
-        ap_positions=scenario.ap_positions,
-        user_positions=scenario.user_positions,
-        irs_panels=tuple(panels),
-        bounds=scenario.bounds,
-        params=scenario.params,
-        codebooks=scenario.codebooks,
-        optimizer_overrides=scenario.optimizer_overrides,
-        io_options=scenario.io_options,
-    )
-
-
 @dataclass(frozen=True)
 class RunResult:
     codebook: str
@@ -200,9 +162,7 @@ def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityRep
         rate_dl = dl_rates[i, j]
         rate_ul = rate(sinr_ul_value, p.bandwidth)
         err = float(tracking_error_model(sinr_ul_value, e0=p.tracking_e0))
-        served = len(assignment.users_of_ap(j))
-        payload = min(max(p.v_bits * err, 0.0), p.s_i)
-        d_p = payload / (p.m_proc / max(served, 1))
+        d_p = processing_delay(err, p, users_served=len(assignment.users_of_ap(j)))
         d_t = transmission_delay(p.s_i, p.a_i, rate_dl, rate_ul)
         delay = DelayBreakdown(d_t, d_p, d_q)
         # a single imported value stands in for all subcarriers
@@ -228,11 +188,7 @@ def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityRep
 def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> list[RunResult]:
     """Run the full sweep described by the spec and return one result per run."""
     if scenario is None:
-        scenario = (
-            load_scenario(spec.scenario_path)
-            if spec.scenario_path
-            else _default_experiment_scenario()
-        )
+        scenario = load_scenario(spec.scenario_path) if spec.scenario_path else default_scenario()
     overrides = dict(scenario.optimizer_overrides)
     overrides.update(spec.optimizer_overrides)
     config = RcgConfig.from_overrides(overrides)
@@ -273,7 +229,7 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
             known_node_ids=range(scenario.n_users + scenario.n_aps),
         )
         for cb in spec.codebooks:
-            report = _run_external_snr(_with_codebook(scenario, cb), trace)
+            report = _run_external_snr(with_codebook(scenario, cb), trace)
             results.append(
                 RunResult(
                     codebook=cb.name,
@@ -286,27 +242,6 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
                 )
             )
     return results
-
-
-def _with_codebook(scenario: Scenario, cb: CodebookScenario) -> Scenario:
-    if scenario.params.n_t == cb.n_t and scenario.params.n_rf == cb.n_rf:
-        return scenario
-    return Scenario(
-        ap_positions=scenario.ap_positions,
-        user_positions=scenario.user_positions,
-        irs_panels=scenario.irs_panels,
-        bounds=scenario.bounds,
-        params=replace(scenario.params, n_t=cb.n_t, n_rf=cb.n_rf),
-        codebooks=scenario.codebooks,
-        optimizer_overrides=scenario.optimizer_overrides,
-        io_options=scenario.io_options,
-    )
-
-
-def _default_experiment_scenario() -> Scenario:
-    from irslink.scenario import default_scenario
-
-    return default_scenario()
 
 
 def export_results(bundle: list[RunResult], directory, spec: ExperimentSpec | None = None) -> list[Path]:
@@ -385,29 +320,3 @@ def export_results(bundle: list[RunResult], directory, spec: ExperimentSpec | No
     written.append(manifest_path)
     return written
 
-
-def export_channel_params_json(links, path) -> None:
-    """Best-effort per-link multipath parameter export (JSON-like)."""
-    scenario = links.scenario
-    doc = {
-        "carrier_dl": scenario.params.carrier_dl,
-        "carrier_ul": scenario.params.carrier_ul,
-        "links": [
-            {
-                "user": i,
-                "ap": j,
-                "distance": float(
-                    np.linalg.norm(scenario.user_positions[i] - scenario.ap_positions[j])
-                ),
-                "nlos_gain_sc0": [
-                    float(links.dl_nlos[i, j, 0].real.sum()),
-                    float(links.dl_nlos[i, j, 0].imag.sum()),
-                ],
-            }
-            for i in range(scenario.n_users)
-            for j in range(scenario.n_aps)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -21,7 +21,13 @@ from irslink.beamforming import (
 from irslink.channel import LinkChannels, synthesize_links
 from irslink.metrics import UtilityReport, rate, sinr_dl, sinr_ul, utility_report
 from irslink.opcount import OpCounter
-from irslink.scenario import Assignment, CodebookScenario, Scenario, associate_users
+from irslink.scenario import (
+    Assignment,
+    CodebookScenario,
+    Scenario,
+    associate_users,
+    with_codebook,
+)
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,10 @@ class RcgConfig:
 
     @classmethod
     def from_overrides(cls, overrides: dict) -> "RcgConfig":
-        return cls(**{k: v for k, v in overrides.items() if k in cls.__dataclass_fields__})
+        unknown = set(overrides) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown optimizer overrides: {sorted(unknown)}")
+        return cls(**overrides)
 
 
 @dataclass(frozen=True)
@@ -332,19 +341,15 @@ def _gain_tables(scenario, links, assignment, coeffs, beamformers):
     """Effective DL gain table (unit-power beamformers) and UL composite gains."""
     p = scenario.params
     U, B = scenario.n_users, scenario.n_aps
+    _, gains = DlRateObjective(
+        links,
+        assignment,
+        {i: bf.precoders() for i, bf in beamformers.items()},
+        {i: bf.combiners() for i, bf in beamformers.items()},
+    )._effective(coeffs)
     eff = np.full((U, B, U, p.n_sc), np.nan)
-    for i, j in enumerate(assignment.user_to_ap):
-        if j < 0:
-            continue
-        w = beamformers[i].combiners()
-        for b in range(B):
-            h = links.dl_composite(i, b, coeffs)
-            for l, bl in enumerate(assignment.user_to_ap):
-                if bl != b:
-                    continue
-                f = beamformers[l].precoders()
-                e = np.einsum("nrs,nrt,ntk->nsk", np.conj(w), h, f)
-                eff[i, b, l] = np.sum(np.abs(e) ** 2, axis=(1, 2))
+    for (i, b, l), gain in gains.items():
+        eff[i, b, l] = gain
     ul = np.zeros((U, B, p.n_sc))
     for i in range(U):
         for j in range(B):
@@ -375,21 +380,9 @@ def alternating_optimize(
     identical to the plain pipeline evaluation.
     """
     cfg = config or RcgConfig.from_overrides(scenario.optimizer_overrides)
+    if codebook is not None:
+        scenario = with_codebook(scenario, codebook)
     p = scenario.params
-    if codebook is not None and (codebook.n_t != p.n_t or codebook.n_rf != p.n_rf):
-        from dataclasses import replace
-
-        scenario = Scenario(
-            ap_positions=scenario.ap_positions,
-            user_positions=scenario.user_positions,
-            irs_panels=scenario.irs_panels,
-            bounds=scenario.bounds,
-            params=replace(p, n_t=codebook.n_t, n_rf=codebook.n_rf),
-            codebooks=scenario.codebooks,
-            optimizer_overrides=scenario.optimizer_overrides,
-            io_options=scenario.io_options,
-        )
-        p = scenario.params
     if links is None or links.scenario is not scenario:
         links = synthesize_links(scenario, seed)
     m = scenario.n_irs_elements
@@ -453,14 +446,6 @@ def alternating_optimize(
     obj_val, phases, beamformers = best
     report, _ = _evaluate(scenario, links, assignment, np.exp(1j * phases), beamformers, aggregate)
     return AoResult(beamformers, phases, assignment, report, trace, rcg_trace)
-
-
-def export_ao_trace(result: AoResult, path) -> None:
-    """Delimited convergence trace (round, objective, grad_norm, seconds)."""
-    with open(path, "w") as fh:
-        fh.write("round,objective,grad_norm,seconds\n")
-        for r in result.trace:
-            fh.write(f"{r.round_index},{r.objective:.12g},{r.grad_norm:.12g},{r.seconds:.6f}\n")
 
 
 def complexity_probe(

@@ -1,12 +1,15 @@
 """Indoor geometry, simulation parameters, codebook scenarios and user-AP association.
 
 A Scenario is immutable after load and safe to share read-only across
-workers. Configuration documents are YAML key/value trees with sections
-``geometry``, ``system``, ``codebooks``, ``optimizer`` and ``io``; unknown
-keys are rejected with their field path.
+workers; ``with_irs_elements`` and ``with_codebook`` derive variants by
+``dataclasses.replace``, which re-runs validation. Configuration documents
+are YAML key/value trees with sections ``geometry``, ``system``,
+``codebooks`` and ``optimizer``; unknown keys are rejected with their field
+path.
 """
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +176,6 @@ class Scenario:
     params: SystemParams
     codebooks: tuple[CodebookScenario, ...] = STOCK_CODEBOOKS
     optimizer_overrides: dict = field(default_factory=dict)
-    io_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ap = np.atleast_2d(np.asarray(self.ap_positions, dtype=float))
@@ -279,8 +281,7 @@ _OPTIMIZER_KEYS = {
     "armijo_slope",
     "beam_grid",
 }
-_IO_KEYS = {"output_dir", "channel_dump", "export_channel_params"}
-_TOP_KEYS = {"geometry", "system", "codebooks", "optimizer", "io"}
+_TOP_KEYS = {"geometry", "system", "codebooks", "optimizer"}
 
 
 def _check_keys(mapping: dict, allowed: set, path: str):
@@ -296,16 +297,28 @@ def _parse_bounds(raw, path: str) -> Box:
     return Box(tuple(float(v) for v in raw["lo"]), tuple(float(v) for v in raw["hi"]))
 
 
+def _parse_yaml(text: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config parse failure: {exc}") from exc
+
+
+def _read_document(source):
+    """YAML text, or the document in the file that a path or one-line string names."""
+    if not isinstance(source, os.PathLike):
+        raw = _parse_yaml(source)
+        if isinstance(raw, dict) or "\n" in source.strip():
+            return raw
+    path = Path(source)
+    if not path.is_file():
+        raise ConfigError(f"{source}: file not found")
+    return _parse_yaml(path.read_text())
+
+
 def load_scenario(source) -> Scenario:
     """Load and validate a Scenario from a YAML document, path or dict."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        try:
-            raw = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config parse failure: {exc}") from exc
+    raw = source if isinstance(source, dict) else _read_document(source)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a key/value tree")
     _check_keys(raw, _TOP_KEYS, "config")
@@ -344,8 +357,6 @@ def load_scenario(source) -> Scenario:
 
     optimizer = dict(raw.get("optimizer") or {})
     _check_keys(optimizer, _OPTIMIZER_KEYS, "optimizer")
-    io_options = dict(raw.get("io") or {})
-    _check_keys(io_options, _IO_KEYS, "io")
 
     return Scenario(
         ap_positions=np.asarray(geom["ap_positions"], dtype=float),
@@ -355,44 +366,65 @@ def load_scenario(source) -> Scenario:
         params=params,
         codebooks=codebooks,
         optimizer_overrides=optimizer,
-        io_options=io_options,
     )
+
+
+# --- scenario variants -------------------------------------------------------
+
+_DEFAULT_PANEL_ORIGINS = ((0.0, 7.0, 1.2), (10.0, 7.0, 1.2))
+
+
+def with_irs_elements(scenario: Scenario, m: int) -> Scenario:
+    """Scenario copy with the IRS resized to m total elements.
+
+    Elements are split across the existing panel origins (two default wall
+    positions when the scenario has none), each panel near-square; m = 0
+    removes the IRS.
+    """
+    if m == scenario.n_irs_elements:
+        return scenario
+    spacing = scenario.params.wavelength_dl / 2.0
+    origins = _DEFAULT_PANEL_ORIGINS
+    if scenario.irs_panels:
+        origins = [p.origin for p in scenario.irs_panels]
+        spacing = scenario.irs_panels[0].spacing
+    panels = []
+    if m > 0:
+        base, extra = divmod(m, len(origins))
+        for k, origin in enumerate(origins):
+            count = base + (1 if k < extra else 0)
+            if count == 0:
+                continue
+            rows = next(r for r in range(int(np.sqrt(count)), 0, -1) if count % r == 0)
+            panels.append(IrsPanel(origin, count // rows, rows, spacing))
+    return replace(scenario, irs_panels=tuple(panels))
+
+
+def with_codebook(scenario: Scenario, codebook: CodebookScenario) -> Scenario:
+    """Scenario copy whose APs use the codebook's antenna and RF-chain counts."""
+    p = scenario.params
+    if p.n_t == codebook.n_t and p.n_rf == codebook.n_rf:
+        return scenario
+    return replace(scenario, params=replace(p, n_t=codebook.n_t, n_rf=codebook.n_rf))
 
 
 def default_scenario(n_irs_elements: int = 24, **system_overrides) -> Scenario:
     """Stock 4-user / 2-AP indoor scenario in a 10 x 17 x 3 m room.
 
-    ``n_irs_elements`` is split evenly across two wall panels (Y-Z planes
-    at x = 0 and x = 10); 0 gives the no-IRS baseline. The direct paths
-    are heavily blocked (30 dB penalty) so the reflected cascades carry a
-    meaningful share of the link budget, which is the deployment premise
-    for the reflecting surfaces.
+    ``n_irs_elements`` is split by ``with_irs_elements`` across two wall
+    panels (Y-Z planes at x = 0 and x = 10); 0 gives the no-IRS baseline.
+    The direct paths are heavily blocked (30 dB penalty) so the reflected
+    cascades carry a meaningful share of the link budget, which is the
+    deployment premise for the reflecting surfaces.
     """
     system_overrides.setdefault("nlos_penalty_db", 30.0)
-    params = SystemParams(**system_overrides)
-    panels = []
-    if n_irs_elements:
-        per_panel = max(n_irs_elements // 2, 1)
-        m_y = per_panel
-        m_z = 1
-        # prefer near-square panels
-        for rows in range(int(np.sqrt(per_panel)), 0, -1):
-            if per_panel % rows == 0:
-                m_z, m_y = rows, per_panel // rows
-                break
-        spacing = params.wavelength_dl / 2.0
-        panels = [
-            IrsPanel((0.0, 7.0, 1.2), m_y, m_z, spacing),
-            IrsPanel((10.0, 7.0, 1.2), m_y, m_z, spacing),
-        ]
-        if 2 * per_panel != n_irs_elements:
-            panels.append(IrsPanel((0.0, 12.0, 1.2), n_irs_elements - 2 * per_panel, 1, spacing))
-    return Scenario(
+    room = Scenario(
         ap_positions=np.array([[2.0, 3.0, 2.5], [8.0, 14.0, 2.5]]),
         user_positions=np.array(
             [[3.0, 5.0, 1.5], [7.0, 6.0, 1.5], [3.5, 11.0, 1.5], [6.5, 12.5, 1.5]]
         ),
-        irs_panels=tuple(panels),
+        irs_panels=(),
         bounds=Box((0.0, 0.0, 0.0), (10.0, 17.0, 3.0)),
-        params=params,
+        params=SystemParams(**system_overrides),
     )
+    return with_irs_elements(room, n_irs_elements)

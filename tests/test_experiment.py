@@ -121,6 +121,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="requires snr_csv_path"):
             ExperimentSpec(modes=("external_snr",))
 
+    def test_misspelled_optimizer_override_rejected(self):
+        spec = ExperimentSpec(optimizer_overrides={"max_iters": 3})
+        with pytest.raises(ValueError, match=r"unknown optimizer overrides: \['max_iters'\]"):
+            run_experiment(spec, scenario=small_scenario())
+
 
 class TestRunExperiment:
     def test_twelve_runs_for_full_grid(self):
@@ -241,6 +246,16 @@ system:
         out = capsys.readouterr().out
         assert out.startswith("m,phase_macs")
         assert len(out.strip().splitlines()) == 3
+
+    def test_probe_prints_slopes_on_stderr(self, capsys):
+        assert main(["probe", "--m-values", "2", "4", "--rcg-iters", "2"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 3
+        err = captured.err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            "phase-optimization MAC slope",
+            "beamforming MAC slope",
+        ]
 
     def test_unknown_codebook_spec(self):
         with pytest.raises(Exception):

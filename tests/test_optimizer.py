@@ -144,10 +144,12 @@ class TestRcg:
         with pytest.raises(ValueError):
             rcg_optimize_phases(objective, np.zeros(1), epsilon=-1.0)
 
-    def test_config_from_overrides_filters(self):
-        cfg = RcgConfig.from_overrides({"epsilon": 0.5, "unknown": 1, "max_iter": 7})
+    def test_config_from_overrides_rejects_unknown(self):
+        cfg = RcgConfig.from_overrides({"epsilon": 0.5, "max_iter": 7})
         assert cfg.epsilon == 0.5
         assert cfg.max_iter == 7
+        with pytest.raises(ValueError, match=r"unknown optimizer overrides: \['unknown'\]"):
+            RcgConfig.from_overrides({"epsilon": 0.5, "unknown": 1, "max_iter": 7})
 
 
 class TestAlternatingOptimization:

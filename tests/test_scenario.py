@@ -1,6 +1,7 @@
 """Configuration loading, geometry validation and user-AP association."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from irslink.scenario import (
     compute_dod_doa,
     default_scenario,
     load_scenario,
+    with_codebook,
+    with_irs_elements,
 )
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "indoor_room.yaml"
 
 
 def minimal_config(**system):
@@ -120,6 +125,60 @@ system:
         sc = default_scenario(0)
         assert sc.n_irs_elements == 0
         assert sc.irs_element_positions().shape == (0, 3)
+
+    @pytest.mark.parametrize("m", [1, 3, 25, 24, 96, 384])
+    def test_stock_surface_sizes(self, m):
+        sc = default_scenario(m)
+        assert sc.n_irs_elements == m
+        assert sc.irs_element_positions().shape == (m, 3)
+        assert all(sc.bounds.contains(p) for p in sc.irs_element_positions())
+        assert len(sc.irs_panels) == min(m, 2)
+
+    def test_stock_panels_are_two_4x3(self):
+        assert [(p.origin, p.m_y, p.m_z) for p in default_scenario(24).irs_panels] == [
+            ((0.0, 7.0, 1.2), 4, 3),
+            ((10.0, 7.0, 1.2), 4, 3),
+        ]
+
+    def test_missing_file_named(self):
+        for source in ("configs/indoor_rom.yaml", Path("configs/indoor_rom.yaml")):
+            with pytest.raises(ConfigError, match=r"configs/indoor_rom\.yaml: file not found"):
+                load_scenario(source)
+
+    def test_io_section_rejected(self):
+        cfg = minimal_config()
+        cfg["io"] = {"output_dir": "results"}
+        with pytest.raises(ConfigError, match=r"^config: unknown keys \['io'\]$"):
+            load_scenario(cfg)
+
+    def test_shipped_config_is_stock_scenario(self):
+        shipped, stock = load_scenario(SHIPPED_CONFIG), default_scenario()
+        assert shipped.params == stock.params
+        assert shipped.irs_panels == stock.irs_panels
+        assert np.array_equal(shipped.ap_positions, stock.ap_positions)
+        assert np.array_equal(shipped.user_positions, stock.user_positions)
+        assert shipped.bounds == stock.bounds
+        assert shipped.codebooks == stock.codebooks
+
+
+class TestScenarioVariants:
+    def test_with_codebook(self):
+        sc = default_scenario()
+        assert with_codebook(sc, STOCK_CODEBOOKS[-1]) is sc
+        small = with_codebook(sc, STOCK_CODEBOOKS[0])
+        assert (small.params.n_t, small.params.n_rf) == (2, 1)
+        assert small.irs_panels == sc.irs_panels
+        assert small.params.nlos_penalty_db == sc.params.nlos_penalty_db
+
+    def test_variants_are_validated(self):
+        sc = default_scenario(0, n_s=2)
+        with pytest.raises(ConfigError, match="n_s"):
+            with_codebook(sc, STOCK_CODEBOOKS[0])
+        narrow = Scenario(
+            sc.ap_positions, sc.user_positions, (), Box((0.0, 0.0, 0.0), (9.5, 17.0, 3.0)), sc.params
+        )
+        with pytest.raises(ConfigError, match="element outside bounds"):
+            with_irs_elements(narrow, 24)
 
 
 class TestIrsPanel:
