@@ -55,7 +55,7 @@ def build_analog_codebook(n_antennas: int, n_rf: int, beam_grid: int = 16) -> li
     if beam_grid < n_rf:
         raise ValueError("beam grid must offer at least n_rf directions")
     azimuths = -np.pi / 2 + (np.arange(beam_grid) + 0.5) * np.pi / beam_grid
-    columns = [ula_steering(n_antennas, az).entries / np.sqrt(n_antennas) for az in azimuths]
+    columns = [ula_steering(n_antennas, az) / np.sqrt(n_antennas) for az in azimuths]
     codebook = []
     for combo in combinations(range(beam_grid), n_rf):
         mat = np.stack([columns[k] for k in combo], axis=1)

@@ -7,7 +7,8 @@ Conventions:
   - per-subcarrier frequency response uses the delay phasor
     exp(-j*2*pi*f_n*tau) with tau = distance/c; the literal real-decay
     variant exp(-t/tau) is available behind ``delay_mode="real_decay"``.
-  - matrices are (n_sc, n_rx, n_tx); h = gain * a_rx a_tx^H per link.
+  - every hop is rank one, h = gain * a_rx a_tx^H per subcarrier, and is
+    built for a whole stack of links at once.
 """
 
 from dataclasses import dataclass
@@ -19,90 +20,82 @@ from irslink.arrays import (
     angles_from_vector,
     ula_steering,
     upa_steering,
+    vector_norm,
 )
 from irslink.scenario import Scenario, compute_dod_doa
 
 
-@dataclass(frozen=True)
-class ChannelTensor:
-    h: np.ndarray  # (n_sc, n_rx, n_tx) complex
-    link: tuple  # (from node id, to node id)
-    band: str  # "UL" | "DL"
+def path_gain_db(distance, carrier: float, w: float):
+    """Log-distance dB power gain: -(PL0 + 10*w*log10(d/d0)), d0 = 1 m.
 
-    def __post_init__(self):
-        if self.h.ndim != 3:
-            raise ValueError("channel tensor must be (n_sc, n_rx, n_tx)")
-        if not np.all(np.isfinite(self.h.view(float))):
-            raise ValueError(f"non-finite channel entries on link {self.link}")
-
-
-@dataclass(frozen=True)
-class PhaseShiftMatrix:
-    """Diagonal unit-modulus IRS reflection coefficients, stored as angles."""
-
-    phases: np.ndarray  # radians, (M,)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.exp(1j * np.asarray(self.phases, dtype=float))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.coefficients)
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-
-def path_gain_db(distance: float, carrier: float, w: float) -> float:
-    """Log-distance dB power gain: -(PL0 + 10*w*log10(d/d0)), d0 = 1 m."""
-    if distance <= 0:
+    Broadcasts over an array of distances.
+    """
+    distance = np.asarray(distance, dtype=float)
+    if np.any(distance <= 0):
         raise ValueError("distance must be positive")
     d0 = 1.0
     pl0 = 20.0 * np.log10(4.0 * np.pi * d0 * carrier / SPEED_OF_LIGHT)
     return -(pl0 + 10.0 * w * np.log10(distance / d0))
 
 
-def _delay_factor(freqs: np.ndarray, tau: float, mode: str, t_proc: float) -> np.ndarray:
-    if mode == "real_decay":
-        return np.full(len(freqs), np.exp(-t_proc / tau))
-    return np.exp(-2j * np.pi * freqs * tau)
+def _hop_factors(params, carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):
+    """Factors of rank-one hops h_n = gain_n * a_rx a_tx^H for a stack of links.
+
+    ``dod`` is (..., 3) (rx minus tx position); ``a_rx`` / ``a_tx`` are
+    (..., n_rx) / (..., n_tx). Returns the per-subcarrier gains
+    amp * phasor, (..., n_sc), and the outer products, (..., n_rx, n_tx).
+    """
+    distance = vector_norm(dod)
+    pg = path_gain_db(distance, carrier, exponent) - extra_loss_db
+    # float_power, unlike power, rounds like the scalar 10.0 ** x
+    amp = np.float_power(10.0, pg / 20.0)
+    tau = distance / SPEED_OF_LIGHT
+    if params.delay_mode == "real_decay":
+        decay = np.exp(-params.t_proc / tau)[..., None]
+        phasor = np.broadcast_to(decay, decay.shape[:-1] + (params.n_sc,))
+    else:
+        freqs = params.subcarrier_frequencies(carrier)
+        phasor = np.exp(-2j * np.pi * freqs * tau[..., None])
+    return amp[..., None] * phasor, a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
 
 
-def _link_matrix(
-    scenario: Scenario,
-    tx_pos,
-    rx_pos,
-    a_tx: np.ndarray,
-    a_rx: np.ndarray,
-    carrier: float,
-    extra_loss_db: float = 0.0,
-    gain_override_db: float | None = None,
-    exponent: float | None = None,
-) -> np.ndarray:
-    """Per-subcarrier rank-one link matrix amp * a_rx a_tx^H * phasor."""
-    p = scenario.params
-    d = float(np.linalg.norm(np.asarray(rx_pos, float) - np.asarray(tx_pos, float)))
-    w = p.pathloss_exponent if exponent is None else exponent
-    pg = path_gain_db(d, carrier, w) - extra_loss_db
-    if gain_override_db is not None:
-        pg = gain_override_db
-    amp = 10.0 ** (pg / 20.0)
-    tau = d / SPEED_OF_LIGHT
-    freqs = p.subcarrier_frequencies(carrier)
-    phasor = _delay_factor(freqs, tau, p.delay_mode, p.t_proc)
-    outer = np.outer(a_rx, a_tx.conj())
-    return amp * phasor[:, None, None] * outer[None, :, :]
+def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
+    """Blocked user-AP hops, links stacked (U, B): (U, B, n_sc, n_rx, n_tx)."""
+    gain, outer = _hop_factors(
+        params, carrier, dod, a_rx, a_tx, params.pathloss_exponent, params.nlos_penalty_db
+    )
+    return gain[..., :, None, None] * outer[..., None, :, :]
 
 
-def _panel_of_element(scenario: Scenario, element: int):
-    """Panel object, local element index, and world position for a global index."""
-    offset = element
+def _element_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
+    """LoS hops between L nodes and the M IRS elements, links stacked (L, M).
+
+    One end of each hop is a single IRS element, so the hops are built
+    straight into a contiguous (L, n_sc, M, n_antennas) stack.
+    """
+    gain, outer = _hop_factors(params, carrier, dod, a_rx, a_tx, params.los_exponent)
+    n_links, m, n_rx, n_tx = outer.shape
+    return np.multiply(
+        gain.swapaxes(1, 2)[..., None], outer.reshape(n_links, 1, m, n_rx * n_tx), order="C"
+    )
+
+
+def _panel_steering(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
+    """UPA entries of every IRS element toward each node, shape (2, N, M).
+
+    Row 0 is the departure toward the nodes, row 1 the arrival from them;
+    each panel's steering follows the direction between its origin and the node.
+    """
+    steering = [np.zeros((2, len(positions), 0), dtype=complex)]
     for panel in scenario.irs_panels:
-        if offset < panel.n_elements:
-            return panel, offset, panel.element_positions()[offset]
-        offset -= panel.n_elements
-    raise IndexError(f"IRS element index {element} out of range")
+        directions = np.stack(compute_dod_doa(panel.origin, positions))
+        steering.append(upa_steering(panel.m_y, panel.m_z, *angles_from_vector(directions)))
+    return np.concatenate(steering, axis=-1)
+
+
+def _ula_along(n: int, direction: np.ndarray) -> np.ndarray:
+    """ULA steering vectors at the azimuths of directions (..., 3)."""
+    return ula_steering(n, angles_from_vector(direction)[0])
 
 
 def nlos_smallscale_factor(seed: int, user: int, ap: int, band: str) -> complex:
@@ -111,132 +104,6 @@ def nlos_smallscale_factor(seed: int, user: int, ap: int, band: str) -> complex:
     rng = np.random.default_rng(np.random.SeedSequence([seed, band_code, user, ap]))
     re, im = rng.standard_normal(2)
     return complex(re, im) / np.sqrt(2.0)
-
-
-def dl_ap_irs_channel(
-    scenario: Scenario, ap: int, element: int, gain_override_db: float | None = None
-) -> ChannelTensor:
-    """DL channel from one AP to one IRS element, shape (n_sc, 1, n_t)."""
-    p = scenario.params
-    panel, local, elem_pos = _panel_of_element(scenario, element)
-    ap_pos = scenario.ap_positions[ap]
-    dod, doa = compute_dod_doa(ap_pos, elem_pos)
-    az_dep, _ = angles_from_vector(dod)
-    a_tx = ula_steering(p.n_t, az_dep).entries
-    # arrival phase at the panel: per-element entry of the UPA steering vector
-    az_arr, el_arr = angles_from_vector(-compute_dod_doa(np.asarray(panel.origin), ap_pos)[0])
-    a_rx = np.array([upa_steering(panel.m_y, panel.m_z, az_arr, el_arr).entries[local]])
-    h = _link_matrix(scenario, ap_pos, elem_pos, a_tx, a_rx, p.carrier_dl,
-                     gain_override_db=gain_override_db, exponent=p.los_exponent)
-    return ChannelTensor(h, (f"ap{ap}", f"irs{element}"), "DL")
-
-
-def dl_irs_user_channel(
-    scenario: Scenario, element: int, user: int, gain_override_db: float | None = None
-) -> ChannelTensor:
-    """DL channel from one IRS element to one user, shape (n_sc, n_r, 1)."""
-    p = scenario.params
-    panel, local, elem_pos = _panel_of_element(scenario, element)
-    user_pos = scenario.user_positions[user]
-    dod, doa = compute_dod_doa(elem_pos, user_pos)
-    az_arr_u, _ = angles_from_vector(doa)
-    a_rx = ula_steering(p.n_r, az_arr_u).entries
-    az_dep, el_dep = angles_from_vector(compute_dod_doa(np.asarray(panel.origin), user_pos)[0])
-    a_tx = np.array([upa_steering(panel.m_y, panel.m_z, az_dep, el_dep).entries[local]])
-    h = _link_matrix(scenario, elem_pos, user_pos, a_tx, a_rx, p.carrier_dl,
-                     gain_override_db=gain_override_db, exponent=p.los_exponent)
-    return ChannelTensor(h, (f"irs{element}", f"user{user}"), "DL")
-
-
-def dl_nlos_channel(
-    scenario: Scenario,
-    user: int,
-    ap: int,
-    seed: int = 0,
-    gain_override_db: float | None = None,
-) -> ChannelTensor:
-    """Direct NLoS DL channel AP -> user, shape (n_sc, n_r, n_t)."""
-    p = scenario.params
-    ap_pos = scenario.ap_positions[ap]
-    user_pos = scenario.user_positions[user]
-    dod, doa = compute_dod_doa(ap_pos, user_pos)
-    a_tx = ula_steering(p.n_t, angles_from_vector(dod)[0]).entries
-    a_rx = ula_steering(p.n_r, angles_from_vector(doa)[0]).entries
-    h = _link_matrix(scenario, ap_pos, user_pos, a_tx, a_rx, p.carrier_dl,
-                     extra_loss_db=p.nlos_penalty_db, gain_override_db=gain_override_db)
-    if p.smallscale:
-        h = h * nlos_smallscale_factor(seed, user, ap, "DL")
-    return ChannelTensor(h, (f"ap{ap}", f"user{user}"), "DL")
-
-
-def ul_user_irs_channel(scenario: Scenario, user: int, element: int) -> ChannelTensor:
-    """UL channel from one user to one IRS element, shape (n_sc, 1, n_r)."""
-    p = scenario.params
-    panel, local, elem_pos = _panel_of_element(scenario, element)
-    user_pos = scenario.user_positions[user]
-    dod, _ = compute_dod_doa(user_pos, elem_pos)
-    a_tx = ula_steering(p.n_r, angles_from_vector(dod)[0]).entries
-    az_arr, el_arr = angles_from_vector(-compute_dod_doa(np.asarray(panel.origin), user_pos)[0])
-    a_rx = np.array([upa_steering(panel.m_y, panel.m_z, az_arr, el_arr).entries[local]])
-    h = _link_matrix(scenario, user_pos, elem_pos, a_tx, a_rx, p.carrier_ul,
-                     exponent=p.los_exponent)
-    return ChannelTensor(h, (f"user{user}", f"irs{element}"), "UL")
-
-
-def ul_irs_ap_channel(scenario: Scenario, element: int, ap: int) -> ChannelTensor:
-    """UL channel from one IRS element to one AP, shape (n_sc, n_t, 1)."""
-    p = scenario.params
-    panel, local, elem_pos = _panel_of_element(scenario, element)
-    ap_pos = scenario.ap_positions[ap]
-    dod, doa = compute_dod_doa(elem_pos, ap_pos)
-    a_rx = ula_steering(p.n_t, angles_from_vector(doa)[0]).entries
-    az_dep, el_dep = angles_from_vector(compute_dod_doa(np.asarray(panel.origin), ap_pos)[0])
-    a_tx = np.array([upa_steering(panel.m_y, panel.m_z, az_dep, el_dep).entries[local]])
-    h = _link_matrix(scenario, elem_pos, ap_pos, a_tx, a_rx, p.carrier_ul,
-                     exponent=p.los_exponent)
-    return ChannelTensor(h, (f"irs{element}", f"ap{ap}"), "UL")
-
-
-def ul_nlos_channel(scenario: Scenario, user: int, ap: int, seed: int = 0) -> ChannelTensor:
-    """Direct NLoS UL channel user -> AP, shape (n_sc, n_t, n_r)."""
-    p = scenario.params
-    ap_pos = scenario.ap_positions[ap]
-    user_pos = scenario.user_positions[user]
-    dod, doa = compute_dod_doa(user_pos, ap_pos)
-    a_tx = ula_steering(p.n_r, angles_from_vector(dod)[0]).entries
-    a_rx = ula_steering(p.n_t, angles_from_vector(doa)[0]).entries
-    h = _link_matrix(scenario, user_pos, ap_pos, a_tx, a_rx, p.carrier_ul,
-                     extra_loss_db=p.nlos_penalty_db)
-    if p.smallscale:
-        h = h * nlos_smallscale_factor(seed, user, ap, "UL")
-    return ChannelTensor(h, (f"user{user}", f"ap{ap}"), "UL")
-
-
-def _composite(nlos: ChannelTensor, first_hops, second_hops, phi: PhaseShiftMatrix,
-               link, band) -> ChannelTensor:
-    """nlos + sum_m second[m] * phi_m * first[m], per subcarrier."""
-    coeffs = phi.coefficients
-    if len(coeffs) != len(first_hops) or len(coeffs) != len(second_hops):
-        raise ValueError("phase count does not match per-element channel count")
-    total = nlos.h.copy()
-    for c, into, outof in zip(coeffs, first_hops, second_hops):
-        # (n_sc, n_rx, 1) @ (n_sc, 1, n_tx) cascaded through element m
-        total = total + c * (outof.h @ into.h)
-    return ChannelTensor(total, link, band)
-
-
-def dl_composite_channel(
-    nlos: ChannelTensor, ap_irs, irs_user, phi: PhaseShiftMatrix
-) -> ChannelTensor:
-    """Total DL channel: NLoS plus the IRS-cascaded sum."""
-    return _composite(nlos, ap_irs, irs_user, phi, nlos.link, "DL")
-
-
-def ul_composite_channel(
-    nlos: ChannelTensor, user_irs, irs_ap, phi: PhaseShiftMatrix
-) -> ChannelTensor:
-    """Total UL channel: NLoS plus the IRS-cascaded sum (same phases as DL)."""
-    return _composite(nlos, user_irs, irs_ap, phi, nlos.link, "UL")
 
 
 @dataclass(frozen=True)
@@ -257,8 +124,22 @@ class LinkChannels:
     ul_user_rows: np.ndarray  # (U, n_sc, M, n_r)   user -> IRS element
     ul_ap_cols: np.ndarray  # (B, n_sc, M, n_t)     IRS element -> AP
 
+    def __post_init__(self):
+        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_rows",
+                     "ul_ap_cols"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite channel entries in {name}")
+
+    def _check_phase_count(self, phi_coeffs: np.ndarray) -> None:
+        if len(phi_coeffs) != self.dl_ap_rows.shape[2]:
+            raise ValueError(
+                f"phase count {len(phi_coeffs)} does not match "
+                f"{self.dl_ap_rows.shape[2]} IRS elements"
+            )
+
     def dl_composite(self, user: int, ap: int, phi_coeffs: np.ndarray) -> np.ndarray:
         """(n_sc, n_r, n_t) total DL channel for given unit-modulus coefficients."""
+        self._check_phase_count(phi_coeffs)
         h = self.dl_nlos[user, ap].copy()
         if len(phi_coeffs):
             h += np.einsum(
@@ -268,6 +149,7 @@ class LinkChannels:
 
     def ul_composite(self, user: int, ap: int, phi_coeffs: np.ndarray) -> np.ndarray:
         """(n_sc, n_t, n_r) total UL channel for given unit-modulus coefficients."""
+        self._check_phase_count(phi_coeffs)
         h = self.ul_nlos[user, ap].copy()
         if len(phi_coeffs):
             h += np.einsum(
@@ -277,41 +159,40 @@ class LinkChannels:
 
 
 def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:
-    """Synthesize every raw link channel of the scenario once."""
+    """Synthesize every raw link channel of the scenario once.
+
+    Each hop family (direct, AP-IRS, IRS-user, both bands) is built as one
+    stack over all links and IRS elements.
+    """
     p = scenario.params
-    U, B, M, n = scenario.n_users, scenario.n_aps, scenario.n_irs_elements, p.n_sc
-    dl_nlos = np.zeros((U, B, n, p.n_r, p.n_t), dtype=complex)
-    ul_nlos = np.zeros((U, B, n, p.n_t, p.n_r), dtype=complex)
-    dl_user_cols = np.zeros((U, n, M, p.n_r), dtype=complex)
-    dl_ap_rows = np.zeros((B, n, M, p.n_t), dtype=complex)
-    ul_user_rows = np.zeros((U, n, M, p.n_r), dtype=complex)
-    ul_ap_cols = np.zeros((B, n, M, p.n_t), dtype=complex)
-    for i in range(U):
-        for j in range(B):
-            dl_nlos[i, j] = dl_nlos_channel(scenario, i, j, seed).h
-            ul_nlos[i, j] = ul_nlos_channel(scenario, i, j, seed).h
-    for m in range(M):
-        for i in range(U):
-            dl_user_cols[i, :, m, :] = dl_irs_user_channel(scenario, m, i).h[:, :, 0]
-            ul_user_rows[i, :, m, :] = ul_user_irs_channel(scenario, i, m).h[:, 0, :]
-        for j in range(B):
-            dl_ap_rows[j, :, m, :] = dl_ap_irs_channel(scenario, j, m).h[:, 0, :]
-            ul_ap_cols[j, :, m, :] = ul_irs_ap_channel(scenario, m, j).h[:, :, 0]
+    aps = scenario.ap_positions  # (B, 3)
+    users = scenario.user_positions  # (U, 3)
+    elems = scenario.irs_element_positions()[None]  # (1, M, 3)
+
+    # direct NLoS links, stacked (U, B)
+    dod, doa = compute_dod_doa(aps[None], users[:, None])
+    dl_nlos = _direct_hops(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), _ula_along(p.n_t, dod))
+    dod, doa = compute_dod_doa(users[:, None], aps[None])
+    ul_nlos = _direct_hops(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), _ula_along(p.n_r, dod))
+    if p.smallscale:
+        for i, j in np.ndindex(dl_nlos.shape[:2]):
+            dl_nlos[i, j] *= nlos_smallscale_factor(seed, i, j, "DL")
+            ul_nlos[i, j] *= nlos_smallscale_factor(seed, i, j, "UL")
+
+    # per-element cascade hops, stacked (B, M) and (U, M); the UPA entry is
+    # the single-antenna end. Each hop takes its directions from its own
+    # rx - tx: the reverse hop's negated vector flips signed zeros, and
+    # atan2(+-0, x < 0) = +-pi.
+    ap_dep, ap_arr = _panel_steering(scenario, aps)[..., None]
+    user_dep, user_arr = _panel_steering(scenario, users)[..., None]
+    dod, _ = compute_dod_doa(aps[:, None], elems)
+    dl_ap_rows = _element_hops(p, p.carrier_dl, dod, ap_arr, _ula_along(p.n_t, dod))
+    dod, doa = compute_dod_doa(elems, aps[:, None])
+    ul_ap_cols = _element_hops(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), ap_dep)
+    dod, doa = compute_dod_doa(elems, users[:, None])
+    dl_user_cols = _element_hops(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), user_dep)
+    dod, _ = compute_dod_doa(users[:, None], elems)
+    ul_user_rows = _element_hops(p, p.carrier_ul, dod, user_arr, _ula_along(p.n_r, dod))
     return LinkChannels(
         scenario, seed, dl_nlos, dl_user_cols, dl_ap_rows, ul_nlos, ul_user_rows, ul_ap_cols
     )
-
-
-def dump_channel(tensor: ChannelTensor, path) -> None:
-    """Write a channel as columnar text (link, subcarrier, rx, tx, re, im)."""
-    with open(path, "w") as fh:
-        fh.write("# link_from link_to subcarrier rx tx re im\n")
-        n_sc, n_rx, n_tx = tensor.h.shape
-        for n in range(n_sc):
-            for r in range(n_rx):
-                for t in range(n_tx):
-                    v = tensor.h[n, r, t]
-                    fh.write(
-                        f"{tensor.link[0]} {tensor.link[1]} {n} {r} {t} "
-                        f"{v.real:.17g} {v.imag:.17g}\n"
-                    )

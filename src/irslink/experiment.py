@@ -11,6 +11,7 @@ is written last as a completion marker.
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,20 +69,27 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExternalSnrTrace:
+    """Imported per-link SNRs; ``import_ns3_snr_csv`` keeps (node, peer) pairs unique."""
+
     rows: tuple[tuple[int, int, float], ...]  # (node id, peer id, snr_db)
     source: str
 
+    @cached_property
+    def _snr_db(self) -> dict:
+        return {(n, p): db for n, p, db in self.rows}
+
     def snr_linear(self, node: int, peer: int) -> float:
-        for n, p, db in self.rows:
-            if n == node and p == peer:
-                return 10.0 ** (db / 10.0)
-        raise KeyError(f"no SNR row for node {node}, peer {peer}")
+        db = self._snr_db.get((node, peer))
+        if db is None:
+            raise KeyError(f"no SNR row for node {node}, peer {peer}")
+        return 10.0 ** (db / 10.0)
 
 
 def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
     """Parse a (node_id, peer_id, snr_db) CSV with header; errors carry line numbers."""
     path = Path(path)
     rows = []
+    first_line = {}  # (node, peer) -> line number
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -101,6 +109,12 @@ def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
                 snr = float(row[2])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from None
+            if (node, peer) in first_line:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate row for node {node}, peer {peer} "
+                    f"(first on line {first_line[node, peer]})"
+                )
+            first_line[node, peer] = lineno
             rows.append((node, peer, snr))
     if known_node_ids is not None:
         known = set(known_node_ids)

@@ -383,7 +383,7 @@ def alternating_optimize(
     if codebook is not None:
         scenario = with_codebook(scenario, codebook)
     p = scenario.params
-    if links is None or links.scenario is not scenario:
+    if links is None or links.scenario is not scenario or links.seed != seed:
         links = synthesize_links(scenario, seed)
     m = scenario.n_irs_elements
     phases = np.zeros(m)

@@ -215,11 +215,12 @@ class Scenario:
 
 
 def compute_dod_doa(tx, rx) -> tuple[np.ndarray, np.ndarray]:
-    """Direction of departure (rx - tx) and arrival (-dod) for one link."""
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    dod = rx - tx
-    if not np.any(dod):
+    """Direction of departure (rx - tx) and arrival (-dod), shape (..., 3).
+
+    Positions broadcast over leading axes, so one call covers a stack of links.
+    """
+    dod = np.asarray(rx, dtype=float) - np.asarray(tx, dtype=float)
+    if not np.all(np.any(dod, axis=-1)):
         raise ValueError("degenerate link geometry: tx and rx coincide")
     return dod, -dod
 

@@ -46,16 +46,16 @@ class TestAnglesFromVector:
 class TestUlaSteering:
     def test_single_element(self):
         sv = ula_steering(1, 0.73)
-        np.testing.assert_allclose(sv.entries, [1.0 + 0j])
+        np.testing.assert_allclose(sv, [1.0 + 0j])
 
     def test_broadside_all_ones(self):
         sv = ula_steering(4, 0.0)
-        np.testing.assert_allclose(sv.entries, np.ones(4))
+        np.testing.assert_allclose(sv, np.ones(4))
 
     def test_quarter_turn_progression(self):
         # sin(pi/6) = 0.5, spacing 0.5 -> phase step pi/2 per element
         sv = ula_steering(4, np.pi / 6, spacing_wavelengths=0.5)
-        np.testing.assert_allclose(sv.entries, [1.0, 1j, -1.0, -1j], atol=1e-12)
+        np.testing.assert_allclose(sv, [1.0, 1j, -1.0, -1j], atol=1e-12)
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
@@ -69,22 +69,22 @@ class TestUlaSteering:
     def test_unit_modulus_and_length(self, n, az, spacing):
         sv = ula_steering(n, az, spacing)
         assert len(sv) == n
-        np.testing.assert_allclose(np.abs(sv.entries), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(sv), 1.0, atol=1e-12)
 
 
 class TestUpaSteering:
     def test_single_element(self):
         sv = upa_steering(1, 1, 0.4, -0.2)
-        np.testing.assert_allclose(sv.entries, [1.0 + 0j])
+        np.testing.assert_allclose(sv, [1.0 + 0j])
 
     def test_broadside_all_ones(self):
         sv = upa_steering(3, 2, 0.0, 0.0)
-        np.testing.assert_allclose(sv.entries, np.ones(6))
+        np.testing.assert_allclose(sv, np.ones(6))
 
     def test_endfire_alternation_along_y(self):
         # azimuth pi/2, elevation 0, spacing 0.5 -> phases {0, pi} along Y
         sv = upa_steering(2, 2, np.pi / 2, 0.0, spacing_wavelengths=0.5)
-        np.testing.assert_allclose(sv.entries, [1.0, -1.0, 1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(sv, [1.0, -1.0, 1.0, -1.0], atol=1e-12)
 
     def test_flattening_order_y_fastest(self):
         # pure elevation tilt: phase depends only on the Z index b, and the
@@ -94,7 +94,7 @@ class TestUpaSteering:
         step = np.exp(1j * 2 * np.pi * 0.5 * np.sin(np.pi / 6))
         for b in range(m_z):
             for a in range(m_y):
-                assert sv.entries[b * m_y + a] == pytest.approx(step**b)
+                assert sv[b * m_y + a] == pytest.approx(step**b)
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -109,4 +109,4 @@ class TestUpaSteering:
     def test_unit_modulus_and_length(self, m_y, m_z, az, el):
         sv = upa_steering(m_y, m_z, az, el)
         assert len(sv) == m_y * m_z
-        np.testing.assert_allclose(np.abs(sv.entries), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(sv), 1.0, atol=1e-12)

@@ -59,7 +59,7 @@ class TestAnalogCodebook:
         grid = 16
         azimuths = -np.pi / 2 + (np.arange(grid) + 0.5) * np.pi / grid
         target = azimuths[5]
-        a_tx = ula_steering(8, target).entries
+        a_tx = ula_steering(8, target)
         h = np.outer(np.ones(1), a_tx.conj())[None, :, :].astype(complex)
         tx_cb = build_analog_codebook(8, 1, beam_grid=grid)
         rx_cb = build_analog_codebook(1, 1, beam_grid=1)

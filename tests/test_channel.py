@@ -1,25 +1,18 @@
 """Channel synthesis oracles: path gain, delay phasors, cascades, composites."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from irslink.arrays import SPEED_OF_LIGHT
 from irslink.channel import (
-    ChannelTensor,
-    PhaseShiftMatrix,
-    dl_ap_irs_channel,
-    dl_composite_channel,
-    dl_irs_user_channel,
-    dl_nlos_channel,
-    dump_channel,
+    LinkChannels,
     nlos_smallscale_factor,
     path_gain_db,
     synthesize_links,
-    ul_composite_channel,
-    ul_nlos_channel,
 )
 from irslink.scenario import Box, IrsPanel, Scenario, SystemParams
 
@@ -28,6 +21,95 @@ from conftest import scalar_scenario
 
 def _pl0(carrier):
     return 20.0 * np.log10(4.0 * np.pi * carrier / SPEED_OF_LIGHT)
+
+
+def _mimo_scenario(m_y=0, m_z=0, n_sc=4, **overrides):
+    """One 4-antenna AP, one 2-antenna user, and an optional m_y x m_z panel."""
+    params = SystemParams(n_t=4, n_r=2, n_rf=1, n_s=1, n_sc=n_sc, v_cap=1, **overrides)
+    panels = ()
+    if m_y:
+        panels = (IrsPanel((0.0, 4.0, 1.2), m_y, m_z, params.wavelength_dl / 2.0),)
+    return Scenario(
+        ap_positions=np.array([[2.0, 3.0, 2.5]]),
+        user_positions=np.array([[7.0, 9.0, 1.5]]),
+        irs_panels=panels,
+        bounds=Box((0.0, 0.0, 0.0), (10.0, 17.0, 3.0)),
+        params=params,
+    )
+
+
+# closed-form hop oracles at half-wavelength spacing (2*pi*0.5 = pi)
+
+
+def _ula(n, direction):
+    az = np.arctan2(direction[1], direction[0])
+    return np.exp(1j * np.pi * np.arange(n) * np.sin(az))
+
+
+def _upa_entry(a, b, direction):
+    az = np.arctan2(direction[1], direction[0])
+    el = np.arcsin(direction[2] / np.linalg.norm(direction))
+    return np.exp(1j * np.pi * (a * np.sin(az) * np.cos(el) + b * np.sin(el)))
+
+
+def _hop(params, carrier, tx, rx, a_rx, a_tx, exponent, loss_db=0.0):
+    """(n_sc, n_rx, n_tx) = 10**(pg/20) * exp(-j 2 pi f_n tau) * a_rx a_tx^H, tau = d / c."""
+    d = np.linalg.norm(rx - tx)
+    amp = 10.0 ** ((path_gain_db(d, carrier, exponent) - loss_db) / 20.0)
+    tau = d / SPEED_OF_LIGHT
+    phasor = np.exp(-2j * np.pi * params.subcarrier_frequencies(carrier) * tau)
+    return amp * phasor[:, None, None] * np.outer(a_rx, np.conj(a_tx))[None]
+
+
+def _nlos_oracle(sc, band, seed):
+    p = sc.params
+    ap, user = sc.ap_positions[0], sc.user_positions[0]
+    if band == "DL":
+        h = _hop(p, p.carrier_dl, ap, user, _ula(p.n_r, ap - user), _ula(p.n_t, user - ap),
+                 p.pathloss_exponent, p.nlos_penalty_db)
+    else:
+        h = _hop(p, p.carrier_ul, user, ap, _ula(p.n_t, user - ap), _ula(p.n_r, ap - user),
+                 p.pathloss_exponent, p.nlos_penalty_db)
+    return h * nlos_smallscale_factor(seed, 0, 0, band) if p.smallscale else h
+
+
+def _cascade_oracles(sc, band):
+    """Per element m: (n_sc, n_rx, n_tx) cascade second_hop @ first_hop of the band."""
+    p = sc.params
+    ap, user = sc.ap_positions[0], sc.user_positions[0]
+    panel = sc.irs_panels[0]
+    origin = np.asarray(panel.origin)
+    out = []
+    for b in range(panel.m_z):
+        for a in range(panel.m_y):
+            elem = origin + np.array([0.0, a * panel.spacing, b * panel.spacing])
+            if band == "DL":
+                ap_hop = _hop(p, p.carrier_dl, ap, elem, [_upa_entry(a, b, origin - ap)],
+                              _ula(p.n_t, elem - ap), p.los_exponent)
+                user_hop = _hop(p, p.carrier_dl, elem, user, _ula(p.n_r, elem - user),
+                                [_upa_entry(a, b, user - origin)], p.los_exponent)
+                out.append(user_hop @ ap_hop)
+            else:
+                user_hop = _hop(p, p.carrier_ul, user, elem, [_upa_entry(a, b, origin - user)],
+                                _ula(p.n_r, elem - user), p.los_exponent)
+                ap_hop = _hop(p, p.carrier_ul, elem, ap, _ula(p.n_t, elem - ap),
+                              [_upa_entry(a, b, ap - origin)], p.los_exponent)
+                out.append(ap_hop @ user_hop)
+    return out
+
+
+def _scalar_links(h0, into=(), outof=()):
+    """1x1, one-subcarrier links: direct h0 plus cascades outof[m] * into[m] in both bands."""
+    m = len(into)
+
+    def stack(values):
+        return np.asarray(values, dtype=complex).reshape(1, 1, m, 1)
+
+    direct = np.full((1, 1, 1, 1, 1), h0, dtype=complex)
+    return LinkChannels(
+        scalar_scenario(m), 0, direct, stack(outof), stack(into), direct, stack(into),
+        stack(outof),
+    )
 
 
 class TestPathGain:
@@ -45,6 +127,8 @@ class TestPathGain:
     def test_nonpositive_distance(self):
         with pytest.raises(ValueError):
             path_gain_db(0.0, 60e9, 2.0)
+        with pytest.raises(ValueError):
+            path_gain_db(np.array([1.0, 0.0]), 60e9, 2.0)
 
     @given(st.floats(0.5, 50.0), st.floats(1.5, 6.0))
     def test_monotone_decreasing(self, d, w):
@@ -56,27 +140,13 @@ def test_propagation_delay_arithmetic():
     assert 3.0 / SPEED_OF_LIGHT == pytest.approx(1.0007e-8, rel=1e-4)
 
 
-class TestPhaseShiftMatrix:
-    def test_diagonal_structure(self):
-        phi = PhaseShiftMatrix(np.array([0.0, np.pi / 2, np.pi]))
-        m = phi.matrix
-        assert m.shape == (3, 3)
-        np.testing.assert_allclose(m, np.diag(np.diag(m)))
-        np.testing.assert_allclose(np.diag(m), [1.0, 1j, -1.0], atol=1e-12)
-
-    @given(arrays(float, st.integers(0, 16), elements=st.floats(-50, 50)))
-    def test_unit_modulus(self, phases):
-        phi = PhaseShiftMatrix(phases)
-        np.testing.assert_allclose(np.abs(phi.coefficients), 1.0, atol=1e-15)
-
-
 class TestDirectChannels:
     def test_shapes_follow_params(self):
-        sc = scalar_scenario(2, n_sc=5)
-        h = dl_nlos_channel(sc, 0, 0).h
-        assert h.shape == (5, 1, 1)
-        assert dl_ap_irs_channel(sc, 0, 0).h.shape == (5, 1, 1)
-        assert dl_irs_user_channel(sc, 0, 0).h.shape == (5, 1, 1)
+        links = synthesize_links(_mimo_scenario(3, 1, n_sc=5))
+        assert links.dl_nlos.shape == (1, 1, 5, 2, 4)
+        assert links.ul_nlos.shape == (1, 1, 5, 4, 2)
+        assert links.dl_user_cols.shape == links.ul_user_rows.shape == (1, 5, 3, 2)
+        assert links.dl_ap_rows.shape == links.ul_ap_cols.shape == (1, 5, 3, 4)
 
     def test_penalty_off_equals_los(self):
         # with zero penalty and the LoS exponent, the direct path is a plain
@@ -84,14 +154,14 @@ class TestDirectChannels:
         sc = scalar_scenario(0, nlos_penalty_db=0.0, pathloss_exponent=2.0)
         d = np.linalg.norm(sc.user_positions[0] - sc.ap_positions[0])
         amp = 10.0 ** (path_gain_db(d, sc.params.carrier_dl, 2.0) / 20.0)
-        h = dl_nlos_channel(sc, 0, 0).h
+        h = synthesize_links(sc).dl_nlos[0, 0]
         np.testing.assert_allclose(np.abs(h), amp, rtol=1e-12)
 
     def test_default_penalty_attenuates(self):
         blocked = scalar_scenario(0, pathloss_exponent=2.0)
         clear = scalar_scenario(0, nlos_penalty_db=0.0, pathloss_exponent=2.0)
-        h_b = dl_nlos_channel(blocked, 0, 0).h
-        h_c = dl_nlos_channel(clear, 0, 0).h
+        h_b = synthesize_links(blocked).dl_nlos[0, 0]
+        h_c = synthesize_links(clear).dl_nlos[0, 0]
         assert np.all(np.abs(h_b) < np.abs(h_c))
 
     def test_magnitude_monotone_in_distance(self):
@@ -104,23 +174,37 @@ class TestDirectChannels:
                 bounds=Box((0, 0, 0), (20, 20, 3)),
                 params=SystemParams(n_t=1, n_r=1, n_rf=1, n_sc=2, smallscale=False),
             )
-            mags.append(float(np.abs(dl_nlos_channel(sc, 0, 0).h[0, 0, 0])))
+            mags.append(float(np.abs(synthesize_links(sc).dl_nlos[0, 0, 0, 0, 0])))
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
-    def test_gain_override_absorbing_limit(self):
-        sc = scalar_scenario(1)
-        h = dl_ap_irs_channel(sc, 0, 0, gain_override_db=-np.inf).h
-        np.testing.assert_allclose(h, 0.0)
-
     def test_real_decay_variant_is_frequency_flat(self):
-        sc = scalar_scenario(0, n_sc=4, delay_mode="real_decay")
-        h = dl_nlos_channel(sc, 0, 0).h[:, 0, 0]
-        assert np.allclose(h.imag, h.imag[0])
-        assert np.allclose(np.abs(h), np.abs(h[0]))
+        sc = scalar_scenario(2, n_sc=4, delay_mode="real_decay")
+        links = synthesize_links(sc)
+        for h in (links.dl_nlos[0, 0, :, 0, 0], links.dl_ap_rows[0, :, 1, 0]):
+            assert np.allclose(h.imag, h.imag[0])
+            assert np.allclose(np.abs(h), np.abs(h[0]))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            ChannelTensor(np.full((1, 1, 1), np.nan, dtype=complex), ("a", "b"), "DL")
+        links = _scalar_links(0.5, [0.1], [0.2])
+        bad = np.full((1, 1, 1, 1), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="non-finite channel entries in ul_ap_cols"):
+            replace(links, ul_ap_cols=bad)
+
+
+class TestDegenerateGeometry:
+    @pytest.mark.parametrize("user_at", ["ap", "irs_element"])
+    def test_coincident_nodes_rejected(self, user_at):
+        sc = _mimo_scenario(3, 2)
+        spot = sc.ap_positions[0] if user_at == "ap" else sc.irs_element_positions()[4]
+        on_top = Scenario(
+            ap_positions=sc.ap_positions,
+            user_positions=np.stack([sc.user_positions[0], spot]),
+            irs_panels=sc.irs_panels,
+            bounds=sc.bounds,
+            params=sc.params,
+        )
+        with pytest.raises(ValueError, match="degenerate link geometry"):
+            synthesize_links(on_top)
 
 
 class TestSmallScale:
@@ -138,23 +222,15 @@ class TestSmallScale:
         assert abs(np.mean(draws)) < 0.05
 
 
-def _scalar_tensor(values, link=("a", "b"), band="DL"):
-    h = np.asarray(values, dtype=complex).reshape(-1, 1, 1)
-    return ChannelTensor(h, link, band)
-
-
 class TestComposite:
     def test_no_elements_equals_direct(self):
-        nlos = _scalar_tensor([0.3 + 0.1j])
-        out = dl_composite_channel(nlos, [], [], PhaseShiftMatrix(np.zeros(0)))
-        np.testing.assert_array_equal(out.h, nlos.h)
+        links = _scalar_links(0.3 + 0.1j)
+        np.testing.assert_array_equal(links.dl_composite(0, 0, np.zeros(0)), links.dl_nlos[0, 0])
 
     def test_single_term_no_direct(self):
-        zero = _scalar_tensor([0.0])
-        into = _scalar_tensor([0.2 - 0.5j])
-        outof = _scalar_tensor([1.5 + 0.25j])
-        out = dl_composite_channel(zero, [into], [outof], PhaseShiftMatrix(np.zeros(1)))
-        assert out.h[0, 0, 0] == pytest.approx((0.2 - 0.5j) * (1.5 + 0.25j))
+        links = _scalar_links(0.0, [0.2 - 0.5j], [1.5 + 0.25j])
+        out = links.dl_composite(0, 0, np.ones(1))
+        assert out[0, 0, 0] == pytest.approx((0.2 - 0.5j) * (1.5 + 0.25j))
 
     def test_three_element_scalar_oracle(self):
         rng = np.random.default_rng(11)
@@ -162,24 +238,17 @@ class TestComposite:
         into = [complex(*rng.standard_normal(2)) for _ in range(3)]
         outof = [complex(*rng.standard_normal(2)) for _ in range(3)]
         phases = rng.uniform(-np.pi, np.pi, 3)
-        out = dl_composite_channel(
-            _scalar_tensor([h0]),
-            [_scalar_tensor([v]) for v in into],
-            [_scalar_tensor([v]) for v in outof],
-            PhaseShiftMatrix(phases),
-        )
+        out = _scalar_links(h0, into, outof).dl_composite(0, 0, np.exp(1j * phases))
         expected = h0 + sum(
             np.exp(1j * t) * b * a for t, a, b in zip(phases, into, outof)
         )
-        assert out.h[0, 0, 0] == pytest.approx(expected, abs=1e-12)
+        assert out[0, 0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_pi_phase_flips_cascade_sign(self):
-        zero = _scalar_tensor([0.0])
-        into = [_scalar_tensor([0.4 + 0.2j])]
-        outof = [_scalar_tensor([1.0 - 1.0j])]
-        plus = dl_composite_channel(zero, into, outof, PhaseShiftMatrix(np.zeros(1)))
-        minus = dl_composite_channel(zero, into, outof, PhaseShiftMatrix(np.array([np.pi])))
-        np.testing.assert_allclose(minus.h, -plus.h, atol=1e-12)
+        links = _scalar_links(0.0, [0.4 + 0.2j], [1.0 - 1.0j])
+        plus = links.dl_composite(0, 0, np.exp(1j * np.zeros(1)))
+        minus = links.dl_composite(0, 0, np.exp(1j * np.array([np.pi])))
+        np.testing.assert_allclose(minus, -plus, atol=1e-12)
 
     def test_ul_two_element_scalar_oracle(self):
         rng = np.random.default_rng(5)
@@ -187,46 +256,45 @@ class TestComposite:
         into = [complex(*rng.standard_normal(2)) for _ in range(2)]
         outof = [complex(*rng.standard_normal(2)) for _ in range(2)]
         phases = np.array([0.7, -1.9])
-        out = ul_composite_channel(
-            _scalar_tensor([h0], band="UL"),
-            [_scalar_tensor([v], band="UL") for v in into],
-            [_scalar_tensor([v], band="UL") for v in outof],
-            PhaseShiftMatrix(phases),
-        )
+        out = _scalar_links(h0, into, outof).ul_composite(0, 0, np.exp(1j * phases))
         expected = h0 + sum(
             np.exp(1j * t) * b * a for t, a, b in zip(phases, into, outof)
         )
-        assert out.h[0, 0, 0] == pytest.approx(expected, abs=1e-12)
+        assert out[0, 0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_phase_count_mismatch(self):
-        nlos = _scalar_tensor([0.0])
-        with pytest.raises(ValueError, match="phase count"):
-            dl_composite_channel(nlos, [nlos], [nlos], PhaseShiftMatrix(np.zeros(2)))
+        links = _scalar_links(0.0, [0.0], [0.0])
+        for coeffs in (np.ones(2), np.ones(0)):
+            with pytest.raises(ValueError, match="phase count"):
+                links.dl_composite(0, 0, coeffs)
+            with pytest.raises(ValueError, match="phase count"):
+                links.ul_composite(0, 0, coeffs)
 
 
 class TestLinkChannels:
     def test_stacked_composite_matches_per_element(self):
-        sc = scalar_scenario(3, n_sc=4)
+        sc = _mimo_scenario(2, 2)
         links = synthesize_links(sc, seed=2)
-        phases = np.array([0.1, 1.3, -2.2])
-        phi = PhaseShiftMatrix(phases)
-        expected = dl_composite_channel(
-            dl_nlos_channel(sc, 0, 0, seed=2),
-            [dl_ap_irs_channel(sc, 0, m) for m in range(3)],
-            [dl_irs_user_channel(sc, m, 0) for m in range(3)],
-            phi,
+        coeffs = np.exp(1j * np.array([0.1, 1.3, -2.2, 2.9]))
+        expected = _nlos_oracle(sc, "DL", seed=2) + sum(
+            c * h for c, h in zip(coeffs, _cascade_oracles(sc, "DL"))
         )
-        np.testing.assert_allclose(
-            links.dl_composite(0, 0, phi.coefficients), expected.h, rtol=1e-12
-        )
+        np.testing.assert_allclose(links.dl_composite(0, 0, coeffs), expected, rtol=1e-12)
 
     def test_ul_nlos_consistency(self):
-        sc = scalar_scenario(0, n_sc=3)
+        sc = _mimo_scenario(n_sc=3)
         links = synthesize_links(sc, seed=9)
-        np.testing.assert_array_equal(
-            links.ul_composite(0, 0, np.zeros(0, complex)),
-            ul_nlos_channel(sc, 0, 0, seed=9).h,
+        np.testing.assert_array_equal(links.ul_composite(0, 0, np.zeros(0, complex)),
+                                      links.ul_nlos[0, 0])
+        np.testing.assert_allclose(links.ul_nlos[0, 0], _nlos_oracle(sc, "UL", seed=9),
+                                   rtol=1e-12)
+        sc = _mimo_scenario(3, 1, n_sc=3)
+        links = synthesize_links(sc, seed=9)
+        coeffs = np.exp(1j * np.array([0.4, -0.9, 2.5]))
+        expected = _nlos_oracle(sc, "UL", seed=9) + sum(
+            c * h for c, h in zip(coeffs, _cascade_oracles(sc, "UL"))
         )
+        np.testing.assert_allclose(links.ul_composite(0, 0, coeffs), expected, rtol=1e-12)
 
     def test_shared_phases_for_both_bands(self):
         sc = scalar_scenario(2, n_sc=2)
@@ -238,14 +306,3 @@ class TestLinkChannels:
         # both deviate from their direct-only channels under the same phases
         assert not np.allclose(dl, links.dl_nlos[0, 0])
         assert not np.allclose(ul, links.ul_nlos[0, 0])
-
-
-def test_dump_channel_round_trip(tmp_path):
-    sc = scalar_scenario(0, n_sc=3)
-    tensor = dl_nlos_channel(sc, 0, 0)
-    path = tmp_path / "chan.txt"
-    dump_channel(tensor, path)
-    rows = [l.split() for l in path.read_text().splitlines()[1:]]
-    assert len(rows) == 3
-    values = np.array([float(r[5]) + 1j * float(r[6]) for r in rows])
-    np.testing.assert_allclose(values, tensor.h[:, 0, 0], rtol=1e-15)

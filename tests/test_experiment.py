@@ -85,6 +85,13 @@ class TestSnrTrace:
         with pytest.raises(ValueError, match="unknown node ids"):
             import_ns3_snr_csv(src, known_node_ids=range(4))
 
+    def test_duplicate_row_rejected_with_both_line_numbers(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("node_id,peer_id,snr_db\n0,4,10\n4,0,7\n0,4,12\n")
+        with pytest.raises(ValueError, match=r"line 4: duplicate row for node 0, peer 4 "
+                                             r"\(first on line 2\)"):
+            import_ns3_snr_csv(bad)
+
     def test_blank_lines_skipped(self, tmp_path):
         f = tmp_path / "snr.csv"
         f.write_text("node_id,peer_id,snr_db\n0,4,10\n\n1,4,11\n")

@@ -200,6 +200,14 @@ class TestAlternatingOptimization:
         bf = result.beamformers[0]
         assert bf.analog_precoder.matrix.shape == (4, 1)
 
+    def test_links_of_another_seed_are_resynthesized(self, fast_config):
+        sc = default_scenario(8)
+        stale = alternating_optimize(sc, seed=3, config=fast_config,
+                                     links=synthesize_links(sc, seed=0))
+        fresh = alternating_optimize(sc, seed=3, config=fast_config)
+        assert stale.trace[-1].objective == fresh.trace[-1].objective
+        np.testing.assert_array_equal(stale.phases, fresh.phases)
+
     def test_unit_modulus_all_iterations(self, fast_config):
         result = alternating_optimize(default_scenario(12), seed=0, config=fast_config)
         for state in result.rcg_trace:
