@@ -190,10 +190,24 @@ class Scenario:
             for k, p in enumerate(pts):
                 if not self.bounds.contains(p):
                     raise ConfigError(f"geometry.{label}[{k}]: outside bounds")
-        for k, panel in enumerate(self.irs_panels):
-            for p in panel.element_positions():
+        elements = [
+            (f"irs_panels[{k}].elements", panel.element_positions())
+            for k, panel in enumerate(self.irs_panels)
+        ]
+        for k, (_, pts) in enumerate(elements):
+            for p in pts:
                 if not self.bounds.contains(p):
                     raise ConfigError(f"geometry.irs_panels[{k}]: element outside bounds")
+        # a link between two nodes at one point has no direction
+        for label, pts, others in (
+            ("user_positions", users, [("ap_positions", ap), *elements]),
+            ("ap_positions", ap, elements),
+        ):
+            for other, other_pts in others:
+                hits = np.argwhere(np.all(pts[:, None, :] == other_pts[None, :, :], axis=-1))
+                if hits.size:
+                    k, l = hits[0]
+                    raise ConfigError(f"geometry.{label}[{k}]: coincides with {other}[{l}]")
 
     @property
     def n_users(self) -> int:

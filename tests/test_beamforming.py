@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,27 @@ def _random_channel(rng, n_sc, n_r, n_t):
     return (
         rng.standard_normal((n_sc, n_r, n_t)) + 1j * rng.standard_normal((n_sc, n_r, n_t))
     )
+
+
+def _per_subcarrier_svd(h_d, n_s, p_a=None, total_power=1.0):
+    """Reference for digital_beamformers_svd: one SVD, sign fix and norm per subcarrier."""
+    n_sc, rx_rf, n_rf = h_d.shape
+    p_d = np.zeros((n_sc, n_rf, n_s), dtype=complex)
+    g_d = np.zeros((n_sc, rx_rf, n_s), dtype=complex)
+    for n in range(n_sc):
+        u, _, vh = np.linalg.svd(h_d[n], full_matrices=False)
+        for k in range(u.shape[1]):
+            pivot = u[np.argmax(np.abs(u[:, k])), k]
+            if pivot != 0:
+                rot = np.conj(pivot) / np.abs(pivot)
+                u[:, k] *= rot
+                vh[k, :] *= np.conj(rot)
+        p_d[n] = vh.conj().T[:, :n_s]
+        g_d[n] = u[:, :n_s]
+        norm = np.linalg.norm(p_a.matrix @ p_d[n] if p_a is not None else p_d[n])
+        if norm > 0:
+            p_d[n] *= np.sqrt(total_power) / norm
+    return p_d, g_d
 
 
 class TestAnalogCodebook:
@@ -65,6 +87,69 @@ class TestAnalogCodebook:
         rx_cb = build_analog_codebook(1, 1, beam_grid=1)
         p_a, _ = select_codewords(h, tx_cb, rx_cb)
         assert p_a.codebook_id == "b5"
+
+
+def _exhaustive_select(h, tx_codebook, rx_codebook):
+    """Codeword ids of the first pair, in order, with the largest projected norm."""
+    best, best_val = None, -np.inf
+    for p_a in tx_codebook:
+        for g_a in rx_codebook:
+            val = float(np.sum(np.abs(project_channel(h, g_a, p_a)) ** 2))
+            if val > best_val:
+                best_val, best = val, (p_a.codebook_id, g_a.codebook_id)
+    return best
+
+
+def _selected_ids(h, tx_codebook, rx_codebook, counter=None):
+    p_a, g_a = select_codewords(h, tx_codebook, rx_codebook, counter)
+    return p_a.codebook_id, g_a.codebook_id
+
+
+class TestCodewordSelection:
+    def test_matches_exhaustive_search_on_stock_pairs(self):
+        rng = np.random.default_rng(11)
+        rx = build_analog_codebook(1, 1, beam_grid=1)
+        for trial in range(200):
+            cb = STOCK_CODEBOOKS[trial % len(STOCK_CODEBOOKS)]
+            tx = build_analog_codebook(cb.n_t, cb.n_rf, beam_grid=16)
+            h = _random_channel(rng, 8, 1, cb.n_t)
+            assert _selected_ids(h, tx, rx) == _exhaustive_select(h, tx, rx), (trial, cb.name)
+
+    def test_matches_exhaustive_search_with_multi_column_combiners(self):
+        rng = np.random.default_rng(12)
+        tx = build_analog_codebook(4, 2, beam_grid=8)
+        rx = build_analog_codebook(4, 2, beam_grid=8)
+        channels = [_random_channel(rng, 4, 4, 4) for _ in range(20)]
+        # tied beams: broadside (mirrored pairs) and all-zero (every value)
+        channels += [np.ones((4, 4, 4), dtype=complex), np.zeros((4, 4, 4), dtype=complex)]
+        for trial, h in enumerate(channels):
+            assert _selected_ids(h, tx, rx) == _exhaustive_select(h, tx, rx), trial
+
+    @pytest.mark.parametrize("cb", STOCK_CODEBOOKS, ids=lambda cb: cb.name)
+    def test_ties_go_to_the_lower_beam(self, cb):
+        tx = build_analog_codebook(cb.n_t, cb.n_rf, beam_grid=16)
+        rx = build_analog_codebook(1, 1, beam_grid=1)
+        # a broadside channel gives mirrored beams equal energies
+        broadside = np.ones((4, 1, cb.n_t), dtype=complex)
+        assert _selected_ids(broadside, tx, rx) == _exhaustive_select(broadside, tx, rx)
+        zero = np.zeros((4, 1, cb.n_t), dtype=complex)
+        first = "b" + "_".join(map(str, range(cb.n_rf)))
+        assert _selected_ids(zero, tx, rx) == _exhaustive_select(zero, tx, rx) == (first, "b0")
+
+    def test_mac_count_is_per_combiner(self):
+        counter = OpCounter()
+        tx = build_analog_codebook(8, 2, beam_grid=16)
+        rx = build_analog_codebook(4, 2, beam_grid=8)
+        h = _random_channel(np.random.default_rng(13), 5, 4, 8)
+        select_codewords(h, tx, rx, counter)
+        # per combiner: G_A^H H, then that against every grid column
+        assert counter.macs == len(rx) * 5 * (2 * 4 * 8 + 2 * 8 * 16)
+
+    def test_dimension_mismatch(self):
+        tx = build_analog_codebook(4, 1, beam_grid=4)
+        rx = build_analog_codebook(1, 1, beam_grid=1)
+        with pytest.raises(ValueError, match="dimensions"):
+            select_codewords(np.zeros((1, 1, 8), dtype=complex), tx, rx)
 
 
 class TestProjection:
@@ -172,6 +257,29 @@ class TestDigitalSvd:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("shape", [(64, 1, 1), (64, 1, 2), (8, 2, 2), (8, 4, 2)])
+    @pytest.mark.parametrize("with_analog", [False, True])
+    def test_bit_identical_to_per_subcarrier_loop(self, shape, with_analog):
+        rng = np.random.default_rng(sum(shape))
+        h_d = _random_channel(rng, *shape)
+        h_d[3] = 0.0  # one all-zero subcarrier
+        p_a = None
+        if with_analog:
+            phases = rng.uniform(0, 2 * np.pi, (6, shape[2]))
+            p_a = AnalogBeamformer(np.exp(1j * phases) / np.sqrt(6), "p")
+        for n_s in range(1, min(shape[1:]) + 1):
+            got = digital_beamformers_svd(h_d, n_s, p_a=p_a, total_power=2.5)
+            want = _per_subcarrier_svd(h_d, n_s, p_a=p_a, total_power=2.5)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_zero_norm_precoder_stays_unscaled(self):
+        h_d = _random_channel(np.random.default_rng(9), 4, 2, 2)
+        p_a = AnalogBeamformer(np.zeros((4, 2), dtype=complex), "zero")
+        p_d, _ = digital_beamformers_svd(h_d, n_s=1, p_a=p_a)
+        np.testing.assert_array_equal(p_d, _per_subcarrier_svd(h_d, 1, p_a=p_a)[0])
+        np.testing.assert_allclose(np.linalg.norm(p_d, axis=(1, 2)), 1.0, rtol=1e-12)
+
 
 class TestCombineAndEffective:
     def test_single_column_case(self):
@@ -225,3 +333,34 @@ def test_codebook_round_trip(tmp_path):
     for a, b in zip(cb, loaded):
         assert a.codebook_id == b.codebook_id
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-15)
+
+
+def _tamper_drop(doc):
+    del doc["codewords"][2]
+
+
+def _tamper_column(doc):
+    doc["codewords"][3]["entries_re"][0][1] += 0.5
+
+
+def _tamper_id(doc):
+    doc["codewords"][0]["id"] = "first"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_tamper_drop, "not every n_rf-subset"),
+        (_tamper_column, "beam 2 differs"),
+        (_tamper_id, "codeword first: id"),
+    ],
+    ids=["missing_codeword", "inconsistent_beam", "bad_id"],
+)
+def test_codebook_import_rejects_non_grid_file(tmp_path, tamper, message):
+    path = tmp_path / "cb.yaml"
+    export_codebook(build_analog_codebook(4, 2, beam_grid=4), "demo", path)
+    doc = yaml.safe_load(path.read_text())
+    tamper(doc)
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match=message):
+        import_codebook(path)

@@ -14,7 +14,7 @@ from irslink.channel import (
     path_gain_db,
     synthesize_links,
 )
-from irslink.scenario import Box, IrsPanel, Scenario, SystemParams
+from irslink.scenario import Box, ConfigError, IrsPanel, Scenario, SystemParams
 
 from conftest import scalar_scenario
 
@@ -192,19 +192,37 @@ class TestDirectChannels:
 
 
 class TestDegenerateGeometry:
-    @pytest.mark.parametrize("user_at", ["ap", "irs_element"])
-    def test_coincident_nodes_rejected(self, user_at):
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("ap", r"geometry\.user_positions\[1\]: coincides with ap_positions\[0\]"),
+            (
+                "irs_element",
+                r"geometry\.user_positions\[1\]: coincides with irs_panels\[0\]\.elements\[4\]",
+            ),
+            (
+                "ap_on_irs_element",
+                r"geometry\.ap_positions\[1\]: coincides with irs_panels\[0\]\.elements\[4\]",
+            ),
+        ],
+        ids=["ap", "irs_element", "ap_on_irs_element"],
+    )
+    def test_coincident_nodes_rejected(self, case, message):
         sc = _mimo_scenario(3, 2)
-        spot = sc.ap_positions[0] if user_at == "ap" else sc.irs_element_positions()[4]
-        on_top = Scenario(
-            ap_positions=sc.ap_positions,
-            user_positions=np.stack([sc.user_positions[0], spot]),
-            irs_panels=sc.irs_panels,
-            bounds=sc.bounds,
-            params=sc.params,
-        )
-        with pytest.raises(ValueError, match="degenerate link geometry"):
-            synthesize_links(on_top)
+        element = sc.irs_element_positions()[4]
+        aps, users = sc.ap_positions, sc.user_positions
+        if case == "ap_on_irs_element":
+            aps = np.stack([aps[0], element])
+        else:
+            users = np.stack([users[0], aps[0] if case == "ap" else element])
+        with pytest.raises(ConfigError, match=message):
+            Scenario(
+                ap_positions=aps,
+                user_positions=users,
+                irs_panels=sc.irs_panels,
+                bounds=sc.bounds,
+                params=sc.params,
+            )
 
 
 class TestSmallScale:
