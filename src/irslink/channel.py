@@ -70,13 +70,15 @@ def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
 def _element_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
     """LoS hops between L nodes and the M IRS elements, links stacked (L, M).
 
-    One end of each hop is a single IRS element, so the hops are built
-    straight into a contiguous (L, n_sc, M, n_antennas) stack.
+    One end of each hop is a single IRS element, so the hops form an
+    (L, n_sc, M, n_antennas) stack. Its memory runs element-fastest: the
+    composites sum over elements, and einsum then walks them contiguously.
     """
     gain, outer = _hop_factors(params, carrier, dod, a_rx, a_tx, params.los_exponent)
     n_links, m, n_rx, n_tx = outer.shape
+    hops = np.empty((n_links, gain.shape[-1], n_rx * n_tx, m), dtype=complex).swapaxes(2, 3)
     return np.multiply(
-        gain.swapaxes(1, 2)[..., None], outer.reshape(n_links, 1, m, n_rx * n_tx), order="C"
+        gain.swapaxes(1, 2)[..., None], outer.reshape(n_links, 1, m, n_rx * n_tx), out=hops
     )
 
 
@@ -112,7 +114,8 @@ class LinkChannels:
 
     DL cascade for (user i, AP j):
         H_ij(phi) = dl_nlos[i][j] + sum_m phi_m * outer(dl_user_cols[i][:, m], dl_ap_rows[j][:, m])
-    and analogously for UL with the same phases.
+    and analogously for UL with the same phases; ``dl_composites`` /
+    ``ul_composites`` build every link's composite in one einsum.
     """
 
     scenario: Scenario
@@ -137,24 +140,22 @@ class LinkChannels:
                 f"{self.dl_ap_rows.shape[2]} IRS elements"
             )
 
-    def dl_composite(self, user: int, ap: int, phi_coeffs: np.ndarray) -> np.ndarray:
-        """(n_sc, n_r, n_t) total DL channel for given unit-modulus coefficients."""
+    def dl_composites(self, phi_coeffs: np.ndarray) -> np.ndarray:
+        """(U, B, n_sc, n_r, n_t) total DL channels of every user-AP link for
+        given unit-modulus coefficients."""
         self._check_phase_count(phi_coeffs)
-        h = self.dl_nlos[user, ap].copy()
+        h = self.dl_nlos.copy()
         if len(phi_coeffs):
-            h += np.einsum(
-                "m,nmr,nmt->nrt", phi_coeffs, self.dl_user_cols[user], self.dl_ap_rows[ap]
-            )
+            h += np.einsum("m,inmr,bnmt->ibnrt", phi_coeffs, self.dl_user_cols, self.dl_ap_rows)
         return h
 
-    def ul_composite(self, user: int, ap: int, phi_coeffs: np.ndarray) -> np.ndarray:
-        """(n_sc, n_t, n_r) total UL channel for given unit-modulus coefficients."""
+    def ul_composites(self, phi_coeffs: np.ndarray) -> np.ndarray:
+        """(U, B, n_sc, n_t, n_r) total UL channels of every user-AP link for
+        given unit-modulus coefficients."""
         self._check_phase_count(phi_coeffs)
-        h = self.ul_nlos[user, ap].copy()
+        h = self.ul_nlos.copy()
         if len(phi_coeffs):
-            h += np.einsum(
-                "m,nmr,nmt->ntr", phi_coeffs, self.ul_user_rows[user], self.ul_ap_cols[ap]
-            )
+            h += np.einsum("m,inmr,bnmt->ibntr", phi_coeffs, self.ul_user_rows, self.ul_ap_cols)
         return h
 
 

@@ -9,7 +9,7 @@ best-objective state.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class RcgState:
     grad_norm: float
     phases: np.ndarray
     line_search_fallback: bool = False
+    # set on the last state only: "epsilon" (the gradient norm fell to
+    # epsilon) or "max_iter" (the iteration budget ran out)
+    stop_reason: str | None = None
 
 
 class DlRateObjective:
@@ -67,7 +70,18 @@ class DlRateObjective:
     subcarrier; a link contributes the sum over subcarriers of
     log2(1 + SINR_n) ("mean" aggregation) or n_sc times the worst
     subcarrier's spectral efficiency ("min").
+
+    Every (receiver i, AP b, precoder owner l) triple is evaluated in one
+    stacked pass: one einsum builds the composites of all user-AP links,
+    one more the effective matrices W_i^H H_ib F_l of all triples. Triples
+    run receiver-major, then by (AP, owner), the order in which each
+    receiver's interferers are summed. The effective matrices and gains of
+    the last few points are kept, keyed by the coefficient bytes, so a
+    point evaluated again (the accepted line-search point, the final
+    value and rates) costs nothing.
     """
+
+    _CACHED_POINTS = 4
 
     def __init__(
         self,
@@ -84,60 +98,73 @@ class DlRateObjective:
         self.combiners = combiners  # user i -> W_i (n_sc, n_r, n_s)
         self.aggregate = aggregate
         self.counter = counter
-        p = links.scenario.params
-        self.sigma2 = p.sigma2
-        self.p_ap = p.p_ap
+        params = links.scenario.params
+        self.sigma2 = params.sigma2
+        self.p_ap = params.p_ap
         self.pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
-        self.active_aps = sorted({j for _, j in self.pairs})
-        self.users_of = {j: assignment.users_of_ap(j) for j in self.active_aps}
         self.n_phases = links.scenario.n_irs_elements
+        # precoder owners in interferer order: by AP, then by user
+        owners = sorted((j, i) for i, j in self.pairs)
+        n_rx, n_own = len(self.pairs), len(owners)
+        # triple q = p * n_own + k: receiver of pair p, owner k's AP and precoder
+        self._rx = np.repeat([i for i, _ in self.pairs], n_own).astype(int)
+        self._ap = np.tile([b for b, _ in owners], n_rx).astype(int)
+        self._owner = np.tile([l for _, l in owners], n_rx).astype(int)
+        self._signal = np.array(
+            [p * n_own + owners.index((j, i)) for p, (i, j) in enumerate(self.pairs)], dtype=int
+        )
+        self._interferers = np.array(
+            [[q for q in range(p * n_own, (p + 1) * n_own) if q != s]
+             for p, s in enumerate(self._signal)],
+            dtype=int,
+        ).reshape(n_rx, max(n_own - 1, 0))
+        if self.pairs:
+            self._wh = np.conj(np.stack([combiners[i] for i in self._rx]))
+            self._f = np.stack([precoders[l] for l in self._owner])
         # theta-independent tangent factors: u depends on the receiver,
         # v on (transmitting AP via its rows, precoder owner)
-        self._u = {
-            i: np.einsum("nrs,nmr->nms", np.conj(self.combiners[i]), links.dl_user_cols[i])
+        self._u = [
+            np.einsum("nrs,nmr->nms", np.conj(combiners[i]), links.dl_user_cols[i])
             for i, _ in self.pairs
-        }
-        self._v = {
-            (b, l): np.einsum("nmt,nts->nms", links.dl_ap_rows[b], self.precoders[l])
-            for b in self.active_aps
-            for l in self.users_of[b]
-        }
+        ]
+        self._v = [np.einsum("nmt,nts->nms", links.dl_ap_rows[b], precoders[l]) for b, l in owners]
+        self._cache = {}  # coefficient bytes -> (effective matrices, gains)
 
     def _effective(self, coeffs):
-        """Effective matrices and power gains for every (rx, ap, owner) triple."""
-        eff = {}
-        gains = {}
+        """Effective matrices (Q, n_sc, n_s, n_s) and power gains (Q, n_sc) of
+        every triple, from the cache when this point was evaluated lately."""
+        key = coeffs.tobytes()
+        hit = self._cache.pop(key, None)
+        if hit is None:
+            hit = self._kernel(coeffs)
+            if len(self._cache) == self._CACHED_POINTS:
+                del self._cache[next(iter(self._cache))]
+        self._cache[key] = hit
+        return hit
+
+    def _kernel(self, coeffs):
+        """One stacked pass over every triple; counts the MACs it performs."""
         links = self.links
-        n_sc = links.scenario.params.n_sc
-        n_r, n_t = links.scenario.params.n_r, links.scenario.params.n_t
-        for i, _ in self.pairs:
-            for b in self.active_aps:
-                h = links.dl_composite(i, b, coeffs)
-                if self.counter is not None:
-                    self.counter.add(n_sc * self.n_phases * n_r * n_t)
-                w = self.combiners[i]
-                for l in self.users_of[b]:
-                    e = np.einsum("nrs,nrt,ntk->nsk", np.conj(w), h, self.precoders[l])
-                    if self.counter is not None:
-                        n_s = e.shape[1]
-                        self.counter.add(n_sc * n_s * (n_r * n_t + n_t * n_s))
-                    eff[(i, b, l)] = e
-                    gains[(i, b, l)] = np.sum(np.abs(e) ** 2, axis=(1, 2))
-        return eff, gains
+        p = links.scenario.params
+        if not self.pairs:
+            return np.zeros((0, p.n_sc, p.n_s, p.n_s), dtype=complex), np.zeros((0, p.n_sc))
+        h = links.dl_composites(coeffs)
+        eff = np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, h[self._rx, self._ap], self._f)
+        if self.counter is not None:
+            n_users, n_aps = h.shape[:2]
+            n_q, n_s = eff.shape[0], eff.shape[2]
+            self.counter.add(n_users * n_aps * p.n_sc * self.n_phases * p.n_r * p.n_t)
+            self.counter.add(n_q * p.n_sc * n_s * (p.n_r * p.n_t + p.n_t * n_s))
+        return eff, np.sum(np.abs(eff) ** 2, axis=(2, 3))
 
     def _sinr_terms(self, gains):
-        """Per served user: (signal, denominator) arrays over subcarriers."""
-        terms = {}
-        for i, j in self.pairs:
-            signal = self.p_ap * gains[(i, j, i)]
-            denom = np.full_like(signal, self.sigma2)
-            for b in self.active_aps:
-                for l in self.users_of[b]:
-                    if b == j and l == i:
-                        continue
-                    denom += self.p_ap * gains[(i, b, l)]
-            terms[(i, j)] = (signal, denom)
-        return terms
+        """Signal and denominator (served pair, subcarrier): interferers are
+        added to the noise one column at a time, in triple order."""
+        signal = self.p_ap * gains[self._signal]
+        denom = np.full_like(signal, self.sigma2)
+        for column in self._interferers.T:
+            denom += self.p_ap * gains[column]
+        return signal, denom
 
     def _link_value(self, sinr: np.ndarray) -> float:
         se = np.log2(1.0 + sinr)
@@ -145,53 +172,47 @@ class DlRateObjective:
             return float(np.sum(se))
         return float(len(sinr) * np.min(se))
 
+    def _link_values(self, gains) -> list[float]:
+        signal, denom = self._sinr_terms(gains)
+        return [self._link_value(s / d) for s, d in zip(signal, denom)]
+
     def link_rates(self, phases: np.ndarray, bandwidth: float) -> dict:
         """Per served (user, AP): achievable DL rate in bits/s at these phases."""
-        coeffs = np.exp(1j * np.asarray(phases, dtype=float))
-        _, gains = self._effective(coeffs)
-        terms = self._sinr_terms(gains)
-        n_sc = next(iter(terms.values()))[0].shape[0] if terms else 1
+        _, gains = self._effective(np.exp(1j * np.asarray(phases, dtype=float)))
+        n_sc = gains.shape[1]
         return {
-            key: bandwidth / n_sc * self._link_value(s / d)
-            for key, (s, d) in terms.items()
+            pair: bandwidth / n_sc * value
+            for pair, value in zip(self.pairs, self._link_values(gains))
         }
 
     def value(self, phases: np.ndarray) -> float:
-        coeffs = np.exp(1j * np.asarray(phases, dtype=float))
-        _, gains = self._effective(coeffs)
-        terms = self._sinr_terms(gains)
-        return float(sum(self._link_value(s / d) for s, d in terms.values()))
+        _, gains = self._effective(np.exp(1j * np.asarray(phases, dtype=float)))
+        return float(sum(self._link_values(gains)))
 
     def value_and_grad(self, phases: np.ndarray) -> tuple[float, np.ndarray]:
-        phases = np.asarray(phases, dtype=float)
-        coeffs = np.exp(1j * phases)
+        coeffs = np.exp(1j * np.asarray(phases, dtype=float))
         eff, gains = self._effective(coeffs)
-        terms = self._sinr_terms(gains)
-        value = float(sum(self._link_value(s / d) for s, d in terms.values()))
+        value = float(sum(self._link_values(gains)))
         if self.n_phases == 0:
             return value, np.zeros(0)
 
-        # dg[n, m] for each triple: 2*Re(j*c_m * <E_n, u_m v_m^T>)
-        dgains = {}
-        for key, e in eff.items():
-            i, b, l = key
-            t = np.einsum("nsk,nms,nmk->nm", np.conj(e), self._u[i], self._v[(b, l)])
-            dgains[key] = 2.0 * np.real(1j * coeffs[None, :] * t)
+        def dgain(q):
+            """dg[n, m] of triple q: 2*Re(j*c_m * <E_n, u_m v_m^T>)."""
+            p, k = divmod(q, len(self._v))
+            t = np.einsum("nsk,nms,nmk->nm", np.conj(eff[q]), self._u[p], self._v[k])
             if self.counter is not None:
-                n_sc, n_s = e.shape[0], e.shape[1]
+                n_sc, n_s = eff.shape[1], eff.shape[2]
                 self.counter.add(2 * n_sc * self.n_phases * n_s * n_s)
+            return 2.0 * np.real(1j * coeffs[None, :] * t)
 
+        signal, denom = self._sinr_terms(gains)
         grad = np.zeros(self.n_phases)
         ln2 = np.log(2.0)
-        for i, j in self.pairs:
-            s, d = terms[(i, j)]
-            ds = self.p_ap * dgains[(i, j, i)]
+        for s, d, q_signal, interferers in zip(signal, denom, self._signal, self._interferers):
+            ds = self.p_ap * dgain(q_signal)
             dd = np.zeros_like(ds)
-            for b in self.active_aps:
-                for l in self.users_of[b]:
-                    if b == j and l == i:
-                        continue
-                    dd += self.p_ap * dgains[(i, b, l)]
+            for q in interferers:
+                dd += self.p_ap * dgain(q)
             sinr = s / d
             dsinr = (ds * d[:, None] - s[:, None] * dd) / (d * d)[:, None]
             per_sc = dsinr / (ln2 * (1.0 + sinr))[:, None]
@@ -250,6 +271,7 @@ def rcg_optimize_phases(
 
     for it in range(1, max_iter + 1):
         if np.linalg.norm(g) <= epsilon:
+            stop_reason = "epsilon"
             break
         fallback = False
         slope = float(np.dot(g, d))
@@ -285,6 +307,9 @@ def rcg_optimize_phases(
         )
         if f > best_f:
             best_f, best_theta = f, theta.copy()
+    else:
+        stop_reason = "max_iter"
+    trace[-1] = replace(trace[-1], stop_reason=stop_reason)
     return best_theta, trace
 
 
@@ -305,6 +330,10 @@ class AoResult:
     phases: np.ndarray
     assignment: Assignment
     report: UtilityReport
+    # why the outer loop stopped: "regressed" (a round's redesign lowered the
+    # objective), "no_improvement", "no_surface" (one pass, no IRS elements)
+    # or "round_cap" (outer_rounds reached)
+    stop_reason: str
     trace: list[AoRound] = field(default_factory=list)
     rcg_trace: list[RcgState] = field(default_factory=list)
 
@@ -316,49 +345,56 @@ class AoResult:
 def _initial_assignment(scenario: Scenario, links: LinkChannels, coeffs) -> Assignment:
     """Interference-free rate table on raw composite channels for association."""
     p = scenario.params
+    h = links.dl_composites(coeffs)
     rates = np.zeros((scenario.n_users, scenario.n_aps))
-    for i in range(scenario.n_users):
-        for j in range(scenario.n_aps):
-            g = float(np.mean(np.sum(np.abs(links.dl_composite(i, j, coeffs)) ** 2, axis=(1, 2))))
-            rates[i, j] = rate(p.p_ap * g / p.sigma2, p.bandwidth)
+    for i, j in np.ndindex(rates.shape):
+        g = float(np.mean(np.sum(np.abs(h[i, j]) ** 2, axis=(1, 2))))
+        rates[i, j] = rate(p.p_ap * g / p.sigma2, p.bandwidth)
     return associate_users(scenario, rates)
 
 
 def _design_all_beamformers(scenario, links, assignment, coeffs, tx_codebook, rx_codebook,
                             counter=None):
-    sets = {}
-    for i, j in enumerate(assignment.user_to_ap):
-        if j < 0:
-            continue
-        h = links.dl_composite(i, j, coeffs)
-        sets[i] = design_beamformers(
-            h, tx_codebook, rx_codebook, scenario.params.n_s, total_power=1.0, counter=counter
+    h = links.dl_composites(coeffs)
+    return {
+        i: design_beamformers(
+            h[i, j], tx_codebook, rx_codebook, scenario.params.n_s, total_power=1.0,
+            counter=counter,
         )
-    return sets
+        for i, j in enumerate(assignment.user_to_ap)
+        if j >= 0
+    }
 
 
-def _gain_tables(scenario, links, assignment, coeffs, beamformers):
-    """Effective DL gain table (unit-power beamformers) and UL composite gains."""
-    p = scenario.params
-    U, B = scenario.n_users, scenario.n_aps
-    _, gains = DlRateObjective(
+def _rate_objective(links, assignment, beamformers, aggregate="mean", counter=None):
+    return DlRateObjective(
         links,
         assignment,
         {i: bf.precoders() for i, bf in beamformers.items()},
         {i: bf.combiners() for i, bf in beamformers.items()},
-    )._effective(coeffs)
-    eff = np.full((U, B, U, p.n_sc), np.nan)
-    for (i, b, l), gain in gains.items():
-        eff[i, b, l] = gain
-    ul = np.zeros((U, B, p.n_sc))
-    for i in range(U):
-        for j in range(B):
-            ul[i, j] = np.sum(np.abs(links.ul_composite(i, j, coeffs)) ** 2, axis=(1, 2))
+        aggregate=aggregate,
+        counter=counter,
+    )
+
+
+def _gain_tables(objective: DlRateObjective, coeffs):
+    """Effective DL gain table (unit-power beamformers) and UL composite gains."""
+    links = objective.links
+    U, B = links.scenario.n_users, links.scenario.n_aps
+    _, gains = objective._effective(coeffs)
+    eff = np.full((U, B, U, links.scenario.params.n_sc), np.nan)
+    eff[objective._rx, objective._ap, objective._owner] = gains
+    ul = np.sum(np.abs(links.ul_composites(coeffs)) ** 2, axis=(3, 4))
     return eff, ul
 
 
-def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate):
-    eff, ul = _gain_tables(scenario, links, assignment, coeffs, beamformers)
+def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, objective=None):
+    """Utility report and DL SINR table of a final state. ``objective`` is the
+    DL objective already built for these beamformers, if any; reusing it
+    reuses the gains it computed at these phases."""
+    if objective is None:
+        objective = _rate_objective(links, assignment, beamformers)
+    eff, ul = _gain_tables(objective, coeffs)
     dl = sinr_dl(scenario, assignment, eff, signal_aggregate=aggregate)
     ul_table = sinr_ul(scenario, assignment, ul)
     return utility_report(scenario, assignment, dl, ul_table), dl
@@ -393,21 +429,18 @@ def alternating_optimize(
     rx_grid = 1 if p.n_r == 1 else min(cfg.beam_grid, 8)
     rx_codebook = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=max(rx_grid, 1))
 
-    best = None  # (objective, phases, beamformers, round trace, rcg trace)
+    best = None  # (objective value, phases, beamformers, DlRateObjective)
     trace: list[AoRound] = []
     rcg_trace: list[RcgState] = []
     prev_obj = -np.inf
+    stop_reason = "round_cap"
     for rnd in range(1, max(cfg.outer_rounds, 1) + 1):
         t0 = time.perf_counter()
         coeffs = np.exp(1j * phases)
         beamformers = _design_all_beamformers(
             scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter
         )
-        precoders = {i: bf.precoders() for i, bf in beamformers.items()}
-        combiners = {i: bf.combiners() for i, bf in beamformers.items()}
-        objective = DlRateObjective(
-            links, assignment, precoders, combiners, aggregate=aggregate, counter=counter
-        )
+        objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
         grad_norm = 0.0
         if m > 0:
             phases, round_rcg = rcg_optimize_phases(
@@ -418,7 +451,8 @@ def alternating_optimize(
             round_rcg = []
         obj_val = objective.value(phases)
         if best is not None and obj_val < best[0]:
-            break  # beamformer redesign hurt the objective; keep the best state
+            stop_reason = "regressed"  # beamformer redesign hurt the objective
+            break
         per_user = objective.link_rates(phases, p.bandwidth)
         trace.append(
             AoRound(
@@ -435,17 +469,20 @@ def alternating_optimize(
             )
         )
         rcg_trace.extend(round_rcg)
-        best = (obj_val, phases.copy(), beamformers)
+        best = (obj_val, phases.copy(), beamformers, objective)
         if m == 0:
+            stop_reason = "no_surface"
             break
         if prev_obj > -np.inf and obj_val - prev_obj <= cfg.improvement_tol * max(abs(prev_obj), 1.0):
-            prev_obj = obj_val
+            stop_reason = "no_improvement"
             break
         prev_obj = obj_val
 
-    obj_val, phases, beamformers = best
-    report, _ = _evaluate(scenario, links, assignment, np.exp(1j * phases), beamformers, aggregate)
-    return AoResult(beamformers, phases, assignment, report, trace, rcg_trace)
+    obj_val, phases, beamformers, objective = best
+    report, _ = _evaluate(
+        scenario, links, assignment, np.exp(1j * phases), beamformers, aggregate, objective
+    )
+    return AoResult(beamformers, phases, assignment, report, stop_reason, trace, rcg_trace)
 
 
 def complexity_probe(
@@ -486,13 +523,7 @@ def complexity_probe(
             scenario, links, assignment, coeffs, tx_cb, rx_cb, bf_counter
         )
         phase_counter = OpCounter()
-        objective = DlRateObjective(
-            links,
-            assignment,
-            {0: beamformers[0].precoders()},
-            {0: beamformers[0].combiners()},
-            counter=phase_counter,
-        )
+        objective = _rate_objective(links, assignment, beamformers, counter=phase_counter)
         t0 = time.perf_counter()
         rcg_optimize_phases(objective, np.zeros(m), epsilon=0.0, max_iter=rcg_iters)
         seconds = time.perf_counter() - t0

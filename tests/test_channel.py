@@ -243,11 +243,11 @@ class TestSmallScale:
 class TestComposite:
     def test_no_elements_equals_direct(self):
         links = _scalar_links(0.3 + 0.1j)
-        np.testing.assert_array_equal(links.dl_composite(0, 0, np.zeros(0)), links.dl_nlos[0, 0])
+        np.testing.assert_array_equal(links.dl_composites(np.zeros(0))[0, 0], links.dl_nlos[0, 0])
 
     def test_single_term_no_direct(self):
         links = _scalar_links(0.0, [0.2 - 0.5j], [1.5 + 0.25j])
-        out = links.dl_composite(0, 0, np.ones(1))
+        out = links.dl_composites(np.ones(1))[0, 0]
         assert out[0, 0, 0] == pytest.approx((0.2 - 0.5j) * (1.5 + 0.25j))
 
     def test_three_element_scalar_oracle(self):
@@ -256,7 +256,7 @@ class TestComposite:
         into = [complex(*rng.standard_normal(2)) for _ in range(3)]
         outof = [complex(*rng.standard_normal(2)) for _ in range(3)]
         phases = rng.uniform(-np.pi, np.pi, 3)
-        out = _scalar_links(h0, into, outof).dl_composite(0, 0, np.exp(1j * phases))
+        out = _scalar_links(h0, into, outof).dl_composites(np.exp(1j * phases))[0, 0]
         expected = h0 + sum(
             np.exp(1j * t) * b * a for t, a, b in zip(phases, into, outof)
         )
@@ -264,8 +264,8 @@ class TestComposite:
 
     def test_pi_phase_flips_cascade_sign(self):
         links = _scalar_links(0.0, [0.4 + 0.2j], [1.0 - 1.0j])
-        plus = links.dl_composite(0, 0, np.exp(1j * np.zeros(1)))
-        minus = links.dl_composite(0, 0, np.exp(1j * np.array([np.pi])))
+        plus = links.dl_composites(np.exp(1j * np.zeros(1)))[0, 0]
+        minus = links.dl_composites(np.exp(1j * np.array([np.pi])))[0, 0]
         np.testing.assert_allclose(minus, -plus, atol=1e-12)
 
     def test_ul_two_element_scalar_oracle(self):
@@ -274,7 +274,7 @@ class TestComposite:
         into = [complex(*rng.standard_normal(2)) for _ in range(2)]
         outof = [complex(*rng.standard_normal(2)) for _ in range(2)]
         phases = np.array([0.7, -1.9])
-        out = _scalar_links(h0, into, outof).ul_composite(0, 0, np.exp(1j * phases))
+        out = _scalar_links(h0, into, outof).ul_composites(np.exp(1j * phases))[0, 0]
         expected = h0 + sum(
             np.exp(1j * t) * b * a for t, a, b in zip(phases, into, outof)
         )
@@ -284,9 +284,9 @@ class TestComposite:
         links = _scalar_links(0.0, [0.0], [0.0])
         for coeffs in (np.ones(2), np.ones(0)):
             with pytest.raises(ValueError, match="phase count"):
-                links.dl_composite(0, 0, coeffs)
+                links.dl_composites(coeffs)
             with pytest.raises(ValueError, match="phase count"):
-                links.ul_composite(0, 0, coeffs)
+                links.ul_composites(coeffs)
 
 
 class TestLinkChannels:
@@ -297,12 +297,12 @@ class TestLinkChannels:
         expected = _nlos_oracle(sc, "DL", seed=2) + sum(
             c * h for c, h in zip(coeffs, _cascade_oracles(sc, "DL"))
         )
-        np.testing.assert_allclose(links.dl_composite(0, 0, coeffs), expected, rtol=1e-12)
+        np.testing.assert_allclose(links.dl_composites(coeffs)[0, 0], expected, rtol=1e-12)
 
     def test_ul_nlos_consistency(self):
         sc = _mimo_scenario(n_sc=3)
         links = synthesize_links(sc, seed=9)
-        np.testing.assert_array_equal(links.ul_composite(0, 0, np.zeros(0, complex)),
+        np.testing.assert_array_equal(links.ul_composites(np.zeros(0, complex))[0, 0],
                                       links.ul_nlos[0, 0])
         np.testing.assert_allclose(links.ul_nlos[0, 0], _nlos_oracle(sc, "UL", seed=9),
                                    rtol=1e-12)
@@ -312,14 +312,20 @@ class TestLinkChannels:
         expected = _nlos_oracle(sc, "UL", seed=9) + sum(
             c * h for c, h in zip(coeffs, _cascade_oracles(sc, "UL"))
         )
-        np.testing.assert_allclose(links.ul_composite(0, 0, coeffs), expected, rtol=1e-12)
+        np.testing.assert_allclose(links.ul_composites(coeffs)[0, 0], expected, rtol=1e-12)
+
+    def test_cascade_stacks_run_element_fastest(self):
+        links = synthesize_links(_mimo_scenario(2, 2), seed=0)
+        for name in ("dl_user_cols", "dl_ap_rows", "ul_user_rows", "ul_ap_cols"):
+            stack = getattr(links, name)
+            assert stack.strides[2] == stack.itemsize, name
 
     def test_shared_phases_for_both_bands(self):
         sc = scalar_scenario(2, n_sc=2)
         links = synthesize_links(sc, seed=0)
         coeffs = np.exp(1j * np.array([0.4, -0.9]))
-        dl = links.dl_composite(0, 0, coeffs)
-        ul = links.ul_composite(0, 0, coeffs)
+        dl = links.dl_composites(coeffs)[0, 0]
+        ul = links.ul_composites(coeffs)[0, 0]
         assert dl.shape == (2, 1, 1) and ul.shape == (2, 1, 1)
         # both deviate from their direct-only channels under the same phases
         assert not np.allclose(dl, links.dl_nlos[0, 0])

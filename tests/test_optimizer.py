@@ -1,5 +1,7 @@
 """Phase-gradient oracles, conjugate-gradient behavior and the outer loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,17 @@ from irslink.beamforming import build_analog_codebook
 from irslink.channel import synthesize_links
 from irslink.opcount import OpCounter
 from irslink.optimizer import (
+    DlRateObjective,
     RcgConfig,
     alternating_optimize,
     complexity_probe,
     rcg_optimize_phases,
     _design_all_beamformers,
     _evaluate,
+    _gain_tables,
     _initial_assignment,
 )
-from irslink.scenario import default_scenario
+from irslink.scenario import STOCK_CODEBOOKS, Assignment, default_scenario, with_codebook
 
 from conftest import build_rate_objective, scalar_scenario
 
@@ -28,6 +32,256 @@ def _scalar_coefficients(objective, links, beamformers):
     cols = links.dl_user_cols[0][0, :, 0]
     rows = links.dl_ap_rows[0][0, :, 0]
     return np.conj(w) * h0 * f, np.conj(w) * cols * rows * f
+
+
+class PerTripleObjective:
+    """Reference: the per-(receiver, AP, owner) dict loop the stacked kernel
+    replaced, with each link's composite built on its own."""
+
+    def __init__(self, links, assignment, precoders, combiners, aggregate="mean"):
+        self.links, self.aggregate = links, aggregate
+        self.precoders, self.combiners = precoders, combiners
+        p = links.scenario.params
+        self.sigma2, self.p_ap = p.sigma2, p.p_ap
+        self.pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
+        self.active_aps = sorted({j for _, j in self.pairs})
+        self.users_of = {j: assignment.users_of_ap(j) for j in self.active_aps}
+        self.n_phases = links.scenario.n_irs_elements
+        self._u = {
+            i: np.einsum("nrs,nmr->nms", np.conj(combiners[i]), links.dl_user_cols[i])
+            for i, _ in self.pairs
+        }
+        self._v = {
+            (b, l): np.einsum("nmt,nts->nms", links.dl_ap_rows[b], precoders[l])
+            for b in self.active_aps
+            for l in self.users_of[b]
+        }
+
+    def dl_composite(self, i, b, coeffs):
+        h = self.links.dl_nlos[i, b].copy()
+        if len(coeffs):
+            h += np.einsum("m,nmr,nmt->nrt", coeffs, self.links.dl_user_cols[i],
+                           self.links.dl_ap_rows[b])
+        return h
+
+    def effective(self, coeffs):
+        eff, gains = {}, {}
+        for i, _ in self.pairs:
+            for b in self.active_aps:
+                h = self.dl_composite(i, b, coeffs)
+                for l in self.users_of[b]:
+                    e = np.einsum("nrs,nrt,ntk->nsk", np.conj(self.combiners[i]), h,
+                                  self.precoders[l])
+                    eff[(i, b, l)] = e
+                    gains[(i, b, l)] = np.sum(np.abs(e) ** 2, axis=(1, 2))
+        return eff, gains
+
+    def sinr_terms(self, gains):
+        terms = {}
+        for i, j in self.pairs:
+            signal = self.p_ap * gains[(i, j, i)]
+            denom = np.full_like(signal, self.sigma2)
+            for b in self.active_aps:
+                for l in self.users_of[b]:
+                    if b == j and l == i:
+                        continue
+                    denom += self.p_ap * gains[(i, b, l)]
+            terms[(i, j)] = (signal, denom)
+        return terms
+
+    def link_value(self, sinr):
+        se = np.log2(1.0 + sinr)
+        if self.aggregate == "mean":
+            return float(np.sum(se))
+        return float(len(sinr) * np.min(se))
+
+    def link_rates(self, phases, bandwidth):
+        _, gains = self.effective(np.exp(1j * np.asarray(phases, dtype=float)))
+        terms = self.sinr_terms(gains)
+        n_sc = next(iter(terms.values()))[0].shape[0] if terms else 1
+        return {key: bandwidth / n_sc * self.link_value(s / d) for key, (s, d) in terms.items()}
+
+    def value(self, phases):
+        _, gains = self.effective(np.exp(1j * np.asarray(phases, dtype=float)))
+        return float(sum(self.link_value(s / d) for s, d in self.sinr_terms(gains).values()))
+
+    def value_and_grad(self, phases):
+        coeffs = np.exp(1j * np.asarray(phases, dtype=float))
+        eff, gains = self.effective(coeffs)
+        terms = self.sinr_terms(gains)
+        value = float(sum(self.link_value(s / d) for s, d in terms.values()))
+        if self.n_phases == 0:
+            return value, np.zeros(0)
+        dgains = {}
+        for (i, b, l), e in eff.items():
+            t = np.einsum("nsk,nms,nmk->nm", np.conj(e), self._u[i], self._v[(b, l)])
+            dgains[(i, b, l)] = 2.0 * np.real(1j * coeffs[None, :] * t)
+        grad = np.zeros(self.n_phases)
+        ln2 = np.log(2.0)
+        for i, j in self.pairs:
+            s, d = terms[(i, j)]
+            ds = self.p_ap * dgains[(i, j, i)]
+            dd = np.zeros_like(ds)
+            for b in self.active_aps:
+                for l in self.users_of[b]:
+                    if b == j and l == i:
+                        continue
+                    dd += self.p_ap * dgains[(i, b, l)]
+            sinr = s / d
+            dsinr = (ds * d[:, None] - s[:, None] * dd) / (d * d)[:, None]
+            per_sc = dsinr / (ln2 * (1.0 + sinr))[:, None]
+            if self.aggregate == "mean":
+                grad += np.sum(per_sc, axis=0)
+            else:
+                grad += len(sinr) * per_sc[int(np.argmin(sinr))]
+        return value, grad
+
+    def gain_tables(self, coeffs):
+        links = self.links
+        sc = links.scenario
+        U, B = sc.n_users, sc.n_aps
+        _, gains = self.effective(coeffs)
+        eff = np.full((U, B, U, sc.params.n_sc), np.nan)
+        for (i, b, l), gain in gains.items():
+            eff[i, b, l] = gain
+        ul = np.zeros((U, B, sc.params.n_sc))
+        for i in range(U):
+            for j in range(B):
+                h = links.ul_nlos[i, j].copy()
+                if len(coeffs):
+                    h += np.einsum("m,nmr,nmt->ntr", coeffs, links.ul_user_rows[i],
+                                   links.ul_ap_cols[j])
+                ul[i, j] = np.sum(np.abs(h) ** 2, axis=(1, 2))
+        return eff, ul
+
+
+def _c_ordered(links):
+    """The same channels with every cascade stack in C order, the layout the
+    per-triple loop ran on."""
+    stacks = ("dl_user_cols", "dl_ap_rows", "ul_user_rows", "ul_ap_cols")
+    return replace(links, **{name: np.ascontiguousarray(getattr(links, name)) for name in stacks})
+
+
+def _assert_matches_per_triple(objective, n_points=3, seed=0):
+    """Every output of the stacked objective equals the per-triple loop's bit for bit."""
+    oracle = PerTripleObjective(_c_ordered(objective.links), objective.assignment,
+                                objective.precoders, objective.combiners,
+                                aggregate=objective.aggregate)
+    rng = np.random.default_rng(seed)
+    for k in range(n_points):
+        theta = np.zeros(objective.n_phases) if k == 0 else rng.uniform(
+            -np.pi, np.pi, objective.n_phases)
+        value, grad = objective.value_and_grad(theta)
+        expected_value, expected_grad = oracle.value_and_grad(theta)
+        assert value == expected_value
+        np.testing.assert_array_equal(grad, expected_grad)
+        assert objective.value(theta) == oracle.value(theta)
+        assert objective.link_rates(theta, 2.16e9) == oracle.link_rates(theta, 2.16e9)
+        coeffs = np.exp(1j * theta)
+        for table, expected in zip(_gain_tables(objective, coeffs), oracle.gain_tables(coeffs)):
+            np.testing.assert_array_equal(table, expected)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_on_stock_codebooks(self, seed):
+        for cb in STOCK_CODEBOOKS:
+            objective, *_ = build_rate_objective(with_codebook(default_scenario(), cb), seed=seed)
+            _assert_matches_per_triple(objective, seed=seed)
+
+    def test_bit_identical_min_aggregate(self):
+        for cb in STOCK_CODEBOOKS:
+            objective, *_ = build_rate_objective(
+                with_codebook(default_scenario(), cb), seed=3, aggregate="min")
+            _assert_matches_per_triple(objective)
+
+    def test_bit_identical_with_two_antenna_two_stream_users(self):
+        sc = default_scenario(16, n_r=2, n_s=2, n_sc=8)
+        links = synthesize_links(sc, seed=1)
+        coeffs = np.ones(sc.n_irs_elements, dtype=complex)
+        assignment = _initial_assignment(sc, links, coeffs)
+        beamformers = _design_all_beamformers(
+            sc, links, assignment, coeffs, build_analog_codebook(8, 2, beam_grid=4),
+            build_analog_codebook(2, 2, beam_grid=4))
+        objective = DlRateObjective(
+            links, assignment, {i: bf.precoders() for i, bf in beamformers.items()},
+            {i: bf.combiners() for i, bf in beamformers.items()})
+        assert objective._wh.shape[-2:] == (2, 2)
+        _assert_matches_per_triple(objective)
+
+    def test_bit_identical_with_user_left_unserved(self):
+        objective, _, assignment, _ = build_rate_objective(default_scenario(v_cap=1), seed=2)
+        assert -1 in assignment.user_to_ap
+        _assert_matches_per_triple(objective)
+
+    def test_single_subcarrier_two_antenna_receivers_within_rounding(self):
+        # for this one shape numpy's per-triple einsum summed each combiner
+        # row on its own before adding the rows; the stacked einsum sums all
+        # n_r * n_t products in one sequence, so results agree to rounding
+        objective, *_ = build_rate_objective(default_scenario(16, n_r=2, n_sc=1), seed=0)
+        oracle = PerTripleObjective(_c_ordered(objective.links), objective.assignment,
+                                    objective.precoders, objective.combiners)
+        theta = np.random.default_rng(0).uniform(-np.pi, np.pi, objective.n_phases)
+        value, grad = objective.value_and_grad(theta)
+        expected_value, expected_grad = oracle.value_and_grad(theta)
+        assert value == pytest.approx(expected_value, rel=1e-14)
+        np.testing.assert_allclose(grad, expected_grad, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected_grad)))
+
+    def test_no_served_user(self, stock_links):
+        n_users = stock_links.scenario.n_users
+        objective = DlRateObjective(
+            stock_links, Assignment((-1,) * n_users, (False,) * n_users), {}, {})
+        theta = np.full(stock_links.scenario.n_irs_elements, 0.3)
+        value, grad = objective.value_and_grad(theta)
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, np.zeros_like(theta))
+        assert objective.value(theta) == 0.0
+        assert objective.link_rates(theta, 1.0) == {}
+        eff, _ = _gain_tables(objective, np.exp(1j * theta))
+        assert np.all(np.isnan(eff))
+
+    def test_value_then_gradient_adds_only_gradient_macs(self, stock_scenario):
+        counter = OpCounter()
+        objective, *_ = build_rate_objective(stock_scenario, seed=0)
+        objective.counter = counter
+        theta = np.linspace(-1.0, 1.0, objective.n_phases)
+        objective.value(theta)
+        kernel_macs = counter.macs
+        objective.value_and_grad(theta)
+        p = stock_scenario.params
+        n_triples = len(objective.pairs) ** 2
+        grad_macs = n_triples * 2 * p.n_sc * objective.n_phases * p.n_s * p.n_s
+        assert counter.macs == kernel_macs + grad_macs
+        objective.link_rates(theta, p.bandwidth)
+        assert counter.macs == kernel_macs + grad_macs
+
+    def test_rcg_counts_one_kernel_pass_per_distinct_point(self, stock_scenario):
+        objective, *_ = build_rate_objective(stock_scenario, seed=0)
+        objective.counter = probe = OpCounter()
+        objective.value(np.full(objective.n_phases, 9.0))
+        kernel_macs = probe.macs
+        probe.reset()
+        objective.value_and_grad(np.full(objective.n_phases, 9.0))
+        grad_macs = probe.macs
+
+        points, n_grads = set(), 0
+
+        class Recording:
+            def value(self, theta):
+                points.add(np.exp(1j * theta).tobytes())
+                return objective.value(theta)
+
+            def value_and_grad(self, theta):
+                nonlocal n_grads
+                points.add(np.exp(1j * theta).tobytes())
+                n_grads += 1
+                return objective.value_and_grad(theta)
+
+        objective.counter = counter = OpCounter()
+        _, trace = rcg_optimize_phases(Recording(), np.zeros(objective.n_phases), max_iter=20)
+        assert len(points) > n_grads > 1  # line searches evaluated points of their own
+        assert counter.macs == len(points) * kernel_macs + n_grads * grad_macs
 
 
 class TestGradient:
@@ -136,6 +390,15 @@ class TestRcg:
         values = [s.objective for s in trace]
         assert objective.value(phases) == pytest.approx(max(values), rel=1e-12)
 
+    def test_stop_reason_on_last_state(self):
+        sc = scalar_scenario(4, n_sc=2)
+        objective, *_ = build_rate_objective(sc, seed=6)
+        _, trace = rcg_optimize_phases(objective, np.full(4, 0.5), epsilon=0.0, max_iter=5)
+        assert trace[-1].stop_reason == "max_iter"
+        assert all(s.stop_reason is None for s in trace[:-1])
+        _, trace = rcg_optimize_phases(objective, np.full(4, 0.5), epsilon=1e3, max_iter=5)
+        assert len(trace) == 1 and trace[-1].stop_reason == "epsilon"
+
     def test_argument_validation(self):
         sc = scalar_scenario(1)
         objective, *_ = build_rate_objective(sc)
@@ -171,6 +434,22 @@ class TestAlternatingOptimization:
         assert len(result.report.rows) == len(report.rows)
         for a, b in zip(result.report.rows, report.rows):
             assert a == b  # bit-identical single-pass degeneracy
+
+    @pytest.mark.parametrize(
+        "n_elements, seed, overrides, reason, rounds",
+        [
+            (0, 0, {}, "no_surface", 1),
+            (24, 1, {}, "regressed", 1),
+            (24, 0, {}, "round_cap", 2),
+            # RCG stops at once, so round 2 redesigns at the same phases
+            (24, 0, {"epsilon": 1e3, "outer_rounds": 3}, "no_improvement", 2),
+        ],
+    )
+    def test_stop_reason(self, fast_config, n_elements, seed, overrides, reason, rounds):
+        config = replace(fast_config, **overrides)
+        result = alternating_optimize(default_scenario(n_elements), seed=seed, config=config)
+        assert result.stop_reason == reason
+        assert len(result.trace) == rounds
 
     def test_objective_trace_monotone(self, fast_config):
         result = alternating_optimize(default_scenario(), seed=1, config=fast_config)
