@@ -42,12 +42,6 @@ def angles_from_vector(direction) -> tuple[np.ndarray, np.ndarray]:
     return azimuth, elevation
 
 
-def unit_vector_from_angles(azimuth: float, elevation: float) -> np.ndarray:
-    """Inverse of angles_from_vector for unit vectors."""
-    ce = np.cos(elevation)
-    return np.array([ce * np.cos(azimuth), ce * np.sin(azimuth), np.sin(elevation)])
-
-
 def ula_steering(n: int, azimuth, spacing_wavelengths: float = 0.5) -> np.ndarray:
     """Uniform linear array steering vectors, shape (..., n), complex unit-modulus.
 

@@ -1,6 +1,6 @@
 """Hybrid beamforming: analog codebooks under per-entry modulus constraints,
-per-subcarrier digital beamformers from the SVD of the analog-projected
-channel, and effective-channel computation.
+and per-subcarrier digital beamformers from the SVD of the analog-projected
+channel.
 
 Analog matrices are frequency-flat; every entry of an analog precoder has
 squared magnitude exactly 1/n_antennas. The digital precoder is scaled so
@@ -14,7 +14,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-import yaml
 
 from irslink.arrays import ula_steering
 from irslink.opcount import OpCounter
@@ -155,27 +154,6 @@ def digital_beamformers_svd(
     return p_d, g_d
 
 
-def combine_beamformers(
-    p_a: AnalogBeamformer,
-    p_d: np.ndarray,
-    g_a: AnalogBeamformer,
-    g_d: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Total precoder F = P_A P_D and combiner W = G_A G_D per subcarrier."""
-    if p_a.n_rf != p_d.shape[1] or g_a.n_rf != g_d.shape[1]:
-        raise ValueError("analog/digital RF-chain dimensions do not match")
-    f = np.einsum("tk,nks->nts", p_a.matrix, p_d)
-    w = np.einsum("rk,nks->nrs", g_a.matrix, g_d)
-    return f, w
-
-
-def effective_channel(h: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-subcarrier effective channel W^H H F, shape (n_sc, n_s, n_s)."""
-    if h.shape[0] != f.shape[0] or h.shape[0] != w.shape[0]:
-        raise ValueError("subcarrier counts do not match")
-    return np.einsum("nrs,nrt,ntk->nsk", w.conj(), h, f)
-
-
 def select_codewords(
     h: np.ndarray,
     tx_codebook: AnalogCodebook,
@@ -220,51 +198,3 @@ def design_beamformers(
     h_d = project_channel(h, g_a, p_a, counter)
     p_d, g_d = digital_beamformers_svd(h_d, n_s, p_a=p_a, total_power=total_power)
     return BeamformerSet(p_a, g_a, p_d, g_d)
-
-
-def export_codebook(codebook: AnalogCodebook, name: str, path) -> None:
-    """Write every codeword of a codebook as structured text (name, shape, complex entries)."""
-    doc = {
-        "name": name,
-        "n_antennas": codebook.n_antennas,
-        "n_rf": codebook.n_rf,
-        "codewords": [
-            {
-                "id": bf.codebook_id,
-                "entries_re": bf.matrix.real.tolist(),
-                "entries_im": bf.matrix.imag.tolist(),
-            }
-            for bf in codebook
-        ],
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)
-
-
-def import_codebook(path) -> AnalogCodebook:
-    """Read a codebook written by export_codebook.
-
-    The beam grid is rebuilt from the columns each ``bX_Y`` id names. The
-    file must list every n_rf-subset of that grid in ``combinations`` order,
-    with each beam's column the same in every codeword that holds it.
-    """
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    columns = {}
-    ids = []
-    for cw in doc["codewords"]:
-        mat = np.asarray(cw["entries_re"]) + 1j * np.asarray(cw["entries_im"])
-        if mat.shape != (doc["n_antennas"], doc["n_rf"]):
-            raise ValueError(f"codeword {cw['id']}: shape mismatch")
-        try:
-            beams = [int(k) for k in cw["id"].removeprefix("b").split("_")]
-        except ValueError:
-            raise ValueError(f"codeword {cw['id']}: id is not b<beam>_<beam>...") from None
-        for k, col in zip(beams, mat.T):
-            if not np.array_equal(columns.setdefault(k, col), col):
-                raise ValueError(f"codeword {cw['id']}: beam {k} differs from an earlier codeword")
-        ids.append(cw["id"])
-    codebook = AnalogCodebook(np.stack([columns[k] for k in sorted(columns)], axis=1), doc["n_rf"])
-    if ids != [bf.codebook_id for bf in codebook]:
-        raise ValueError("codewords are not every n_rf-subset of the beam grid in order")
-    return codebook

@@ -10,6 +10,7 @@ is written last as a completion marker.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -17,18 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from irslink import __version__
-from irslink.metrics import (
-    DelayBreakdown,
-    UtilityReport,
-    UtilityRow,
-    conditional_utility,
-    processing_delay,
-    queuing_delay,
-    rate,
-    routing_utility,
-    tracking_error_model,
-    transmission_delay,
-)
+from irslink.metrics import UtilityReport, rate, utility_report
 from irslink.optimizer import AoResult, RcgConfig, alternating_optimize
 from irslink.scenario import (
     STOCK_CODEBOOKS,
@@ -109,6 +99,8 @@ def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
                 snr = float(row[2])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from None
+            if not math.isfinite(snr):
+                raise ValueError(f"{path}: line {lineno}: snr_db must be finite, got {row[2]!r}")
             if (node, peer) in first_line:
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate row for node {node}, peer {peer} "
@@ -138,27 +130,29 @@ class RunResult:
     irs_elements: int
     aggregate: str
     mode: str
-    sum_utility: float
-    min_transmission_delay: float
     report: UtilityReport
     ao: AoResult | None = None
+
+    @property
+    def sum_utility(self) -> float:
+        return self.report.sum_utility
+
+    @property
+    def min_transmission_delay(self) -> float:
+        return self.report.min_transmission_delay
 
     @property
     def key(self) -> str:
         return f"{self.codebook}_irs{self.irs_elements}_{self.aggregate}_{self.mode}"
 
 
-def _min_transmission_delay(report: UtilityReport) -> float:
-    finite = [r.delay.transmission for r in report.rows if np.isfinite(r.delay.transmission)]
-    return min(finite) if finite else float("inf")
-
-
 def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityReport:
-    """Feed imported per-link SNR directly into the rate/delay/utility chain.
+    """Feed imported per-link SNR into the rate/delay/utility chain.
 
     Node id convention: users are 0..U-1, APs are U..U+B-1. The DL SNR for
     (user i, AP j) is the row (node=i, peer=U+j); UL is (node=U+j, peer=i).
-    Interference decomposition is unavailable in this mode.
+    Interference decomposition is unavailable in this mode, and a single
+    imported UL value stands in for all subcarriers.
     """
     p = scenario.params
     U, B = scenario.n_users, scenario.n_aps
@@ -167,36 +161,10 @@ def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityRep
         for j in range(B):
             dl_rates[i, j] = rate(trace.snr_linear(i, U + j), p.bandwidth)
     assignment = associate_users(scenario, dl_rates)
-    d_q = queuing_delay(p.mu_j, p.lambda_i)
-    rows = []
-    for i, j in enumerate(assignment.user_to_ap):
-        if j < 0:
-            continue
-        sinr_ul_value = trace.snr_linear(U + j, i)
-        rate_dl = dl_rates[i, j]
-        rate_ul = rate(sinr_ul_value, p.bandwidth)
-        err = float(tracking_error_model(sinr_ul_value, e0=p.tracking_e0))
-        d_p = processing_delay(err, p, users_served=len(assignment.users_of_ap(j)))
-        d_t = transmission_delay(p.s_i, p.a_i, rate_dl, rate_ul)
-        delay = DelayBreakdown(d_t, d_p, d_q)
-        # a single imported value stands in for all subcarriers
-        u_route = float(routing_utility(np.array([err]))[0])
-        u_cond = conditional_utility(delay.total, delay.total, p.gamma_d)
-        feasible = delay.feasible and not assignment.infeasible[i]
-        rows.append(
-            UtilityRow(
-                user=i,
-                ap=j,
-                subcarrier=0,
-                rate_dl=rate_dl,
-                rate_ul=rate_ul,
-                delay=delay,
-                conditional_utility=u_cond if feasible else 0.0,
-                routing_utility=u_route if feasible else 0.0,
-                feasible=feasible,
-            )
-        )
-    return UtilityReport(tuple(rows))
+    pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
+    rate_dl = np.array([dl_rates[i, j] for i, j in pairs])
+    sinr_ul = np.array([trace.snr_linear(U + j, i) for i, j in pairs]).reshape(len(pairs), 1)
+    return utility_report(scenario, assignment, rate_dl, sinr_ul)
 
 
 def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> list[RunResult]:
@@ -231,8 +199,6 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
                         irs_elements=m,
                         aggregate=agg_mode,
                         mode="no_irs" if m == 0 else "with_irs",
-                        sum_utility=ao.sum_utility,
-                        min_transmission_delay=_min_transmission_delay(ao.report),
                         report=ao.report,
                         ao=ao,
                     )
@@ -250,8 +216,6 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
                     irs_elements=0,
                     aggregate="external",
                     mode="external_snr",
-                    sum_utility=report.sum_utility,
-                    min_transmission_delay=_min_transmission_delay(report),
                     report=report,
                 )
             )

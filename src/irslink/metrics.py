@@ -9,6 +9,7 @@ zeroed.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,31 +60,55 @@ class UtilityRow:
         return self.conditional_utility * self.routing_utility
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilityReport:
-    rows: tuple[UtilityRow, ...]
+    """Delay and utility columns of every served (user, AP) pair and subcarrier.
+
+    Pairs run in user order. ``users``, ``aps`` and ``rate_dl`` have shape
+    (P,); the other arrays (P, n_sc). Utilities are 0 where ``feasible`` is
+    false. ``rows`` builds the same values as ``UtilityRow`` objects, pair
+    by pair then subcarrier by subcarrier, only when it is read.
+    """
+
+    users: np.ndarray
+    aps: np.ndarray
+    rate_dl: np.ndarray  # bits/s
+    rate_ul: np.ndarray  # bits/s
+    transmission: np.ndarray  # seconds
+    processing: np.ndarray  # seconds
+    queuing: float  # seconds, the same for every pair
+    conditional_utility: np.ndarray
+    routing_utility: np.ndarray
+    feasible: np.ndarray
 
     @property
     def sum_utility(self) -> float:
-        return sum(r.total_utility for r in self.rows)
+        # summed left to right: Python 3.12's sum() of floats is compensated
+        total = 0.0
+        for u in (self.conditional_utility * self.routing_utility).ravel().tolist():
+            total += u
+        return total
 
-    def rows_for(self, user: int) -> list[UtilityRow]:
-        return [r for r in self.rows if r.user == user]
+    @property
+    def min_transmission_delay(self) -> float:
+        """Smallest finite transmission delay over every pair and subcarrier."""
+        finite = self.transmission[np.isfinite(self.transmission)]
+        return float(finite.min()) if finite.size else math.inf
 
-    def export(self, path) -> None:
-        """Delimited text dump, one row per (user, ap, subcarrier)."""
-        with open(path, "w") as fh:
-            fh.write(
-                "user,ap,subcarrier,rate_dl,rate_ul,d_t,d_p,d_q,"
-                "u_cond,u_route,u_total,feasible\n"
-            )
-            for r in self.rows:
-                fh.write(
-                    f"{r.user},{r.ap},{r.subcarrier},{r.rate_dl:.12g},{r.rate_ul:.12g},"
-                    f"{r.delay.transmission:.12g},{r.delay.processing:.12g},"
-                    f"{r.delay.queuing:.12g},{r.conditional_utility:.12g},"
-                    f"{r.routing_utility:.12g},{r.total_utility:.12g},{int(r.feasible)}\n"
-                )
+    @cached_property
+    def rows(self) -> tuple[UtilityRow, ...]:
+        per_sc = (self.rate_ul, self.transmission, self.processing,
+                  self.conditional_utility, self.routing_utility, self.feasible)
+        rows = []
+        for k, (user, ap, rate_dl) in enumerate(
+            zip(self.users.tolist(), self.aps.tolist(), self.rate_dl.tolist())
+        ):
+            for n, (rate_ul, d_t, d_p, u_cond, u_route, ok) in enumerate(
+                zip(*(column[k].tolist() for column in per_sc))
+            ):
+                delay = DelayBreakdown(d_t, d_p, self.queuing)
+                rows.append(UtilityRow(user, ap, n, rate_dl, rate_ul, delay, u_cond, u_route, ok))
+        return tuple(rows)
 
 
 def _used_gain(gains: np.ndarray, index: tuple, label: str) -> np.ndarray:
@@ -184,23 +209,31 @@ def rate(sinr, bandwidth: float):
     return float(out) if out.ndim == 0 else out
 
 
-def transmission_delay(s_i: float, a_i: float, rate_dl: float, rate_ul: float) -> float:
-    """S_i / c_DL + A_i / c_UL; infinite (infeasible) when a needed rate is zero."""
-    dl_part = s_i / rate_dl if rate_dl > 0 else (math.inf if s_i > 0 else 0.0)
-    ul_part = a_i / rate_ul if rate_ul > 0 else (math.inf if a_i > 0 else 0.0)
-    return dl_part + ul_part
+def _bits_over_rate(bits: float, rates: np.ndarray) -> np.ndarray:
+    """bits / rate, infinite where a needed rate is zero."""
+    out = np.full(rates.shape, math.inf if bits > 0 else 0.0)
+    return np.divide(bits, rates, out=out, where=rates > 0)
 
 
-def processing_delay(tracking_error: float, params, users_served: int = 1) -> float:
+def transmission_delay(s_i: float, a_i: float, rate_dl, rate_ul):
+    """S_i / c_DL + A_i / c_UL elementwise; infinite (infeasible) where a
+    needed rate is zero."""
+    rate_dl, rate_ul = np.asarray(rate_dl, dtype=float), np.asarray(rate_ul, dtype=float)
+    out = _bits_over_rate(s_i, rate_dl) + _bits_over_rate(a_i, rate_ul)
+    return float(out) if out.ndim == 0 else out
+
+
+def processing_delay(tracking_error, params, users_served=1):
     """Payload v*error clamped to [0, S_i], over the per-user share of the
-    AP's processing capacity."""
+    AP's processing capacity; elementwise in the error and the user count."""
     if params.m_proc <= 0:
         raise ValueError("processing capacity must be positive")
-    if tracking_error < 0:
+    err = np.asarray(tracking_error, dtype=float)
+    if np.any(err < 0):
         raise ValueError("tracking error must be non-negative")
-    payload = min(max(params.v_bits * tracking_error, 0.0), params.s_i)
-    share = params.m_proc / max(users_served, 1)
-    return payload / share
+    payload = np.minimum(np.maximum(params.v_bits * err, 0.0), params.s_i)
+    out = payload / (params.m_proc / np.maximum(users_served, 1))
+    return float(out) if out.ndim == 0 else out
 
 
 def queuing_delay(mu: float, lam: float) -> float:
@@ -210,84 +243,78 @@ def queuing_delay(mu: float, lam: float) -> float:
     return 1.0 / (mu - lam)
 
 
-def total_delay(transmission: float, processing: float, queuing: float) -> DelayBreakdown:
-    return DelayBreakdown(transmission, processing, queuing)
-
-
-def conditional_utility(d: float, d_max: float, gamma: float) -> float:
-    """Piecewise-linear delay satisfaction: 1 below gamma, 0 at d_max."""
-    if d < gamma:
-        return 1.0
-    if d_max <= gamma:
-        # degenerate denominator: step at gamma
-        return 1.0 if d <= gamma else 0.0
-    return float(np.clip((d_max - d) / (d_max - gamma), 0.0, 1.0))
+def conditional_utility(d, d_max, gamma: float):
+    """Piecewise-linear delay satisfaction, elementwise: 1 below gamma, 0 at
+    d_max. When d_max <= gamma the denominator degenerates to a step at
+    gamma."""
+    d, d_max = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(d_max, dtype=float))
+    out = np.where(d <= gamma, 1.0, 0.0)
+    ramp = (d > gamma) & (d_max > gamma)
+    out[ramp] = np.clip((d_max[ramp] - d[ramp]) / (d_max[ramp] - gamma), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def routing_utility(tracking_errors: np.ndarray) -> np.ndarray:
-    """Per-subcarrier 1 - err_n / max_n err_n; all ones when errors vanish.
+    """1 - err_n / max_n err_n over the last (subcarrier) axis; all ones
+    where the errors vanish.
 
     Note the normalization pins the worst subcarrier to exactly 0, and
     all-equal errors give 0 everywhere.
     """
     err = np.asarray(tracking_errors, dtype=float)
-    peak = err.max() if err.size else 0.0
-    if peak <= 0:
+    if err.size == 0:
         return np.ones_like(err)
-    return 1.0 - err / peak
+    peak = err.max(axis=-1, keepdims=True)
+    positive = peak > 0
+    return np.where(positive, 1.0 - err / np.where(positive, peak, 1.0), 1.0)
 
 
-def tracking_error_model(sinr_ul_values, e0: float = 1.0, model=None):
-    """Tracking error versus UL SINR; default e0/(1+sinr), strictly decreasing."""
+def tracking_error_model(sinr_ul_values, e0: float = 1.0):
+    """Tracking error versus UL SINR, e0/(1+sinr): strictly decreasing."""
     s = np.asarray(sinr_ul_values, dtype=float)
     if np.any(s < 0):
         raise ValueError("sinr must be non-negative")
-    if model is not None:
-        return model(s)
     return e0 / (1.0 + s)
 
 
 def utility_report(
     scenario: Scenario,
     assignment: Assignment,
-    dl_sinr: dict[tuple[int, int], SinrBreakdown],
-    ul_sinr: dict[tuple[int, int], np.ndarray],
-    error_model=None,
+    rate_dl: np.ndarray,
+    sinr_ul: np.ndarray,
 ) -> UtilityReport:
-    """Full delay/utility evaluation for every served (user, AP, subcarrier)."""
+    """Delay and utility of every served (user, AP) pair on every subcarrier.
+
+    The served pairs are those of ``assignment``, in user order. ``rate_dl``
+    (P,) holds their DL rates in bits/s and ``sinr_ul`` (P, n_sc) their UL
+    SINRs; one column stands for every subcarrier of an imported trace. A
+    pair's conditional utility compares each subcarrier's total delay with
+    the largest finite one of that pair.
+    """
     p = scenario.params
-    rows = []
-    for (i, j), breakdown in sorted(dl_sinr.items()):
-        rate_dl = rate(breakdown.sinr, p.bandwidth)
-        ul_values = ul_sinr[(i, j)].sinr
-        rates_ul = rate(ul_values, p.bandwidth)
-        errors = tracking_error_model(ul_values, e0=p.tracking_e0, model=error_model)
-        served = len(assignment.users_of_ap(j))
-        d_q = queuing_delay(p.mu_j, p.lambda_i)
-        delays = []
-        for n in range(p.n_sc):
-            d_t = transmission_delay(p.s_i, p.a_i, rate_dl, rates_ul[n])
-            d_p = processing_delay(errors[n], p, users_served=served)
-            delays.append(total_delay(d_t, d_p, d_q))
-        totals = np.array([d.total for d in delays])
-        finite = totals[np.isfinite(totals)]
-        d_max = float(finite.max()) if finite.size else math.inf
-        u_route = routing_utility(errors)
-        for n in range(p.n_sc):
-            d = delays[n]
-            feasible = d.feasible and not assignment.infeasible[i]
-            u_cond = conditional_utility(d.total, d_max, p.gamma_d) if d.feasible else 0.0
-            rows.append(
-                UtilityRow(
-                    user=i,
-                    ap=j,
-                    subcarrier=n,
-                    rate_dl=rate_dl,
-                    rate_ul=float(rates_ul[n]),
-                    delay=d,
-                    conditional_utility=u_cond if feasible else 0.0,
-                    routing_utility=float(u_route[n]) if feasible else 0.0,
-                    feasible=feasible,
-                )
-            )
-    return UtilityReport(tuple(rows))
+    pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
+    users = np.array([i for i, _ in pairs], dtype=int)
+    aps = np.array([j for _, j in pairs], dtype=int)
+    rate_dl = np.asarray(rate_dl, dtype=float)
+    sinr_ul = np.asarray(sinr_ul, dtype=float)
+    if rate_dl.shape != (len(pairs),) or sinr_ul.ndim != 2 or len(sinr_ul) != len(pairs):
+        raise ValueError(
+            f"need rate_dl (P,) and sinr_ul (P, n_sc) for P = {len(pairs)} served pairs, "
+            f"got {rate_dl.shape} and {sinr_ul.shape}"
+        )
+    rate_ul = rate(sinr_ul, p.bandwidth)
+    errors = tracking_error_model(sinr_ul, e0=p.tracking_e0)
+    served = np.array([len(assignment.users_of_ap(j)) for j in aps.tolist()], dtype=int)
+    d_t = transmission_delay(p.s_i, p.a_i, rate_dl[:, None], rate_ul)
+    d_p = processing_delay(errors, p, users_served=served[:, None])
+    d_q = queuing_delay(p.mu_j, p.lambda_i)
+    total = d_t + d_p + d_q
+    finite = np.isfinite(total)
+    d_max = np.broadcast_to(
+        np.max(total, axis=1, keepdims=True, initial=-math.inf, where=finite), total.shape
+    )
+    feasible = finite & ~np.array(assignment.infeasible, dtype=bool)[users][:, None]
+    u_cond = np.zeros_like(total)
+    u_cond[feasible] = conditional_utility(total[feasible], d_max[feasible], p.gamma_d)
+    u_route = np.where(feasible, routing_utility(errors), 0.0)
+    return UtilityReport(users, aps, rate_dl, rate_ul, d_t, d_p, d_q, u_cond, u_route, feasible)

@@ -394,10 +394,13 @@ def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, objec
     reuses the gains it computed at these phases."""
     if objective is None:
         objective = _rate_objective(links, assignment, beamformers)
+    p = scenario.params
     eff, ul = _gain_tables(objective, coeffs)
     dl = sinr_dl(scenario, assignment, eff, signal_aggregate=aggregate)
     ul_table = sinr_ul(scenario, assignment, ul)
-    return utility_report(scenario, assignment, dl, ul_table), dl
+    rate_dl = np.array([rate(b.sinr, p.bandwidth) for b in dl.values()])
+    sinr_ul_cols = np.array([b.sinr for b in ul_table.values()]).reshape(len(dl), p.n_sc)
+    return utility_report(scenario, assignment, rate_dl, sinr_ul_cols), dl
 
 
 def alternating_optimize(

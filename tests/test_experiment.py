@@ -68,6 +68,13 @@ class TestSnrTrace:
         with pytest.raises(ValueError, match="line 3: malformed"):
             import_ns3_snr_csv(bad)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_rejected_with_line_number(self, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"node_id,peer_id,snr_db\n0,4,10\n4,0,{value}\n")
+        with pytest.raises(ValueError, match=f"line 3: snr_db must be finite, got '{value}'"):
+            import_ns3_snr_csv(bad)
+
     def test_column_count_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("node_id,peer_id,snr_db\n0,4\n")

@@ -1,16 +1,29 @@
-"""SINR, rate, delay and utility oracles (hand-computed scalar instances)."""
+"""SINR, rate, delay and utility oracles (hand-computed scalar instances),
+and the columnar utility report against the row-by-row code it replaced."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from irslink import metrics
+from irslink.beamforming import build_analog_codebook
 from irslink.channel import synthesize_links
+from irslink.experiment import (
+    ExperimentSpec,
+    _run_external_snr,
+    export_results,
+    import_ns3_snr_csv,
+    run_experiment,
+)
 from irslink.metrics import (
     DelayBreakdown,
     SinrBreakdown,
+    UlSinrBreakdown,
+    UtilityRow,
     conditional_utility,
     processing_delay,
     queuing_delay,
@@ -18,18 +31,27 @@ from irslink.metrics import (
     routing_utility,
     sinr_dl,
     sinr_ul,
-    total_delay,
     tracking_error_model,
     transmission_delay,
     utility_report,
 )
-from irslink.optimizer import alternating_optimize
+from irslink.optimizer import (
+    _design_all_beamformers,
+    _evaluate,
+    _gain_tables,
+    _initial_assignment,
+    _rate_objective,
+    alternating_optimize,
+)
 from irslink.scenario import (
+    STOCK_CODEBOOKS,
     Assignment,
     Box,
     Scenario,
     SystemParams,
+    associate_users,
     default_scenario,
+    with_codebook,
 )
 
 
@@ -201,7 +223,7 @@ class TestDelays:
             queuing_delay(1.0, 1.0)
 
     def test_total_delay_sum(self):
-        d = total_delay(1.0, 2.0, 3.0)
+        d = DelayBreakdown(1.0, 2.0, 3.0)
         assert d.total == 6.0
         assert d.feasible
 
@@ -252,10 +274,6 @@ class TestUtilities:
         grid = tracking_error_model(np.linspace(0.0, 100.0, 64))
         assert np.all(np.diff(grid) < 0)
 
-    def test_tracking_error_pluggable(self):
-        out = tracking_error_model(np.array([4.0]), model=lambda s: 1.0 / np.sqrt(s))
-        assert out[0] == pytest.approx(0.5)
-
     def test_tracking_error_rejects_negative(self):
         with pytest.raises(ValueError):
             tracking_error_model(-1.0)
@@ -283,17 +301,6 @@ class TestUtilityReport:
         assert {r.user for r in report.rows} == set(range(sc.n_users))
         assert len(report.rows) == sc.n_users * sc.params.n_sc
 
-    def test_export_schema(self, tmp_path):
-        report = self._report()
-        path = tmp_path / "report.csv"
-        report.export(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == (
-            "user,ap,subcarrier,rate_dl,rate_ul,d_t,d_p,d_q,"
-            "u_cond,u_route,u_total,feasible"
-        )
-        assert len(lines) == 1 + len(report.rows)
-
     def test_end_to_end_regression(self):
         # frozen from the first verified run of the stock scenario (seed 0)
         report = self._report(seed=0)
@@ -305,3 +312,243 @@ class TestUtilityReport:
         assert min(r.delay.transmission for r in report.rows) == pytest.approx(
             1.515527954843e-05, rel=1e-9
         )
+
+
+# --- oracle: the row-by-row report that utility_report replaced -------------
+
+
+def _ref_transmission(s_i, a_i, rate_dl, rate_ul):
+    dl_part = s_i / rate_dl if rate_dl > 0 else (math.inf if s_i > 0 else 0.0)
+    ul_part = a_i / rate_ul if rate_ul > 0 else (math.inf if a_i > 0 else 0.0)
+    return dl_part + ul_part
+
+
+def _ref_processing(err, p, served):
+    return min(max(p.v_bits * err, 0.0), p.s_i) / (p.m_proc / max(served, 1))
+
+
+def _ref_conditional(d, d_max, gamma):
+    if d < gamma:
+        return 1.0
+    if d_max <= gamma:
+        return 1.0 if d <= gamma else 0.0
+    return float(np.clip((d_max - d) / (d_max - gamma), 0.0, 1.0))
+
+
+def _ref_routing(errors):
+    peak = errors.max()
+    return np.ones_like(errors) if peak <= 0 else 1.0 - errors / peak
+
+
+def _ref_sum(rows):
+    # left to right, as Python < 3.12 sum() adds floats
+    total = 0
+    for r in rows:
+        total += r.total_utility
+    return total
+
+
+def reference_utility_report(scenario, assignment, dl_sinr, ul_sinr):
+    """One UtilityRow per served (user, AP, subcarrier), built with scalar
+    arithmetic from the SINR tables; returns (rows, sum utility)."""
+    p = scenario.params
+    d_q = 1.0 / (p.mu_j - p.lambda_i)
+    rows = []
+    for (i, j), breakdown in sorted(dl_sinr.items()):
+        rate_dl = rate(breakdown.sinr, p.bandwidth)
+        ul_values = ul_sinr[(i, j)].sinr
+        rates_ul = rate(ul_values, p.bandwidth)
+        errors = p.tracking_e0 / (1.0 + ul_values)
+        served = len(assignment.users_of_ap(j))
+        delays = [
+            DelayBreakdown(
+                _ref_transmission(p.s_i, p.a_i, rate_dl, rates_ul[n]),
+                _ref_processing(errors[n], p, served),
+                d_q,
+            )
+            for n in range(len(ul_values))
+        ]
+        totals = np.array([d.total for d in delays])
+        finite = totals[np.isfinite(totals)]
+        d_max = float(finite.max()) if finite.size else math.inf
+        u_route = _ref_routing(errors)
+        for n, d in enumerate(delays):
+            feasible = d.feasible and not assignment.infeasible[i]
+            u_cond = _ref_conditional(d.total, d_max, p.gamma_d) if d.feasible else 0.0
+            rows.append(
+                UtilityRow(i, j, n, rate_dl, float(rates_ul[n]), d,
+                           u_cond if feasible else 0.0,
+                           float(u_route[n]) if feasible else 0.0, feasible)
+            )
+    return tuple(rows), _ref_sum(rows)
+
+
+def reference_external_snr(scenario, trace):
+    """The external-SNR chain row by row: association on imported DL rates,
+    one row per served pair whose delay is its own d_max."""
+    p = scenario.params
+    U, B = scenario.n_users, scenario.n_aps
+    dl_rates = np.zeros((U, B))
+    for i in range(U):
+        for j in range(B):
+            dl_rates[i, j] = rate(trace.snr_linear(i, U + j), p.bandwidth)
+    assignment = associate_users(scenario, dl_rates)
+    rows = []
+    for i, j in enumerate(assignment.user_to_ap):
+        if j < 0:
+            continue
+        sinr_ul_value = trace.snr_linear(U + j, i)
+        rate_ul = rate(sinr_ul_value, p.bandwidth)
+        err = p.tracking_e0 / (1.0 + sinr_ul_value)
+        d = DelayBreakdown(
+            _ref_transmission(p.s_i, p.a_i, dl_rates[i, j], rate_ul),
+            _ref_processing(err, p, len(assignment.users_of_ap(j))),
+            1.0 / (p.mu_j - p.lambda_i),
+        )
+        feasible = d.feasible and not assignment.infeasible[i]
+        u_cond = _ref_conditional(d.total, d.total, p.gamma_d)
+        u_route = float(_ref_routing(np.array([err]))[0])
+        rows.append(
+            UtilityRow(i, j, 0, dl_rates[i, j], rate_ul, d, u_cond if feasible else 0.0,
+                       u_route if feasible else 0.0, feasible)
+        )
+    return tuple(rows), _ref_sum(rows)
+
+
+def _final_state(scenario, seed, codebook=None, infeasible=None):
+    """Links, association, random phases and beamformers: a report's inputs."""
+    if codebook is not None:
+        scenario = with_codebook(scenario, codebook)
+    p = scenario.params
+    links = synthesize_links(scenario, seed)
+    rng = np.random.default_rng(seed)
+    coeffs = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, scenario.n_irs_elements))
+    assignment = _initial_assignment(scenario, links, coeffs)
+    if infeasible is not None:
+        assignment = Assignment(assignment.user_to_ap, infeasible)
+    tx = build_analog_codebook(p.n_t, p.n_rf, beam_grid=16)
+    rx = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=1)
+    beamformers = _design_all_beamformers(scenario, links, assignment, coeffs, tx, rx)
+    return scenario, links, assignment, coeffs, beamformers
+
+
+def _assert_matches_reference(report, reference):
+    rows, total = reference
+    assert report.rows == rows
+    assert report.sum_utility == total
+    finite = [r.delay.transmission for r in rows if math.isfinite(r.delay.transmission)]
+    assert report.min_transmission_delay == (min(finite) if finite else math.inf)
+
+
+def _check_evaluate(scenario, seed, aggregate="mean", codebook=None, infeasible=None):
+    scenario, links, assignment, coeffs, bfs = _final_state(scenario, seed, codebook, infeasible)
+    report, dl = _evaluate(scenario, links, assignment, coeffs, bfs, aggregate)
+    _, ul = _gain_tables(_rate_objective(links, assignment, bfs), coeffs)
+    reference = reference_utility_report(scenario, assignment, dl, sinr_ul(scenario, assignment, ul))
+    _assert_matches_reference(report, reference)
+    return report
+
+
+def _check_tables(scenario, assignment, dl, ul):
+    """utility_report on hand-made SINR tables against the reference."""
+    bw = scenario.params.bandwidth
+    rate_dl = np.array([rate(b.sinr, bw) for b in dl.values()])
+    cols = np.array([ul[pair].sinr for pair in dl])
+    report = utility_report(scenario, assignment, rate_dl, cols)
+    _assert_matches_reference(report, reference_utility_report(scenario, assignment, dl, ul))
+    return report
+
+
+QUEUE = {"lambda_i": 2e3, "mu_j": 4e3}
+
+
+class TestColumnarReportOracle:
+    """utility_report and the external-SNR run equal the row-by-row code bit
+    for bit: every row, the sum utility and the minimum transmission delay."""
+
+    @pytest.mark.parametrize("aggregate", ["mean", "min"])
+    def test_stock_seeds_and_codebooks(self, aggregate):
+        for seed in range(8):
+            for cb in STOCK_CODEBOOKS:
+                _check_evaluate(default_scenario(), seed, aggregate, cb)
+
+    @pytest.mark.parametrize("aggregate", ["mean", "min"])
+    def test_finite_queue(self, aggregate):
+        for seed in range(8):
+            report = _check_evaluate(default_scenario(**QUEUE), seed, aggregate)
+            assert report.sum_utility > 1.0
+
+    def test_unserved_and_infeasible_users(self):
+        report = _check_evaluate(default_scenario(v_cap=1, **QUEUE), 0)
+        assert len(report.users) == 2
+        report = _check_evaluate(default_scenario(**QUEUE), 1,
+                                 infeasible=(False, True, False, False))
+        assert not report.feasible[1].any() and report.feasible[0].all()
+
+    def test_single_subcarrier(self):
+        for seed in range(4):
+            _check_evaluate(default_scenario(n_sc=1, **QUEUE), seed, "min")
+
+    def test_degenerate_d_max(self):
+        # gamma_d at a pair's largest delay: that subcarrier takes the step branch
+        scenario = default_scenario(**QUEUE)
+        first = _check_evaluate(scenario, 2)
+        d_max = float(np.max(first.transmission[0] + first.processing[0] + first.queuing))
+        report = _check_evaluate(default_scenario(gamma_d=d_max, **QUEUE), 2)
+        assert report.conditional_utility[0].min() == 1.0
+        _check_evaluate(default_scenario(gamma_d=1e9, **QUEUE), 2)
+
+    def test_zero_rates_equal_and_vanishing_errors(self):
+        scenario = _metric_scenario(n_users=3, n_aps=2, n_sc=4, **QUEUE)
+        assignment = Assignment((0, 1, 0), (False, False, False))
+        dl = {(0, 0): SinrBreakdown(2.0, 0.0, 0.5, 1.0),
+              (1, 1): SinrBreakdown(0.0, 0.0, 0.0, 1.0),  # zero DL rate
+              (2, 0): SinrBreakdown(1.0, 0.25, 0.0, 1.0)}
+        zeros = np.zeros(4)
+        ul = {(0, 0): UlSinrBreakdown(np.array([3.0, 0.0, 1.0, 0.0]), zeros, zeros, 1.0),
+              (1, 1): UlSinrBreakdown(np.full(4, 2.0), zeros, zeros, 1.0),
+              (2, 0): UlSinrBreakdown(np.full(4, 0.5), zeros, zeros, 1.0)}  # equal errors
+        report = _check_tables(scenario, assignment, dl, ul)
+        assert np.isinf(report.transmission[0, [1, 3]]).all()  # zero UL rate
+        assert not report.feasible[1].any()
+        assert (report.routing_utility[2] == 0.0).all()
+        no_error = _metric_scenario(n_users=3, n_aps=2, n_sc=4, tracking_e0=0.0, **QUEUE)
+        report = _check_tables(no_error, assignment, dl, ul)
+        assert report.routing_utility[0, 0] == 1.0
+
+    def test_column_shapes_checked(self):
+        scenario = _metric_scenario(n_users=2, n_aps=1, n_sc=2)
+        assignment = Assignment((0, -1), (False, True))
+        utility_report(scenario, assignment, np.ones(1), np.ones((1, 3)))  # n_sc from sinr_ul
+        for rate_dl, cols in ((np.ones(2), np.ones((1, 2))), (np.ones(1), np.ones(2))):
+            with pytest.raises(ValueError, match="for P = 1 served pairs"):
+                utility_report(scenario, assignment, rate_dl, cols)
+
+    def test_external_snr(self, tmp_path):
+        golden = import_ns3_snr_csv(Path(__file__).parent / "golden" / "queue_snr.csv")
+        lines = ["node_id,peer_id,snr_db"]
+        for i in range(4):
+            for j in (4, 5):
+                lines += [f"{i},{j},{10 + i + j}", f"{j},{i},{5 + i}"]
+        (tmp_path / "snr.csv").write_text("\n".join(lines) + "\n")
+        fixture = import_ns3_snr_csv(tmp_path / "snr.csv")
+        for trace in (golden, fixture):
+            for scenario in (default_scenario(), default_scenario(**QUEUE),
+                             default_scenario(v_cap=1, **QUEUE),
+                             default_scenario(r_min=1.2e10, **QUEUE)):
+                for cb in STOCK_CODEBOOKS[:2]:
+                    variant = with_codebook(scenario, cb)
+                    _assert_matches_reference(
+                        _run_external_snr(variant, trace), reference_external_snr(variant, trace)
+                    )
+
+
+def test_stock_sweep_builds_no_rows(monkeypatch, tmp_path):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a UtilityRow was built")
+
+    monkeypatch.setattr(metrics, "UtilityRow", no_rows)
+    spec = ExperimentSpec()
+    bundle = run_experiment(spec)
+    export_results(bundle, tmp_path, spec)
+    assert all("rows" not in r.report.__dict__ for r in bundle)
