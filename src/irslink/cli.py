@@ -5,11 +5,7 @@ import sys
 
 import numpy as np
 
-from irslink.experiment import (
-    ExperimentSpec,
-    export_results,
-    run_experiment,
-)
+from irslink.experiment import VALID_MODES, ExperimentSpec, export_results, run_experiment
 from irslink.optimizer import complexity_probe
 from irslink.scenario import STOCK_CODEBOOKS, CodebookScenario
 
@@ -37,12 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", help="scenario YAML path (default: stock 4-user room)")
     run.add_argument("--output-dir", default="results")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--modes",
-        nargs="+",
-        default=["with_irs", "no_irs"],
-        choices=["mean_gain", "min_gain", "no_irs", "with_irs", "external_snr"],
-    )
+    run.add_argument("--modes", nargs="+", default=["with_irs", "no_irs"], choices=VALID_MODES)
     run.add_argument("--codebooks", nargs="+", default=[cb.name for cb in STOCK_CODEBOOKS])
     run.add_argument("--irs-sizes", nargs="+", type=int, default=[24])
     run.add_argument("--snr-csv", help="external SNR trace for external_snr mode")
@@ -59,13 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        overrides = {}
-        if args.epsilon is not None:
-            overrides["epsilon"] = args.epsilon
-        if args.max_iter is not None:
-            overrides["max_iter"] = args.max_iter
-        if args.outer_rounds is not None:
-            overrides["outer_rounds"] = args.outer_rounds
+        overrides = {
+            name: getattr(args, name)
+            for name in ("epsilon", "max_iter", "outer_rounds")
+            if getattr(args, name) is not None
+        }
         spec = ExperimentSpec(
             scenario_path=args.scenario,
             codebooks=_parse_codebooks(args.codebooks),

@@ -11,7 +11,7 @@ is written last as a completion marker.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -19,10 +19,11 @@ import numpy as np
 
 from irslink import __version__
 from irslink.metrics import UtilityReport, rate, utility_report
-from irslink.optimizer import AoResult, RcgConfig, alternating_optimize
+from irslink.optimizer import AoResult, alternating_optimize
 from irslink.scenario import (
     STOCK_CODEBOOKS,
     CodebookScenario,
+    RcgConfig,
     Scenario,
     associate_users,
     default_scenario,
@@ -68,11 +69,13 @@ class ExternalSnrTrace:
     def _snr_db(self) -> dict:
         return {(n, p): db for n, p, db in self.rows}
 
-    def snr_linear(self, node: int, peer: int) -> float:
-        db = self._snr_db.get((node, peer))
-        if db is None:
-            raise KeyError(f"no SNR row for node {node}, peer {peer}")
-        return 10.0 ** (db / 10.0)
+    def snr_linear(self, rows) -> list[float]:
+        """Linear SNRs of the (node, peer) rows; raises ValueError naming the
+        source and every row it lacks."""
+        missing = [row for row in rows if row not in self._snr_db]
+        if missing:
+            raise ValueError(f"{self.source}: no SNR rows for (node, peer) {missing}")
+        return [10.0 ** (self._snr_db[row] / 10.0) for row in rows]
 
 
 def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
@@ -156,14 +159,12 @@ def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityRep
     """
     p = scenario.params
     U, B = scenario.n_users, scenario.n_aps
-    dl_rates = np.zeros((U, B))
-    for i in range(U):
-        for j in range(B):
-            dl_rates[i, j] = rate(trace.snr_linear(i, U + j), p.bandwidth)
+    dl_snr = trace.snr_linear([(i, U + j) for i in range(U) for j in range(B)])
+    dl_rates = np.array([rate(snr, p.bandwidth) for snr in dl_snr]).reshape(U, B)
     assignment = associate_users(scenario, dl_rates)
     pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
     rate_dl = np.array([dl_rates[i, j] for i, j in pairs])
-    sinr_ul = np.array([trace.snr_linear(U + j, i) for i, j in pairs]).reshape(len(pairs), 1)
+    sinr_ul = np.array(trace.snr_linear([(U + j, i) for i, j in pairs])).reshape(len(pairs), 1)
     return utility_report(scenario, assignment, rate_dl, sinr_ul)
 
 
@@ -171,9 +172,10 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
     """Run the full sweep described by the spec and return one result per run."""
     if scenario is None:
         scenario = load_scenario(spec.scenario_path) if spec.scenario_path else default_scenario()
-    overrides = dict(scenario.optimizer_overrides)
-    overrides.update(spec.optimizer_overrides)
-    config = RcgConfig.from_overrides(overrides)
+    unknown = set(spec.optimizer_overrides) - {f.name for f in fields(RcgConfig)}
+    if unknown:
+        raise ValueError(f"unknown optimizer overrides: {sorted(unknown)}")
+    config = replace(scenario.optimizer, **spec.optimizer_overrides)
 
     aggregates = [m for m in ("mean_gain", "min_gain") if m in spec.modes] or ["mean_gain"]
     irs_cases = []

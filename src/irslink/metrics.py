@@ -16,6 +16,14 @@ import numpy as np
 from irslink.scenario import Assignment, Scenario
 
 
+def sum_in_order(values) -> float:
+    """Float sum added left to right (Python 3.12's sum() of floats is compensated)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class SinrBreakdown:
     signal: float  # Watts
@@ -83,11 +91,7 @@ class UtilityReport:
 
     @property
     def sum_utility(self) -> float:
-        # summed left to right: Python 3.12's sum() of floats is compensated
-        total = 0.0
-        for u in (self.conditional_utility * self.routing_utility).ravel().tolist():
-            total += u
-        return total
+        return sum_in_order((self.conditional_utility * self.routing_utility).ravel().tolist())
 
     @property
     def min_transmission_delay(self) -> float:
@@ -141,12 +145,12 @@ def sinr_dl(
         if j < 0:
             continue
         signal = p.p_ap * float(agg(_used_gain(eff_gains, (i, j, i), "DL")))
-        intra = sum(
+        intra = sum_in_order(
             p.p_ap * float(np.mean(_used_gain(eff_gains, (i, j, l), "DL")))
             for l in assignment.users_of_ap(j)
             if l != i
         )
-        inter = sum(
+        inter = sum_in_order(
             p.p_ap * float(np.mean(_used_gain(eff_gains, (i, b, l), "DL")))
             for b in range(scenario.n_aps)
             if b != j
@@ -226,8 +230,6 @@ def transmission_delay(s_i: float, a_i: float, rate_dl, rate_ul):
 def processing_delay(tracking_error, params, users_served=1):
     """Payload v*error clamped to [0, S_i], over the per-user share of the
     AP's processing capacity; elementwise in the error and the user count."""
-    if params.m_proc <= 0:
-        raise ValueError("processing capacity must be positive")
     err = np.asarray(tracking_error, dtype=float)
     if np.any(err < 0):
         raise ValueError("tracking error must be non-negative")

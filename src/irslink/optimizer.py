@@ -19,34 +19,23 @@ from irslink.beamforming import (
     design_beamformers,
 )
 from irslink.channel import LinkChannels, synthesize_links
-from irslink.metrics import UtilityReport, rate, sinr_dl, sinr_ul, utility_report
+from irslink.metrics import UtilityReport, rate, sinr_dl, sinr_ul, sum_in_order, utility_report
 from irslink.opcount import OpCounter
 from irslink.scenario import (
     Assignment,
     CodebookScenario,
+    RcgConfig,
     Scenario,
     associate_users,
     with_codebook,
 )
 
 
-@dataclass(frozen=True)
-class RcgConfig:
-    epsilon: float = 1e-3
-    max_iter: int = 200
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    outer_rounds: int = 20
-    improvement_tol: float = 1e-6
-    beam_grid: int = 16
-
-    @classmethod
-    def from_overrides(cls, overrides: dict) -> "RcgConfig":
-        unknown = set(overrides) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown optimizer overrides: {sorted(unknown)}")
-        return cls(**overrides)
+# Armijo backtracking: first trial step, shrink factor per backtrack and the
+# fraction of the predicted ascent a step must achieve
+STEP_INIT, STEP_SHRINK, ARMIJO_SLOPE = 1.0, 0.5, 1e-4
+# the alternating loop stops once a round gains no more than this, relative
+IMPROVEMENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,7 +46,8 @@ class RcgState:
     phases: np.ndarray
     line_search_fallback: bool = False
     # set on the last state only: "epsilon" (the gradient norm fell to
-    # epsilon) or "max_iter" (the iteration budget ran out)
+    # epsilon), "max_iter" (the iteration budget ran out) or "line_search"
+    # (no step along the raw gradient both ascends and moves the phases)
     stop_reason: str | None = None
 
 
@@ -187,12 +177,12 @@ class DlRateObjective:
 
     def value(self, phases: np.ndarray) -> float:
         _, gains = self._effective(np.exp(1j * np.asarray(phases, dtype=float)))
-        return float(sum(self._link_values(gains)))
+        return sum_in_order(self._link_values(gains))
 
     def value_and_grad(self, phases: np.ndarray) -> tuple[float, np.ndarray]:
         coeffs = np.exp(1j * np.asarray(phases, dtype=float))
         eff, gains = self._effective(coeffs)
-        value = float(sum(self._link_values(gains)))
+        value = sum_in_order(self._link_values(gains))
         if self.n_phases == 0:
             return value, np.zeros(0)
 
@@ -230,20 +220,16 @@ def rcg_optimize_phases(
     phases0: np.ndarray,
     epsilon: float = 1e-3,
     max_iter: int = 200,
-    config: RcgConfig | None = None,
 ) -> tuple[np.ndarray, list[RcgState]]:
     """Conjugate gradient ascent over IRS phase angles.
 
     Polak-Ribiere conjugation with non-negativity safeguard, Armijo
     backtracking line search with steepest-ascent fallback, direction
     restart every len(phases) iterations. Stops when the gradient 2-norm
-    drops to epsilon or at max_iter; returns the best-objective iterate.
+    drops to epsilon, at max_iter, or when the search along the raw
+    gradient finds no ascent; returns the best-objective iterate.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    cfg = config or RcgConfig(epsilon=epsilon, max_iter=max_iter)
+    RcgConfig(epsilon=epsilon, max_iter=max_iter)  # raises ConfigError on a bad value
     theta = np.array(phases0, dtype=float)
     f, g = objective.value_and_grad(theta)
     d = g.copy()
@@ -254,12 +240,12 @@ def rcg_optimize_phases(
     def line_search(d, slope):
         """Armijo backtracking, then greedy step doubling while the
         objective keeps improving (PR conjugacy wants a near-exact search)."""
-        step = cfg.step_init
+        step = STEP_INIT
         while step > 1e-14:
             f_cand = objective.value(theta + step * d)
-            if f_cand >= f + cfg.armijo_slope * step * slope:
+            if f_cand >= f + ARMIJO_SLOPE * step * slope:
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         else:
             return None
         while True:
@@ -286,17 +272,15 @@ def rcg_optimize_phases(
             slope = float(np.dot(g, g))
             fallback = True
             step = line_search(d, slope)
-        if step is not None:
-            theta = theta + step * d
-            f_new, g_new = objective.value_and_grad(theta)
-            accepted = True
-        else:
-            accepted = False
-            # stationary to line-search precision; keep iterating so the
-            # epsilon/max_iter exit contract holds
-            f_new, g_new = f, g
+        if step is None or (np.array_equal(d, g) and np.array_equal(theta + step * d, theta)):
+            # no ascent along the raw gradient, or a step below the phases'
+            # rounding: every later iteration would repeat this search
+            stop_reason = "line_search"
+            break
+        theta = theta + step * d
+        f_new, g_new = objective.value_and_grad(theta)
         beta = 0.0
-        if accepted and it % restart_every != 0:
+        if it % restart_every != 0:
             denom = float(np.dot(g, g))
             if denom > 0:
                 beta = max(0.0, float(np.dot(g_new, g_new - g)) / denom)
@@ -418,7 +402,7 @@ def alternating_optimize(
     With no IRS elements the loop degenerates to a single beamforming pass
     identical to the plain pipeline evaluation.
     """
-    cfg = config or RcgConfig.from_overrides(scenario.optimizer_overrides)
+    cfg = config or scenario.optimizer
     if codebook is not None:
         scenario = with_codebook(scenario, codebook)
     p = scenario.params
@@ -430,14 +414,14 @@ def alternating_optimize(
     assignment = _initial_assignment(scenario, links, coeffs)
     tx_codebook = build_analog_codebook(p.n_t, p.n_rf, beam_grid=cfg.beam_grid)
     rx_grid = 1 if p.n_r == 1 else min(cfg.beam_grid, 8)
-    rx_codebook = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=max(rx_grid, 1))
+    rx_codebook = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=rx_grid)
 
     best = None  # (objective value, phases, beamformers, DlRateObjective)
     trace: list[AoRound] = []
     rcg_trace: list[RcgState] = []
     prev_obj = -np.inf
     stop_reason = "round_cap"
-    for rnd in range(1, max(cfg.outer_rounds, 1) + 1):
+    for rnd in range(1, cfg.outer_rounds + 1):
         t0 = time.perf_counter()
         coeffs = np.exp(1j * phases)
         beamformers = _design_all_beamformers(
@@ -446,9 +430,7 @@ def alternating_optimize(
         objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
         grad_norm = 0.0
         if m > 0:
-            phases, round_rcg = rcg_optimize_phases(
-                objective, phases, epsilon=cfg.epsilon, max_iter=cfg.max_iter, config=cfg
-            )
+            phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
             grad_norm = round_rcg[-1].grad_norm
         else:
             round_rcg = []
@@ -476,7 +458,7 @@ def alternating_optimize(
         if m == 0:
             stop_reason = "no_surface"
             break
-        if prev_obj > -np.inf and obj_val - prev_obj <= cfg.improvement_tol * max(abs(prev_obj), 1.0):
+        if prev_obj > -np.inf and obj_val - prev_obj <= IMPROVEMENT_TOL * max(abs(prev_obj), 1.0):
             stop_reason = "no_improvement"
             break
         prev_obj = obj_val

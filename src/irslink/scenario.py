@@ -3,14 +3,16 @@
 A Scenario is immutable after load and safe to share read-only across
 workers; ``with_irs_elements`` and ``with_codebook`` derive variants by
 ``dataclasses.replace``, which re-runs validation. Configuration documents
-are YAML key/value trees with sections ``geometry``, ``system``,
-``codebooks`` and ``optimizer``; unknown keys are rejected with their field
-path.
+are YAML key/value trees with sections ``geometry``, ``system`` and
+``optimizer``; unknown keys, wrongly typed values and out-of-range values
+are rejected with their field path.
 """
 
+import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import yaml
@@ -24,6 +26,21 @@ ROOM_TEMP_K = 290.0
 
 class ConfigError(ValueError):
     """Raised for parse failures or invariant violations, with a field path."""
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether a value fits an annotation: a bool is no number, NaN no float."""
+    abc = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(value, abc) and (kind is bool or not isinstance(value, bool)) and value == value
+
+
+def _check_types(obj, section: str):
+    """Raise ConfigError naming the first dataclass field whose value does not fit its type."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not any(_is_kind(value, kind) for kind in get_args(f.type) or (f.type,)):
+            kind = getattr(f.type, "__name__", f.type)
+            raise ConfigError(f"{section}.{f.name}: must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +69,9 @@ class IrsPanel:
 
     def __post_init__(self):
         if self.m_y < 1 or self.m_z < 1:
-            raise ConfigError("irs_panels: m_y and m_z must be >= 1")
-        if self.spacing <= 0:
-            raise ConfigError("irs_panels: spacing must be positive")
+            raise ConfigError("m_y and m_z must be >= 1")
+        if not 0 < self.spacing < np.inf:
+            raise ConfigError("spacing must be positive and finite")
 
     @property
     def n_elements(self) -> int:
@@ -114,6 +131,7 @@ class SystemParams:
     t_proc: float = 1e-8  # only used by the literal real-decay channel variant
 
     def __post_init__(self):
+        _check_types(self, "system")
         for name in ("n_t", "n_r", "n_rf", "n_s", "n_sc"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"system.{name}: must be >= 1")
@@ -121,7 +139,7 @@ class SystemParams:
             raise ConfigError("system.n_rf: RF chains cannot exceed antennas")
         if self.n_s > self.n_rf:
             raise ConfigError("system.n_s: streams cannot exceed RF chains")
-        for name in ("bandwidth", "carrier_dl", "carrier_ul", "p_ap", "p_user"):
+        for name in ("bandwidth", "carrier_dl", "carrier_ul", "p_ap", "p_user", "m_proc"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"system.{name}: must be positive")
         if self.mu_j <= self.lambda_i:
@@ -150,6 +168,22 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
+class RcgConfig:
+    """Phase-optimizer settings: RCG stop rules, AO round cap, AP beam directions."""
+
+    epsilon: float = 1e-3
+    max_iter: int = 200
+    outer_rounds: int = 20
+    beam_grid: int = 16
+
+    def __post_init__(self):
+        _check_types(self, "optimizer")
+        for name, low in (("epsilon", 0), ("max_iter", 1), ("outer_rounds", 1), ("beam_grid", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"optimizer.{name}: must be >= {low}")
+
+
+@dataclass(frozen=True)
 class CodebookScenario:
     name: str
     n_t: int
@@ -174,8 +208,7 @@ class Scenario:
     irs_panels: tuple[IrsPanel, ...]
     bounds: Box
     params: SystemParams
-    codebooks: tuple[CodebookScenario, ...] = STOCK_CODEBOOKS
-    optimizer_overrides: dict = field(default_factory=dict)
+    optimizer: RcgConfig = RcgConfig()
 
     def __post_init__(self):
         ap = np.atleast_2d(np.asarray(self.ap_positions, dtype=float))
@@ -190,14 +223,16 @@ class Scenario:
             for k, p in enumerate(pts):
                 if not self.bounds.contains(p):
                     raise ConfigError(f"geometry.{label}[{k}]: outside bounds")
+        for k, panel in enumerate(self.irs_panels):
+            # a panel is a rectangle, so its far corner decides for every element
+            x, y, z = panel.origin
+            far = (x, y + (panel.m_y - 1) * panel.spacing, z + (panel.m_z - 1) * panel.spacing)
+            if not (self.bounds.contains(panel.origin) and self.bounds.contains(far)):
+                raise ConfigError(f"geometry.irs_panels[{k}]: element outside bounds")
         elements = [
             (f"irs_panels[{k}].elements", panel.element_positions())
             for k, panel in enumerate(self.irs_panels)
         ]
-        for k, (_, pts) in enumerate(elements):
-            for p in pts:
-                if not self.bounds.contains(p):
-                    raise ConfigError(f"geometry.irs_panels[{k}]: element outside bounds")
         # a link between two nodes at one point has no direction
         for label, pts, others in (
             ("user_positions", users, [("ap_positions", ap), *elements]),
@@ -284,32 +319,50 @@ def associate_users(scenario: Scenario, dl_rates: np.ndarray) -> Assignment:
 
 _GEOMETRY_KEYS = {"bounds", "ap_positions", "user_positions", "irs_panels"}
 _PANEL_KEYS = {"origin", "m_y", "m_z", "spacing"}
-_SYSTEM_KEYS = {f.name for f in SystemParams.__dataclass_fields__.values()}
-_CODEBOOK_KEYS = {"name", "n_t", "n_rf"}
-_OPTIMIZER_KEYS = {
-    "epsilon",
-    "max_iter",
-    "outer_rounds",
-    "improvement_tol",
-    "step_init",
-    "step_shrink",
-    "armijo_slope",
-    "beam_grid",
-}
-_TOP_KEYS = {"geometry", "system", "codebooks", "optimizer"}
+_TOP_KEYS = {"geometry", "system", "optimizer"}
+_ROOM = {"lo": [0.0, 0.0, 0.0], "hi": [10.0, 17.0, 3.0]}  # bounds when none are given
 
 
-def _check_keys(mapping: dict, allowed: set, path: str):
+def _check_keys(mapping, allowed: set, path: str) -> dict:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: must be a key/value tree")
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(map(str, unknown))}")
+    return mapping
 
 
-def _parse_bounds(raw, path: str) -> Box:
-    if raw is None:
-        return Box((0.0, 0.0, 0.0), (10.0, 17.0, 3.0))
-    _check_keys(raw, {"lo", "hi"}, path)
-    return Box(tuple(float(v) for v in raw["lo"]), tuple(float(v) for v in raw["hi"]))
+def _section(raw: dict, name: str, cls):
+    """The dataclass ``cls`` from section ``name``; it checks the values itself."""
+    return cls(**_check_keys(raw.get(name) or {}, {f.name for f in fields(cls)}, name))
+
+
+def _entries(raw, path: str) -> list:
+    """(entry, its path) of every entry of a list."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}: must be a list")
+    return [(entry, f"{path}[{k}]") for k, entry in enumerate(raw)]
+
+
+def _point(raw, path: str) -> tuple[float, float, float]:
+    if not (isinstance(raw, list) and len(raw) == 3 and all(_is_kind(v, float) for v in raw)):
+        raise ConfigError(f"{path}: must be a list of three numbers")
+    return tuple(float(v) for v in raw)
+
+
+def _parse_panel(raw, path: str, params: SystemParams) -> IrsPanel:
+    _check_keys(raw, _PANEL_KEYS, path)
+    spacing = raw.get("spacing")
+    spacing = params.wavelength_dl / 2.0 if spacing is None else spacing
+    for key, value, kind in (("m_y", raw.get("m_y"), int), ("m_z", raw.get("m_z"), int),
+                             ("spacing", spacing, float)):
+        if not _is_kind(value, kind):
+            raise ConfigError(f"{path}.{key}: must be {kind.__name__}, got {value!r}")
+    origin = _point(raw.get("origin"), f"{path}.origin")
+    try:
+        return IrsPanel(origin, raw["m_y"], raw["m_z"], float(spacing))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_yaml(text: str):
@@ -332,55 +385,26 @@ def _read_document(source):
 
 
 def load_scenario(source) -> Scenario:
-    """Load and validate a Scenario from a YAML document, path or dict."""
+    """Load and validate a Scenario from a YAML document, path or dict; a
+    malformed one raises ConfigError whose message starts with a field path."""
     raw = source if isinstance(source, dict) else _read_document(source)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a key/value tree")
     _check_keys(raw, _TOP_KEYS, "config")
-
-    geom = raw.get("geometry") or {}
-    _check_keys(geom, _GEOMETRY_KEYS, "geometry")
+    geom = _check_keys(raw.get("geometry") or {}, _GEOMETRY_KEYS, "geometry")
     if "ap_positions" not in geom or "user_positions" not in geom:
         raise ConfigError("geometry: ap_positions and user_positions are required")
-
-    system_raw = dict(raw.get("system") or {})
-    _check_keys(system_raw, _SYSTEM_KEYS, "system")
-    params = SystemParams(**system_raw)
-
-    panels = []
-    for k, praw in enumerate(geom.get("irs_panels") or []):
-        _check_keys(praw, _PANEL_KEYS, f"geometry.irs_panels[{k}]")
-        spacing = praw.get("spacing")
-        if spacing is None:
-            spacing = params.wavelength_dl / 2.0
-        panels.append(
-            IrsPanel(
-                origin=tuple(float(v) for v in praw["origin"]),
-                m_y=int(praw["m_y"]),
-                m_z=int(praw["m_z"]),
-                spacing=float(spacing),
-            )
-        )
-
-    codebooks = STOCK_CODEBOOKS
-    if raw.get("codebooks"):
-        parsed = []
-        for k, craw in enumerate(raw["codebooks"]):
-            _check_keys(craw, _CODEBOOK_KEYS, f"codebooks[{k}]")
-            parsed.append(CodebookScenario(str(craw["name"]), int(craw["n_t"]), int(craw["n_rf"])))
-        codebooks = tuple(parsed)
-
-    optimizer = dict(raw.get("optimizer") or {})
-    _check_keys(optimizer, _OPTIMIZER_KEYS, "optimizer")
-
+    params = _section(raw, "system", SystemParams)
+    points = {
+        key: np.array([_point(*e) for e in _entries(geom[key], f"geometry.{key}")]).reshape(-1, 3)
+        for key in ("ap_positions", "user_positions")
+    }
+    bounds = _check_keys(geom.get("bounds") or _ROOM, {"lo", "hi"}, "geometry.bounds")
+    panels = _entries(geom.get("irs_panels") or [], "geometry.irs_panels")
     return Scenario(
-        ap_positions=np.asarray(geom["ap_positions"], dtype=float),
-        user_positions=np.asarray(geom["user_positions"], dtype=float),
-        irs_panels=tuple(panels),
-        bounds=_parse_bounds(geom.get("bounds"), "geometry.bounds"),
+        **points,
+        irs_panels=tuple(_parse_panel(*e, params) for e in panels),
+        bounds=Box(*(_point(bounds.get(key), f"geometry.bounds.{key}") for key in ("lo", "hi"))),
         params=params,
-        codebooks=codebooks,
-        optimizer_overrides=optimizer,
+        optimizer=_section(raw, "optimizer", RcgConfig),
     )
 
 

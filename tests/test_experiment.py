@@ -1,5 +1,6 @@
 """Sweep driver, SNR trace import/export, result bundles and the CLI."""
 
+import ast
 import filecmp
 import json
 
@@ -46,11 +47,34 @@ class TestSnrTrace:
         trace2 = import_ns3_snr_csv(out)
         assert trace.rows == trace2.rows
 
+    def test_missing_rows_named_before_the_run(self, tmp_path):
+        def run(rows):
+            src = tmp_path / "trace.csv"
+            src.write_text("node_id,peer_id,snr_db\n" + "".join(f"{n},{p},10\n" for n, p in rows))
+            spec = ExperimentSpec(
+                codebooks=(CodebookScenario("2ant_1rf", 2, 1),),
+                modes=("external_snr",),
+                snr_csv_path=str(src),
+            )
+            with pytest.raises(ValueError) as exc:
+                run_experiment(spec, scenario=small_scenario(0))
+            prefix = f"{src}: no SNR rows for (node, peer) "
+            assert str(exc.value).startswith(prefix)
+            return ast.literal_eval(str(exc.value)[len(prefix):])
+
+        # 4 users (0-3) + 2 APs (4, 5); every DL row but (1, 5) and (3, 4)
+        dl = [(i, j) for i in range(4) for j in (4, 5)]
+        assert run([r for r in dl if r not in ((1, 5), (3, 4))]) == [(1, 5), (3, 4)]
+        # all 8 DL rows, no UL row: the UL row of each of the 4 served users
+        missing = run(dl)
+        assert sorted(peer for _, peer in missing) == [0, 1, 2, 3]
+        assert all(node in (4, 5) for node, _ in missing)
+
     def test_lookup_and_linear_conversion(self, tmp_path):
         trace = import_ns3_snr_csv(snr_fixture(tmp_path / "snr.csv"))
-        assert trace.snr_linear(0, 4) == pytest.approx(10 ** 1.4)
-        with pytest.raises(KeyError):
-            trace.snr_linear(0, 99)
+        assert trace.snr_linear([(0, 4), (5, 1)]) == pytest.approx([10 ** 1.4, 10 ** 0.6])
+        with pytest.raises(ValueError, match=r"no SNR rows for \(node, peer\) \[\(0, 99\)\]$"):
+            trace.snr_linear([(0, 4), (0, 99)])
 
     def test_rate_through_imported_snr(self):
         # linear SNR of 3 -> BW * log2(4) = 2 * BW
@@ -278,4 +302,4 @@ system:
 
 def test_external_trace_dataclass():
     trace = ExternalSnrTrace(((0, 1, 3.0),), source="x")
-    assert trace.snr_linear(0, 1) == pytest.approx(10 ** 0.3)
+    assert trace.snr_linear([(0, 1)]) == pytest.approx([10 ** 0.3])

@@ -391,13 +391,14 @@ def reference_external_snr(scenario, trace):
     dl_rates = np.zeros((U, B))
     for i in range(U):
         for j in range(B):
-            dl_rates[i, j] = rate(trace.snr_linear(i, U + j), p.bandwidth)
+            (snr,) = trace.snr_linear([(i, U + j)])
+            dl_rates[i, j] = rate(snr, p.bandwidth)
     assignment = associate_users(scenario, dl_rates)
     rows = []
     for i, j in enumerate(assignment.user_to_ap):
         if j < 0:
             continue
-        sinr_ul_value = trace.snr_linear(U + j, i)
+        (sinr_ul_value,) = trace.snr_linear([(U + j, i)])
         rate_ul = rate(sinr_ul_value, p.bandwidth)
         err = p.tracking_e0 / (1.0 + sinr_ul_value)
         d = DelayBreakdown(

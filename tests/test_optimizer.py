@@ -399,6 +399,19 @@ class TestRcg:
         _, trace = rcg_optimize_phases(objective, np.full(4, 0.5), epsilon=1e3, max_iter=5)
         assert len(trace) == 1 and trace[-1].stop_reason == "epsilon"
 
+        class Peak:
+            """Every step along the (false) gradient lowers the objective."""
+
+            def value(self, phases):
+                return -1.0
+
+            def value_and_grad(self, phases):
+                return 0.0, np.ones(len(phases))
+
+        phases, trace = rcg_optimize_phases(Peak(), np.full(4, 0.5), epsilon=0.0, max_iter=5)
+        assert len(trace) == 1 and trace[-1].stop_reason == "line_search"
+        np.testing.assert_array_equal(phases, np.full(4, 0.5))
+
     def test_argument_validation(self):
         sc = scalar_scenario(1)
         objective, *_ = build_rate_objective(sc)
@@ -407,12 +420,36 @@ class TestRcg:
         with pytest.raises(ValueError):
             rcg_optimize_phases(objective, np.zeros(1), epsilon=-1.0)
 
-    def test_config_from_overrides_rejects_unknown(self):
-        cfg = RcgConfig.from_overrides({"epsilon": 0.5, "max_iter": 7})
-        assert cfg.epsilon == 0.5
-        assert cfg.max_iter == 7
-        with pytest.raises(ValueError, match=r"unknown optimizer overrides: \['unknown'\]"):
-            RcgConfig.from_overrides({"epsilon": 0.5, "unknown": 1, "max_iter": 7})
+    def test_stalled_search_stops_whatever_the_budget(self, monkeypatch):
+        """At M = 8 the probe reaches a point where the step along the raw
+        gradient no longer moves the phases; the solver stops there, so a
+        larger iteration budget asks for no further point."""
+        import irslink.optimizer as opt
+
+        traces, points = [], []
+
+        def rcg(*args, **kwargs):
+            phases, trace = rcg_optimize_phases(*args, **kwargs)
+            traces.append(trace)
+            return phases, trace
+
+        def recorded(method):
+            def wrapper(self, phases):
+                points.append(np.asarray(phases, dtype=float).tobytes())
+                return method(self, phases)
+            return wrapper
+
+        monkeypatch.setattr(opt, "rcg_optimize_phases", rcg)
+        monkeypatch.setattr(DlRateObjective, "value", recorded(DlRateObjective.value))
+        monkeypatch.setattr(DlRateObjective, "value_and_grad", recorded(DlRateObjective.value_and_grad))
+        runs = []
+        for budget in (30, 60):
+            points.clear()
+            complexity_probe([8], rcg_iters=budget)
+            runs.append(list(points))
+        assert [t[-1].stop_reason for t in traces] == ["line_search", "line_search"]
+        assert traces[0][-1].iteration < 30
+        assert runs[0] == runs[1]
 
 
 class TestAlternatingOptimization:

@@ -1,10 +1,12 @@
 """Configuration loading, geometry validation and user-AP association."""
 
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from irslink.scenario import (
     Box,
     ConfigError,
     IrsPanel,
+    RcgConfig,
     Scenario,
     SystemParams,
     associate_users,
@@ -36,6 +39,69 @@ def minimal_config(**system):
         },
         "system": system,
     }
+
+
+def _full_config():
+    cfg = minimal_config(n_t=4, n_rf=2)
+    cfg["geometry"]["bounds"] = {"lo": [0.0, 0.0, 0.0], "hi": [10.0, 17.0, 3.0]}
+    cfg["geometry"]["irs_panels"][0]["spacing"] = 0.05
+    cfg["optimizer"] = {"epsilon": 1e-3, "max_iter": 5, "outer_rounds": 2, "beam_grid": 4}
+    return cfg
+
+
+def _insertion_points(tree):
+    """(container, key) of every node of a document, and (tree, None) for
+    each key/value tree, where a new key can go."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    if isinstance(tree, dict):
+        yield tree, None
+    for key, child in items:
+        yield tree, key
+        if isinstance(child, (dict, list)):
+            yield from _insertion_points(child)
+
+
+_DOCUMENT_KEYS = sorted(
+    {"geometry", "system", "optimizer", "codebooks", "bounds", "lo", "hi", "ap_positions",
+     "user_positions", "irs_panels", "origin", "m_y", "m_z", "spacing"}
+    | set(SystemParams.__dataclass_fields__)
+    | set(RcgConfig.__dataclass_fields__)
+)
+# element counts stay small: a valid panel of millions of elements is not
+# malformed, and load time grows with its element count
+_RANDOM_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_DOCUMENT_KEYS) | st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+# (path of the replaced node, its value, the message expected)
+_MALFORMED = [
+    (("system", "n_t"), "8", r"^system\.n_t: must be int, got '8'$"),
+    (("system", "smallscale"), 1, r"^system\.smallscale: must be bool, got 1$"),
+    (("system", "noise_power"), "x", r"^system\.noise_power: must be float \| None, got 'x'$"),
+    (("system", "pathloss_exponent"), float("nan"), r"^system\.pathloss_exponent: must be float, got nan$"),
+    # checked at load; it used to fail inside the run, in processing_delay
+    (("system", "m_proc"), 0.0, r"^system\.m_proc: must be positive$"),
+    (("system",), [1, 2], r"^system: must be a key/value tree$"),
+    (("geometry", "irs_panels", 0), {"origin": [0.0, 4.0, 1.2], "m_y": 4},
+     r"^geometry\.irs_panels\[0\]\.m_z: must be int, got None$"),
+    (("geometry", "irs_panels", 0, "m_y"), 0, r"^geometry\.irs_panels\[0\]: m_y and m_z must be >= 1$"),
+    (("geometry", "irs_panels", 0, "spacing"), -1.0, r"^geometry\.irs_panels\[0\]: spacing must be"),
+    (("geometry", "irs_panels", 0, "origin"), [0.0, 4.0], r"^geometry\.irs_panels\[0\]\.origin: must be"),
+    # origin inside the room, far corner 19 m along y
+    (("geometry", "irs_panels", 0, "spacing"), 5.0, r"^geometry\.irs_panels\[0\]: element outside bounds$"),
+    (("geometry", "irs_panels"), {"m_y": 1}, r"^geometry\.irs_panels: must be a list$"),
+    (("geometry", "bounds"), {"lo": [0, 0, 0]}, r"^geometry\.bounds\.hi: must be a list of three numbers$"),
+    (("geometry", "ap_positions"), "x", r"^geometry\.ap_positions: must be a list$"),
+    (("geometry", "user_positions", 0), [5.0, True, 1.5], r"^geometry\.user_positions\[0\]: must be"),
+    (("optimizer", "max_iter"), 0, r"^optimizer\.max_iter: must be >= 1$"),
+    (("optimizer", "outer_rounds"), 0, r"^optimizer\.outer_rounds: must be >= 1$"),
+    (("optimizer", "epsilon"), "small", r"^optimizer\.epsilon: must be float, got 'small'$"),
+    (("optimizer", "epsilon"), -1e-3, r"^optimizer\.epsilon: must be >= 0$"),
+    (("optimizer", "beam_grid"), 4.0, r"^optimizer\.beam_grid: must be int, got 4\.0$"),
+]
+_FIELD_PATH = re.compile(r"^\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
 
 
 class TestSystemParams:
@@ -158,7 +224,61 @@ system:
         assert np.array_equal(shipped.ap_positions, stock.ap_positions)
         assert np.array_equal(shipped.user_positions, stock.user_positions)
         assert shipped.bounds == stock.bounds
-        assert shipped.codebooks == stock.codebooks
+        assert shipped.optimizer == stock.optimizer == RcgConfig()
+
+    def test_optimizer_section_checked_against_config_fields(self):
+        cfg = minimal_config()
+        cfg["optimizer"] = {"epsilon": 0.5, "max_iter": 7}
+        assert load_scenario(cfg).optimizer == RcgConfig(epsilon=0.5, max_iter=7)
+        assert load_scenario(minimal_config()).optimizer == RcgConfig()
+        cfg["optimizer"]["unknown"] = 1
+        with pytest.raises(ConfigError, match=r"^optimizer: unknown keys \['unknown'\]$"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("codebooks", [{"name": "8ant_2rf", "n_t": 8, "n_rf": 2}], r"^config: unknown keys \['codebooks'\]$"),
+            ("optimizer", {"step_init": 1}, r"^optimizer: unknown keys \['step_init'\]$"),
+            ("optimizer", {"improvement_tol": 1e-6}, r"^optimizer: unknown keys \['improvement_tol'\]$"),
+        ],
+        ids=["codebooks", "step_init", "improvement_tol"],
+    )
+    def test_removed_settings_rejected(self, section, value, message):
+        cfg = minimal_config()
+        cfg[section] = value
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "path, value, message", _MALFORMED, ids=[".".join(map(str, c[0])) for c in _MALFORMED]
+    )
+    def test_malformed_value_named_with_field_path(self, path, value, message):
+        cfg = minimal_config()
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_document_loads_or_names_a_field(self, data):
+        """Replace one node of a valid document, or add a key to one of its
+        key/value trees, with a random tree: the YAML text of the result loads
+        or raises ConfigError whose message starts with a field path."""
+        doc = _full_config()
+        target, key = data.draw(st.sampled_from(list(_insertion_points(doc))))
+        if key is None:
+            key = data.draw(st.sampled_from(_DOCUMENT_KEYS) | st.text(max_size=3))
+        target[key] = data.draw(_RANDOM_TREES)
+        try:
+            scenario = load_scenario(yaml.safe_dump(doc))
+        except ConfigError as exc:
+            assert _FIELD_PATH.match(str(exc)), str(exc)
+        else:
+            assert isinstance(scenario, Scenario)
 
 
 class TestScenarioVariants:
