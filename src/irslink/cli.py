@@ -49,6 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ValueError as exc:  # ConfigError included: bad input, not a crash
+        print(f"irslink: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "run":
         overrides = {
             name: getattr(args, name)

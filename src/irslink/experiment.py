@@ -186,6 +186,26 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
     if not irs_cases and "external_snr" not in spec.modes:
         irs_cases.extend(spec.irs_sizes)
 
+    # the external-SNR runs need no AO, so they go first: a trace that lacks
+    # a row fails before any AO run, and their results still come last
+    external = []
+    if "external_snr" in spec.modes:
+        trace = import_ns3_snr_csv(
+            spec.snr_csv_path,
+            known_node_ids=range(scenario.n_users + scenario.n_aps),
+        )
+        for cb in spec.codebooks:
+            report = _run_external_snr(with_codebook(scenario, cb), trace)
+            external.append(
+                RunResult(
+                    codebook=cb.name,
+                    irs_elements=0,
+                    aggregate="external",
+                    mode="external_snr",
+                    report=report,
+                )
+            )
+
     results = []
     for cb in spec.codebooks:
         for m in irs_cases:
@@ -205,23 +225,7 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
                         ao=ao,
                     )
                 )
-    if "external_snr" in spec.modes:
-        trace = import_ns3_snr_csv(
-            spec.snr_csv_path,
-            known_node_ids=range(scenario.n_users + scenario.n_aps),
-        )
-        for cb in spec.codebooks:
-            report = _run_external_snr(with_codebook(scenario, cb), trace)
-            results.append(
-                RunResult(
-                    codebook=cb.name,
-                    irs_elements=0,
-                    aggregate="external",
-                    mode="external_snr",
-                    report=report,
-                )
-            )
-    return results
+    return results + external
 
 
 def export_results(bundle: list[RunResult], directory, spec: ExperimentSpec | None = None) -> list[Path]:

@@ -8,6 +8,7 @@ are YAML key/value trees with sections ``geometry``, ``system`` and
 are rejected with their field path.
 """
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
@@ -15,8 +16,6 @@ from pathlib import Path
 from typing import get_args
 
 import numpy as np
-import yaml
-from scipy.optimize import linear_sum_assignment
 
 from irslink.arrays import SPEED_OF_LIGHT
 
@@ -290,21 +289,83 @@ class Assignment:
         return [i for i, a in enumerate(self.user_to_ap) if a == j]
 
 
+def _max_weight_assignment(weights: np.ndarray) -> tuple[list[int], list[int]]:
+    """(rows, cols) of a maximum-weight assignment of a finite (n, k) table.
+
+    Every row is matched when n <= k, every column otherwise; rows come out
+    ascending. This is the shortest augmenting path method of D. F. Crouse,
+    "On implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+    2016, on negated weights. Ties are decided as in the common reference
+    implementation of that paper, so equal-weight tables give the same pairs:
+    columns are scanned from the last one, and among equally short paths an
+    unmatched column ends the search.
+    """
+    n_rows, n_cols = weights.shape
+    transpose = n_cols < n_rows  # a tall table is solved as its transpose
+    cost = (-(weights.T if transpose else weights)).tolist()
+    if transpose:
+        n_rows, n_cols = n_cols, n_rows
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, col4row, row4col = [-1] * n_cols, [-1] * n_rows, [-1] * n_cols
+    for cur in range(n_rows):
+        spc = [math.inf] * n_cols  # shortest path cost to each column
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen, cols_seen = [cur], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            row, u_i = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.append(i)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:  # augment along the path back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if not transpose:
+        return list(range(n_rows)), col4row
+    pairs = sorted((r, c) for c, r in enumerate(col4row))
+    return [r for r, _ in pairs], [c for _, c in pairs]
+
+
 def associate_users(scenario: Scenario, dl_rates: np.ndarray) -> Assignment:
     """Assign users to APs maximizing total DL rate under capacity caps.
 
     Solved exactly by expanding each AP into v_cap slots and running a
-    rectangular linear assignment. Users whose assigned rate is below
-    r_min are flagged infeasible, not dropped.
+    rectangular linear assignment (``_max_weight_assignment``). Users whose
+    assigned rate is below r_min are flagged infeasible, not dropped.
     """
     rates = np.asarray(dl_rates, dtype=float)
     n_users, n_aps = scenario.n_users, scenario.n_aps
     if rates.shape != (n_users, n_aps):
         raise ValueError(f"rate table must be shaped ({n_users}, {n_aps})")
+    if not np.isfinite(rates).all():
+        raise ValueError("rate table must be finite")
     cap = scenario.params.v_cap
     slot_ap = np.repeat(np.arange(n_aps), cap)
-    cost = rates[:, slot_ap]
-    rows, cols = linear_sum_assignment(cost, maximize=True)
+    rows, cols = _max_weight_assignment(rates[:, slot_ap])
     user_to_ap = [-1] * n_users
     for i, s in zip(rows, cols):
         user_to_ap[i] = int(slot_ap[s])
@@ -366,6 +427,8 @@ def _parse_panel(raw, path: str, params: SystemParams) -> IrsPanel:
 
 
 def _parse_yaml(text: str):
+    import yaml  # here, not at the top: start-up need not pay for it
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:

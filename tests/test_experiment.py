@@ -3,10 +3,16 @@
 import ast
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irslink
+from irslink import experiment
 from irslink.cli import main
 from irslink.experiment import (
     ExperimentSpec,
@@ -69,6 +75,23 @@ class TestSnrTrace:
         missing = run(dl)
         assert sorted(peer for _, peer in missing) == [0, 1, 2, 3]
         assert all(node in (4, 5) for node, _ in missing)
+
+    def test_missing_rows_fail_before_any_ao_run(self, tmp_path, monkeypatch):
+        src = tmp_path / "trace.csv"
+        src.write_text("node_id,peer_id,snr_db\n0,4,10\n")
+        spec = ExperimentSpec(
+            codebooks=(CodebookScenario("2ant_1rf", 2, 1),),
+            modes=("with_irs", "external_snr"),
+            snr_csv_path=str(src),
+            optimizer_overrides=FAST,
+        )
+
+        def no_ao(*args, **kwargs):
+            raise AssertionError("AO ran before the trace was checked")
+
+        monkeypatch.setattr(experiment, "alternating_optimize", no_ao)
+        with pytest.raises(ValueError, match="no SNR rows"):
+            run_experiment(spec, scenario=small_scenario())
 
     def test_lookup_and_linear_conversion(self, tmp_path):
         trace = import_ns3_snr_csv(snr_fixture(tmp_path / "snr.csv"))
@@ -295,6 +318,27 @@ system:
             "beamforming MAC slope",
         ]
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--max-iter", "0"], "optimizer.max_iter: must be >= 1"),
+            (["--scenario", "{scenario}"], "geometry.user_positions[0]: outside bounds"),
+        ],
+        ids=["max_iter", "scenario"],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, args, message):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(
+            "geometry:\n  ap_positions: [[2.0, 3.0, 2.5]]\n  user_positions: [[50.0, 5.0, 1.5]]\n"
+        )
+        argv = ["run", "--output-dir", str(tmp_path / "out")]
+        argv += [a.format(scenario=scenario) for a in args]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"irslink: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_codebook_spec(self):
         with pytest.raises(Exception):
             main(["run", "--codebooks", "nonsense"])
@@ -303,3 +347,16 @@ system:
 def test_external_trace_dataclass():
     trace = ExternalSnrTrace(((0, 1, 3.0),), source="x")
     assert trace.snr_linear([(0, 1)]) == pytest.approx([10 ** 0.3])
+
+
+def test_start_up_imports_neither_scipy_nor_yaml():
+    """The entry-point modules load without the association solver's old
+    scipy dependency and without pyyaml, which only a document read needs."""
+    code = (
+        "import sys, irslink.cli, irslink.experiment, irslink.optimizer; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))"
+    )
+    src = str(Path(irslink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from irslink.scenario import (
     RcgConfig,
     Scenario,
     SystemParams,
+    _max_weight_assignment,
     associate_users,
     compute_dod_doa,
     default_scenario,
@@ -205,6 +206,10 @@ system:
             ((0.0, 7.0, 1.2), 4, 3),
             ((10.0, 7.0, 1.2), 4, 3),
         ]
+
+    def test_yaml_syntax_error(self):
+        with pytest.raises(ConfigError, match="config parse failure"):
+            load_scenario("geometry: [unclosed\nsystem: {}\n")
 
     def test_missing_file_named(self):
         for source in ("configs/indoor_rom.yaml", Path("configs/indoor_rom.yaml")):
@@ -397,6 +402,39 @@ class TestAssociation:
         a = associate_users(sc, rates)
         total = sum(rates[i, j] for i, j in enumerate(a.user_to_ap))
         assert total >= _brute_force_best(rates, 2) - 1e-12
+
+
+class TestAssignmentSolver:
+    """``_max_weight_assignment`` returns the pairs scipy's solver returns, ties included."""
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["continuous", "integer"])
+    def test_matches_scipy_on_slot_tables(self, integer):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(2016 + integer)
+        mismatched = []
+        # 72 shapes x 70 tables: users 1-8 against 1-9 slots, so wide, square and tall
+        for n_users, n_aps, cap in itertools.product(range(1, 9), range(1, 4), range(1, 4)):
+            for _ in range(70):
+                shape = (n_users, n_aps)
+                # integer tables in {0, 1, 2} are full of ties
+                rates = rng.integers(0, 3, shape).astype(float) if integer else rng.uniform(0, 1, shape)
+                table = rates[:, np.repeat(np.arange(n_aps), cap)]
+                rows, cols = linear_sum_assignment(table, maximize=True)
+                if _max_weight_assignment(table) != (rows.tolist(), cols.tolist()):
+                    mismatched.append(table)
+        assert mismatched == []
+
+    def test_empty_table(self):
+        assert _max_weight_assignment(np.zeros((3, 0))) == ([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_table_rejected(self, bad):
+        sc = default_scenario(0)
+        rates = np.ones((sc.n_users, sc.n_aps))
+        rates[2, 1] = bad
+        with pytest.raises(ValueError, match="rate table must be finite"):
+            associate_users(sc, rates)
 
 
 def test_stock_codebooks():
