@@ -134,24 +134,34 @@ def digital_beamformers_svd(
     subcarrier, otherwise ||P_D||_F^2 = total_power; a subcarrier whose
     norm is zero stays unscaled.
     """
-    n_sc, rx_rf, n_rf = h_d.shape
+    analog = None if p_a is None else p_a.matrix[None]
+    p_d, g_d = _digital_stage(h_d[None], n_s, analog, total_power)
+    return p_d[0], g_d[0]
+
+
+def _digital_stage(h_d, n_s, p_a, total_power):
+    """``digital_beamformers_svd`` for a stack of links: h_d (L, n_sc, rx_rf,
+    n_rf) and p_a (L, n_t, n_rf) or None -> P_D (L, n_sc, n_rf, n_s) and
+    G_D (L, n_sc, rx_rf, n_s)."""
+    n_links, n_sc, rx_rf, n_rf = h_d.shape
     if n_s > min(rx_rf, n_rf):
         raise ValueError("stream count exceeds projected channel rank bound")
-    u, _, vh = np.linalg.svd(h_d, full_matrices=False)
+    u, _, vh = np.linalg.svd(h_d.reshape(-1, rx_rf, n_rf), full_matrices=False)
     u, vh = u[:, :, :n_s], vh[:, :n_s, :]
     # singular vectors have unit norm, so the pivot is never zero
     pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)
-    rot = np.conj(pivot) / np.abs(pivot)  # (n_sc, 1, n_s)
+    rot = np.conj(pivot) / np.abs(pivot)  # (L * n_sc, 1, n_s)
     g_d = _rotate(u, rot, rx_rf)
     vh = _rotate(vh, np.conj(rot).transpose(0, 2, 1), n_rf)
     p_d = np.ascontiguousarray(vh.conj().transpose(0, 2, 1))
-    full = (p_a.matrix @ p_d if p_a is not None else p_d).reshape(n_sc, -1)
+    full = p_d if p_a is None else p_a[:, None] @ p_d.reshape(n_links, n_sc, n_rf, n_s)
+    full = full.reshape(n_links * n_sc, -1)
     # one dot product per part and subcarrier, the same bits as np.linalg.norm
     re, im = full.real[:, None, :], full.imag[:, None, :]
     norm = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
     scaled = norm > 0
     p_d[scaled] *= (np.sqrt(total_power) / norm[scaled])[:, None, None]
-    return p_d, g_d
+    return p_d.reshape(n_links, n_sc, n_rf, n_s), g_d.reshape(n_links, n_sc, rx_rf, n_s)
 
 
 def select_codewords(
@@ -168,21 +178,32 @@ def select_codewords(
     an ordered search over all subsets meets first. Combiners are compared
     in codebook order and the first strictly larger value wins.
     """
-    n_sc, n_rx, n_tx = h.shape
+    (p_a,), (g_a,) = _select(h[None], tx_codebook, rx_codebook, counter)
+    return p_a, g_a
+
+
+def _select(h, tx_codebook, rx_codebook, counter):
+    """``select_codewords`` for a stack of links h (L, n_sc, n_rx, n_tx):
+    the chosen precoders and combiners, one list each."""
+    n_links, n_sc, n_rx, n_tx = h.shape
     if rx_codebook.n_antennas != n_rx or tx_codebook.n_antennas != n_tx:
         raise ValueError("analog beamformer dimensions do not match channel")
-    best_val, best = -np.inf, None
-    for g_a in rx_codebook:
-        beam_gains = np.einsum("rk,nrt->nkt", g_a.matrix.conj(), h) @ tx_codebook.columns
-        energy = np.sum(beam_gains.real ** 2 + beam_gains.imag ** 2, axis=(0, 1))
-        beams = np.sort(np.argsort(-energy, kind="stable")[: tx_codebook.n_rf])
+    combiners = list(rx_codebook)
+    best_val = np.full(n_links, -np.inf)
+    best_beams = np.zeros((n_links, tx_codebook.n_rf), dtype=int)
+    best_rx = np.zeros(n_links, dtype=int)
+    for c, g_a in enumerate(combiners):
+        beam_gains = np.einsum("rk,lnrt->lnkt", g_a.matrix.conj(), h) @ tx_codebook.columns
+        energy = np.sum(beam_gains.real ** 2 + beam_gains.imag ** 2, axis=(1, 2))
+        beams = np.sort(np.argsort(-energy, axis=1, kind="stable")[:, : tx_codebook.n_rf], axis=1)
         if counter is not None:
-            counter.add(n_sc * (g_a.n_rf * n_rx * n_tx + g_a.n_rf * n_tx * tx_codebook.beam_grid))
-        val = float(np.sum(energy[beams]))
-        if val > best_val:
-            best_val, best = val, (beams, g_a)
-    beams, g_a = best
-    return tx_codebook.codeword(beams.tolist()), g_a
+            counter.add(
+                n_links * n_sc * (g_a.n_rf * n_rx * n_tx + g_a.n_rf * n_tx * tx_codebook.beam_grid)
+            )
+        val = np.sum(np.take_along_axis(energy, beams, axis=1), axis=1)
+        better = val > best_val
+        best_val[better], best_beams[better], best_rx[better] = val[better], beams[better], c
+    return [tx_codebook.codeword(b) for b in best_beams.tolist()], [combiners[c] for c in best_rx]
 
 
 def design_beamformers(
@@ -192,9 +213,18 @@ def design_beamformers(
     n_s: int,
     total_power: float = 1.0,
     counter: OpCounter | None = None,
-) -> BeamformerSet:
-    """Full hybrid design for one link: codeword selection then SVD digital stage."""
-    p_a, g_a = select_codewords(h, tx_codebook, rx_codebook, counter)
-    h_d = project_channel(h, g_a, p_a, counter)
-    p_d, g_d = digital_beamformers_svd(h_d, n_s, p_a=p_a, total_power=total_power)
-    return BeamformerSet(p_a, g_a, p_d, g_d)
+) -> list[BeamformerSet]:
+    """Full hybrid design, codeword selection then SVD digital stage, for a
+    stack of links h (L, n_sc, n_rx, n_tx): one BeamformerSet per link.
+
+    Selection and the digital stage are each one array pass over all links,
+    and a link's design does not depend on the other links of the stack. The
+    projection stays one einsum per link: with one subcarrier a stacked
+    einsum sums the products in another order.
+    """
+    if not len(h):
+        return []
+    p_a, g_a = _select(h, tx_codebook, rx_codebook, counter)
+    h_d = np.stack([project_channel(*link, counter) for link in zip(h, g_a, p_a)])
+    p_d, g_d = _digital_stage(h_d, n_s, np.stack([p.matrix for p in p_a]), total_power)
+    return [BeamformerSet(*bf) for bf in zip(p_a, g_a, p_d, g_d)]

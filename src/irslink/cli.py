@@ -10,19 +10,17 @@ from irslink.optimizer import complexity_probe
 from irslink.scenario import STOCK_CODEBOOKS, CodebookScenario
 
 
-def _parse_codebooks(specs: list[str]) -> tuple[CodebookScenario, ...]:
-    """Accept stock names ('8ant_2rf') or 'NTxNRF' shorthand ('8x2')."""
+def _codebook(token: str) -> CodebookScenario:
+    """A stock name ('8ant_2rf') or 'NTxNRF' shorthand ('8x2'); an argparse
+    type, so a bad token is a usage error."""
     by_name = {cb.name: cb for cb in STOCK_CODEBOOKS}
-    out = []
-    for s in specs:
-        if s in by_name:
-            out.append(by_name[s])
-        elif "x" in s:
-            n_t, n_rf = s.split("x", 1)
-            out.append(CodebookScenario(f"{n_t}ant_{n_rf}rf", int(n_t), int(n_rf)))
-        else:
-            raise argparse.ArgumentTypeError(f"unknown codebook spec: {s}")
-    return tuple(out)
+    if token in by_name:
+        return by_name[token]
+    n_t, _, n_rf = token.partition("x")
+    try:
+        return CodebookScenario(f"{n_t}ant_{n_rf}rf", int(n_t), int(n_rf))
+    except ValueError:  # ConfigError included
+        raise argparse.ArgumentTypeError(f"unknown codebook spec: {token!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", default="results")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--modes", nargs="+", default=["with_irs", "no_irs"], choices=VALID_MODES)
-    run.add_argument("--codebooks", nargs="+", default=[cb.name for cb in STOCK_CODEBOOKS])
+    run.add_argument("--codebooks", nargs="+", type=_codebook, default=list(STOCK_CODEBOOKS))
     run.add_argument("--irs-sizes", nargs="+", type=int, default=[24])
     run.add_argument("--snr-csv", help="external SNR trace for external_snr mode")
     run.add_argument("--epsilon", type=float, help="gradient-norm stop threshold")
@@ -65,7 +63,7 @@ def _dispatch(args) -> int:
         }
         spec = ExperimentSpec(
             scenario_path=args.scenario,
-            codebooks=_parse_codebooks(args.codebooks),
+            codebooks=tuple(args.codebooks),
             irs_sizes=tuple(args.irs_sizes),
             modes=tuple(args.modes),
             seed=args.seed,

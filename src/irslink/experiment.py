@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from irslink import __version__
+from irslink import __version__, channel
 from irslink.metrics import UtilityReport, rate, utility_report
 from irslink.optimizer import AoResult, alternating_optimize
 from irslink.scenario import (
@@ -207,13 +207,20 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
             )
 
     results = []
+    links, links_n_t = {}, None  # IRS size -> links of the current antenna count
     for cb in spec.codebooks:
+        if cb.n_t != links_n_t:
+            # synthesis does not read n_rf: codebooks of one antenna count share links
+            links, links_n_t = {}, cb.n_t
         for m in irs_cases:
-            variant = with_irs_elements(scenario, m)
+            variant = with_codebook(with_irs_elements(scenario, m), cb)
+            if m not in links:
+                links[m] = channel.synthesize_links(variant, spec.seed)
+            shared = replace(links[m], scenario=variant)
             for agg_mode in aggregates:
                 agg = "mean" if agg_mode == "mean_gain" else "min"
                 ao = alternating_optimize(
-                    variant, seed=spec.seed, codebook=cb, aggregate=agg, config=config
+                    variant, seed=spec.seed, aggregate=agg, config=config, links=shared
                 )
                 results.append(
                     RunResult(

@@ -109,15 +109,22 @@ class DlRateObjective:
             dtype=int,
         ).reshape(n_rx, max(n_own - 1, 0))
         if self.pairs:
-            self._wh = np.conj(np.stack([combiners[i] for i in self._rx]))
-            self._f = np.stack([precoders[l] for l in self._owner])
-        # theta-independent tangent factors: u depends on the receiver,
-        # v on (transmitting AP via its rows, precoder owner)
-        self._u = [
-            np.einsum("nrs,nmr->nms", np.conj(combiners[i]), links.dl_user_cols[i])
-            for i, _ in self.pairs
-        ]
-        self._v = [np.einsum("nmt,nts->nms", links.dl_ap_rows[b], precoders[l]) for b, l in owners]
+            # theta-independent tangent factors: u depends on the receiver,
+            # v on (transmitting AP via its rows, precoder owner)
+            wh = np.conj(np.stack([combiners[i] for i, _ in self.pairs]))
+            f = np.stack([precoders[l] for _, l in owners])
+            self._u = np.einsum(
+                "pnrs,pnmr->pnms", wh, links.dl_user_cols[[i for i, _ in self.pairs]]
+            )
+            # one einsum per AP over its owners: the AP rows are too large to
+            # gather once per owner
+            aps = [b for b, _ in owners]
+            self._v = np.empty(f.shape[:2] + (self.n_phases, f.shape[3]), dtype=complex)
+            for b in dict.fromkeys(aps):  # owners run AP by AP
+                k = slice(aps.index(b), aps.index(b) + aps.count(b))
+                np.einsum("nmt,knts->knms", links.dl_ap_rows[b], f[k], out=self._v[k])
+            self._wh = np.repeat(wh, n_own, axis=0)
+            self._f = np.tile(f, (n_rx, 1, 1, 1))
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
 
     def _effective(self, coeffs):
@@ -156,15 +163,12 @@ class DlRateObjective:
             denom += self.p_ap * gains[column]
         return signal, denom
 
-    def _link_value(self, sinr: np.ndarray) -> float:
-        se = np.log2(1.0 + sinr)
-        if self.aggregate == "mean":
-            return float(np.sum(se))
-        return float(len(sinr) * np.min(se))
-
     def _link_values(self, gains) -> list[float]:
         signal, denom = self._sinr_terms(gains)
-        return [self._link_value(s / d) for s, d in zip(signal, denom)]
+        se = np.log2(1.0 + signal / denom)
+        if self.aggregate == "mean":
+            return np.sum(se, axis=1).tolist()
+        return (se.shape[1] * np.min(se, axis=1)).tolist()
 
     def link_rates(self, phases: np.ndarray, bandwidth: float) -> dict:
         """Per served (user, AP): achievable DL rate in bits/s at these phases."""
@@ -326,28 +330,29 @@ class AoResult:
         return self.report.sum_utility
 
 
-def _initial_assignment(scenario: Scenario, links: LinkChannels, coeffs) -> Assignment:
-    """Interference-free rate table on raw composite channels for association."""
+def _initial_assignment(scenario: Scenario, links: LinkChannels, coeffs,
+                        composites=None) -> Assignment:
+    """Interference-free rate table on raw composite channels for association.
+    ``composites`` are the DL composites at ``coeffs`` when already built."""
     p = scenario.params
-    h = links.dl_composites(coeffs)
-    rates = np.zeros((scenario.n_users, scenario.n_aps))
-    for i, j in np.ndindex(rates.shape):
-        g = float(np.mean(np.sum(np.abs(h[i, j]) ** 2, axis=(1, 2))))
-        rates[i, j] = rate(p.p_ap * g / p.sigma2, p.bandwidth)
-    return associate_users(scenario, rates)
+    h = links.dl_composites(coeffs) if composites is None else composites
+    gains = np.mean(np.sum(np.abs(h) ** 2, axis=(3, 4)), axis=2)
+    return associate_users(scenario, rate(p.p_ap * gains / p.sigma2, p.bandwidth))
 
 
 def _design_all_beamformers(scenario, links, assignment, coeffs, tx_codebook, rx_codebook,
-                            counter=None):
-    h = links.dl_composites(coeffs)
-    return {
-        i: design_beamformers(
-            h[i, j], tx_codebook, rx_codebook, scenario.params.n_s, total_power=1.0,
-            counter=counter,
-        )
-        for i, j in enumerate(assignment.user_to_ap)
-        if j >= 0
-    }
+                            counter=None, composites=None):
+    """Hybrid beamformers of every served user, one stacked design over their
+    serving links. ``composites`` are the DL composites at ``coeffs`` when
+    already built."""
+    h = links.dl_composites(coeffs) if composites is None else composites
+    users = [i for i, j in enumerate(assignment.user_to_ap) if j >= 0]
+    aps = [assignment.user_to_ap[i] for i in users]
+    designs = design_beamformers(
+        h[np.array(users, dtype=int), np.array(aps, dtype=int)], tx_codebook, rx_codebook,
+        scenario.params.n_s, total_power=1.0, counter=counter,
+    )
+    return dict(zip(users, designs))
 
 
 def _rate_objective(links, assignment, beamformers, aggregate="mean", counter=None):
@@ -411,7 +416,8 @@ def alternating_optimize(
     m = scenario.n_irs_elements
     phases = np.zeros(m)
     coeffs = np.exp(1j * phases)
-    assignment = _initial_assignment(scenario, links, coeffs)
+    composites = links.dl_composites(coeffs)  # round 1 designs on these too
+    assignment = _initial_assignment(scenario, links, coeffs, composites)
     tx_codebook = build_analog_codebook(p.n_t, p.n_rf, beam_grid=cfg.beam_grid)
     rx_grid = 1 if p.n_r == 1 else min(cfg.beam_grid, 8)
     rx_codebook = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=rx_grid)
@@ -423,9 +429,11 @@ def alternating_optimize(
     stop_reason = "round_cap"
     for rnd in range(1, cfg.outer_rounds + 1):
         t0 = time.perf_counter()
-        coeffs = np.exp(1j * phases)
+        if rnd > 1:
+            coeffs = np.exp(1j * phases)
+            composites = links.dl_composites(coeffs)
         beamformers = _design_all_beamformers(
-            scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter
+            scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter, composites
         )
         objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
         grad_norm = 0.0

@@ -131,7 +131,7 @@ class SystemParams:
 
     def __post_init__(self):
         _check_types(self, "system")
-        for name in ("n_t", "n_r", "n_rf", "n_s", "n_sc"):
+        for name in ("n_t", "n_r", "n_rf", "n_s", "n_sc", "v_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"system.{name}: must be >= 1")
         if self.n_rf > self.n_t:

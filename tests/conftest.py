@@ -52,6 +52,16 @@ def build_rate_objective(scenario, seed=0, aggregate="mean", beam_grid=4):
     return objective, links, assignment, beamformers
 
 
+def assert_same_design(got, want):
+    """Two BeamformerSets are equal bit for bit."""
+    for a, b in ((got.analog_precoder, want.analog_precoder),
+                 (got.analog_combiner, want.analog_combiner)):
+        assert a.codebook_id == b.codebook_id
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+    np.testing.assert_array_equal(got.digital_precoders, want.digital_precoders)
+    np.testing.assert_array_equal(got.digital_combiners, want.digital_combiners)
+
+
 @pytest.fixture(scope="session")
 def stock_scenario():
     return default_scenario()

@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from irslink.arrays import ula_steering
 from irslink.beamforming import (
     AnalogBeamformer,
+    BeamformerSet,
     build_analog_codebook,
+    design_beamformers,
     digital_beamformers_svd,
     project_channel,
     select_codewords,
 )
 from irslink.opcount import OpCounter
 from irslink.scenario import STOCK_CODEBOOKS
+
+from conftest import assert_same_design
 
 
 def _random_channel(rng, n_sc, n_r, n_t):
@@ -290,6 +294,64 @@ class TestDigitalSvd:
         p_d, _ = digital_beamformers_svd(h_d, n_s=1, p_a=p_a)
         np.testing.assert_array_equal(p_d, _per_subcarrier_svd(h_d, 1, p_a=p_a)[0])
         np.testing.assert_allclose(np.linalg.norm(p_d, axis=(1, 2)), 1.0, rtol=1e-12)
+
+
+def _per_link_design(h, tx_codebook, rx_codebook, n_s, total_power):
+    """Reference for the stacked design: one link, a loop over the combiners,
+    one projection einsum and the per-subcarrier digital stage."""
+    best_val, best = -np.inf, None
+    for g_a in rx_codebook:
+        beam_gains = np.einsum("rk,nrt->nkt", g_a.matrix.conj(), h) @ tx_codebook.columns
+        energy = np.sum(beam_gains.real ** 2 + beam_gains.imag ** 2, axis=(0, 1))
+        beams = np.sort(np.argsort(-energy, kind="stable")[: tx_codebook.n_rf])
+        val = float(np.sum(energy[beams]))
+        if val > best_val:
+            best_val, best = val, (tx_codebook.codeword(beams.tolist()), g_a)
+    p_a, g_a = best
+    h_d = np.einsum("rk,nrt,tl->nkl", g_a.matrix.conj(), h, p_a.matrix)
+    return p_a, g_a, *_per_subcarrier_svd(h_d, n_s, p_a=p_a, total_power=total_power)
+
+
+# (n_t, n_rf, n_r, combiner columns, combiner grid, n_s, n_sc)
+_STACKED_CASES = [(cb.n_t, cb.n_rf, 1, 1, 1, 1, 16) for cb in STOCK_CODEBOOKS] + [
+    (4, 2, 2, 2, 4, 2, 8),  # two-antenna, two-stream users
+    # one subcarrier, two-antenna users, one RF chain: the shape on which a
+    # stacked projection einsum rounds differently from the per-link one
+    (4, 1, 2, 1, 5, 1, 1),
+    (8, 3, 3, 2, 3, 2, 1),
+]
+
+
+class TestStackedDesign:
+    @pytest.mark.parametrize("case", _STACKED_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_each_link_as_designed_alone(self, case):
+        n_t, n_rf, n_r, rx_rf, rx_grid, n_s, n_sc = case
+        tx = build_analog_codebook(n_t, n_rf, beam_grid=16)
+        rx = build_analog_codebook(n_r, rx_rf, beam_grid=rx_grid)
+        rng = np.random.default_rng(sum(case))
+        h = np.stack([_random_channel(rng, n_sc, n_r, n_t) * 1e-4 for _ in range(5)])
+        h[1] = 0.0  # every beam tied
+        h[2] = 1e-4  # broadside: mirrored beams tied
+        counter, per_link = OpCounter(), OpCounter()
+        designs = design_beamformers(h, tx, rx, n_s, 2.5, counter)
+        assert len(designs) == len(h)
+        for link, got in zip(h, designs):
+            want = BeamformerSet(*_per_link_design(link, tx, rx, n_s, 2.5))
+            assert_same_design(got, want)
+            (alone,) = design_beamformers(link[None], tx, rx, n_s, 2.5, per_link)
+            assert_same_design(alone, want)
+        assert counter.macs == per_link.macs
+
+    def test_empty_stack(self):
+        tx = build_analog_codebook(4, 2, beam_grid=8)
+        rx = build_analog_codebook(1, 1, beam_grid=1)
+        assert design_beamformers(np.zeros((0, 4, 1, 4), dtype=complex), tx, rx, 1) == []
+
+    def test_dimension_mismatch(self):
+        tx = build_analog_codebook(4, 1, beam_grid=4)
+        rx = build_analog_codebook(1, 1, beam_grid=1)
+        with pytest.raises(ValueError, match="dimensions"):
+            design_beamformers(np.zeros((2, 1, 1, 8), dtype=complex), tx, rx, 1)
 
 
 class TestCombineAndEffective:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import irslink
-from irslink import experiment
+from irslink import channel, experiment
 from irslink.cli import main
 from irslink.experiment import (
     ExperimentSpec,
@@ -188,7 +188,47 @@ class TestExperimentSpec:
             run_experiment(spec, scenario=small_scenario())
 
 
+@pytest.fixture(scope="module")
+def stock_sweep_calls():
+    """The (scenario, links) of every AO run of a stock sweep, and the scenario
+    of every channel synthesis it made."""
+    runs, synthesized = [], []
+    ao, synthesize = experiment.alternating_optimize, channel.synthesize_links
+
+    def recording_ao(scenario, **kwargs):
+        runs.append((scenario, kwargs["links"]))
+        return ao(scenario, **kwargs)
+
+    def counting_synthesis(scenario, seed):
+        synthesized.append(scenario)
+        return synthesize(scenario, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "alternating_optimize", recording_ao)
+        mp.setattr(channel, "synthesize_links", counting_synthesis)
+        run_experiment(ExperimentSpec(seed=3, optimizer_overrides=FAST))
+    return runs, synthesized
+
+
 class TestRunExperiment:
+    def test_one_synthesis_per_antenna_count_and_irs_size(self, stock_sweep_calls):
+        runs, synthesized = stock_sweep_calls
+        assert len(runs) == 12
+        # the RF-chain count is not a channel input: 3 antenna counts x 2 IRS cases
+        assert len(synthesized) == 6
+        assert len({(sc.params.n_t, sc.n_irs_elements) for sc in synthesized}) == 6
+
+    def test_shared_links_equal_fresh_links(self, stock_sweep_calls):
+        runs, _ = stock_sweep_calls
+        assert {(sc.params.n_t, sc.params.n_rf) for sc, _ in runs} == {
+            (cb.n_t, cb.n_rf) for cb in STOCK_CODEBOOKS}
+        for scenario, links in runs:
+            assert links.scenario is scenario and links.seed == 3
+            fresh = channel.synthesize_links(scenario, 3)
+            for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_rows",
+                         "ul_ap_cols"):
+                np.testing.assert_array_equal(getattr(links, name), getattr(fresh, name))
+
     def test_twelve_runs_for_full_grid(self):
         spec = ExperimentSpec(
             irs_sizes=(8,), modes=("with_irs", "no_irs"), optimizer_overrides=FAST
@@ -339,9 +379,16 @@ system:
         assert captured.err == f"irslink: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_codebook_spec(self):
-        with pytest.raises(Exception):
-            main(["run", "--codebooks", "nonsense"])
+    def test_unknown_codebook_spec(self, capsys):
+        for token in ("nonsense", "8xq", "8x9"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--codebooks", "2x1", token])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: irslink run")
+            assert err.endswith(
+                f"irslink run: error: argument --codebooks: unknown codebook spec: {token!r}\n"
+            )
 
 
 def test_external_trace_dataclass():

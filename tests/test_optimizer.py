@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irslink.beamforming import build_analog_codebook
+from irslink import optimizer
+from irslink.beamforming import build_analog_codebook, design_beamformers
 from irslink.channel import synthesize_links
+from irslink.metrics import rate
 from irslink.opcount import OpCounter
 from irslink.optimizer import (
     DlRateObjective,
@@ -21,7 +23,7 @@ from irslink.optimizer import (
 )
 from irslink.scenario import STOCK_CODEBOOKS, Assignment, default_scenario, with_codebook
 
-from conftest import build_rate_objective, scalar_scenario
+from conftest import assert_same_design, build_rate_objective, scalar_scenario
 
 
 def _scalar_coefficients(objective, links, beamformers):
@@ -282,6 +284,56 @@ class TestStackedKernel:
         _, trace = rcg_optimize_phases(Recording(), np.zeros(objective.n_phases), max_iter=20)
         assert len(points) > n_grads > 1  # line searches evaluated points of their own
         assert counter.macs == len(points) * kernel_macs + n_grads * grad_macs
+
+
+_ROUND_SCENARIOS = {
+    **{cb.name: with_codebook(default_scenario(), cb) for cb in STOCK_CODEBOOKS},
+    "two_antenna_two_stream": default_scenario(16, n_t=4, n_r=2, n_s=2, n_sc=8),
+    "user_left_unserved": default_scenario(v_cap=1),
+}
+
+
+class TestStackedRoundSetUp:
+    """Association and beamformer design of an AO round, built over all links
+    at once, equal the link-by-link computations bit for bit."""
+
+    @pytest.mark.parametrize("name", _ROUND_SCENARIOS)
+    def test_beamformers_as_designed_per_link(self, name):
+        sc = _ROUND_SCENARIOS[name]
+        p = sc.params
+        links = synthesize_links(sc, seed=1)
+        coeffs = np.exp(1j * np.random.default_rng(1).uniform(-np.pi, np.pi, sc.n_irs_elements))
+        assignment = _initial_assignment(sc, links, coeffs)
+        if name == "user_left_unserved":
+            assert -1 in assignment.user_to_ap
+        tx = build_analog_codebook(p.n_t, p.n_rf, beam_grid=16)
+        rx = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=1 if p.n_r == 1 else 8)
+        counter, per_link = OpCounter(), OpCounter()
+        got = _design_all_beamformers(sc, links, assignment, coeffs, tx, rx, counter)
+        h = links.dl_composites(coeffs)
+        served = {i: j for i, j in enumerate(assignment.user_to_ap) if j >= 0}
+        assert list(got) == list(served)
+        for i, j in served.items():
+            (alone,) = design_beamformers(h[i, j][None], tx, rx, p.n_s, counter=per_link)
+            assert_same_design(got[i], alone)
+        assert counter.macs == per_link.macs
+
+    @pytest.mark.parametrize("name", _ROUND_SCENARIOS)
+    def test_association_table_as_built_per_link(self, name, monkeypatch):
+        sc = _ROUND_SCENARIOS[name]
+        p = sc.params
+        links = synthesize_links(sc, seed=2)
+        coeffs = np.exp(1j * np.random.default_rng(2).uniform(-np.pi, np.pi, sc.n_irs_elements))
+        tables = []
+        monkeypatch.setattr(optimizer, "associate_users",
+                            lambda scenario, rates: tables.append(rates))
+        _initial_assignment(sc, links, coeffs)
+        h = links.dl_composites(coeffs)
+        expected = np.zeros((sc.n_users, sc.n_aps))
+        for i, j in np.ndindex(expected.shape):
+            g = float(np.mean(np.sum(np.abs(h[i, j]) ** 2, axis=(1, 2))))
+            expected[i, j] = rate(p.p_ap * g / p.sigma2, p.bandwidth)
+        np.testing.assert_array_equal(tables[0], expected)
 
 
 class TestGradient:

@@ -84,6 +84,9 @@ _MALFORMED = [
     (("system", "pathloss_exponent"), float("nan"), r"^system\.pathloss_exponent: must be float, got nan$"),
     # checked at load; it used to fail inside the run, in processing_delay
     (("system", "m_proc"), 0.0, r"^system\.m_proc: must be positive$"),
+    # checked at load; -1 used to fail inside the run, 0 to serve no user
+    (("system", "v_cap"), -1, r"^system\.v_cap: must be >= 1$"),
+    (("system", "v_cap"), 0, r"^system\.v_cap: must be >= 1$"),
     (("system",), [1, 2], r"^system: must be a key/value tree$"),
     (("geometry", "irs_panels", 0), {"origin": [0.0, 4.0, 1.2], "m_y": 4},
      r"^geometry\.irs_panels\[0\]\.m_z: must be int, got None$"),
