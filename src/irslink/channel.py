@@ -108,14 +108,37 @@ def nlos_smallscale_factor(seed: int, user: int, ap: int, band: str) -> complex:
     return complex(re, im) / np.sqrt(2.0)
 
 
+def _cascade(nlos, phi_coeffs, user, ap, spec, out=None) -> np.ndarray:
+    """nlos + sum_m phi_m * (user_m x ap_m) for every user-AP link, into ``out``
+    (a fresh array when None).
+
+    The user-side stack is scaled by the phases once, then contracted with the
+    AP-side stack, so phi_m * u_m is not recomputed per AP and AP antenna.
+    Each product and sum is the one a single einsum over (phases, user stack,
+    AP stack) forms, in the same order, so the bits are the same. The scaling
+    goes through einsum: numpy's complex ufunc multiply fuses multiply-adds
+    and rounds differently.
+    """
+    if out is None:
+        out = np.empty_like(nlos)
+    if len(phi_coeffs):
+        scaled = np.einsum("m,inmr->inmr", phi_coeffs, user)
+        np.einsum(spec, scaled, ap, out=out)
+        out += nlos
+    else:
+        np.copyto(out, nlos)
+    return out
+
+
 @dataclass(frozen=True)
 class LinkChannels:
     """All raw per-link channels of a scenario, stacked for fast composites.
 
     DL cascade for (user i, AP j):
         H_ij(phi) = dl_nlos[i][j] + sum_m phi_m * outer(dl_user_cols[i][:, m], dl_ap_rows[j][:, m])
-    and analogously for UL with the same phases; ``dl_composites`` /
-    ``ul_composites`` build every link's composite in one einsum.
+    and analogously for UL with the same phases. ``dl_composites`` /
+    ``ul_composites`` build every link's composite in two einsums: the user
+    stack scaled by the phases once, then contracted with the AP stack.
     """
 
     scenario: Scenario
@@ -140,23 +163,20 @@ class LinkChannels:
                 f"{self.dl_ap_rows.shape[2]} IRS elements"
             )
 
-    def dl_composites(self, phi_coeffs: np.ndarray) -> np.ndarray:
+    def dl_composites(self, phi_coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(U, B, n_sc, n_r, n_t) total DL channels of every user-AP link for
-        given unit-modulus coefficients."""
+        given unit-modulus coefficients, written into ``out`` (shaped like
+        ``dl_nlos``) or a new array."""
         self._check_phase_count(phi_coeffs)
-        h = self.dl_nlos.copy()
-        if len(phi_coeffs):
-            h += np.einsum("m,inmr,bnmt->ibnrt", phi_coeffs, self.dl_user_cols, self.dl_ap_rows)
-        return h
+        return _cascade(self.dl_nlos, phi_coeffs, self.dl_user_cols, self.dl_ap_rows,
+                        "inmr,bnmt->ibnrt", out)
 
     def ul_composites(self, phi_coeffs: np.ndarray) -> np.ndarray:
         """(U, B, n_sc, n_t, n_r) total UL channels of every user-AP link for
         given unit-modulus coefficients."""
         self._check_phase_count(phi_coeffs)
-        h = self.ul_nlos.copy()
-        if len(phi_coeffs):
-            h += np.einsum("m,inmr,bnmt->ibntr", phi_coeffs, self.ul_user_rows, self.ul_ap_cols)
-        return h
+        return _cascade(self.ul_nlos, phi_coeffs, self.ul_user_rows, self.ul_ap_cols,
+                        "inmr,bnmt->ibntr")
 
 
 def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:

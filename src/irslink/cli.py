@@ -23,6 +23,27 @@ def _codebook(token: str) -> CodebookScenario:
         raise argparse.ArgumentTypeError(f"unknown codebook spec: {token!r}") from None
 
 
+def _count(token: str) -> int:
+    """An integer >= 1; an argparse type, so a bad token is a usage error."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {token!r}")
+    return value
+
+
+class _Ascending(argparse.Action):
+    """Stores a list only when its entries are in ascending order."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values != sorted(values):
+            raise argparse.ArgumentError(
+                self, f"must be ascending, got {' '.join(map(str, values))}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="irslink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -40,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--outer-rounds", type=int, help="alternating-optimization round cap")
 
     probe = sub.add_parser("probe", help="empirical complexity scaling probe")
-    probe.add_argument("--m-values", nargs="+", type=int, default=[8, 16, 32, 64])
-    probe.add_argument("--rcg-iters", type=int, default=30)
+    probe.add_argument("--m-values", nargs="+", type=_count, action=_Ascending,
+                       default=[8, 16, 32, 64])
+    probe.add_argument("--rcg-iters", type=_count, default=30)
     return parser
 
 

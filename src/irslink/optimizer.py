@@ -62,13 +62,15 @@ class DlRateObjective:
     subcarrier's spectral efficiency ("min").
 
     Every (receiver i, AP b, precoder owner l) triple is evaluated in one
-    stacked pass: one einsum builds the composites of all user-AP links,
-    one more the effective matrices W_i^H H_ib F_l of all triples. Triples
-    run receiver-major, then by (AP, owner), the order in which each
-    receiver's interferers are summed. The effective matrices and gains of
-    the last few points are kept, keyed by the coefficient bytes, so a
-    point evaluated again (the accepted line-search point, the final
-    value and rates) costs nothing.
+    stacked pass: ``dl_composites`` builds the composites of all user-AP
+    links into a buffer the objective owns and reuses, a gather copies out
+    each triple's link, and one einsum forms the effective matrices
+    W_i^H H_ib F_l of all triples. Triples run receiver-major, then by (AP,
+    owner), the order in which each receiver's interferers are summed. The
+    effective matrices and gains of the last few points are kept, keyed by
+    the coefficient bytes, so a point evaluated again (the accepted
+    line-search point, the final value and rates) costs nothing; no kept
+    entry shares memory with the composite buffer.
     """
 
     _CACHED_POINTS = 4
@@ -125,6 +127,7 @@ class DlRateObjective:
                 np.einsum("nmt,knts->knms", links.dl_ap_rows[b], f[k], out=self._v[k])
             self._wh = np.repeat(wh, n_own, axis=0)
             self._f = np.tile(f, (n_rx, 1, 1, 1))
+        self._composites = np.empty_like(links.dl_nlos)  # refilled by every kernel pass
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
 
     def _effective(self, coeffs):
@@ -145,7 +148,7 @@ class DlRateObjective:
         p = links.scenario.params
         if not self.pairs:
             return np.zeros((0, p.n_sc, p.n_s, p.n_s), dtype=complex), np.zeros((0, p.n_sc))
-        h = links.dl_composites(coeffs)
+        h = links.dl_composites(coeffs, out=self._composites)
         eff = np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, h[self._rx, self._ap], self._f)
         if self.counter is not None:
             n_users, n_aps = h.shape[:2]

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink.arrays import SPEED_OF_LIGHT
@@ -330,3 +330,84 @@ class TestLinkChannels:
         # both deviate from their direct-only channels under the same phases
         assert not np.allclose(dl, links.dl_nlos[0, 0])
         assert not np.allclose(ul, links.ul_nlos[0, 0])
+
+
+def _element_fastest(stack):
+    """The same (L, n_sc, M, n) values stored with the element axis fastest,
+    the layout ``synthesize_links`` gives its cascade stacks."""
+    out = np.empty(stack.shape[:2] + stack.shape[:1:-1], dtype=complex).swapaxes(2, 3)
+    out[...] = stack
+    return out
+
+
+@st.composite
+def _cascade_links(draw):
+    """Random LinkChannels over U, B, n_sc, n_r, n_t and M, in either stack
+    layout, and unit-modulus coefficients for them."""
+    n_users, n_aps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n_sc = draw(st.sampled_from([1, 2, 4]))
+    n_r, n_t = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 8, 17, 64]))
+    m = draw(st.one_of(st.sampled_from([0, 1, 384]), st.integers(0, 96)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    layout = _element_fastest if draw(st.booleans()) else np.ascontiguousarray
+    user, ap = cn(n_users, n_sc, m, n_r), cn(n_aps, n_sc, m, n_t)
+    # composites read only the stacks, never the scenario
+    links = LinkChannels(
+        None, 0, cn(n_users, n_aps, n_sc, n_r, n_t), layout(user), layout(ap),
+        cn(n_users, n_aps, n_sc, n_t, n_r), layout(cn(*user.shape)), layout(cn(*ap.shape)),
+    )
+    return links, np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+
+
+def _three_operand(links, coeffs, band):
+    """The composites of a band as one einsum over phases, user and AP stacks."""
+    if band == "DL":
+        h, user, ap, spec = links.dl_nlos, links.dl_user_cols, links.dl_ap_rows, "ibnrt"
+    else:
+        h, user, ap, spec = links.ul_nlos, links.ul_user_rows, links.ul_ap_cols, "ibntr"
+    h = h.copy()
+    if len(coeffs):
+        h += np.einsum("m,inmr,bnmt->" + spec, coeffs, user, ap)
+    return h
+
+
+class TestCompositeBits:
+    """The composites scale the user stack once, then contract it with the AP
+    stack: every bit equals the three-operand einsum's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cascade_links())
+    def test_equal_to_three_operand_einsum(self, case):
+        links, coeffs = case
+        np.testing.assert_array_equal(links.dl_composites(coeffs),
+                                      _three_operand(links, coeffs, "DL"))
+        np.testing.assert_array_equal(links.ul_composites(coeffs),
+                                      _three_operand(links, coeffs, "UL"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_cascade_links(), st.integers(0, 2**32 - 1))
+    def test_reused_buffer_equals_fresh_calls(self, case, seed):
+        links, first = case
+        rng = np.random.default_rng(seed)
+        buffer = np.empty_like(links.dl_nlos)
+        for coeffs in (first, np.exp(1j * rng.uniform(-np.pi, np.pi, len(first))), first):
+            assert links.dl_composites(coeffs, out=buffer) is buffer
+            np.testing.assert_array_equal(buffer, links.dl_composites(coeffs))
+            np.testing.assert_array_equal(buffer, _three_operand(links, coeffs, "DL"))
+
+    def test_without_buffer_returns_a_new_array(self):
+        links = synthesize_links(_mimo_scenario(2, 2), seed=1)
+        coeffs = np.exp(1j * np.array([0.3, -1.1, 2.0, 0.7]))
+        first, second = links.dl_composites(coeffs), links.dl_composites(coeffs)
+        assert first is not second and not np.shares_memory(first, second)
+        for h in (first, links.dl_composites(np.ones(4))):
+            assert not np.shares_memory(h, links.dl_nlos)
+        np.testing.assert_array_equal(first, second)
+        no_surface = synthesize_links(_mimo_scenario(), seed=1)
+        h = no_surface.dl_composites(np.zeros(0))
+        assert not np.shares_memory(h, no_surface.dl_nlos)
+        np.testing.assert_array_equal(h, no_surface.dl_nlos)

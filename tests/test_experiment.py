@@ -390,6 +390,24 @@ system:
                 f"irslink run: error: argument --codebooks: unknown codebook spec: {token!r}\n"
             )
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--m-values", "0"], "argument --m-values: must be an integer >= 1, got '0'"),
+            (["--rcg-iters", "0"], "argument --rcg-iters: must be an integer >= 1, got '0'"),
+            (["--m-values", "16", "8"], "argument --m-values: must be ascending, got 16 8"),
+        ],
+        ids=["m_values_zero", "rcg_iters_zero", "m_values_descending"],
+    )
+    def test_bad_probe_flag_is_a_usage_error(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: irslink probe")
+        assert captured.err.endswith(f"irslink probe: error: {message}\n")
+
 
 def test_external_trace_dataclass():
     trace = ExternalSnrTrace(((0, 1, 3.0),), source="x")

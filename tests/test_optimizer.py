@@ -20,6 +20,7 @@ from irslink.optimizer import (
     _evaluate,
     _gain_tables,
     _initial_assignment,
+    _rate_objective,
 )
 from irslink.scenario import STOCK_CODEBOOKS, Assignment, default_scenario, with_codebook
 
@@ -284,6 +285,53 @@ class TestStackedKernel:
         _, trace = rcg_optimize_phases(Recording(), np.zeros(objective.n_phases), max_iter=20)
         assert len(points) > n_grads > 1  # line searches evaluated points of their own
         assert counter.macs == len(points) * kernel_macs + n_grads * grad_macs
+
+
+class TestCompositeBuffer:
+    """The objective refills one composite buffer on every kernel pass; what it
+    returns and caches must not depend on what the buffer held before."""
+
+    def test_evicted_point_evaluated_again_matches_fresh_objective(self, stock_scenario):
+        objective, links, assignment, beamformers = build_rate_objective(stock_scenario, seed=0)
+        rng = np.random.default_rng(7)
+        points = [rng.uniform(-np.pi, np.pi, objective.n_phases) for _ in range(6)]
+        kept = []  # each point's cached arrays, and copies of them taken at once
+        for theta in points:
+            objective.value_and_grad(theta)
+            eff, gains = objective._effective(np.exp(1j * theta))
+            kept.append(((eff, gains), (eff.copy(), gains.copy())))
+        assert len(points) > objective._CACHED_POINTS
+        assert np.exp(1j * points[0]).tobytes() not in objective._cache  # evicted
+        fresh = _rate_objective(links, assignment, beamformers)
+        for theta in (points[0], points[-1]):
+            value, grad = objective.value_and_grad(theta)
+            expected_value, expected_grad = fresh.value_and_grad(theta)
+            assert value == expected_value
+            np.testing.assert_array_equal(grad, expected_grad)
+            assert objective.value(theta) == fresh.value(theta)
+            assert objective.link_rates(theta, 2.16e9) == fresh.link_rates(theta, 2.16e9)
+            coeffs = np.exp(1j * theta)
+            for table, expected in zip(_gain_tables(objective, coeffs),
+                                       _gain_tables(fresh, coeffs)):
+                np.testing.assert_array_equal(table, expected)
+        for arrays, copies in kept:  # later passes wrote into no earlier entry
+            for array, copy in zip(arrays, copies):
+                np.testing.assert_array_equal(array, copy)
+                assert not np.shares_memory(array, objective._composites)
+
+    def test_no_surface(self):
+        objective, *_ = build_rate_objective(scalar_scenario(0, n_sc=2), seed=0)
+        value, grad = objective.value_and_grad(np.zeros(0))
+        assert objective.value(np.zeros(0)) == value > 0.0
+        assert grad.shape == (0,)
+        np.testing.assert_array_equal(objective._composites, objective.links.dl_nlos)
+
+    def test_probe_counts_as_recorded(self):
+        # counted before the composites were built in two steps; the counter
+        # still charges the paper-literal cubic rebuild of every composite
+        rows = complexity_probe([8, 16, 32], rcg_iters=5)
+        assert [row["phase_macs"] for row in rows] == [259680, 1590720, 15019392]
+        assert [row["beamforming_macs"] for row in rows] == [576, 2176, 8448]
 
 
 _ROUND_SCENARIOS = {
