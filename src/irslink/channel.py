@@ -67,19 +67,27 @@ def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
     return gain[..., :, None, None] * outer[..., None, :, :]
 
 
-def _element_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
-    """LoS hops between L nodes and the M IRS elements, links stacked (L, M).
-
-    One end of each hop is a single IRS element, so the hops form an
-    (L, n_sc, M, n_antennas) stack. Its memory runs element-fastest: the
-    composites sum over elements, and einsum then walks them contiguously.
-    """
+def _element_factors(params, carrier, dod, a_rx, a_tx):
+    """Factors of the LoS hops between L nodes and the M IRS elements, links
+    stacked (L, M): per-subcarrier gains (L, M, n_sc) and steering outer
+    products flattened to (L, M, n_antennas); the IRS end is one element."""
     gain, outer = _hop_factors(params, carrier, dod, a_rx, a_tx, params.los_exponent)
     n_links, m, n_rx, n_tx = outer.shape
-    hops = np.empty((n_links, gain.shape[-1], n_rx * n_tx, m), dtype=complex).swapaxes(2, 3)
-    return np.multiply(
-        gain.swapaxes(1, 2)[..., None], outer.reshape(n_links, 1, m, n_rx * n_tx), out=hops
-    )
+    return gain, outer.reshape(n_links, m, n_rx * n_tx)
+
+
+def _element_hops(gain, steering) -> np.ndarray:
+    """Hop stack gain[l, m, n] * steering[l, m, :] from ``_element_factors``.
+
+    The hops form an (L, n_sc, M, n_antennas) stack. Its memory runs
+    element-fastest: the composites sum over elements, and einsum then walks
+    them contiguously. Every entry is the one product np.multiply forms, so
+    a stack formed from a slice of the factors (some links or subcarriers)
+    has the same bits as that slice of the whole stack.
+    """
+    n_links, m, n = steering.shape
+    hops = np.empty((n_links, gain.shape[-1], n, m), dtype=complex).swapaxes(2, 3)
+    return np.multiply(gain.swapaxes(1, 2)[..., None], steering[:, None], out=hops)
 
 
 def _panel_steering(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
@@ -130,6 +138,11 @@ def _cascade(nlos, phi_coeffs, user, ap, spec, out=None) -> np.ndarray:
     return out
 
 
+# the UL composites re-form their AP-side hops in pieces of at most this many
+# bytes, so the final UL gains of an AO run never set its memory peak
+UL_PIECE_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class LinkChannels:
     """All raw per-link channels of a scenario, stacked for fast composites.
@@ -139,6 +152,12 @@ class LinkChannels:
     and analogously for UL with the same phases. ``dl_composites`` /
     ``ul_composites`` build every link's composite in two einsums: the user
     stack scaled by the phases once, then contracted with the AP stack.
+
+    The DL hops, which every objective evaluation reads, are stored as
+    (L, n_sc, M, n) stacks. The UL hops are read once per AO run, by the
+    final report, so they are stored as their rank-one factors, per-subcarrier
+    gains (L, M, n_sc) and steering (L, M, n), and ``ul_composites`` re-forms
+    the stacks piece by piece; ``ul_user_rows`` / ``ul_ap_cols`` form them whole.
     """
 
     scenario: Scenario
@@ -147,14 +166,26 @@ class LinkChannels:
     dl_user_cols: np.ndarray  # (U, n_sc, M, n_r)   IRS element -> user
     dl_ap_rows: np.ndarray  # (B, n_sc, M, n_t)     AP -> IRS element
     ul_nlos: np.ndarray  # (U, B, n_sc, n_t, n_r)
-    ul_user_rows: np.ndarray  # (U, n_sc, M, n_r)   user -> IRS element
-    ul_ap_cols: np.ndarray  # (B, n_sc, M, n_t)     IRS element -> AP
+    ul_user_gains: np.ndarray  # (U, M, n_sc)     user -> IRS element
+    ul_user_steering: np.ndarray  # (U, M, n_r)
+    ul_ap_gains: np.ndarray  # (B, M, n_sc)       IRS element -> AP
+    ul_ap_steering: np.ndarray  # (B, M, n_t)
 
     def __post_init__(self):
-        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_rows",
-                     "ul_ap_cols"):
+        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
+                     "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite channel entries in {name}")
+
+    @property
+    def ul_user_rows(self) -> np.ndarray:
+        """(U, n_sc, M, n_r) UL user -> IRS element hops, formed from their factors."""
+        return _element_hops(self.ul_user_gains, self.ul_user_steering)
+
+    @property
+    def ul_ap_cols(self) -> np.ndarray:
+        """(B, n_sc, M, n_t) UL IRS element -> AP hops, formed from their factors."""
+        return _element_hops(self.ul_ap_gains, self.ul_ap_steering)
 
     def _check_phase_count(self, phi_coeffs: np.ndarray) -> None:
         if len(phi_coeffs) != self.dl_ap_rows.shape[2]:
@@ -173,17 +204,31 @@ class LinkChannels:
 
     def ul_composites(self, phi_coeffs: np.ndarray) -> np.ndarray:
         """(U, B, n_sc, n_t, n_r) total UL channels of every user-AP link for
-        given unit-modulus coefficients."""
+        given unit-modulus coefficients.
+
+        The hop stacks are re-formed in subcarrier blocks whose AP-side piece
+        stays within ``UL_PIECE_BYTES``. Each composite entry sums over the
+        elements only, so a block's entries have the bits the whole stacks
+        would give.
+        """
         self._check_phase_count(phi_coeffs)
-        return _cascade(self.ul_nlos, phi_coeffs, self.ul_user_rows, self.ul_ap_cols,
-                        "inmr,bnmt->ibntr")
+        out = np.empty_like(self.ul_nlos)
+        n_sc = out.shape[2]
+        step = max(1, UL_PIECE_BYTES // max(self.ul_ap_steering.size * out.itemsize, 1))
+        for start in range(0, n_sc, step):
+            n = slice(start, start + step)
+            user = _element_hops(self.ul_user_gains[:, :, n], self.ul_user_steering)
+            ap = _element_hops(self.ul_ap_gains[:, :, n], self.ul_ap_steering)
+            _cascade(self.ul_nlos[:, :, n], phi_coeffs, user, ap, "inmr,bnmt->ibntr", out[:, :, n])
+        return out
 
 
 def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:
     """Synthesize every raw link channel of the scenario once.
 
     Each hop family (direct, AP-IRS, IRS-user, both bands) is built as one
-    stack over all links and IRS elements.
+    stack over all links and IRS elements; the UL element hops are kept as
+    their factors.
     """
     p = scenario.params
     aps = scenario.ap_positions  # (B, 3)
@@ -207,13 +252,15 @@ def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:
     ap_dep, ap_arr = _panel_steering(scenario, aps)[..., None]
     user_dep, user_arr = _panel_steering(scenario, users)[..., None]
     dod, _ = compute_dod_doa(aps[:, None], elems)
-    dl_ap_rows = _element_hops(p, p.carrier_dl, dod, ap_arr, _ula_along(p.n_t, dod))
+    dl_ap_rows = _element_hops(
+        *_element_factors(p, p.carrier_dl, dod, ap_arr, _ula_along(p.n_t, dod)))
     dod, doa = compute_dod_doa(elems, aps[:, None])
-    ul_ap_cols = _element_hops(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), ap_dep)
+    ul_ap = _element_factors(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), ap_dep)
     dod, doa = compute_dod_doa(elems, users[:, None])
-    dl_user_cols = _element_hops(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), user_dep)
+    dl_user_cols = _element_hops(
+        *_element_factors(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), user_dep))
     dod, _ = compute_dod_doa(users[:, None], elems)
-    ul_user_rows = _element_hops(p, p.carrier_ul, dod, user_arr, _ula_along(p.n_r, dod))
+    ul_user = _element_factors(p, p.carrier_ul, dod, user_arr, _ula_along(p.n_r, dod))
     return LinkChannels(
-        scenario, seed, dl_nlos, dl_user_cols, dl_ap_rows, ul_nlos, ul_user_rows, ul_ap_cols
+        scenario, seed, dl_nlos, dl_user_cols, dl_ap_rows, ul_nlos, *ul_user, *ul_ap
     )

@@ -27,6 +27,7 @@ from irslink.scenario import (
     Scenario,
     associate_users,
     default_scenario,
+    derive,
     load_scenario,
     with_codebook,
     with_irs_elements,
@@ -216,7 +217,8 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
             variant = with_codebook(with_irs_elements(scenario, m), cb)
             if m not in links:
                 links[m] = channel.synthesize_links(variant, spec.seed)
-            shared = replace(links[m], scenario=variant)
+            # checked at synthesis; the variant differs in no channel input
+            shared = derive(links[m], scenario=variant)
             for agg_mode in aggregates:
                 agg = "mean" if agg_mode == "mean_gain" else "min"
                 ao = alternating_optimize(

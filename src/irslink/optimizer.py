@@ -63,14 +63,14 @@ class DlRateObjective:
 
     Every (receiver i, AP b, precoder owner l) triple is evaluated in one
     stacked pass: ``dl_composites`` builds the composites of all user-AP
-    links into a buffer the objective owns and reuses, a gather copies out
-    each triple's link, and one einsum forms the effective matrices
-    W_i^H H_ib F_l of all triples. Triples run receiver-major, then by (AP,
-    owner), the order in which each receiver's interferers are summed. The
-    effective matrices and gains of the last few points are kept, keyed by
-    the coefficient bytes, so a point evaluated again (the accepted
-    line-search point, the final value and rates) costs nothing; no kept
-    entry shares memory with the composite buffer.
+    links into a buffer the objective owns and reuses, a gather copies each
+    triple's link into a second such buffer, and one einsum forms the
+    effective matrices W_i^H H_ib F_l of all triples. Triples run
+    receiver-major, then by (AP, owner), the order in which each receiver's
+    interferers are summed. The effective matrices and gains of the last few
+    points are kept, keyed by the coefficient bytes, so a point evaluated
+    again (the accepted line-search point, the final value and rates) costs
+    nothing; no kept entry shares memory with either buffer.
     """
 
     _CACHED_POINTS = 4
@@ -127,7 +127,12 @@ class DlRateObjective:
                 np.einsum("nmt,knts->knms", links.dl_ap_rows[b], f[k], out=self._v[k])
             self._wh = np.repeat(wh, n_own, axis=0)
             self._f = np.tile(f, (n_rx, 1, 1, 1))
-        self._composites = np.empty_like(links.dl_nlos)  # refilled by every kernel pass
+        # refilled by every kernel pass: the composites, and each triple's link
+        # gathered from them (flat user-AP index); a gather allocated afresh
+        # lets glibc hand heap pages back and fault them in again every pass
+        self._composites = np.empty_like(links.dl_nlos)
+        self._links_of = self._rx * links.dl_nlos.shape[1] + self._ap
+        self._gathered = np.empty((len(self._rx),) + links.dl_nlos.shape[2:], dtype=complex)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
 
     def _effective(self, coeffs):
@@ -149,7 +154,11 @@ class DlRateObjective:
         if not self.pairs:
             return np.zeros((0, p.n_sc, p.n_s, p.n_s), dtype=complex), np.zeros((0, p.n_sc))
         h = links.dl_composites(coeffs, out=self._composites)
-        eff = np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, h[self._rx, self._ap], self._f)
+        # the indices are in range; "clip" writes into the buffer directly, where
+        # the default "raise" goes through a temporary copy
+        np.take(h.reshape((-1,) + h.shape[2:]), self._links_of, axis=0, out=self._gathered,
+                mode="clip")
+        eff = np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, self._gathered, self._f)
         if self.counter is not None:
             n_users, n_aps = h.shape[:2]
             n_q, n_s = eff.shape[0], eff.shape[2]
@@ -369,30 +378,50 @@ def _rate_objective(links, assignment, beamformers, aggregate="mean", counter=No
     )
 
 
-def _gain_tables(objective: DlRateObjective, coeffs):
-    """Effective DL gain table (unit-power beamformers) and UL composite gains."""
+def _dl_gain_table(objective: DlRateObjective, coeffs):
+    """Effective DL gain table (U, B, U, n_sc) of the objective's unit-power
+    beamformers; NaN off its (receiver, AP, owner) triples."""
     links = objective.links
     U, B = links.scenario.n_users, links.scenario.n_aps
     _, gains = objective._effective(coeffs)
     eff = np.full((U, B, U, links.scenario.params.n_sc), np.nan)
     eff[objective._rx, objective._ap, objective._owner] = gains
-    ul = np.sum(np.abs(links.ul_composites(coeffs)) ** 2, axis=(3, 4))
-    return eff, ul
+    return eff
 
 
-def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, objective=None):
-    """Utility report and DL SINR table of a final state. ``objective`` is the
-    DL objective already built for these beamformers, if any; reusing it
-    reuses the gains it computed at these phases."""
-    if objective is None:
-        objective = _rate_objective(links, assignment, beamformers)
+def _ul_gains(links: LinkChannels, coeffs):
+    """UL composite power gains (U, B, n_sc)."""
+    return np.sum(np.abs(links.ul_composites(coeffs)) ** 2, axis=(3, 4))
+
+
+def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, dl_gains=None):
+    """Utility report and DL SINR table of a final state. ``dl_gains`` is the
+    DL gain table of these beamformers at these phases, if already formed."""
+    if dl_gains is None:
+        dl_gains = _dl_gain_table(_rate_objective(links, assignment, beamformers), coeffs)
     p = scenario.params
-    eff, ul = _gain_tables(objective, coeffs)
-    dl = sinr_dl(scenario, assignment, eff, signal_aggregate=aggregate)
-    ul_table = sinr_ul(scenario, assignment, ul)
+    dl = sinr_dl(scenario, assignment, dl_gains, signal_aggregate=aggregate)
+    ul_table = sinr_ul(scenario, assignment, _ul_gains(links, coeffs))
     rate_dl = np.array([rate(b.sinr, p.bandwidth) for b in dl.values()])
     sinr_ul_cols = np.array([b.sinr for b in ul_table.values()]).reshape(len(dl), p.n_sc)
     return utility_report(scenario, assignment, rate_dl, sinr_ul_cols), dl
+
+
+def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter):
+    """RCG phase optimization for fixed beamformers, from ``phases``.
+
+    Returns the phases, their objective, per-link rates and DL gain table, and
+    the RCG trace. The objective, with its theta-gradient factors, lives only
+    for the round.
+    """
+    objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
+    round_rcg = []
+    if objective.n_phases > 0:
+        phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
+    obj_val = objective.value(phases)
+    per_user = objective.link_rates(phases, links.scenario.params.bandwidth)
+    dl_gains = _dl_gain_table(objective, np.exp(1j * phases))
+    return phases, obj_val, per_user, dl_gains, round_rcg
 
 
 def alternating_optimize(
@@ -425,7 +454,7 @@ def alternating_optimize(
     rx_grid = 1 if p.n_r == 1 else min(cfg.beam_grid, 8)
     rx_codebook = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=rx_grid)
 
-    best = None  # (objective value, phases, beamformers, DlRateObjective)
+    best = None  # (objective value, phases, beamformers, DL gain table)
     trace: list[AoRound] = []
     rcg_trace: list[RcgState] = []
     prev_obj = -np.inf
@@ -438,18 +467,12 @@ def alternating_optimize(
         beamformers = _design_all_beamformers(
             scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter, composites
         )
-        objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
-        grad_norm = 0.0
-        if m > 0:
-            phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
-            grad_norm = round_rcg[-1].grad_norm
-        else:
-            round_rcg = []
-        obj_val = objective.value(phases)
+        phases, obj_val, per_user, dl_gains, round_rcg = _phase_round(
+            links, assignment, beamformers, phases, aggregate, cfg, counter
+        )
         if best is not None and obj_val < best[0]:
             stop_reason = "regressed"  # beamformer redesign hurt the objective
             break
-        per_user = objective.link_rates(phases, p.bandwidth)
         trace.append(
             AoRound(
                 round_index=rnd,
@@ -460,12 +483,12 @@ def alternating_optimize(
                     i: (bf.analog_precoder.codebook_id, bf.analog_combiner.codebook_id)
                     for i, bf in beamformers.items()
                 },
-                grad_norm=grad_norm,
+                grad_norm=round_rcg[-1].grad_norm if round_rcg else 0.0,
                 seconds=time.perf_counter() - t0,
             )
         )
         rcg_trace.extend(round_rcg)
-        best = (obj_val, phases.copy(), beamformers, objective)
+        best = (obj_val, phases.copy(), beamformers, dl_gains)
         if m == 0:
             stop_reason = "no_surface"
             break
@@ -474,9 +497,9 @@ def alternating_optimize(
             break
         prev_obj = obj_val
 
-    obj_val, phases, beamformers, objective = best
+    obj_val, phases, beamformers, dl_gains = best
     report, _ = _evaluate(
-        scenario, links, assignment, np.exp(1j * phases), beamformers, aggregate, objective
+        scenario, links, assignment, np.exp(1j * phases), beamformers, aggregate, dl_gains
     )
     return AoResult(beamformers, phases, assignment, report, stop_reason, trace, rcg_trace)
 

@@ -1,11 +1,12 @@
 """Indoor geometry, simulation parameters, codebook scenarios and user-AP association.
 
 A Scenario is immutable after load and safe to share read-only across
-workers; ``with_irs_elements`` and ``with_codebook`` derive variants by
-``dataclasses.replace``, which re-runs validation. Configuration documents
-are YAML key/value trees with sections ``geometry``, ``system`` and
-``optimizer``; unknown keys, wrongly typed values and out-of-range values
-are rejected with their field path.
+workers. ``with_irs_elements`` derives variants by ``dataclasses.replace``,
+which re-runs validation; ``with_codebook`` changes only the system
+parameters, so it checks those and skips the geometry checks (``derive``).
+Configuration documents are YAML key/value trees with sections
+``geometry``, ``system`` and ``optimizer``; unknown keys, wrongly typed
+values and out-of-range values are rejected with their field path.
 """
 
 import math
@@ -502,12 +503,27 @@ def with_irs_elements(scenario: Scenario, m: int) -> Scenario:
     return replace(scenario, irs_panels=tuple(panels))
 
 
+def derive(checked, **changes):
+    """Copy of a checked frozen dataclass with ``changes``, which its checks
+    do not read, so ``__post_init__`` is not run again.
+
+    ``dataclasses.replace`` runs every check of the class anew; for a field
+    the checks never see that only repeats work already done on ``checked``.
+    """
+    derived = object.__new__(type(checked))  # runs no __init__
+    vars(derived).update(vars(checked), **changes)
+    return derived
+
+
 def with_codebook(scenario: Scenario, codebook: CodebookScenario) -> Scenario:
-    """Scenario copy whose APs use the codebook's antenna and RF-chain counts."""
+    """Scenario copy whose APs use the codebook's antenna and RF-chain counts.
+
+    The new system parameters are checked; the geometry checks do not read
+    them, so they are not repeated."""
     p = scenario.params
     if p.n_t == codebook.n_t and p.n_rf == codebook.n_rf:
         return scenario
-    return replace(scenario, params=replace(p, n_t=codebook.n_t, n_rf=codebook.n_rf))
+    return derive(scenario, params=replace(p, n_t=codebook.n_t, n_rf=codebook.n_rf))
 
 
 def default_scenario(n_irs_elements: int = 24, **system_overrides) -> Scenario:

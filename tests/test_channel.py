@@ -1,20 +1,32 @@
 """Channel synthesis oracles: path gain, delay phasors, cascades, composites."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irslink import channel
 from irslink.arrays import SPEED_OF_LIGHT
 from irslink.channel import (
     LinkChannels,
+    _hop_factors,
+    _panel_steering,
+    _ula_along,
     nlos_smallscale_factor,
     path_gain_db,
     synthesize_links,
 )
-from irslink.scenario import Box, ConfigError, IrsPanel, Scenario, SystemParams
+from irslink.scenario import (
+    Box,
+    ConfigError,
+    IrsPanel,
+    Scenario,
+    SystemParams,
+    compute_dod_doa,
+    default_scenario,
+)
 
 from conftest import scalar_scenario
 
@@ -99,16 +111,22 @@ def _cascade_oracles(sc, band):
 
 
 def _scalar_links(h0, into=(), outof=()):
-    """1x1, one-subcarrier links: direct h0 plus cascades outof[m] * into[m] in both bands."""
+    """1x1, one-subcarrier links: direct h0 plus cascades outof[m] * into[m] in
+    both bands; the UL hops are stored as factors, gains into / outof times a
+    unit steering entry."""
     m = len(into)
 
     def stack(values):
         return np.asarray(values, dtype=complex).reshape(1, 1, m, 1)
 
+    def gains(values):
+        return np.asarray(values, dtype=complex).reshape(1, m, 1)
+
+    unit = np.ones((1, m, 1), dtype=complex)
     direct = np.full((1, 1, 1, 1, 1), h0, dtype=complex)
     return LinkChannels(
-        scalar_scenario(m), 0, direct, stack(outof), stack(into), direct, stack(into),
-        stack(outof),
+        scalar_scenario(m), 0, direct, stack(outof), stack(into), direct, gains(into), unit,
+        gains(outof), unit,
     )
 
 
@@ -147,6 +165,9 @@ class TestDirectChannels:
         assert links.ul_nlos.shape == (1, 1, 5, 4, 2)
         assert links.dl_user_cols.shape == links.ul_user_rows.shape == (1, 5, 3, 2)
         assert links.dl_ap_rows.shape == links.ul_ap_cols.shape == (1, 5, 3, 4)
+        assert links.ul_user_gains.shape == links.ul_ap_gains.shape == (1, 3, 5)
+        assert links.ul_user_steering.shape == (1, 3, 2)
+        assert links.ul_ap_steering.shape == (1, 3, 4)
 
     def test_penalty_off_equals_los(self):
         # with zero penalty and the LoS exponent, the direct path is a plain
@@ -186,9 +207,12 @@ class TestDirectChannels:
 
     def test_nonfinite_rejected(self):
         links = _scalar_links(0.5, [0.1], [0.2])
-        bad = np.full((1, 1, 1, 1), np.nan, dtype=complex)
-        with pytest.raises(ValueError, match="non-finite channel entries in ul_ap_cols"):
-            replace(links, ul_ap_cols=bad)
+        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
+                     "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
+            bad = getattr(links, name).copy()
+            bad.flat[-1] = np.nan
+            with pytest.raises(ValueError, match=f"non-finite channel entries in {name}$"):
+                replace(links, **{name: bad})
 
 
 class TestDegenerateGeometry:
@@ -332,6 +356,65 @@ class TestLinkChannels:
         assert not np.allclose(ul, links.ul_nlos[0, 0])
 
 
+def _stored_ul_stacks(sc):
+    """The UL element-hop stacks as synthesis stored them before it kept
+    their factors: ``_hop_factors`` and one np.multiply into an
+    element-fastest (L, n_sc, M, n) buffer."""
+    p = sc.params
+    aps, users = sc.ap_positions, sc.user_positions
+    elems = sc.irs_element_positions()[None]
+
+    def hops(carrier, dod, a_rx, a_tx):
+        gain, outer = _hop_factors(p, carrier, dod, a_rx, a_tx, p.los_exponent)
+        n_links, m, n_rx, n_tx = outer.shape
+        out = np.empty((n_links, gain.shape[-1], n_rx * n_tx, m), dtype=complex).swapaxes(2, 3)
+        return np.multiply(gain.swapaxes(1, 2)[..., None],
+                           outer.reshape(n_links, 1, m, n_rx * n_tx), out=out)
+
+    ap_dep, _ = _panel_steering(sc, aps)[..., None]
+    _, user_arr = _panel_steering(sc, users)[..., None]
+    dod, _ = compute_dod_doa(users[:, None], elems)
+    user_rows = hops(p.carrier_ul, dod, user_arr, _ula_along(p.n_r, dod))
+    dod, doa = compute_dod_doa(elems, aps[:, None])
+    ap_cols = hops(p.carrier_ul, dod, _ula_along(p.n_t, doa), ap_dep)
+    return user_rows, ap_cols
+
+
+def _held_bytes(links):
+    """Bytes of the buffers behind every array field of ``links``."""
+    total = 0
+    for f in fields(links):
+        array = getattr(links, f.name)
+        if isinstance(array, np.ndarray):
+            while array.base is not None:
+                array = array.base
+            total += array.nbytes
+    return total
+
+
+class TestFactoredUlHops:
+    @pytest.mark.parametrize("sc", [
+        default_scenario(24), default_scenario(384), _mimo_scenario(3, 2, n_sc=5),
+        _mimo_scenario(2, 2, n_sc=3, delay_mode="real_decay"), default_scenario(0),
+    ], ids=["stock24", "stock384", "mimo", "real_decay", "no_surface"])
+    def test_formed_stacks_equal_the_stored_stacks(self, sc):
+        links = synthesize_links(sc, seed=4)
+        for formed, stored in zip((links.ul_user_rows, links.ul_ap_cols), _stored_ul_stacks(sc)):
+            assert formed.shape == stored.shape and formed.strides == stored.strides
+            assert formed.tobytes() == stored.tobytes()
+
+    def test_links_hold_no_ul_stack(self):
+        # at M = 384 the two UL stacks took 7.9 MB of the 15.9 MB held; their
+        # factors take 2.5 MB
+        links = synthesize_links(default_scenario(384))
+        m = links.scenario.n_irs_elements
+        for f in fields(links):
+            array = getattr(links, f.name)
+            if f.name.startswith("ul_") and f.name != "ul_nlos":
+                assert array.ndim == 3 and array.shape[1] == m, f.name
+        assert _held_bytes(links) <= 10_500_000
+
+
 def _element_fastest(stack):
     """The same (L, n_sc, M, n) values stored with the element axis fastest,
     the layout ``synthesize_links`` gives its cascade stacks."""
@@ -342,8 +425,9 @@ def _element_fastest(stack):
 
 @st.composite
 def _cascade_links(draw):
-    """Random LinkChannels over U, B, n_sc, n_r, n_t and M, in either stack
-    layout, and unit-modulus coefficients for them."""
+    """Random LinkChannels over U, B, n_sc, n_r, n_t and M, in either DL stack
+    layout, and unit-modulus coefficients for them. Composites read only the
+    hops, never the scenario."""
     n_users, n_aps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     n_sc = draw(st.sampled_from([1, 2, 4]))
     n_r, n_t = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 8, 17, 64]))
@@ -354,11 +438,11 @@ def _cascade_links(draw):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     layout = _element_fastest if draw(st.booleans()) else np.ascontiguousarray
-    user, ap = cn(n_users, n_sc, m, n_r), cn(n_aps, n_sc, m, n_t)
-    # composites read only the stacks, never the scenario
+    # the DL hops are stored as stacks, the UL hops as their factors
     links = LinkChannels(
-        None, 0, cn(n_users, n_aps, n_sc, n_r, n_t), layout(user), layout(ap),
-        cn(n_users, n_aps, n_sc, n_t, n_r), layout(cn(*user.shape)), layout(cn(*ap.shape)),
+        None, 0, cn(n_users, n_aps, n_sc, n_r, n_t), layout(cn(n_users, n_sc, m, n_r)),
+        layout(cn(n_aps, n_sc, m, n_t)), cn(n_users, n_aps, n_sc, n_t, n_r),
+        cn(n_users, m, n_sc), cn(n_users, m, n_r), cn(n_aps, m, n_sc), cn(n_aps, m, n_t),
     )
     return links, np.exp(1j * rng.uniform(-np.pi, np.pi, m))
 
@@ -387,6 +471,17 @@ class TestCompositeBits:
                                       _three_operand(links, coeffs, "DL"))
         np.testing.assert_array_equal(links.ul_composites(coeffs),
                                       _three_operand(links, coeffs, "UL"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_cascade_links(), st.sampled_from([1, 3000, 40000]))
+    def test_ul_pieces_equal_whole_stacks(self, case, piece_bytes):
+        # one subcarrier per piece, a few, or the whole band: the UL composites
+        # re-form their hops piece by piece with the bits of the whole stacks
+        links, coeffs = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "UL_PIECE_BYTES", piece_bytes)
+            ul = links.ul_composites(coeffs)
+        np.testing.assert_array_equal(ul, _three_operand(links, coeffs, "UL"))
 
     @settings(max_examples=20, deadline=None)
     @given(_cascade_links(), st.integers(0, 2**32 - 1))

@@ -225,9 +225,21 @@ class TestRunExperiment:
         for scenario, links in runs:
             assert links.scenario is scenario and links.seed == 3
             fresh = channel.synthesize_links(scenario, 3)
-            for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_rows",
-                         "ul_ap_cols"):
+            for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
+                         "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
                 np.testing.assert_array_equal(getattr(links, name), getattr(fresh, name))
+
+    def test_shared_links_are_checked_once_at_synthesis(self, monkeypatch):
+        checks = []
+        post_init = channel.LinkChannels.__post_init__
+        monkeypatch.setattr(channel.LinkChannels, "__post_init__",
+                            lambda self: checks.append(self) or post_init(self))
+        by_name = {cb.name: cb for cb in STOCK_CODEBOOKS}
+        spec = ExperimentSpec(codebooks=(by_name["2ant_1rf"], by_name["2ant_2rf"]),
+                              optimizer_overrides=FAST)
+        bundle = run_experiment(spec, scenario=small_scenario())
+        assert len(bundle) == 4  # two codebooks x {no surface, 24 elements}
+        assert len(checks) == 2  # one synthesis per surface size
 
     def test_twelve_runs_for_full_grid(self):
         spec = ExperimentSpec(

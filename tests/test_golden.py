@@ -11,6 +11,11 @@ surface, mean- and min-gain aggregation, and the external-SNR mode fed by
 ``tests/golden/queue_snr.csv``.  With the surface its sum utilities are
 about 14-34, so a change to the delay or utility arithmetic shows there.
 
+``tests/golden/large_queue_seed0`` holds a short sweep at the large surface
+sizes (``8ant_1rf``, 96 and 384 elements, the same finite queue rates, five
+RCG iterations and two AO rounds), so the UL composites that feed the
+utility report are pinned at scale too; the other copies stop at 24 elements.
+
 A change that moves any printed digit must update these files and say why.
 """
 
@@ -47,3 +52,15 @@ def test_queue_sweep_matches_golden(tmp_path, monkeypatch):
     scenario = default_scenario(24, lambda_i=2e3, mu_j=4e3)
     written = export_results(run_experiment(spec, scenario=scenario), tmp_path, spec)
     _assert_matches(written, GOLDEN / "queue_seed0")
+
+
+def test_large_surface_sweep_matches_golden(tmp_path):
+    by_name = {cb.name: cb for cb in STOCK_CODEBOOKS}
+    spec = ExperimentSpec(
+        codebooks=(by_name["8ant_1rf"],),
+        irs_sizes=(96, 384),
+        optimizer_overrides={"max_iter": 5, "outer_rounds": 2},
+    )
+    scenario = default_scenario(lambda_i=2e3, mu_j=4e3)
+    written = export_results(run_experiment(spec, scenario=scenario), tmp_path, spec)
+    _assert_matches(written, GOLDEN / "large_queue_seed0")

@@ -38,9 +38,8 @@ from irslink.metrics import (
 from irslink.optimizer import (
     _design_all_beamformers,
     _evaluate,
-    _gain_tables,
     _initial_assignment,
-    _rate_objective,
+    _ul_gains,
     alternating_optimize,
 )
 from irslink.scenario import (
@@ -444,7 +443,7 @@ def _assert_matches_reference(report, reference):
 def _check_evaluate(scenario, seed, aggregate="mean", codebook=None, infeasible=None):
     scenario, links, assignment, coeffs, bfs = _final_state(scenario, seed, codebook, infeasible)
     report, dl = _evaluate(scenario, links, assignment, coeffs, bfs, aggregate)
-    _, ul = _gain_tables(_rate_objective(links, assignment, bfs), coeffs)
+    ul = _ul_gains(links, coeffs)
     reference = reference_utility_report(scenario, assignment, dl, sinr_ul(scenario, assignment, ul))
     _assert_matches_reference(report, reference)
     return report
@@ -542,6 +541,20 @@ class TestColumnarReportOracle:
                     _assert_matches_reference(
                         _run_external_snr(variant, trace), reference_external_snr(variant, trace)
                     )
+
+
+def test_external_snr_routing_utility_is_zero():
+    # one imported UL value stands for every subcarrier, so each served pair's
+    # tracking error is normalized by itself: 1 - e/e = 0, whatever the SNR
+    trace = import_ns3_snr_csv(Path(__file__).parent / "golden" / "queue_snr.csv")
+    report = _run_external_snr(default_scenario(**QUEUE), trace)
+    served = zip(report.users.tolist(), report.aps.tolist())
+    errors = tracking_error_model(trace.snr_linear([(4 + j, i) for i, j in served]))
+    assert report.routing_utility.shape == (len(report.users), 1)
+    assert np.all(errors > 0) and np.all(report.feasible)
+    assert np.any(report.conditional_utility > 0)
+    np.testing.assert_array_equal(report.routing_utility, np.zeros_like(report.routing_utility))
+    assert report.sum_utility == 0.0
 
 
 def test_stock_sweep_builds_no_rows(monkeypatch, tmp_path):

@@ -1,5 +1,7 @@
 """Phase-gradient oracles, conjugate-gradient behavior and the outer loop."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +19,11 @@ from irslink.optimizer import (
     complexity_probe,
     rcg_optimize_phases,
     _design_all_beamformers,
+    _dl_gain_table,
     _evaluate,
-    _gain_tables,
     _initial_assignment,
     _rate_objective,
+    _ul_gains,
 )
 from irslink.scenario import STOCK_CODEBOOKS, Assignment, default_scenario, with_codebook
 
@@ -148,21 +151,28 @@ class PerTripleObjective:
         for (i, b, l), gain in gains.items():
             eff[i, b, l] = gain
         ul = np.zeros((U, B, sc.params.n_sc))
+        # the UL hops in C order, formed from their stored factors
+        user_rows = np.ascontiguousarray(links.ul_user_rows)
+        ap_cols = np.ascontiguousarray(links.ul_ap_cols)
         for i in range(U):
             for j in range(B):
                 h = links.ul_nlos[i, j].copy()
                 if len(coeffs):
-                    h += np.einsum("m,nmr,nmt->ntr", coeffs, links.ul_user_rows[i],
-                                   links.ul_ap_cols[j])
+                    h += np.einsum("m,nmr,nmt->ntr", coeffs, user_rows[i], ap_cols[j])
                 ul[i, j] = np.sum(np.abs(h) ** 2, axis=(1, 2))
         return eff, ul
 
 
 def _c_ordered(links):
-    """The same channels with every cascade stack in C order, the layout the
+    """The same channels with the DL cascade stacks in C order, the layout the
     per-triple loop ran on."""
-    stacks = ("dl_user_cols", "dl_ap_rows", "ul_user_rows", "ul_ap_cols")
+    stacks = ("dl_user_cols", "dl_ap_rows")
     return replace(links, **{name: np.ascontiguousarray(getattr(links, name)) for name in stacks})
+
+
+def _gain_tables(objective, coeffs):
+    """The DL gain table and the UL gains that the final report reads."""
+    return _dl_gain_table(objective, coeffs), _ul_gains(objective.links, coeffs)
 
 
 def _assert_matches_per_triple(objective, n_points=3, seed=0):
@@ -318,6 +328,7 @@ class TestCompositeBuffer:
             for array, copy in zip(arrays, copies):
                 np.testing.assert_array_equal(array, copy)
                 assert not np.shares_memory(array, objective._composites)
+                assert not np.shares_memory(array, objective._gathered)
 
     def test_no_surface(self):
         objective, *_ = build_rate_objective(scalar_scenario(0, n_sc=2), seed=0)
@@ -553,6 +564,32 @@ class TestRcg:
 
 
 class TestAlternatingOptimization:
+    def test_no_objective_outlives_its_round(self, monkeypatch):
+        # a finished round's objective, with its theta-gradient factors, is
+        # freed before the next round's phase optimization starts
+        made, alive = [], []
+        make, rcg = optimizer._rate_objective, optimizer.rcg_optimize_phases
+
+        def recording_objective(*args, **kwargs):
+            objective = make(*args, **kwargs)
+            made.append(weakref.ref(objective))
+            return objective
+
+        def counting_rcg(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return rcg(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_rate_objective", recording_objective)
+        monkeypatch.setattr(optimizer, "rcg_optimize_phases", counting_rcg)
+        config = RcgConfig(max_iter=5, outer_rounds=3)
+        result = alternating_optimize(default_scenario(24, lambda_i=2e3, mu_j=4e3), seed=0,
+                                      config=config)
+        assert len(alive) >= 2 and alive == [1] * len(alive)
+        assert result.report.sum_utility > 0
+        gc.collect()
+        assert all(ref() is None for ref in made)
+
     def test_no_irs_equals_single_pass(self, fast_config):
         sc = default_scenario(0)
         result = alternating_optimize(sc, seed=5, config=fast_config)

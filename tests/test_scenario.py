@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,30 @@ class TestScenarioVariants:
         assert (small.params.n_t, small.params.n_rf) == (2, 1)
         assert small.irs_panels == sc.irs_panels
         assert small.params.nlos_penalty_db == sc.params.nlos_penalty_db
+
+    def test_with_codebook_checks_params_but_not_geometry_again(self, monkeypatch):
+        sc = default_scenario()
+        checked = replace(sc, params=replace(sc.params, n_t=2, n_rf=1))
+        calls = []
+        post_init = Scenario.__post_init__
+        monkeypatch.setattr(Scenario, "__post_init__",
+                            lambda self: calls.append(self) or post_init(self))
+        small = with_codebook(sc, STOCK_CODEBOOKS[0])
+        assert calls == []
+        assert small.params == checked.params and small.irs_panels == checked.irs_panels
+        assert small.bounds == checked.bounds and small.optimizer == checked.optimizer
+        np.testing.assert_array_equal(small.ap_positions, checked.ap_positions)
+        np.testing.assert_array_equal(small.user_positions, checked.user_positions)
+        assert sc.params.n_t == 8  # the parent is unchanged
+
+    def test_hand_built_scenarios_are_still_checked(self):
+        sc = default_scenario()
+        outside = sc.user_positions.copy()
+        outside[1] = (11.0, 5.0, 1.5)
+        with pytest.raises(ConfigError, match=r"user_positions\[1\]: outside bounds"):
+            replace(sc, user_positions=outside)
+        with pytest.raises(ConfigError, match=r"user_positions\[1\]: outside bounds"):
+            Scenario(sc.ap_positions, outside, sc.irs_panels, sc.bounds, sc.params)
 
     def test_variants_are_validated(self):
         sc = default_scenario(0, n_s=2)
