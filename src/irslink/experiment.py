@@ -11,6 +11,7 @@ is written last as a completion marker.
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +24,7 @@ from irslink.optimizer import AoResult, alternating_optimize
 from irslink.scenario import (
     STOCK_CODEBOOKS,
     CodebookScenario,
+    ConfigError,
     RcgConfig,
     Scenario,
     associate_users,
@@ -35,6 +37,11 @@ from irslink.scenario import (
 
 VALID_MODES = ("mean_gain", "min_gain", "no_irs", "with_irs", "external_snr")
 OUTPUT_SCHEMA_VERSION = 1
+
+
+def run_key(codebook: str, irs_elements: int, aggregate: str, mode: str) -> str:
+    """The name of one run in the result tables and the manifest."""
+    return f"{codebook}_irs{irs_elements}_{aggregate}_{mode}"
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,32 @@ class ExperimentSpec:
             raise ValueError(f"unknown modes: {sorted(unknown)}")
         if "external_snr" in self.modes and not self.snr_csv_path:
             raise ValueError("external_snr mode requires snr_csv_path")
+        for k, m in enumerate(self.irs_sizes):
+            if not isinstance(m, numbers.Integral) or m < 0:
+                raise ConfigError(f"irs_sizes[{k}]: must be an integer >= 0, got {m!r}")
+        keys = [run_key(cb.name, m, agg, "no_irs" if m == 0 else "with_irs")
+                for cb in self.codebooks for m in self.irs_cases for agg in self.aggregates]
+        if "external_snr" in self.modes:
+            keys += [run_key(cb.name, 0, "external", "external_snr") for cb in self.codebooks]
+        repeated = next((key for k, key in enumerate(keys) if key in keys[:k]), None)
+        if repeated is not None:
+            # the AO runs differ in aggregation, so a repeat is a codebook or a surface size
+            names = [cb.name for cb in self.codebooks]
+            path = "codebooks" if len(set(names)) < len(names) else "irs_sizes"
+            raise ConfigError(f"{path}: run {repeated} is asked for twice")
+
+    @property
+    def aggregates(self) -> list[str]:
+        """The gain aggregations of the AO runs, in run order."""
+        return [m for m in ("mean_gain", "min_gain") if m in self.modes] or ["mean_gain"]
+
+    @property
+    def irs_cases(self) -> list[int]:
+        """The surface sizes of the AO runs, in run order; 0 is the no_irs case."""
+        cases = [0] if "no_irs" in self.modes else []
+        if "with_irs" in self.modes or not (cases or "external_snr" in self.modes):
+            cases.extend(self.irs_sizes)  # a sweep of neither mode runs every size
+        return cases
 
 
 @dataclass(frozen=True)
@@ -120,12 +153,17 @@ def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
     return ExternalSnrTrace(tuple(rows), source=str(path))
 
 
-def export_snr_csv(trace: ExternalSnrTrace, path) -> None:
+def _write_table(path, header: list[str], rows) -> None:
+    """One CSV table; floats are formatted by the caller ("%.12g")."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["node_id", "peer_id", "snr_db"])
-        for node, peer, snr in trace.rows:
-            writer.writerow([node, peer, f"{snr:.12g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def export_snr_csv(trace: ExternalSnrTrace, path) -> None:
+    _write_table(path, ["node_id", "peer_id", "snr_db"],
+                 ([node, peer, f"{snr:.12g}"] for node, peer, snr in trace.rows))
 
 
 @dataclass(frozen=True)
@@ -147,7 +185,7 @@ class RunResult:
 
     @property
     def key(self) -> str:
-        return f"{self.codebook}_irs{self.irs_elements}_{self.aggregate}_{self.mode}"
+        return run_key(self.codebook, self.irs_elements, self.aggregate, self.mode)
 
 
 def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityReport:
@@ -163,9 +201,9 @@ def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityRep
     dl_snr = trace.snr_linear([(i, U + j) for i in range(U) for j in range(B)])
     dl_rates = np.array([rate(snr, p.bandwidth) for snr in dl_snr]).reshape(U, B)
     assignment = associate_users(scenario, dl_rates)
-    pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
-    rate_dl = np.array([dl_rates[i, j] for i, j in pairs])
-    sinr_ul = np.array(trace.snr_linear([(U + j, i) for i, j in pairs])).reshape(len(pairs), 1)
+    served = assignment.served
+    rate_dl = np.array([dl_rates[i, j] for i, j in served])
+    sinr_ul = np.array(trace.snr_linear([(U + j, i) for i, j in served])).reshape(len(served), 1)
     return utility_report(scenario, assignment, rate_dl, sinr_ul)
 
 
@@ -177,15 +215,6 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
     if unknown:
         raise ValueError(f"unknown optimizer overrides: {sorted(unknown)}")
     config = replace(scenario.optimizer, **spec.optimizer_overrides)
-
-    aggregates = [m for m in ("mean_gain", "min_gain") if m in spec.modes] or ["mean_gain"]
-    irs_cases = []
-    if "no_irs" in spec.modes:
-        irs_cases.append(0)
-    if "with_irs" in spec.modes:
-        irs_cases.extend(spec.irs_sizes)
-    if not irs_cases and "external_snr" not in spec.modes:
-        irs_cases.extend(spec.irs_sizes)
 
     # the external-SNR runs need no AO, so they go first: a trace that lacks
     # a row fails before any AO run, and their results still come last
@@ -213,13 +242,13 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
         if cb.n_t != links_n_t:
             # synthesis does not read n_rf: codebooks of one antenna count share links
             links, links_n_t = {}, cb.n_t
-        for m in irs_cases:
+        for m in spec.irs_cases:
             variant = with_codebook(with_irs_elements(scenario, m), cb)
             if m not in links:
                 links[m] = channel.synthesize_links(variant, spec.seed)
             # checked at synthesis; the variant differs in no channel input
             shared = derive(links[m], scenario=variant)
-            for agg_mode in aggregates:
+            for agg_mode in spec.aggregates:
                 agg = "mean" if agg_mode == "mean_gain" else "min"
                 ao = alternating_optimize(
                     variant, seed=spec.seed, aggregate=agg, config=config, links=shared
@@ -246,48 +275,35 @@ def export_results(bundle: list[RunResult], directory, spec: ExperimentSpec | No
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    tables = {
+        "utility_by_codebook.csv": (
+            ["codebook", "mode", "irs_elements", "aggregate", "sum_utility"],
+            ([r.codebook, r.mode, r.irs_elements, r.aggregate, f"{r.sum_utility:.12g}"]
+             for r in bundle),
+        ),
+        "utility_vs_irs_size.csv": (
+            ["codebook", "irs_elements", "aggregate", "sum_utility"],
+            ([r.codebook, r.irs_elements, r.aggregate, f"{r.sum_utility:.12g}"]
+             for r in bundle if r.mode in ("with_irs", "no_irs")),
+        ),
+        "min_transmission_delay.csv": (
+            ["codebook", "mode", "irs_elements", "aggregate", "min_d_t"],
+            ([r.codebook, r.mode, r.irs_elements, r.aggregate, f"{r.min_transmission_delay:.12g}"]
+             for r in bundle),
+        ),
+        # wall time is deliberately omitted so identical specs reproduce
+        # byte-identical files
+        "convergence_trace.csv": (
+            ["run", "round", "objective", "grad_norm"],
+            ([r.key, rnd.round_index, f"{rnd.objective:.12g}", f"{rnd.grad_norm:.12g}"]
+             for r in bundle if r.ao is not None for rnd in r.ao.trace),
+        ),
+    }
     written = []
-
     if bundle:
-        path = directory / "utility_by_codebook.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["codebook", "mode", "irs_elements", "aggregate", "sum_utility"])
-            for r in bundle:
-                w.writerow([r.codebook, r.mode, r.irs_elements, r.aggregate, f"{r.sum_utility:.12g}"])
-        written.append(path)
-
-        path = directory / "utility_vs_irs_size.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["codebook", "irs_elements", "aggregate", "sum_utility"])
-            for r in bundle:
-                if r.mode in ("with_irs", "no_irs"):
-                    w.writerow([r.codebook, r.irs_elements, r.aggregate, f"{r.sum_utility:.12g}"])
-        written.append(path)
-
-        path = directory / "min_transmission_delay.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["codebook", "mode", "irs_elements", "aggregate", "min_d_t"])
-            for r in bundle:
-                w.writerow(
-                    [r.codebook, r.mode, r.irs_elements, r.aggregate, f"{r.min_transmission_delay:.12g}"]
-                )
-        written.append(path)
-
-        path = directory / "convergence_trace.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            # wall time is deliberately omitted so identical specs reproduce
-            # byte-identical files
-            w.writerow(["run", "round", "objective", "grad_norm"])
-            for r in bundle:
-                if r.ao is None:
-                    continue
-                for rnd in r.ao.trace:
-                    w.writerow([r.key, rnd.round_index, f"{rnd.objective:.12g}", f"{rnd.grad_norm:.12g}"])
-        written.append(path)
+        for name, (header, rows) in tables.items():
+            written.append(directory / name)
+            _write_table(written[-1], header, rows)
 
     manifest = {
         "schema_version": OUTPUT_SCHEMA_VERSION,

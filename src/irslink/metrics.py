@@ -141,9 +141,7 @@ def sinr_dl(
     p = scenario.params
     agg = np.mean if signal_aggregate == "mean" else np.min
     out = {}
-    for i, j in enumerate(assignment.user_to_ap):
-        if j < 0:
-            continue
+    for i, j in assignment.served:
         signal = p.p_ap * float(agg(_used_gain(eff_gains, (i, j, i), "DL")))
         intra = sum_in_order(
             p.p_ap * float(np.mean(_used_gain(eff_gains, (i, j, l), "DL")))
@@ -187,14 +185,12 @@ def sinr_ul(
     """
     p = scenario.params
     out = {}
-    for i, j in enumerate(assignment.user_to_ap):
-        if j < 0:
-            continue
+    for i, j in assignment.served:
         signal = p.p_user * _used_gain(ul_gains, (i, j), "UL")
         intra = np.zeros(p.n_sc)
         inter = np.zeros(p.n_sc)
-        for l, b in enumerate(assignment.user_to_ap):
-            if l == i or b < 0:
+        for l, b in assignment.served:
+            if l == i:
                 continue
             if b == j:
                 intra += p.p_user * _used_gain(ul_gains, (l, j), "UL")
@@ -287,21 +283,21 @@ def utility_report(
 ) -> UtilityReport:
     """Delay and utility of every served (user, AP) pair on every subcarrier.
 
-    The served pairs are those of ``assignment``, in user order. ``rate_dl``
+    The served pairs are ``assignment.served``, in user order. ``rate_dl``
     (P,) holds their DL rates in bits/s and ``sinr_ul`` (P, n_sc) their UL
     SINRs; one column stands for every subcarrier of an imported trace. A
     pair's conditional utility compares each subcarrier's total delay with
     the largest finite one of that pair.
     """
     p = scenario.params
-    pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
-    users = np.array([i for i, _ in pairs], dtype=int)
-    aps = np.array([j for _, j in pairs], dtype=int)
+    n_pairs = len(assignment.served)
+    users = np.array([i for i, _ in assignment.served], dtype=int)
+    aps = np.array([j for _, j in assignment.served], dtype=int)
     rate_dl = np.asarray(rate_dl, dtype=float)
     sinr_ul = np.asarray(sinr_ul, dtype=float)
-    if rate_dl.shape != (len(pairs),) or sinr_ul.ndim != 2 or len(sinr_ul) != len(pairs):
+    if rate_dl.shape != (n_pairs,) or sinr_ul.ndim != 2 or len(sinr_ul) != n_pairs:
         raise ValueError(
-            f"need rate_dl (P,) and sinr_ul (P, n_sc) for P = {len(pairs)} served pairs, "
+            f"need rate_dl (P,) and sinr_ul (P, n_sc) for P = {n_pairs} served pairs, "
             f"got {rate_dl.shape} and {sinr_ul.shape}"
         )
     rate_ul = rate(sinr_ul, p.bandwidth)

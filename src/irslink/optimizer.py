@@ -93,30 +93,30 @@ class DlRateObjective:
         params = links.scenario.params
         self.sigma2 = params.sigma2
         self.p_ap = params.p_ap
-        self.pairs = [(i, j) for i, j in enumerate(assignment.user_to_ap) if j >= 0]
+        pairs = assignment.served
         self.n_phases = links.scenario.n_irs_elements
         # precoder owners in interferer order: by AP, then by user
-        owners = sorted((j, i) for i, j in self.pairs)
-        n_rx, n_own = len(self.pairs), len(owners)
+        owners = sorted((j, i) for i, j in pairs)
+        n_rx, n_own = len(pairs), len(owners)
         # triple q = p * n_own + k: receiver of pair p, owner k's AP and precoder
-        self._rx = np.repeat([i for i, _ in self.pairs], n_own).astype(int)
+        self._rx = np.repeat([i for i, _ in pairs], n_own).astype(int)
         self._ap = np.tile([b for b, _ in owners], n_rx).astype(int)
         self._owner = np.tile([l for _, l in owners], n_rx).astype(int)
         self._signal = np.array(
-            [p * n_own + owners.index((j, i)) for p, (i, j) in enumerate(self.pairs)], dtype=int
+            [p * n_own + owners.index((j, i)) for p, (i, j) in enumerate(pairs)], dtype=int
         )
         self._interferers = np.array(
             [[q for q in range(p * n_own, (p + 1) * n_own) if q != s]
              for p, s in enumerate(self._signal)],
             dtype=int,
         ).reshape(n_rx, max(n_own - 1, 0))
-        if self.pairs:
+        if pairs:
             # theta-independent tangent factors: u depends on the receiver,
             # v on (transmitting AP via its rows, precoder owner)
-            wh = np.conj(np.stack([combiners[i] for i, _ in self.pairs]))
+            wh = np.conj(np.stack([combiners[i] for i, _ in pairs]))
             f = np.stack([precoders[l] for _, l in owners])
             self._u = np.einsum(
-                "pnrs,pnmr->pnms", wh, links.dl_user_cols[[i for i, _ in self.pairs]]
+                "pnrs,pnmr->pnms", wh, links.dl_user_cols[[i for i, _ in pairs]]
             )
             # one einsum per AP over its owners: the AP rows are too large to
             # gather once per owner
@@ -151,7 +151,7 @@ class DlRateObjective:
         """One stacked pass over every triple; counts the MACs it performs."""
         links = self.links
         p = links.scenario.params
-        if not self.pairs:
+        if not self.assignment.served:
             return np.zeros((0, p.n_sc, p.n_s, p.n_s), dtype=complex), np.zeros((0, p.n_sc))
         h = links.dl_composites(coeffs, out=self._composites)
         # the indices are in range; "clip" writes into the buffer directly, where
@@ -181,15 +181,6 @@ class DlRateObjective:
         if self.aggregate == "mean":
             return np.sum(se, axis=1).tolist()
         return (se.shape[1] * np.min(se, axis=1)).tolist()
-
-    def link_rates(self, phases: np.ndarray, bandwidth: float) -> dict:
-        """Per served (user, AP): achievable DL rate in bits/s at these phases."""
-        _, gains = self._effective(np.exp(1j * np.asarray(phases, dtype=float)))
-        n_sc = gains.shape[1]
-        return {
-            pair: bandwidth / n_sc * value
-            for pair, value in zip(self.pairs, self._link_values(gains))
-        }
 
     def value(self, phases: np.ndarray) -> float:
         _, gains = self._effective(np.exp(1j * np.asarray(phases, dtype=float)))
@@ -264,9 +255,9 @@ def rcg_optimize_phases(
             step *= STEP_SHRINK
         else:
             return None
-        while True:
+        while step <= 1e6:
             f_next = objective.value(theta + 2.0 * step * d)
-            if f_next <= f_cand or step > 1e6:
+            if f_next <= f_cand:
                 break
             step, f_cand = 2.0 * step, f_next
         return step
@@ -317,7 +308,6 @@ def rcg_optimize_phases(
 class AoRound:
     round_index: int
     objective: float  # sum DL spectral efficiency, bits/s/Hz
-    per_user_rates: dict  # (user, ap) -> bits/s
     phases: np.ndarray
     codeword_ids: dict  # user -> (precoder id, combiner id)
     grad_norm: float
@@ -358,13 +348,12 @@ def _design_all_beamformers(scenario, links, assignment, coeffs, tx_codebook, rx
     serving links. ``composites`` are the DL composites at ``coeffs`` when
     already built."""
     h = links.dl_composites(coeffs) if composites is None else composites
-    users = [i for i, j in enumerate(assignment.user_to_ap) if j >= 0]
-    aps = [assignment.user_to_ap[i] for i in users]
+    users, aps = np.array(assignment.served, dtype=int).reshape(-1, 2).T
     designs = design_beamformers(
-        h[np.array(users, dtype=int), np.array(aps, dtype=int)], tx_codebook, rx_codebook,
-        scenario.params.n_s, total_power=1.0, counter=counter,
+        h[users, aps], tx_codebook, rx_codebook, scenario.params.n_s, total_power=1.0,
+        counter=counter,
     )
-    return dict(zip(users, designs))
+    return {i: design for (i, _), design in zip(assignment.served, designs)}
 
 
 def _rate_objective(links, assignment, beamformers, aggregate="mean", counter=None):
@@ -401,27 +390,26 @@ def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, dl_ga
         dl_gains = _dl_gain_table(_rate_objective(links, assignment, beamformers), coeffs)
     p = scenario.params
     dl = sinr_dl(scenario, assignment, dl_gains, signal_aggregate=aggregate)
-    ul_table = sinr_ul(scenario, assignment, _ul_gains(links, coeffs))
-    rate_dl = np.array([rate(b.sinr, p.bandwidth) for b in dl.values()])
-    sinr_ul_cols = np.array([b.sinr for b in ul_table.values()]).reshape(len(dl), p.n_sc)
+    ul = sinr_ul(scenario, assignment, _ul_gains(links, coeffs))
+    served = assignment.served
+    rate_dl = np.array([rate(dl[pair].sinr, p.bandwidth) for pair in served])
+    sinr_ul_cols = np.array([ul[pair].sinr for pair in served]).reshape(len(served), p.n_sc)
     return utility_report(scenario, assignment, rate_dl, sinr_ul_cols), dl
 
 
 def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter):
     """RCG phase optimization for fixed beamformers, from ``phases``.
 
-    Returns the phases, their objective, per-link rates and DL gain table, and
-    the RCG trace. The objective, with its theta-gradient factors, lives only
-    for the round.
+    Returns the phases, their objective and DL gain table, and the RCG trace.
+    The objective, with its theta-gradient factors, lives only for the round.
     """
     objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
     round_rcg = []
     if objective.n_phases > 0:
         phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
     obj_val = objective.value(phases)
-    per_user = objective.link_rates(phases, links.scenario.params.bandwidth)
     dl_gains = _dl_gain_table(objective, np.exp(1j * phases))
-    return phases, obj_val, per_user, dl_gains, round_rcg
+    return phases, obj_val, dl_gains, round_rcg
 
 
 def alternating_optimize(
@@ -467,7 +455,7 @@ def alternating_optimize(
         beamformers = _design_all_beamformers(
             scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter, composites
         )
-        phases, obj_val, per_user, dl_gains, round_rcg = _phase_round(
+        phases, obj_val, dl_gains, round_rcg = _phase_round(
             links, assignment, beamformers, phases, aggregate, cfg, counter
         )
         if best is not None and obj_val < best[0]:
@@ -477,7 +465,6 @@ def alternating_optimize(
             AoRound(
                 round_index=rnd,
                 objective=obj_val,
-                per_user_rates=per_user,
                 phases=phases.copy(),
                 codeword_ids={
                     i: (bf.analog_precoder.codebook_id, bf.analog_combiner.codebook_id)

@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import get_args
 
@@ -286,6 +287,12 @@ class Assignment:
     user_to_ap: tuple[int, ...]
     infeasible: tuple[bool, ...]
 
+    @cached_property
+    def served(self) -> tuple[tuple[int, int], ...]:
+        """The served (user, AP) pairs in user order: the one order of every
+        per-pair table, rate and result row."""
+        return tuple((i, j) for i, j in enumerate(self.user_to_ap) if j >= 0)
+
     def users_of_ap(self, j: int) -> list[int]:
         return [i for i, a in enumerate(self.user_to_ap) if a == j]
 
@@ -482,8 +489,10 @@ def with_irs_elements(scenario: Scenario, m: int) -> Scenario:
 
     Elements are split across the existing panel origins (two default wall
     positions when the scenario has none), each panel near-square; m = 0
-    removes the IRS.
+    removes the IRS, and m < 0 raises ``ConfigError``.
     """
+    if m < 0:
+        raise ConfigError(f"geometry.irs_panels: element count must be >= 0, got {m}")
     if m == scenario.n_irs_elements:
         return scenario
     spacing = scenario.params.wavelength_dl / 2.0

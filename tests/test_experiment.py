@@ -24,7 +24,7 @@ from irslink.experiment import (
     with_irs_elements,
 )
 from irslink.metrics import rate
-from irslink.scenario import STOCK_CODEBOOKS, CodebookScenario, default_scenario
+from irslink.scenario import STOCK_CODEBOOKS, CodebookScenario, ConfigError, default_scenario
 
 FAST = {"max_iter": 5, "outer_rounds": 1}
 
@@ -170,6 +170,12 @@ class TestIrsResizing:
         assert sc.n_irs_elements == 6
         assert len(sc.irs_panels) == 2
 
+    def test_negative_size_rejected(self):
+        # not a scenario without panels, which a sweep would report as size -3
+        message = r"^geometry\.irs_panels: element count must be >= 0, got -3$"
+        with pytest.raises(ConfigError, match=message):
+            with_irs_elements(default_scenario(), -3)
+
 
 class TestExperimentSpec:
     def test_mode_validation(self):
@@ -181,6 +187,37 @@ class TestExperimentSpec:
     def test_external_snr_needs_csv(self):
         with pytest.raises(ValueError, match="requires snr_csv_path"):
             ExperimentSpec(modes=("external_snr",))
+
+    @pytest.mark.parametrize("size", [-1, 2.5])
+    def test_irs_size_must_be_a_count(self, size):
+        message = rf"^irs_sizes\[1\]: must be an integer >= 0, got {size}$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentSpec(irs_sizes=(24, size))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"codebooks": STOCK_CODEBOOKS[:1] * 2, "irs_sizes": (24,)},
+             "codebooks: run 2ant_1rf_irs0_mean_gain_no_irs is asked for twice"),
+            ({"codebooks": STOCK_CODEBOOKS[:1] * 2, "modes": ("external_snr",),
+              "snr_csv_path": "trace.csv"},
+             "codebooks: run 2ant_1rf_irs0_external_external_snr is asked for twice"),
+            ({"irs_sizes": (0,), "modes": ("no_irs", "with_irs")},
+             "irs_sizes: run 2ant_1rf_irs0_mean_gain_no_irs is asked for twice"),
+            ({"irs_sizes": (24, 12, 24), "modes": ("with_irs", "min_gain")},
+             "irs_sizes: run 2ant_1rf_irs24_min_gain_with_irs is asked for twice"),
+        ],
+        ids=["codebook", "external_codebook", "no_irs_size_0", "size"],
+    )
+    def test_repeated_run_key_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentSpec(**kwargs)
+
+    def test_distinct_runs_accepted(self):
+        # sizes that only the unused with_irs mode would repeat name no run twice
+        spec = ExperimentSpec(irs_sizes=(8, 8), modes=("no_irs", "mean_gain", "min_gain"))
+        assert spec.irs_cases == [0]
+        assert spec.aggregates == ["mean_gain", "min_gain"]
 
     def test_misspelled_optimizer_override_rejected(self):
         spec = ExperimentSpec(optimizer_overrides={"max_iters": 3})
@@ -375,8 +412,13 @@ system:
         [
             (["--max-iter", "0"], "optimizer.max_iter: must be >= 1"),
             (["--scenario", "{scenario}"], "geometry.user_positions[0]: outside bounds"),
+            (["--irs-sizes", "-1"], "irs_sizes[0]: must be an integer >= 0, got -1"),
+            (["--codebooks", "2ant_1rf", "2ant_1rf"],
+             "codebooks: run 2ant_1rf_irs0_mean_gain_no_irs is asked for twice"),
+            (["--irs-sizes", "0", "--modes", "no_irs", "with_irs"],
+             "irs_sizes: run 2ant_1rf_irs0_mean_gain_no_irs is asked for twice"),
         ],
-        ids=["max_iter", "scenario"],
+        ids=["max_iter", "scenario", "negative_irs_size", "repeated_codebook", "repeated_size"],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, args, message):
         scenario = tmp_path / "bad.yaml"

@@ -394,9 +394,7 @@ def reference_external_snr(scenario, trace):
             dl_rates[i, j] = rate(snr, p.bandwidth)
     assignment = associate_users(scenario, dl_rates)
     rows = []
-    for i, j in enumerate(assignment.user_to_ap):
-        if j < 0:
-            continue
+    for i, j in assignment.served:
         (sinr_ul_value,) = trace.snr_linear([(U + j, i)])
         rate_ul = rate(sinr_ul_value, p.bandwidth)
         err = p.tracking_e0 / (1.0 + sinr_ul_value)
@@ -484,6 +482,16 @@ class TestColumnarReportOracle:
         report = _check_evaluate(default_scenario(**QUEUE), 1,
                                  infeasible=(False, True, False, False))
         assert not report.feasible[1].any() and report.feasible[0].all()
+
+    def test_no_served_pair(self):
+        sc = default_scenario(n_sc=4)
+        links = synthesize_links(sc, seed=0)
+        nobody = Assignment((-1,) * sc.n_users, (False,) * sc.n_users)
+        coeffs = np.ones(sc.n_irs_elements, dtype=complex)
+        report, dl = _evaluate(sc, links, nobody, coeffs, {}, "mean")
+        assert dl == {}
+        assert report.rate_dl.shape == (0,) and report.rate_ul.shape == (0, 4)
+        assert report.sum_utility == 0.0 and report.rows == ()
 
     def test_single_subcarrier(self):
         for seed in range(4):

@@ -422,6 +422,12 @@ class TestAssociation:
         assert a.users_of_ap(0) == [0, 2]
         assert a.users_of_ap(1) == [1]
 
+    def test_served_pairs_in_user_order(self):
+        a = Assignment((1, -1, 0, 1), (False,) * 4)
+        assert a.served == ((0, 1), (2, 0), (3, 1))
+        assert a.served is a.served  # formed once
+        assert Assignment((-1, -1), (False, False)).served == ()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_assignment_is_optimal_property(self, seed):
