@@ -64,6 +64,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown modes: {sorted(unknown)}")
         if "external_snr" in self.modes and not self.snr_csv_path:
             raise ValueError("external_snr mode requires snr_csv_path")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         for k, m in enumerate(self.irs_sizes):
             if not isinstance(m, numbers.Integral) or m < 0:
                 raise ConfigError(f"irs_sizes[{k}]: must be an integer >= 0, got {m!r}")

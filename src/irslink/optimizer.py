@@ -69,8 +69,10 @@ class DlRateObjective:
     receiver-major, then by (AP, owner), the order in which each receiver's
     interferers are summed. The effective matrices and gains of the last few
     points are kept, keyed by the coefficient bytes, so a point evaluated
-    again (the accepted line-search point, the final value and rates) costs
-    nothing; no kept entry shares memory with either buffer.
+    again (the accepted line-search point, the final value and gain table)
+    costs nothing; no kept entry shares memory with either buffer. ``prime``
+    hands over composites the caller already built, so the first pass at
+    their point runs the gather and the einsum but no cascade.
     """
 
     _CACHED_POINTS = 4
@@ -134,6 +136,12 @@ class DlRateObjective:
         self._links_of = self._rx * links.dl_nlos.shape[1] + self._ap
         self._gathered = np.empty((len(self._rx),) + links.dl_nlos.shape[2:], dtype=complex)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
+        self._primed = None  # (coefficient bytes, composites) from ``prime``
+
+    def prime(self, coeffs, composites):
+        """Take ``composites``, the DL composites at ``coeffs``, for the next
+        kernel pass if it is at that point; any other pass drops them."""
+        self._primed = (coeffs.tobytes(), composites)
 
     def _effective(self, coeffs):
         """Effective matrices (Q, n_sc, n_s, n_s) and power gains (Q, n_sc) of
@@ -141,28 +149,33 @@ class DlRateObjective:
         key = coeffs.tobytes()
         hit = self._cache.pop(key, None)
         if hit is None:
-            hit = self._kernel(coeffs)
+            primed_key, composites = self._primed or (None, None)
+            self._primed = None  # good for the first pass only
+            hit = self._kernel(coeffs, composites if primed_key == key else None)
             if len(self._cache) == self._CACHED_POINTS:
                 del self._cache[next(iter(self._cache))]
         self._cache[key] = hit
         return hit
 
-    def _kernel(self, coeffs):
-        """One stacked pass over every triple; counts the MACs it performs."""
+    def _kernel(self, coeffs, composites=None):
+        """One stacked pass over every triple, building the composites unless
+        given them; counts the MACs it performs."""
         links = self.links
         p = links.scenario.params
         if not self.assignment.served:
             return np.zeros((0, p.n_sc, p.n_s, p.n_s), dtype=complex), np.zeros((0, p.n_sc))
-        h = links.dl_composites(coeffs, out=self._composites)
+        h = composites
+        if h is None:
+            h = links.dl_composites(coeffs, out=self._composites)
+            if self.counter is not None:
+                self.counter.add(h.shape[0] * h.shape[1] * p.n_sc * self.n_phases * p.n_r * p.n_t)
         # the indices are in range; "clip" writes into the buffer directly, where
         # the default "raise" goes through a temporary copy
         np.take(h.reshape((-1,) + h.shape[2:]), self._links_of, axis=0, out=self._gathered,
                 mode="clip")
         eff = np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, self._gathered, self._f)
         if self.counter is not None:
-            n_users, n_aps = h.shape[:2]
             n_q, n_s = eff.shape[0], eff.shape[2]
-            self.counter.add(n_users * n_aps * p.n_sc * self.n_phases * p.n_r * p.n_t)
             self.counter.add(n_q * p.n_sc * n_s * (p.n_r * p.n_t + p.n_t * n_s))
         return eff, np.sum(np.abs(eff) ** 2, axis=(2, 3))
 
@@ -171,8 +184,9 @@ class DlRateObjective:
         added to the noise one column at a time, in triple order."""
         signal = self.p_ap * gains[self._signal]
         denom = np.full_like(signal, self.sigma2)
-        for column in self._interferers.T:
-            denom += self.p_ap * gains[column]
+        interference = self.p_ap * gains[self._interferers]  # (pair, interferer, subcarrier)
+        for k in range(interference.shape[1]):
+            denom += interference[:, k]
         return signal, denom
 
     def _link_values(self, gains) -> list[float]:
@@ -192,33 +206,44 @@ class DlRateObjective:
         value = sum_in_order(self._link_values(gains))
         if self.n_phases == 0:
             return value, np.zeros(0)
+        n_sc, n_s = eff.shape[1], eff.shape[2]
+        if self.counter is not None:
+            self.counter.add(len(eff) * 2 * n_sc * self.n_phases * n_s * n_s)
+        conj_eff, jc = np.conj(eff), 1j * coeffs[None, :]
+        # p_ap * 2*Re(.) in one scale: 2 is a power of two, so the bits are the same
+        p2 = 2.0 * self.p_ap
+        # refilled for every triple or pair: the gradient allocates nothing per triple
+        t = np.empty((n_sc, self.n_phases), dtype=complex)
+        ds, dd, term = (np.empty((n_sc, self.n_phases)) for _ in range(3))
 
-        def dgain(q):
-            """dg[n, m] of triple q: 2*Re(j*c_m * <E_n, u_m v_m^T>)."""
+        def dgain(q, out):
+            """p_ap * dg[n, m] of triple q into ``out``: 2*p_ap*Re(j*c_m * <E_n, u_m v_m^T>)."""
             p, k = divmod(q, len(self._v))
-            t = np.einsum("nsk,nms,nmk->nm", np.conj(eff[q]), self._u[p], self._v[k])
-            if self.counter is not None:
-                n_sc, n_s = eff.shape[1], eff.shape[2]
-                self.counter.add(2 * n_sc * self.n_phases * n_s * n_s)
-            return 2.0 * np.real(1j * coeffs[None, :] * t)
+            np.einsum("nsk,nms,nmk->nm", conj_eff[q], self._u[p], self._v[k], out=t)
+            np.multiply(jc, t, out=t)
+            return np.multiply(t.real, p2, out=out)
 
         signal, denom = self._sinr_terms(gains)
         grad = np.zeros(self.n_phases)
         ln2 = np.log(2.0)
         for s, d, q_signal, interferers in zip(signal, denom, self._signal, self._interferers):
-            ds = self.p_ap * dgain(q_signal)
-            dd = np.zeros_like(ds)
+            dgain(q_signal, ds)
+            dd.fill(0.0)
             for q in interferers:
-                dd += self.p_ap * dgain(q)
+                dd += dgain(q, term)
             sinr = s / d
-            dsinr = (ds * d[:, None] - s[:, None] * dd) / (d * d)[:, None]
-            per_sc = dsinr / (ln2 * (1.0 + sinr))[:, None]
+            # d(SINR)/(ln2 * (1 + SINR)) = (ds*d - s*dd) / d^2 / (ln2 * (1 + SINR)), in ds
+            ds *= d[:, None]
+            dd *= s[:, None]
+            ds -= dd
+            ds /= (d * d)[:, None]
+            ds /= (ln2 * (1.0 + sinr))[:, None]
             if self.aggregate == "mean":
-                grad += np.sum(per_sc, axis=0)
+                grad += np.sum(ds, axis=0)
             else:
                 # subgradient at the worst subcarrier
                 n_star = int(np.argmin(sinr))
-                grad += len(sinr) * per_sc[n_star]
+                grad += len(sinr) * ds[n_star]
         return value, grad
 
 
@@ -357,13 +382,19 @@ def _design_all_beamformers(scenario, links, assignment, coeffs, tx_codebook, rx
 
 
 def _rate_objective(links, assignment, beamformers, aggregate="mean", counter=None):
+    """The DL-rate objective of these beamformers. Every user's total precoder
+    and combiner come from one stacked einsum each, with the products and
+    sums of ``BeamformerSet.precoders()`` / ``combiners()``."""
+    precoders, combiners = {}, {}
+    if beamformers:
+        sets = beamformers.values()
+        f = np.einsum("ltk,lnks->lnts", np.stack([bf.analog_precoder.matrix for bf in sets]),
+                      np.stack([bf.digital_precoders for bf in sets]))
+        w = np.einsum("ltk,lnks->lnts", np.stack([bf.analog_combiner.matrix for bf in sets]),
+                      np.stack([bf.digital_combiners for bf in sets]))
+        precoders, combiners = dict(zip(beamformers, f)), dict(zip(beamformers, w))
     return DlRateObjective(
-        links,
-        assignment,
-        {i: bf.precoders() for i, bf in beamformers.items()},
-        {i: bf.combiners() for i, bf in beamformers.items()},
-        aggregate=aggregate,
-        counter=counter,
+        links, assignment, precoders, combiners, aggregate=aggregate, counter=counter
     )
 
 
@@ -397,13 +428,15 @@ def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, dl_ga
     return utility_report(scenario, assignment, rate_dl, sinr_ul_cols), dl
 
 
-def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter):
-    """RCG phase optimization for fixed beamformers, from ``phases``.
+def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter, composites):
+    """RCG phase optimization for fixed beamformers, from ``phases``, whose DL
+    composites are ``composites``; the objective's first point takes them.
 
     Returns the phases, their objective and DL gain table, and the RCG trace.
     The objective, with its theta-gradient factors, lives only for the round.
     """
     objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
+    objective.prime(np.exp(1j * phases), composites)
     round_rcg = []
     if objective.n_phases > 0:
         phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
@@ -456,7 +489,7 @@ def alternating_optimize(
             scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter, composites
         )
         phases, obj_val, dl_gains, round_rcg = _phase_round(
-            links, assignment, beamformers, phases, aggregate, cfg, counter
+            links, assignment, beamformers, phases, aggregate, cfg, counter, composites
         )
         if best is not None and obj_val < best[0]:
             stop_reason = "regressed"  # beamformer redesign hurt the objective

@@ -489,8 +489,10 @@ def with_irs_elements(scenario: Scenario, m: int) -> Scenario:
 
     Elements are split across the existing panel origins (two default wall
     positions when the scenario has none), each panel near-square; m = 0
-    removes the IRS, and m < 0 raises ``ConfigError``.
+    removes the IRS, and m < 0 or a non-integer m raises ``ConfigError``.
     """
+    if not isinstance(m, numbers.Integral):
+        raise ConfigError(f"geometry.irs_panels: element count must be an integer, got {m!r}")
     if m < 0:
         raise ConfigError(f"geometry.irs_panels: element count must be >= 0, got {m}")
     if m == scenario.n_irs_elements:

@@ -176,6 +176,11 @@ class TestIrsResizing:
         with pytest.raises(ConfigError, match=message):
             with_irs_elements(default_scenario(), -3)
 
+    def test_non_integer_size_rejected(self):
+        message = r"^geometry\.irs_panels: element count must be an integer, got 2\.5$"
+        with pytest.raises(ConfigError, match=message):
+            with_irs_elements(default_scenario(), 2.5)
+
 
 class TestExperimentSpec:
     def test_mode_validation(self):
@@ -187,6 +192,12 @@ class TestExperimentSpec:
     def test_external_snr_needs_csv(self):
         with pytest.raises(ValueError, match="requires snr_csv_path"):
             ExperimentSpec(modes=("external_snr",))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_count(self, seed):
+        # checked before the sweep starts, not in synthesis
+        with pytest.raises(ConfigError, match=rf"^seed: must be an integer >= 0, got {seed}$"):
+            ExperimentSpec(seed=seed)
 
     @pytest.mark.parametrize("size", [-1, 2.5])
     def test_irs_size_must_be_a_count(self, size):
@@ -417,8 +428,10 @@ system:
              "codebooks: run 2ant_1rf_irs0_mean_gain_no_irs is asked for twice"),
             (["--irs-sizes", "0", "--modes", "no_irs", "with_irs"],
              "irs_sizes: run 2ant_1rf_irs0_mean_gain_no_irs is asked for twice"),
+            (["--seed", "-1"], "seed: must be an integer >= 0, got -1"),
         ],
-        ids=["max_iter", "scenario", "negative_irs_size", "repeated_codebook", "repeated_size"],
+        ids=["max_iter", "scenario", "negative_irs_size", "repeated_codebook", "repeated_size",
+             "negative_seed"],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, args, message):
         scenario = tmp_path / "bad.yaml"

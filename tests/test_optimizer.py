@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irslink import optimizer
+from irslink import channel, optimizer
 from irslink.beamforming import build_analog_codebook, design_beamformers
-from irslink.channel import synthesize_links
+from irslink.channel import LinkChannels, synthesize_links
 from irslink.metrics import rate
 from irslink.opcount import OpCounter
 from irslink.optimizer import (
@@ -383,6 +383,109 @@ class TestStackedRoundSetUp:
             g = float(np.mean(np.sum(np.abs(h[i, j]) ** 2, axis=(1, 2))))
             expected[i, j] = rate(p.p_ap * g / p.sigma2, p.bandwidth)
         np.testing.assert_array_equal(tables[0], expected)
+
+    @pytest.mark.parametrize("name", _ROUND_SCENARIOS)
+    def test_objective_beamformers_as_formed_per_user(self, name):
+        # _rate_objective forms every user's F and W in one stacked einsum each
+        objective, _, _, beamformers = _round_objective(_ROUND_SCENARIOS[name], seed=3)
+        assert list(objective.precoders) == list(objective.combiners) == list(beamformers)
+        for i, bf in beamformers.items():
+            np.testing.assert_array_equal(objective.precoders[i], bf.precoders())
+            np.testing.assert_array_equal(objective.combiners[i], bf.combiners())
+
+
+def _round_objective(sc, seed):
+    """An AO round's objective: beamformers designed on the composites at
+    random phases theta, which are returned with it."""
+    p = sc.params
+    links = synthesize_links(sc, seed=seed)
+    theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, sc.n_irs_elements)
+    coeffs = np.exp(1j * theta)
+    composites = links.dl_composites(coeffs)
+    assignment = _initial_assignment(sc, links, coeffs, composites)
+    tx = build_analog_codebook(p.n_t, p.n_rf, beam_grid=16)
+    rx = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=1 if p.n_r == 1 else 8)
+    beamformers = _design_all_beamformers(sc, links, assignment, coeffs, tx, rx,
+                                          composites=composites)
+    return _rate_objective(links, assignment, beamformers), theta, composites, beamformers
+
+
+class TestPrimedObjective:
+    """An AO round hands the composites it designed on to its objective, whose
+    first kernel pass at those phases then builds none."""
+
+    @pytest.fixture
+    def composite_calls(self, monkeypatch):
+        calls = []
+        build = LinkChannels.dl_composites
+
+        def recording(self, phi_coeffs, out=None):
+            calls.append(1)
+            return build(self, phi_coeffs, out)
+
+        monkeypatch.setattr(LinkChannels, "dl_composites", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", ["4ant_2rf", "two_antenna_two_stream", "user_left_unserved"])
+    def test_first_point_builds_no_composites(self, name, composite_calls):
+        objective, theta, composites, beamformers = _round_objective(_ROUND_SCENARIOS[name], 4)
+        unprimed = _rate_objective(objective.links, objective.assignment, beamformers)
+        unprimed.counter = OpCounter()
+        expected_value, expected_grad = unprimed.value_and_grad(theta)
+        objective.counter = OpCounter()
+        objective.prime(np.exp(1j * theta), composites)
+        composite_calls.clear()
+        value, grad = objective.value_and_grad(theta)
+        assert composite_calls == []
+        assert value == expected_value
+        np.testing.assert_array_equal(grad, expected_grad)
+        # the primed pass counts the effective-matrix and gradient MACs only
+        p = objective.links.scenario.params
+        n_users, n_aps = composites.shape[:2]
+        cascade_macs = n_users * n_aps * p.n_sc * objective.n_phases * p.n_r * p.n_t
+        assert cascade_macs > 0
+        assert objective.counter.macs == unprimed.counter.macs - cascade_macs
+        # the composites serve the first pass only
+        other = theta + 0.5
+        assert objective.value(other) == unprimed.value(other)  # one build each
+        assert objective.value(theta) == expected_value  # a cache hit
+        assert len(composite_calls) == 2
+
+    def test_no_surface(self, composite_calls):
+        # with no surface the round's value is the objective's first point
+        objective, theta, composites, beamformers = _round_objective(default_scenario(0), 5)
+        objective.prime(np.exp(1j * theta), composites)
+        composite_calls.clear()
+        value = objective.value(theta)
+        assert composite_calls == []
+        unprimed = _rate_objective(objective.links, objective.assignment, beamformers)
+        assert value == unprimed.value(theta)
+        coeffs = np.exp(1j * theta)
+        np.testing.assert_array_equal(_dl_gain_table(objective, coeffs),
+                                      _dl_gain_table(unprimed, coeffs))
+
+    def test_composites_of_another_point_are_dropped(self, composite_calls):
+        objective, theta, composites, beamformers = _round_objective(default_scenario(), 6)
+        objective.prime(np.exp(1j * theta), composites)
+        composite_calls.clear()
+        other = theta + 0.25
+        value, grad = objective.value_and_grad(other)
+        objective.value(theta)
+        assert len(composite_calls) == 2  # one build per point
+        unprimed = _rate_objective(objective.links, objective.assignment, beamformers)
+        expected_value, expected_grad = unprimed.value_and_grad(other)
+        assert value == expected_value
+        np.testing.assert_array_equal(grad, expected_grad)
+
+    def test_one_cascade_fewer_per_round(self, monkeypatch):
+        calls = []
+        cascade = channel._cascade
+        monkeypatch.setattr(channel, "_cascade", lambda *a, **k: calls.append(1) or cascade(*a, **k))
+        result = alternating_optimize(default_scenario(24), seed=0)
+        # three rounds run, the third regressed; without the hand-over the run
+        # built 89 cascades, each round's first objective point a second time
+        assert len(result.trace) == 2 and result.stop_reason == "regressed"
+        assert len(calls) == 89 - 3
 
 
 class TestGradient:
