@@ -134,7 +134,8 @@ def sinr_dl(
     from AP b transmitting user l's stream on subcarrier n (unit-power
     precoders; AP power is applied here). The serving-link gain is
     aggregated over subcarriers by mean or min per ``signal_aggregate``;
-    interference always uses the mean.
+    interference always uses the mean. Interferers are summed in
+    ``assignment.owners`` order.
     """
     if signal_aggregate not in ("mean", "min"):
         raise ValueError("signal_aggregate must be 'mean' or 'min'")
@@ -145,14 +146,13 @@ def sinr_dl(
         signal = p.p_ap * float(agg(_used_gain(eff_gains, (i, j, i), "DL")))
         intra = sum_in_order(
             p.p_ap * float(np.mean(_used_gain(eff_gains, (i, j, l), "DL")))
-            for l in assignment.users_of_ap(j)
-            if l != i
+            for b, l in assignment.owners
+            if b == j and l != i
         )
         inter = sum_in_order(
             p.p_ap * float(np.mean(_used_gain(eff_gains, (i, b, l), "DL")))
-            for b in range(scenario.n_aps)
+            for b, l in assignment.owners
             if b != j
-            for l in assignment.users_of_ap(b)
         )
         out[(i, j)] = SinrBreakdown(signal, intra, inter, p.sigma2)
     return out

@@ -13,11 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from irslink.beamforming import (
-    BeamformerSet,
-    build_analog_codebook,
-    design_beamformers,
-)
+from irslink.beamforming import build_analog_codebook, design_beamformers
 from irslink.channel import LinkChannels, synthesize_links
 from irslink.metrics import UtilityReport, rate, sinr_dl, sinr_ul, sum_in_order, utility_report
 from irslink.opcount import OpCounter
@@ -67,59 +63,54 @@ class DlRateObjective:
     triple's link into a second such buffer, and one einsum forms the
     effective matrices W_i^H H_ib F_l of all triples. Triples run
     receiver-major, then by (AP, owner), the order in which each receiver's
-    interferers are summed. The effective matrices and gains of the last few
-    points are kept, keyed by the coefficient bytes, so a point evaluated
-    again (the accepted line-search point, the final value and gain table)
-    costs nothing; no kept entry shares memory with either buffer. ``prime``
-    hands over composites the caller already built, so the first pass at
-    their point runs the gather and the einsum but no cascade.
+    interferers are summed (``Assignment.dl_triples``). The effective matrices
+    and gains of the last two points are kept, keyed by the coefficient
+    bytes, so a point evaluated again (the accepted line-search point, the
+    round's final value and gains) costs nothing; no kept entry shares memory
+    with either buffer. ``prime`` hands over composites the caller already
+    built, so the first pass at their point runs the gather and the einsum
+    but no cascade.
     """
 
-    _CACHED_POINTS = 4
+    _CACHED_POINTS = 2
 
     def __init__(
         self,
         links: LinkChannels,
         assignment: Assignment,
-        precoders: dict,
-        combiners: dict,
+        beamformers: dict,
         aggregate: str = "mean",
         counter: OpCounter | None = None,
     ):
         self.links = links
         self.assignment = assignment
-        self.precoders = precoders  # user l -> F_l (n_sc, n_t, n_s), unit power
-        self.combiners = combiners  # user i -> W_i (n_sc, n_r, n_s)
         self.aggregate = aggregate
         self.counter = counter
         params = links.scenario.params
         self.sigma2 = params.sigma2
         self.p_ap = params.p_ap
-        pairs = assignment.served
+        pairs, owners = assignment.served, assignment.owners
         self.n_phases = links.scenario.n_irs_elements
-        # precoder owners in interferer order: by AP, then by user
-        owners = sorted((j, i) for i, j in pairs)
-        n_rx, n_own = len(pairs), len(owners)
-        # triple q = p * n_own + k: receiver of pair p, owner k's AP and precoder
-        self._rx = np.repeat([i for i, _ in pairs], n_own).astype(int)
-        self._ap = np.tile([b for b, _ in owners], n_rx).astype(int)
-        self._owner = np.tile([l for _, l in owners], n_rx).astype(int)
-        self._signal = np.array(
-            [p * n_own + owners.index((j, i)) for p, (i, j) in enumerate(pairs)], dtype=int
+        # triple q = p * len(owners) + k: receiver of pair p, owner k's AP and precoder
+        self._rx, self._ap, self._owner = assignment.dl_triples.T
+        self._signal = np.flatnonzero(self._owner == self._rx)
+        self._interferers = np.flatnonzero(self._owner != self._rx).reshape(
+            len(pairs), max(len(owners) - 1, 0)
         )
-        self._interferers = np.array(
-            [[q for q in range(p * n_own, (p + 1) * n_own) if q != s]
-             for p, s in enumerate(self._signal)],
-            dtype=int,
-        ).reshape(n_rx, max(n_own - 1, 0))
         if pairs:
+            # every served user's total precoder F and combiner W (unit power),
+            # one stacked einsum each, with the products and sums of
+            # ``BeamformerSet.precoders()`` / ``combiners()``
+            sets = [beamformers[i] for i, _ in pairs]
+            f = np.einsum("ltk,lnks->lnts", np.stack([bf.analog_precoder.matrix for bf in sets]),
+                          np.stack([bf.digital_precoders for bf in sets]))
+            wh = np.conj(np.einsum("ltk,lnks->lnts",
+                                   np.stack([bf.analog_combiner.matrix for bf in sets]),
+                                   np.stack([bf.digital_combiners for bf in sets])))
+            f = f[[pairs.index((l, b)) for b, l in owners]]  # served order -> owner order
             # theta-independent tangent factors: u depends on the receiver,
             # v on (transmitting AP via its rows, precoder owner)
-            wh = np.conj(np.stack([combiners[i] for i, _ in pairs]))
-            f = np.stack([precoders[l] for _, l in owners])
-            self._u = np.einsum(
-                "pnrs,pnmr->pnms", wh, links.dl_user_cols[[i for i, _ in pairs]]
-            )
+            self._u = np.einsum("pnrs,pnmr->pnms", wh, links.dl_user_cols[[i for i, _ in pairs]])
             # one einsum per AP over its owners: the AP rows are too large to
             # gather once per owner
             aps = [b for b, _ in owners]
@@ -127,8 +118,8 @@ class DlRateObjective:
             for b in dict.fromkeys(aps):  # owners run AP by AP
                 k = slice(aps.index(b), aps.index(b) + aps.count(b))
                 np.einsum("nmt,knts->knms", links.dl_ap_rows[b], f[k], out=self._v[k])
-            self._wh = np.repeat(wh, n_own, axis=0)
-            self._f = np.tile(f, (n_rx, 1, 1, 1))
+            self._wh = np.repeat(wh, len(owners), axis=0)
+            self._f = np.tile(f, (len(pairs), 1, 1, 1))
         # refilled by every kernel pass: the composites, and each triple's link
         # gathered from them (flat user-AP index); a gather allocated afresh
         # lets glibc hand heap pages back and fault them in again every pass
@@ -381,32 +372,14 @@ def _design_all_beamformers(scenario, links, assignment, coeffs, tx_codebook, rx
     return {i: design for (i, _), design in zip(assignment.served, designs)}
 
 
-def _rate_objective(links, assignment, beamformers, aggregate="mean", counter=None):
-    """The DL-rate objective of these beamformers. Every user's total precoder
-    and combiner come from one stacked einsum each, with the products and
-    sums of ``BeamformerSet.precoders()`` / ``combiners()``."""
-    precoders, combiners = {}, {}
-    if beamformers:
-        sets = beamformers.values()
-        f = np.einsum("ltk,lnks->lnts", np.stack([bf.analog_precoder.matrix for bf in sets]),
-                      np.stack([bf.digital_precoders for bf in sets]))
-        w = np.einsum("ltk,lnks->lnts", np.stack([bf.analog_combiner.matrix for bf in sets]),
-                      np.stack([bf.digital_combiners for bf in sets]))
-        precoders, combiners = dict(zip(beamformers, f)), dict(zip(beamformers, w))
-    return DlRateObjective(
-        links, assignment, precoders, combiners, aggregate=aggregate, counter=counter
-    )
-
-
-def _dl_gain_table(objective: DlRateObjective, coeffs):
-    """Effective DL gain table (U, B, U, n_sc) of the objective's unit-power
-    beamformers; NaN off its (receiver, AP, owner) triples."""
-    links = objective.links
-    U, B = links.scenario.n_users, links.scenario.n_aps
-    _, gains = objective._effective(coeffs)
-    eff = np.full((U, B, U, links.scenario.params.n_sc), np.nan)
-    eff[objective._rx, objective._ap, objective._owner] = gains
-    return eff
+def _dl_gain_table(links: LinkChannels, assignment: Assignment, gains):
+    """Effective DL gain table (U, B, U, n_sc) from the (Q, n_sc) gains of the
+    assignment's DL triples; NaN off those triples."""
+    sc = links.scenario
+    table = np.full((sc.n_users, sc.n_aps, sc.n_users, sc.params.n_sc), np.nan)
+    rx, ap, owner = assignment.dl_triples.T
+    table[rx, ap, owner] = gains
+    return table
 
 
 def _ul_gains(links: LinkChannels, coeffs):
@@ -415,12 +388,14 @@ def _ul_gains(links: LinkChannels, coeffs):
 
 
 def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, dl_gains=None):
-    """Utility report and DL SINR table of a final state. ``dl_gains`` is the
-    DL gain table of these beamformers at these phases, if already formed."""
+    """Utility report and DL SINR table of a final state. ``dl_gains`` are the
+    (Q, n_sc) gains of the DL triples of these beamformers at these phases, if
+    already formed."""
     if dl_gains is None:
-        dl_gains = _dl_gain_table(_rate_objective(links, assignment, beamformers), coeffs)
+        _, dl_gains = DlRateObjective(links, assignment, beamformers)._effective(coeffs)
     p = scenario.params
-    dl = sinr_dl(scenario, assignment, dl_gains, signal_aggregate=aggregate)
+    table = _dl_gain_table(links, assignment, dl_gains)
+    dl = sinr_dl(scenario, assignment, table, signal_aggregate=aggregate)
     ul = sinr_ul(scenario, assignment, _ul_gains(links, coeffs))
     served = assignment.served
     rate_dl = np.array([rate(dl[pair].sinr, p.bandwidth) for pair in served])
@@ -432,16 +407,17 @@ def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter
     """RCG phase optimization for fixed beamformers, from ``phases``, whose DL
     composites are ``composites``; the objective's first point takes them.
 
-    Returns the phases, their objective and DL gain table, and the RCG trace.
-    The objective, with its theta-gradient factors, lives only for the round.
+    Returns the phases, their objective, their DL triple gains (Q, n_sc) and
+    the RCG trace. The objective, with its theta-gradient factors, lives only
+    for the round.
     """
-    objective = _rate_objective(links, assignment, beamformers, aggregate, counter)
+    objective = DlRateObjective(links, assignment, beamformers, aggregate, counter)
     objective.prime(np.exp(1j * phases), composites)
     round_rcg = []
     if objective.n_phases > 0:
         phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
     obj_val = objective.value(phases)
-    dl_gains = _dl_gain_table(objective, np.exp(1j * phases))
+    _, dl_gains = objective._effective(np.exp(1j * phases))  # cached by ``value``
     return phases, obj_val, dl_gains, round_rcg
 
 
@@ -475,7 +451,7 @@ def alternating_optimize(
     rx_grid = 1 if p.n_r == 1 else min(cfg.beam_grid, 8)
     rx_codebook = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=rx_grid)
 
-    best = None  # (objective value, phases, beamformers, DL gain table)
+    best = None  # (objective value, phases, beamformers, DL triple gains)
     trace: list[AoRound] = []
     rcg_trace: list[RcgState] = []
     prev_obj = -np.inf
@@ -562,7 +538,7 @@ def complexity_probe(
             scenario, links, assignment, coeffs, tx_cb, rx_cb, bf_counter
         )
         phase_counter = OpCounter()
-        objective = _rate_objective(links, assignment, beamformers, counter=phase_counter)
+        objective = DlRateObjective(links, assignment, beamformers, counter=phase_counter)
         t0 = time.perf_counter()
         rcg_optimize_phases(objective, np.zeros(m), epsilon=0.0, max_iter=rcg_iters)
         seconds = time.perf_counter() - t0

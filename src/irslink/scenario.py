@@ -136,6 +136,12 @@ class SystemParams:
         for name in ("n_t", "n_r", "n_rf", "n_s", "n_sc", "v_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"system.{name}: must be >= 1")
+        for name, value in vars(self).items():
+            if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
+                raise ConfigError(f"system.{name}: must be finite")
+        for name in ("s_i", "a_i", "lambda_i", "gamma_d", "r_min", "v_bits", "tracking_e0", "t_proc"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"system.{name}: must be >= 0")
         if self.n_rf > self.n_t:
             raise ConfigError("system.n_rf: RF chains cannot exceed antennas")
         if self.n_s > self.n_rf:
@@ -292,6 +298,21 @@ class Assignment:
         """The served (user, AP) pairs in user order: the one order of every
         per-pair table, rate and result row."""
         return tuple((i, j) for i, j in enumerate(self.user_to_ap) if j >= 0)
+
+    @cached_property
+    def owners(self) -> tuple[tuple[int, int], ...]:
+        """The served (AP, user) pairs by AP, then by user: the one order in
+        which every DL receiver's precoder owners, and so its interferers, run."""
+        return tuple(sorted((j, i) for i, j in self.served))
+
+    @cached_property
+    def dl_triples(self) -> np.ndarray:
+        """(receiver, AP, owner) of every DL triple, shape (Q, 3): receivers in
+        served order, each over ``owners``."""
+        triples = np.array([(i, b, l) for i, _ in self.served for b, l in self.owners],
+                           dtype=int).reshape(-1, 3)
+        triples.flags.writeable = False  # formed once and shared
+        return triples
 
     def users_of_ap(self, j: int) -> list[int]:
         return [i for i, a in enumerate(self.user_to_ap) if a == j]

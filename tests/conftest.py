@@ -42,13 +42,7 @@ def build_rate_objective(scenario, seed=0, aggregate="mean", beam_grid=4):
     tx = build_analog_codebook(p.n_t, p.n_rf, beam_grid=max(beam_grid, p.n_rf))
     rx = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=1)
     beamformers = _design_all_beamformers(scenario, links, assignment, coeffs, tx, rx)
-    objective = DlRateObjective(
-        links,
-        assignment,
-        {i: b.precoders() for i, b in beamformers.items()},
-        {i: b.combiners() for i, b in beamformers.items()},
-        aggregate=aggregate,
-    )
+    objective = DlRateObjective(links, assignment, beamformers, aggregate=aggregate)
     return objective, links, assignment, beamformers
 
 

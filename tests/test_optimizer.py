@@ -22,7 +22,6 @@ from irslink.optimizer import (
     _dl_gain_table,
     _evaluate,
     _initial_assignment,
-    _rate_objective,
     _ul_gains,
 )
 from irslink.scenario import STOCK_CODEBOOKS, Assignment, default_scenario, with_codebook
@@ -44,9 +43,10 @@ class PerTripleObjective:
     """Reference: the per-(receiver, AP, owner) dict loop the stacked kernel
     replaced, with each link's composite built on its own."""
 
-    def __init__(self, links, assignment, precoders, combiners, aggregate="mean"):
+    def __init__(self, links, assignment, beamformers, aggregate="mean"):
         self.links, self.aggregate = links, aggregate
-        self.precoders, self.combiners = precoders, combiners
+        self.precoders = precoders = {i: bf.precoders() for i, bf in beamformers.items()}
+        self.combiners = combiners = {i: bf.combiners() for i, bf in beamformers.items()}
         p = links.scenario.params
         self.sigma2, self.p_ap = p.sigma2, p.p_ap
         self.pairs = assignment.served
@@ -166,13 +166,14 @@ def _c_ordered(links):
 
 def _gain_tables(objective, coeffs):
     """The DL gain table and the UL gains that the final report reads."""
-    return _dl_gain_table(objective, coeffs), _ul_gains(objective.links, coeffs)
+    _, gains = objective._effective(coeffs)
+    return (_dl_gain_table(objective.links, objective.assignment, gains),
+            _ul_gains(objective.links, coeffs))
 
 
-def _assert_matches_per_triple(objective, n_points=3, seed=0):
+def _assert_matches_per_triple(objective, beamformers, n_points=3, seed=0):
     """Every output of the stacked objective equals the per-triple loop's bit for bit."""
-    oracle = PerTripleObjective(_c_ordered(objective.links), objective.assignment,
-                                objective.precoders, objective.combiners,
+    oracle = PerTripleObjective(_c_ordered(objective.links), objective.assignment, beamformers,
                                 aggregate=objective.aggregate)
     rng = np.random.default_rng(seed)
     for k in range(n_points):
@@ -192,14 +193,15 @@ class TestStackedKernel:
     @pytest.mark.parametrize("seed", range(8))
     def test_bit_identical_on_stock_codebooks(self, seed):
         for cb in STOCK_CODEBOOKS:
-            objective, *_ = build_rate_objective(with_codebook(default_scenario(), cb), seed=seed)
-            _assert_matches_per_triple(objective, seed=seed)
+            objective, _, _, beamformers = build_rate_objective(
+                with_codebook(default_scenario(), cb), seed=seed)
+            _assert_matches_per_triple(objective, beamformers, seed=seed)
 
     def test_bit_identical_min_aggregate(self):
         for cb in STOCK_CODEBOOKS:
-            objective, *_ = build_rate_objective(
+            objective, _, _, beamformers = build_rate_objective(
                 with_codebook(default_scenario(), cb), seed=3, aggregate="min")
-            _assert_matches_per_triple(objective)
+            _assert_matches_per_triple(objective, beamformers)
 
     def test_bit_identical_with_two_antenna_two_stream_users(self):
         sc = default_scenario(16, n_r=2, n_s=2, n_sc=8)
@@ -209,24 +211,24 @@ class TestStackedKernel:
         beamformers = _design_all_beamformers(
             sc, links, assignment, coeffs, build_analog_codebook(8, 2, beam_grid=4),
             build_analog_codebook(2, 2, beam_grid=4))
-        objective = DlRateObjective(
-            links, assignment, {i: bf.precoders() for i, bf in beamformers.items()},
-            {i: bf.combiners() for i, bf in beamformers.items()})
+        objective = DlRateObjective(links, assignment, beamformers)
         assert objective._wh.shape[-2:] == (2, 2)
-        _assert_matches_per_triple(objective)
+        _assert_matches_per_triple(objective, beamformers)
 
     def test_bit_identical_with_user_left_unserved(self):
-        objective, _, assignment, _ = build_rate_objective(default_scenario(v_cap=1), seed=2)
+        objective, _, assignment, beamformers = build_rate_objective(
+            default_scenario(v_cap=1), seed=2)
         assert -1 in assignment.user_to_ap
-        _assert_matches_per_triple(objective)
+        _assert_matches_per_triple(objective, beamformers)
 
     def test_single_subcarrier_two_antenna_receivers_within_rounding(self):
         # for this one shape numpy's per-triple einsum summed each combiner
         # row on its own before adding the rows; the stacked einsum sums all
         # n_r * n_t products in one sequence, so results agree to rounding
-        objective, *_ = build_rate_objective(default_scenario(16, n_r=2, n_sc=1), seed=0)
+        objective, _, _, beamformers = build_rate_objective(
+            default_scenario(16, n_r=2, n_sc=1), seed=0)
         oracle = PerTripleObjective(_c_ordered(objective.links), objective.assignment,
-                                    objective.precoders, objective.combiners)
+                                    beamformers)
         theta = np.random.default_rng(0).uniform(-np.pi, np.pi, objective.n_phases)
         value, grad = objective.value_and_grad(theta)
         expected_value, expected_grad = oracle.value_and_grad(theta)
@@ -237,7 +239,7 @@ class TestStackedKernel:
     def test_no_served_user(self, stock_links):
         n_users = stock_links.scenario.n_users
         objective = DlRateObjective(
-            stock_links, Assignment((-1,) * n_users, (False,) * n_users), {}, {})
+            stock_links, Assignment((-1,) * n_users, (False,) * n_users), {})
         theta = np.full(stock_links.scenario.n_irs_elements, 0.3)
         value, grad = objective.value_and_grad(theta)
         assert value == 0.0
@@ -302,7 +304,7 @@ class TestCompositeBuffer:
             kept.append(((eff, gains), (eff.copy(), gains.copy())))
         assert len(points) > objective._CACHED_POINTS
         assert np.exp(1j * points[0]).tobytes() not in objective._cache  # evicted
-        fresh = _rate_objective(links, assignment, beamformers)
+        fresh = DlRateObjective(links, assignment, beamformers)
         for theta in (points[0], points[-1]):
             value, grad = objective.value_and_grad(theta)
             expected_value, expected_grad = fresh.value_and_grad(theta)
@@ -386,12 +388,13 @@ class TestStackedRoundSetUp:
 
     @pytest.mark.parametrize("name", _ROUND_SCENARIOS)
     def test_objective_beamformers_as_formed_per_user(self, name):
-        # _rate_objective forms every user's F and W in one stacked einsum each
+        # the objective forms every user's F and W in one stacked einsum each
         objective, _, _, beamformers = _round_objective(_ROUND_SCENARIOS[name], seed=3)
-        assert list(objective.precoders) == list(objective.combiners) == list(beamformers)
-        for i, bf in beamformers.items():
-            np.testing.assert_array_equal(objective.precoders[i], bf.precoders())
-            np.testing.assert_array_equal(objective.combiners[i], bf.combiners())
+        triples = objective.assignment.dl_triples
+        assert len(objective._wh) == len(objective._f) == len(triples) > 0
+        for q, (i, _, l) in enumerate(triples):
+            np.testing.assert_array_equal(objective._wh[q], np.conj(beamformers[i].combiners()))
+            np.testing.assert_array_equal(objective._f[q], beamformers[l].precoders())
 
 
 def _round_objective(sc, seed):
@@ -407,7 +410,7 @@ def _round_objective(sc, seed):
     rx = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=1 if p.n_r == 1 else 8)
     beamformers = _design_all_beamformers(sc, links, assignment, coeffs, tx, rx,
                                           composites=composites)
-    return _rate_objective(links, assignment, beamformers), theta, composites, beamformers
+    return DlRateObjective(links, assignment, beamformers), theta, composites, beamformers
 
 
 class TestPrimedObjective:
@@ -429,7 +432,7 @@ class TestPrimedObjective:
     @pytest.mark.parametrize("name", ["4ant_2rf", "two_antenna_two_stream", "user_left_unserved"])
     def test_first_point_builds_no_composites(self, name, composite_calls):
         objective, theta, composites, beamformers = _round_objective(_ROUND_SCENARIOS[name], 4)
-        unprimed = _rate_objective(objective.links, objective.assignment, beamformers)
+        unprimed = DlRateObjective(objective.links, objective.assignment, beamformers)
         unprimed.counter = OpCounter()
         expected_value, expected_grad = unprimed.value_and_grad(theta)
         objective.counter = OpCounter()
@@ -458,11 +461,11 @@ class TestPrimedObjective:
         composite_calls.clear()
         value = objective.value(theta)
         assert composite_calls == []
-        unprimed = _rate_objective(objective.links, objective.assignment, beamformers)
+        unprimed = DlRateObjective(objective.links, objective.assignment, beamformers)
         assert value == unprimed.value(theta)
         coeffs = np.exp(1j * theta)
-        np.testing.assert_array_equal(_dl_gain_table(objective, coeffs),
-                                      _dl_gain_table(unprimed, coeffs))
+        np.testing.assert_array_equal(_gain_tables(objective, coeffs)[0],
+                                      _gain_tables(unprimed, coeffs)[0])
 
     def test_composites_of_another_point_are_dropped(self, composite_calls):
         objective, theta, composites, beamformers = _round_objective(default_scenario(), 6)
@@ -472,7 +475,7 @@ class TestPrimedObjective:
         value, grad = objective.value_and_grad(other)
         objective.value(theta)
         assert len(composite_calls) == 2  # one build per point
-        unprimed = _rate_objective(objective.links, objective.assignment, beamformers)
+        unprimed = DlRateObjective(objective.links, objective.assignment, beamformers)
         expected_value, expected_grad = unprimed.value_and_grad(other)
         assert value == expected_value
         np.testing.assert_array_equal(grad, expected_grad)
@@ -678,7 +681,7 @@ class TestAlternatingOptimization:
         # a finished round's objective, with its theta-gradient factors, is
         # freed before the next round's phase optimization starts
         made, alive = [], []
-        make, rcg = optimizer._rate_objective, optimizer.rcg_optimize_phases
+        make, rcg = optimizer.DlRateObjective, optimizer.rcg_optimize_phases
 
         def recording_objective(*args, **kwargs):
             objective = make(*args, **kwargs)
@@ -690,7 +693,7 @@ class TestAlternatingOptimization:
             alive.append(sum(ref() is not None for ref in made))
             return rcg(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "_rate_objective", recording_objective)
+        monkeypatch.setattr(optimizer, "DlRateObjective", recording_objective)
         monkeypatch.setattr(optimizer, "rcg_optimize_phases", counting_rcg)
         config = RcgConfig(max_iter=5, outer_rounds=3)
         result = alternating_optimize(default_scenario(24, lambda_i=2e3, mu_j=4e3), seed=0,
@@ -699,6 +702,15 @@ class TestAlternatingOptimization:
         assert result.report.sum_utility > 0
         gc.collect()
         assert all(ref() is None for ref in made)
+
+    def test_one_dl_gain_table_per_run(self, monkeypatch):
+        # each round keeps its triple gains; only the kept round's are scattered
+        tables, build = [], optimizer._dl_gain_table
+        monkeypatch.setattr(optimizer, "_dl_gain_table",
+                            lambda *args: tables.append(1) or build(*args))
+        result = alternating_optimize(default_scenario(24), seed=0)
+        assert len(result.trace) == 2 and result.stop_reason == "regressed"  # three rounds run
+        assert len(tables) == 1
 
     def test_no_irs_equals_single_pass(self, fast_config):
         sc = default_scenario(0)

@@ -88,6 +88,21 @@ _MALFORMED = [
     # checked at load; -1 used to fail inside the run, 0 to serve no user
     (("system", "v_cap"), -1, r"^system\.v_cap: must be >= 1$"),
     (("system", "v_cap"), 0, r"^system\.v_cap: must be >= 1$"),
+    # checked at load; each used to run, to a negative delay, a late failure
+    # inside the run or all-zero utilities
+    (("system", "s_i"), -1.0, r"^system\.s_i: must be >= 0$"),
+    (("system", "a_i"), -6.0, r"^system\.a_i: must be >= 0$"),
+    (("system", "lambda_i"), -1e-9, r"^system\.lambda_i: must be >= 0$"),
+    (("system", "gamma_d"), -0.02, r"^system\.gamma_d: must be >= 0$"),
+    (("system", "r_min"), -1.0, r"^system\.r_min: must be >= 0$"),
+    (("system", "v_bits"), -5.0, r"^system\.v_bits: must be >= 0$"),
+    (("system", "tracking_e0"), -1.0, r"^system\.tracking_e0: must be >= 0$"),
+    (("system", "t_proc"), -1e-8, r"^system\.t_proc: must be >= 0$"),
+    (("system", "p_ap"), float("inf"), r"^system\.p_ap: must be finite$"),
+    (("system", "bandwidth"), float("inf"), r"^system\.bandwidth: must be finite$"),
+    (("system", "noise_figure_db"), float("inf"), r"^system\.noise_figure_db: must be finite$"),
+    (("system", "s_i"), float("inf"), r"^system\.s_i: must be finite$"),
+    (("system", "mu_j"), float("-inf"), r"^system\.mu_j: must be finite$"),
     (("system",), [1, 2], r"^system: must be a key/value tree$"),
     (("geometry", "irs_panels", 0), {"origin": [0.0, 4.0, 1.2], "m_y": 4},
      r"^geometry\.irs_panels\[0\]\.m_z: must be int, got None$"),
@@ -124,6 +139,11 @@ class TestSystemParams:
     def test_queuing_stability_enforced(self):
         with pytest.raises(ConfigError, match="queuing stability violated"):
             SystemParams(mu_j=2e-9, lambda_i=2e-9)
+
+    def test_infinite_noise_power_rejected(self):
+        # a row of its own: a second noise_power row of _MALFORMED would rename that test
+        with pytest.raises(ConfigError, match=r"^system\.noise_power: must be finite$"):
+            SystemParams(noise_power=float("inf"))
 
     def test_rf_chain_bounds(self):
         with pytest.raises(ConfigError):
@@ -427,6 +447,21 @@ class TestAssociation:
         assert a.served == ((0, 1), (2, 0), (3, 1))
         assert a.served is a.served  # formed once
         assert Assignment((-1, -1), (False, False)).served == ()
+
+    def test_dl_triples_in_owner_order(self):
+        a = Assignment((2, 0, -1, 0, 1), (False,) * 5)  # three APs, user 2 unserved
+        assert a.owners == ((0, 1), (0, 3), (1, 4), (2, 0))
+        owners = [[0, 1], [0, 3], [1, 4], [2, 0]]
+        expected = [[i, b, l] for i in (0, 1, 3, 4) for b, l in owners]
+        np.testing.assert_array_equal(a.dl_triples, expected)
+        assert a.dl_triples.dtype == int and a.dl_triples.shape == (16, 3)
+        assert a.owners is a.owners and a.dl_triples is a.dl_triples  # formed once
+        assert not a.dl_triples.flags.writeable
+
+    def test_dl_triples_with_nobody_served(self):
+        a = Assignment((-1, -1, -1), (False,) * 3)
+        assert a.owners == ()
+        assert a.dl_triples.shape == (0, 3) and a.dl_triples.dtype == int
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
