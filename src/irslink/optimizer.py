@@ -10,6 +10,7 @@ best-objective state.
 
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,6 +33,38 @@ from irslink.scenario import (
 STEP_INIT, STEP_SHRINK, ARMIJO_SLOPE = 1.0, 0.5, 1e-4
 # the alternating loop stops once a round gains no more than this, relative
 IMPROVEMENT_TOL = 1e-6
+
+# unit roundoff of float64, and the factor by which a bracket's entry radius
+# exceeds its first-order rounding bound (see ``DlRateObjective.bracket``)
+UNIT_ROUNDOFF = 2.0**-53
+BRACKET_SAFETY = 2.0
+# roundings charged to one float64 log2 (an error of up to 8 ulp)
+LOG2_ROUNDINGS = 16
+# the bracket set-up forms the magnitudes of the AP rows in subcarrier blocks
+# of at most this many bytes
+BRACKET_PIECE_BYTES = 1 << 16
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def _widen(lo, hi, n):
+    """Bounds on nonnegative quantities widened for one stage of at most ``n``
+    roundings, made both by the exact path and by the bracket's own float
+    evaluation of that stage, plus the widening multiply itself."""
+    w = 4.0 * (n + 1) * UNIT_ROUNDOFF
+    return lo * (1.0 - w), hi * (1.0 + w)
+
+
+def _pair_owner_sum(rows, v):
+    """sum_m rows[n, p, s, m] * v[k, n, m, t] for every triple q = p*K + k,
+    as (Q, n_sc, n_s, n_t): one matmul batched over (owner, subcarrier)."""
+    n_sc, n_p, n_s, m = rows.shape
+    out = np.matmul(rows.reshape(n_sc, n_p * n_s, m), v)  # (K, n_sc, P * n_s, n_t)
+    out = out.reshape(len(v), n_sc, n_p, n_s, -1).transpose(2, 0, 1, 3, 4)
+    return out.reshape((-1,) + out.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -69,7 +102,9 @@ class DlRateObjective:
     round's final value and gains) costs nothing; no kept entry shares memory
     with either buffer. ``prime`` hands over composites the caller already
     built, so the first pass at their point runs the gather and the einsum
-    but no cascade.
+    but no cascade. ``bracket`` bounds the value from the affine form of the
+    effective matrices, without composites, for the line search's
+    comparisons.
     """
 
     _CACHED_POINTS = 2
@@ -114,9 +149,11 @@ class DlRateObjective:
             # one einsum per AP over its owners: the AP rows are too large to
             # gather once per owner
             aps = [b for b, _ in owners]
+            # owners run AP by AP: each AP's owners as a slice
+            self._owners_of = {b: slice(aps.index(b), aps.index(b) + aps.count(b))
+                               for b in dict.fromkeys(aps)}
             self._v = np.empty(f.shape[:2] + (self.n_phases, f.shape[3]), dtype=complex)
-            for b in dict.fromkeys(aps):  # owners run AP by AP
-                k = slice(aps.index(b), aps.index(b) + aps.count(b))
+            for b, k in self._owners_of.items():
                 np.einsum("nmt,knts->knms", links.dl_ap_rows[b], f[k], out=self._v[k])
             self._wh = np.repeat(wh, len(owners), axis=0)
             self._f = np.tile(f, (len(pairs), 1, 1, 1))
@@ -128,6 +165,9 @@ class DlRateObjective:
         self._gathered = np.empty((len(self._rx),) + links.dl_nlos.shape[2:], dtype=complex)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
         self._primed = None  # (coefficient bytes, composites) from ``prime``
+        # formed by the first ``bracket`` call: e0 of every triple and the
+        # radius of its entries, with sum_st radius^2
+        self._e0 = self._radius = self._radius_sq = None
 
     def prime(self, coeffs, composites):
         """Take ``composites``, the DL composites at ``coeffs``, for the next
@@ -237,6 +277,115 @@ class DlRateObjective:
                 grad += len(sinr) * ds[n_star]
         return value, grad
 
+    def bracket(self, phases: np.ndarray) -> tuple[float, float]:
+        """Bounds lo <= value(phases) <= hi from the affine kernel.
+
+        With the beamformers fixed, every triple's effective matrix is affine
+        in c = exp(j theta): E_q(c) = e0_q + sum_m c_m u_m v_m^T, with
+        e0_q = W_i^H H_nlos F_l and the gradient's factors u (receiver side)
+        and v (AP rows times precoder) (Wu & Zhang, IEEE TWC 2019). One
+        matmul batched over (owner, subcarrier) forms them all: P*K*n_sc*M*n_s^2
+        MACs against the composites' U*B*n_sc*M*n_r*n_t. It rounds otherwise
+        than ``value``'s composite kernel, so it yields an interval, not the
+        value. The line search only compares values, and settles a comparison
+        on brackets wherever they lie on one side of it (a floating-point
+        filter, Shewchuk 1997).
+
+        Derivation, with u = 2^-53 and gamma_n = n u / (1 - n u) (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3): a
+        complex product rounds within gamma_3 |a||b|, and a complex sum of n
+        products, in any order (einsum, BLAS, with or without FMA), within
+        gamma_{2n+4} sum |a||b|. Let A_q = |W|^T |H_nlos| |F| +
+        sum_m ubar_m vbar_m^T, ubar_m = |W|^T |user hop m|,
+        vbar_m = |AP hop m|^T |F| (entrywise moduli; |c_m| is 1 within 2u).
+        Against the exact product T_q of the stored floats,
+          - the composite kernel (c_m times the user stack, the sum over m,
+            plus H_nlos, then W^H H F over n_r*n_t terms) is within
+            gamma_n1 A_q, n1 = 2M + 2 n_r n_t + 18;
+          - the affine kernel (u, v and e0 as formed, c_m u_m, the sum over
+            m, plus e0) is within gamma_n2 A_q,
+            n2 = 2M + 2 n_r n_t + 2 n_r + 2 n_t + 19.
+        A_q does not depend on theta, so the entry radius
+        R_q = BRACKET_SAFETY * gamma_{n1+n2} * A_q, formed once, bounds
+        |E_exact - E_affine| with room to spare for the rounding of A_q
+        itself. With a = |E_affine| entrywise, the exact kernel's sum of
+        |E|^2 lies within sum a^2 -+ eps, eps = sum (2a + R) R. Every later
+        stage (p_ap g, sigma2 plus the interferers, SINR, 1 + SINR, log2,
+        the sum or n_sc * min over subcarriers, the sum over links) is
+        monotone on nonnegative values, so it maps bounds on its inputs to
+        bounds on its output, widened for its roundings on either side
+        (``_widen``); the denominator is at least sigma2 > 0. A bound that is
+        not finite gives (-inf, inf), which settles nothing.
+
+        Counts P*K*n_sc*M*n_s^2 MACs per call, and the set-up on the first
+        call. Nothing enters the cache of exact points.
+        """
+        if not self.assignment.served:
+            return 0.0, 0.0
+        if self._e0 is None:
+            self._bracket_setup()
+        coeffs = np.exp(1j * np.asarray(phases, dtype=float))
+        n_pairs, n_sc, m, n_s = self._u.shape
+        # einsum, not a ufunc multiply into the transposed layout, which would
+        # allocate iteration buffers on top of the scaled stack
+        eff = self._e0 + _pair_owner_sum(np.einsum("pnms,m->npsm", self._u, coeffs), self._v)
+        if self.counter is not None:
+            self.counter.add(n_pairs * len(self._v) * n_sc * m * n_s * n_s)
+        a = np.abs(eff)
+        gains = np.sum(a * a, axis=(2, 3))
+        eps = 2.0 * np.sum(a * self._radius, axis=(2, 3)) + self._radius_sq
+        # the exact kernel's sum of |E|^2 lies within sum a^2 -+ eps; each is
+        # a sum of n_s^2 terms of a few roundings
+        n = n_s * n_s + 6
+        below, g_hi = _widen(gains, gains + eps, n)
+        g_lo = np.maximum(_widen(below - _widen(eps, eps, n)[1], 0.0, n)[0], 0.0)
+        signal = _widen(self.p_ap * g_lo[self._signal], self.p_ap * g_hi[self._signal], 1)
+        denom = _widen(self.sigma2 + np.sum(self.p_ap * g_lo[self._interferers], axis=1),
+                       self.sigma2 + np.sum(self.p_ap * g_hi[self._interferers], axis=1),
+                       self._interferers.shape[1] + 1)
+        sinr = _widen(signal[0] / denom[1], signal[1] / denom[0], 1)
+        lo, hi = _widen(1.0 + sinr[0], 1.0 + sinr[1], 1)
+        lo, hi = _widen(np.log2(lo), np.log2(hi), LOG2_ROUNDINGS)
+        lo = np.maximum(lo, 0.0)  # log2 of a float >= 1
+        if self.aggregate == "mean":
+            lo, hi = _widen(np.sum(lo, axis=1), np.sum(hi, axis=1), n_sc)
+        else:
+            lo, hi = _widen(n_sc * np.min(lo, axis=1), n_sc * np.min(hi, axis=1), 1)
+        lo, hi = _widen(float(np.sum(lo)), float(np.sum(hi)), n_pairs)
+        if not -np.inf < lo <= hi < np.inf:
+            return -np.inf, np.inf
+        return lo, hi
+
+    def _bracket_setup(self):
+        """e0 of every triple and the radius of its entries (see ``bracket``),
+        with the moduli of the AP rows formed in subcarrier blocks."""
+        links = self.links
+        n_pairs, n_sc, m, n_s = self._u.shape
+        n_owners, n_r, n_t = len(self._v), self._wh.shape[2], self._f.shape[2]
+        nlos = links.dl_nlos.reshape((-1,) + links.dl_nlos.shape[2:])[self._links_of]
+        spec = "qnrs,qnrt,qntk->qnsk"
+        self._e0 = np.einsum(spec, self._wh, nlos, self._f)
+        mag = np.einsum(spec, np.abs(self._wh), np.abs(nlos), np.abs(self._f))
+        wh, f = np.abs(self._wh[::n_owners]), np.abs(self._f[:n_owners])
+        users = self._rx[::n_owners]
+        step = max(1, BRACKET_PIECE_BYTES // max(m * n_t * 8, 1))
+        for start in range(0, n_sc, step):
+            n = slice(start, start + step)
+            ubar = np.einsum("pnrs,pnmr->npsm", wh[:, n], np.abs(links.dl_user_cols[users, n]))
+            vbar = np.empty((n_owners,) + ubar.shape[:1] + (m, n_s))
+            for b, k in self._owners_of.items():
+                np.einsum("nmt,knts->knms", np.abs(links.dl_ap_rows[b, n]), f[k, n], out=vbar[k])
+            mag[:, n] += _pair_owner_sum(ubar, vbar)
+        n1 = 2 * m + 2 * n_r * n_t + 18
+        n2 = n1 + 2 * n_r + 2 * n_t + 1
+        self._radius = BRACKET_SAFETY * _gamma(n1 + n2) * mag
+        self._radius_sq = np.sum(self._radius * self._radius, axis=(2, 3))
+        if self.counter is not None:
+            n_q = len(self._rx)
+            self.counter.add(2 * n_q * n_sc * n_s * (n_r * n_t + n_t * n_s)
+                             + n_pairs * n_sc * m * n_r * n_s + n_owners * n_sc * m * n_t * n_s
+                             + n_pairs * n_owners * n_sc * m * n_s * n_s)
+
 
 def rcg_optimize_phases(
     objective,
@@ -260,22 +409,43 @@ def rcg_optimize_phases(
     best_f, best_theta = f, theta.copy()
     restart_every = max(len(theta), 1)
 
+    def exact(phases):
+        value = objective.value(phases)
+        return value, value
+
+    bracket = getattr(objective, "bracket", exact)
+
     def line_search(d, slope):
         """Armijo backtracking, then greedy step doubling while the
-        objective keeps improving (PR conjugacy wants a near-exact search)."""
+        objective keeps improving (Polak-Ribiere conjugacy wants a near-exact
+        search).
+
+        Each comparison is settled on brackets lo <= value <= hi when they
+        lie on one side of it, and on exact values otherwise, so it is the
+        one exact values make. A bracket with lo == hi is the exact value.
+        """
         step = STEP_INIT
         while step > 1e-14:
-            f_cand = objective.value(theta + step * d)
-            if f_cand >= f + ARMIJO_SLOPE * step * slope:
+            threshold = f + ARMIJO_SLOPE * step * slope
+            cand = bracket(theta + step * d)
+            if cand[0] < threshold <= cand[1]:
+                cand = exact(theta + step * d)
+            if cand[0] >= threshold:
                 break
             step *= STEP_SHRINK
         else:
             return None
         while step <= 1e6:
-            f_next = objective.value(theta + 2.0 * step * d)
-            if f_next <= f_cand:
+            nxt = bracket(theta + 2.0 * step * d)
+            if nxt[1] <= cand[0]:
                 break
-            step, f_cand = 2.0 * step, f_next
+            if nxt[0] <= cand[1]:  # the brackets overlap
+                if cand[0] != cand[1]:
+                    cand = exact(theta + step * d)
+                nxt = exact(theta + 2.0 * step * d)
+                if nxt[0] <= cand[0]:
+                    break
+            step, cand = 2.0 * step, nxt
         return step
 
     for it in range(1, max_iter + 1):
@@ -510,7 +680,9 @@ def complexity_probe(
 
     Antenna counts scale with M (n_t = n_r = M) so the probe exercises the
     cubic composite-rebuild cost of phase optimization and the quadratic
-    projection cost of hybrid beamforming.
+    projection cost of hybrid beamforming. The probe measures the paper's
+    search: its RCG sees the objective without ``bracket``, so every trial
+    point runs the counted composite kernel.
     """
     if list(m_values) != sorted(m_values):
         raise ValueError("m_values must be ascending")
@@ -540,7 +712,8 @@ def complexity_probe(
         phase_counter = OpCounter()
         objective = DlRateObjective(links, assignment, beamformers, counter=phase_counter)
         t0 = time.perf_counter()
-        rcg_optimize_phases(objective, np.zeros(m), epsilon=0.0, max_iter=rcg_iters)
+        exact = SimpleNamespace(value=objective.value, value_and_grad=objective.value_and_grad)
+        rcg_optimize_phases(exact, np.zeros(m), epsilon=0.0, max_iter=rcg_iters)
         seconds = time.perf_counter() - t0
         rows.append(
             {

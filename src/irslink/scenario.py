@@ -35,6 +35,14 @@ def _is_kind(value, kind) -> bool:
     return isinstance(value, abc) and (kind is bool or not isinstance(value, bool)) and value == value
 
 
+def _finite_float(value) -> bool:
+    """Whether a number converts to a finite float (a huge int overflows)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_types(obj, section: str):
     """Raise ConfigError naming the first dataclass field whose value does not fit its type."""
     for f in fields(obj):
@@ -137,7 +145,7 @@ class SystemParams:
             if getattr(self, name) < 1:
                 raise ConfigError(f"system.{name}: must be >= 1")
         for name, value in vars(self).items():
-            if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
+            if isinstance(value, numbers.Real) and not _finite_float(value):
                 raise ConfigError(f"system.{name}: must be finite")
         for name in ("s_i", "a_i", "lambda_i", "gamma_d", "r_min", "v_bits", "tracking_e0", "t_proc"):
             if getattr(self, name) < 0:
@@ -155,6 +163,14 @@ class SystemParams:
             raise ConfigError("system.delay_mode: must be 'phasor' or 'real_decay'")
         if self.noise_power is not None and self.noise_power <= 0:
             raise ConfigError("system.noise_power: must be positive")
+        try:
+            sigma2 = self.sigma2
+        except OverflowError:
+            sigma2 = math.inf
+        if not 0.0 < sigma2 < math.inf:  # the SINR denominators start from it
+            raise ConfigError(
+                f"system.noise_figure_db: gives noise power {sigma2!r} W, which must be finite and > 0"
+            )
 
     @property
     def sigma2(self) -> float:

@@ -446,6 +446,20 @@ system:
         assert captured.err == f"irslink: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_noise_power_is_one_error_line(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(
+            "geometry:\n  ap_positions: [[2.0, 3.0, 2.5]]\n  user_positions: [[5.0, 5.0, 1.5]]\n"
+            "system: {noise_figure_db: 4000.0}\n"
+        )
+        argv = ["run", "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("irslink: error: system.noise_figure_db: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_codebook_spec(self, capsys):
         for token in ("nonsense", "8xq", "8x9"):
             with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import gc
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -330,8 +331,9 @@ class TestCompositeBuffer:
 
     def test_probe_counts_as_recorded(self):
         # counted before the composites were built in two steps; the counter
-        # still charges the paper-literal cubic rebuild of every composite, and
-        # the line search's step doubling evaluates no point past its 1e6 cap
+        # still charges the paper-literal cubic rebuild of every composite (the
+        # probe's search sees no bracket), and the line search's step doubling
+        # evaluates no point past its 1e6 cap
         rows = complexity_probe([8, 16, 32], rcg_iters=5)
         assert [row["phase_macs"] for row in rows] == [248000, 1520832, 14342912]
         assert [row["beamforming_macs"] for row in rows] == [576, 2176, 8448]
@@ -485,10 +487,130 @@ class TestPrimedObjective:
         cascade = channel._cascade
         monkeypatch.setattr(channel, "_cascade", lambda *a, **k: calls.append(1) or cascade(*a, **k))
         result = alternating_optimize(default_scenario(24), seed=0)
-        # three rounds run, the third regressed; without the hand-over the run
-        # built 89 cascades, each round's first objective point a second time
+        # three rounds run, the third regressed. Each round builds the
+        # composites at its start phases (3) and hands them to its objective,
+        # whose line searches decide on brackets: composites are built only at
+        # the 10 accepted points past each round's first, and once for the
+        # report's UL gains (1). Without the hand-over the run built 89
+        # cascades, without the brackets 86.
         assert len(result.trace) == 2 and result.stop_reason == "regressed"
-        assert len(calls) == 89 - 3
+        assert len(calls) == 3 + 10 + 1
+
+
+_BRACKET_CASES = {
+    **{cb.name: (with_codebook(default_scenario(), cb), "mean") for cb in STOCK_CODEBOOKS},
+    "min_aggregate": (default_scenario(), "min"),
+    "two_antenna_two_stream": (default_scenario(16, n_t=4, n_r=2, n_s=2, n_sc=8), "mean"),
+    "one_subcarrier": (default_scenario(16, n_t=4, n_r=2, n_s=2, n_sc=1), "min"),
+    "real_decay": (default_scenario(delay_mode="real_decay"), "mean"),
+    "user_left_unserved": (default_scenario(v_cap=1), "mean"),
+    **{f"m{m}": (default_scenario(m), "mean") for m in (1, 96, 384)},
+}
+
+
+class _ExactOnly:
+    """An objective seen through ``value`` and ``value_and_grad`` alone."""
+
+    def __init__(self, objective):
+        self.value, self.value_and_grad = objective.value, objective.value_and_grad
+
+
+class _Loose(_ExactOnly):
+    """Brackets widened by a random amount, so some settle a comparison and
+    some leave it to exact values."""
+
+    def __init__(self, objective, seed):
+        super().__init__(objective)
+        self.objective, self.rng = objective, np.random.default_rng(seed)
+
+    def bracket(self, phases):
+        lo, hi = self.objective.bracket(phases)
+        pad = abs(hi) * self.rng.choice([0.0, 1e-9, 1e-3])
+        return lo - pad, hi + pad
+
+
+def _bracket_objective(name, seed):
+    """A maker of the named case's objective, with beamformers designed at
+    random phases."""
+    scenario, aggregate = _BRACKET_CASES[name]
+    objective, _, _, beamformers = _round_objective(scenario, seed)
+    return partial(DlRateObjective, objective.links, objective.assignment, beamformers, aggregate)
+
+
+def _rcg_runs_equal(got, want):
+    (phases, trace), (expected_phases, expected_trace) = got, want
+    assert phases.tobytes() == expected_phases.tobytes()
+    assert len(trace) == len(expected_trace)
+    for state, expected in zip(trace, expected_trace):
+        assert state.objective == expected.objective
+        assert state.grad_norm == expected.grad_norm
+        assert state.phases.tobytes() == expected.phases.tobytes()
+        assert state.line_search_fallback == expected.line_search_fallback
+        assert state.stop_reason == expected.stop_reason
+
+
+class TestBracket:
+    """``DlRateObjective.bracket`` bounds the exact value, and a line search
+    that decides on brackets makes every decision exact values make."""
+
+    @pytest.mark.parametrize("name", _BRACKET_CASES)
+    def test_contains_exact_value(self, name):
+        objective = _bracket_objective(name, 2)()
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            theta = rng.uniform(-np.pi, np.pi, objective.n_phases)
+            _, d = objective.value_and_grad(theta)
+            # the line search's trial points: steps from its doubling cap to
+            # its shortest backtrack
+            for theta_k in [theta] + [theta + 2.0**-k * d for k in range(-20, 47, 3)]:
+                lo, hi = objective.bracket(theta_k)
+                value = objective.value(theta_k)
+                assert lo <= value <= hi
+                assert hi - lo <= 1e-9 * value  # narrow enough to decide
+
+    def test_no_served_user(self, stock_links):
+        n_users = stock_links.scenario.n_users
+        objective = DlRateObjective(
+            stock_links, Assignment((-1,) * n_users, (False,) * n_users), {})
+        theta = np.full(stock_links.scenario.n_irs_elements, 0.3)
+        assert objective.bracket(theta) == (0.0, 0.0) == (objective.value(theta),) * 2
+
+    @pytest.mark.parametrize(
+        "name", ["4ant_2rf", "8ant_1rf", "min_aggregate", "two_antenna_two_stream",
+                 "user_left_unserved", "m96"])
+    def test_trajectory_as_with_exact_values(self, name):
+        make = _bracket_objective(name, 1)
+        objective = make()
+        theta0 = np.zeros(objective.n_phases)
+        want = rcg_optimize_phases(_ExactOnly(make()), theta0, max_iter=40)
+        _rcg_runs_equal(rcg_optimize_phases(objective, theta0, max_iter=40), want)
+        loose = _Loose(make(), seed=3)
+        _rcg_runs_equal(rcg_optimize_phases(loose, theta0, max_iter=40), want)
+
+    def test_counts_affine_and_set_up_macs(self, stock_scenario):
+        objective, *_ = build_rate_objective(stock_scenario, seed=0)
+        objective.counter = counter = OpCounter()
+        theta = np.full(objective.n_phases, 0.3)
+        objective.bracket(theta)
+        first = counter.macs
+        counter.reset()
+        objective.bracket(theta + 0.1)
+        p = stock_scenario.params
+        n_pairs = len(objective.assignment.served)
+        m, n_q = objective.n_phases, n_pairs * n_pairs
+        assert counter.macs == n_pairs * n_pairs * p.n_sc * m * p.n_s * p.n_s
+        set_up = (2 * n_q * p.n_sc * p.n_s * (p.n_r * p.n_t + p.n_t * p.n_s)
+                  + n_pairs * p.n_sc * m * (p.n_r + p.n_t) * p.n_s + counter.macs)
+        assert first == set_up + counter.macs
+
+    def test_exact_cache_and_hand_over_untouched(self):
+        objective, theta, composites, _ = _round_objective(default_scenario(), 6)
+        coeffs = np.exp(1j * theta)
+        objective.prime(coeffs, composites)
+        objective.bracket(theta)
+        objective.bracket(theta + 0.25)
+        assert objective._cache == {}
+        assert objective._primed[0] == coeffs.tobytes()
 
 
 class TestGradient:

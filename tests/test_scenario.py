@@ -145,6 +145,17 @@ class TestSystemParams:
         with pytest.raises(ConfigError, match=r"^system\.noise_power: must be finite$"):
             SystemParams(noise_power=float("inf"))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("noise_figure_db", 4000.0), ("noise_figure_db", -4000.0), ("s_i", 10**400)],
+        ids=["noise_power_overflows", "noise_power_underflows", "int_beyond_float"],
+    )
+    def test_values_that_overflow_rejected(self, name, value):
+        # each used to fail inside the run: an OverflowError from sigma2, a
+        # zero noise power, an OverflowError converting the int
+        with pytest.raises(ConfigError, match=rf"^system\.{name}: "):
+            SystemParams(**{name: value})
+
     def test_rf_chain_bounds(self):
         with pytest.raises(ConfigError):
             SystemParams(n_rf=4, n_t=2)
