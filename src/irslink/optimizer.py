@@ -34,8 +34,8 @@ STEP_INIT, STEP_SHRINK, ARMIJO_SLOPE = 1.0, 0.5, 1e-4
 # the alternating loop stops once a round gains no more than this, relative
 IMPROVEMENT_TOL = 1e-6
 
-# unit roundoff of float64, and the factor by which a bracket's entry radius
-# exceeds its first-order rounding bound (see ``DlRateObjective.bracket``)
+# unit roundoff of float64, and the factor by which a bracket's radius and
+# widenings exceed their first-order rounding bounds (see ``DlRateObjective.bracket``)
 UNIT_ROUNDOFF = 2.0**-53
 BRACKET_SAFETY = 2.0
 # roundings charged to one float64 log2 (an error of up to 8 ulp)
@@ -48,23 +48,6 @@ BRACKET_PIECE_BYTES = 1 << 16
 def _gamma(n):
     """Higham's gamma_n = n u / (1 - n u)."""
     return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
-
-
-def _widen(lo, hi, n):
-    """Bounds on nonnegative quantities widened for one stage of at most ``n``
-    roundings, made both by the exact path and by the bracket's own float
-    evaluation of that stage, plus the widening multiply itself."""
-    w = 4.0 * (n + 1) * UNIT_ROUNDOFF
-    return lo * (1.0 - w), hi * (1.0 + w)
-
-
-def _pair_owner_sum(rows, v):
-    """sum_m rows[n, p, s, m] * v[k, n, m, t] for every triple q = p*K + k,
-    as (Q, n_sc, n_s, n_t): one matmul batched over (owner, subcarrier)."""
-    n_sc, n_p, n_s, m = rows.shape
-    out = np.matmul(rows.reshape(n_sc, n_p * n_s, m), v)  # (K, n_sc, P * n_s, n_t)
-    out = out.reshape(len(v), n_sc, n_p, n_s, -1).transpose(2, 0, 1, 3, 4)
-    return out.reshape((-1,) + out.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -146,10 +129,9 @@ class DlRateObjective:
             # theta-independent tangent factors: u depends on the receiver,
             # v on (transmitting AP via its rows, precoder owner)
             self._u = np.einsum("pnrs,pnmr->pnms", wh, links.dl_user_cols[[i for i, _ in pairs]])
-            # one einsum per AP over its owners: the AP rows are too large to
-            # gather once per owner
+            # owners run AP by AP: one einsum per AP over its owners' slice, as
+            # the AP rows are too large to gather once per owner
             aps = [b for b, _ in owners]
-            # owners run AP by AP: each AP's owners as a slice
             self._owners_of = {b: slice(aps.index(b), aps.index(b) + aps.count(b))
                                for b in dict.fromkeys(aps)}
             self._v = np.empty(f.shape[:2] + (self.n_phases, f.shape[3]), dtype=complex)
@@ -165,9 +147,7 @@ class DlRateObjective:
         self._gathered = np.empty((len(self._rx),) + links.dl_nlos.shape[2:], dtype=complex)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
         self._primed = None  # (coefficient bytes, composites) from ``prime``
-        # formed by the first ``bracket`` call: e0 of every triple and the
-        # radius of its entries, with sum_st radius^2
-        self._e0 = self._radius = self._radius_sq = None
+        self._e0 = None  # formed by the first ``bracket`` call, with its other stacks
 
     def prime(self, coeffs, composites):
         """Take ``composites``, the DL composites at ``coeffs``, for the next
@@ -283,90 +263,102 @@ class DlRateObjective:
         With the beamformers fixed, every triple's effective matrix is affine
         in c = exp(j theta): E_q(c) = e0_q + sum_m c_m u_m v_m^T, with
         e0_q = W_i^H H_nlos F_l and the gradient's factors u (receiver side)
-        and v (AP rows times precoder) (Wu & Zhang, IEEE TWC 2019). One
-        matmul batched over (owner, subcarrier) forms them all: P*K*n_sc*M*n_s^2
+        and v (AP rows times precoder) (Wu & Zhang, IEEE TWC 2019). A call
+        scales a contiguous (n_sc, P*n_s, M) copy of u by c and runs one
+        matmul batched over (owner, subcarrier) against v: P*K*n_sc*M*n_s^2
         MACs against the composites' U*B*n_sc*M*n_r*n_t. It rounds otherwise
-        than ``value``'s composite kernel, so it yields an interval, not the
-        value. The line search only compares values, and settles a comparison
-        on brackets wherever they lie on one side of it (a floating-point
-        filter, Shewchuk 1997).
+        than ``value``'s composite kernel, so it yields an interval; the line
+        search settles a comparison on brackets wherever they lie on one side
+        of it (a floating-point filter, Shewchuk 1997).
 
-        Derivation, with u = 2^-53 and gamma_n = n u / (1 - n u) (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3): a
-        complex product rounds within gamma_3 |a||b|, and a complex sum of n
-        products, in any order (einsum, BLAS, with or without FMA), within
-        gamma_{2n+4} sum |a||b|. Let A_q = |W|^T |H_nlos| |F| +
-        sum_m ubar_m vbar_m^T, ubar_m = |W|^T |user hop m|,
-        vbar_m = |AP hop m|^T |F| (entrywise moduli; |c_m| is 1 within 2u).
-        Against the exact product T_q of the stored floats,
-          - the composite kernel (c_m times the user stack, the sum over m,
-            plus H_nlos, then W^H H F over n_r*n_t terms) is within
-            gamma_n1 A_q, n1 = 2M + 2 n_r n_t + 18;
-          - the affine kernel (u, v and e0 as formed, c_m u_m, the sum over
-            m, plus e0) is within gamma_n2 A_q,
-            n2 = 2M + 2 n_r n_t + 2 n_r + 2 n_t + 19.
-        A_q does not depend on theta, so the entry radius
-        R_q = BRACKET_SAFETY * gamma_{n1+n2} * A_q, formed once, bounds
-        |E_exact - E_affine| with room to spare for the rounding of A_q
-        itself. With a = |E_affine| entrywise, the exact kernel's sum of
-        |E|^2 lies within sum a^2 -+ eps, eps = sum (2a + R) R. Every later
-        stage (p_ap g, sigma2 plus the interferers, SINR, 1 + SINR, log2,
-        the sum or n_sc * min over subcarriers, the sum over links) is
-        monotone on nonnegative values, so it maps bounds on its inputs to
-        bounds on its output, widened for its roundings on either side
-        (``_widen``); the denominator is at least sigma2 > 0. A bound that is
-        not finite gives (-inf, inf), which settles nothing.
-
-        Counts P*K*n_sc*M*n_s^2 MACs per call, and the set-up on the first
-        call. Nothing enters the cache of exact points.
+        Derivation, with u = 2^-53, gamma_n = n u / (1 - n u) and theta_n any
+        product of n factors (1 + delta)^-+1, |delta| <= u, so |theta_n| <=
+        gamma_n (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+        ed., ch. 3). Underflow aside, a complex sum of n products rounds
+        within gamma_{2n+4} sum |a||b| in any order (einsum, BLAS, with or
+        without FMA), and a real sum of n nonnegative terms within theta_n.
+        1. Let A_q = |W|^T |H_nlos| |F| + sum_m ubar_m vbar_m^T, with
+           ubar_m = |W|^T |user hop m|, vbar_m = |AP hop m|^T |F| (entrywise
+           moduli, |c_m| = 1 within 2u). Against the exact product of the
+           stored floats, the composite kernel is within gamma_n1 A_q,
+           n1 = 2M + 2 n_r n_t + 18, and the affine one within gamma_n2 A_q,
+           n2 = n1 + 2 n_r + 2 n_t + 1. By the triangle inequality,
+           ||E_kernel||_F lies in ||E_affine||_F -+ rho_q on every subcarrier,
+           rho_q = BRACKET_SAFETY * gamma_{n1+n2} ||A_q||_F, formed once; the
+           factor 2 covers the rounding of rho_q and the relative terms
+           moved past it below.
+        2. The bracket's norm, sqrt of a sum of N = 2 n_s^2 squares, is
+           ||E_affine||_F theta_{N+1}; (norm -+ rho)^2, clamped at 0, adds
+           theta_3. The kernel's gain (hypot, square, n_s^2 terms) is
+           ||E_kernel||_F^2 theta_{n_s^2+5}. So each exact gain lies within
+           the bracket's lo and hi gains times theta_A, A = 5 n_s^2 + 10.
+        3. 1 + p_ap g_s / (sigma2 + p_ap sum g_i) rises in g_s and falls in
+           every g_i; theta_A on each gain moves it by theta_{2A}. Its
+           roundings add theta_{K+3} on the exact path and theta_{K+2} on the
+           bracket's. So 1 + SINR lies in (1 + SINR_lo, 1 + SINR_hi) times
+           1 -+ 2 gamma_{n_pre}, n_pre = 2A + 2K + 6 (one for the scaling).
+        4. log2 is monotone and within LOG2_ROUNDINGS roundings of its
+           result, which is >= 0 on the exact path. The sum over subcarriers
+           or n_sc * min, then the sum over links, are monotone and
+           homogeneous on nonnegative values; with both paths' roundings they
+           add theta_{P n_sc + n_sc + P}. So the final sums, with lo clamped
+           at 0 before them, times 1 -+ 2 gamma_{n_post}, n_post =
+           2 LOG2_ROUNDINGS + P n_sc + n_sc + P + 1, bound the value.
+        lo and hi run as one stacked array, one numpy call per stage. A bound
+        that is not finite gives (-inf, inf), which settles nothing. Counts
+        P*K*n_sc*M*n_s^2 MACs per call, and the set-up on the first call.
+        Nothing enters the cache of exact points.
         """
         if not self.assignment.served:
             return 0.0, 0.0
         if self._e0 is None:
             self._bracket_setup()
         coeffs = np.exp(1j * np.asarray(phases, dtype=float))
-        n_pairs, n_sc, m, n_s = self._u.shape
-        # einsum, not a ufunc multiply into the transposed layout, which would
-        # allocate iteration buffers on top of the scaled stack
-        eff = self._e0 + _pair_owner_sum(np.einsum("pnms,m->npsm", self._u, coeffs), self._v)
+        n_owners, n_sc, m, n_s = self._v.shape
+        np.multiply(self._rows, coeffs, out=self._scaled)
+        eff = np.matmul(self._scaled, self._v, out=self._eff)  # (K, n_sc, P * n_s, n_s)
+        eff += self._e0
         if self.counter is not None:
-            self.counter.add(n_pairs * len(self._v) * n_sc * m * n_s * n_s)
-        a = np.abs(eff)
-        gains = np.sum(a * a, axis=(2, 3))
-        eps = 2.0 * np.sum(a * self._radius, axis=(2, 3)) + self._radius_sq
-        # the exact kernel's sum of |E|^2 lies within sum a^2 -+ eps; each is
-        # a sum of n_s^2 terms of a few roundings
-        n = n_s * n_s + 6
-        below, g_hi = _widen(gains, gains + eps, n)
-        g_lo = np.maximum(_widen(below - _widen(eps, eps, n)[1], 0.0, n)[0], 0.0)
-        signal = _widen(self.p_ap * g_lo[self._signal], self.p_ap * g_hi[self._signal], 1)
-        denom = _widen(self.sigma2 + np.sum(self.p_ap * g_lo[self._interferers], axis=1),
-                       self.sigma2 + np.sum(self.p_ap * g_hi[self._interferers], axis=1),
-                       self._interferers.shape[1] + 1)
-        sinr = _widen(signal[0] / denom[1], signal[1] / denom[0], 1)
-        lo, hi = _widen(1.0 + sinr[0], 1.0 + sinr[1], 1)
-        lo, hi = _widen(np.log2(lo), np.log2(hi), LOG2_ROUNDINGS)
-        lo = np.maximum(lo, 0.0)  # log2 of a float >= 1
+            self.counter.add(len(self._u) * n_owners * n_sc * m * n_s * n_s)
+        # ||E||_F^2 of every (triple, subcarrier), triples in q order
+        parts = eff.view(float).reshape(n_owners, n_sc, -1, 2 * n_s * n_s)
+        norm = np.sqrt(np.einsum("knpi,knpi->pkn", parts, parts).reshape(-1, n_sc))
+        g = norm + self._radius  # (2, Q, n_sc): ||E|| -+ rho
+        np.maximum(g, 0.0, out=g)
+        g *= g
+        g *= self.p_ap
+        # lo over hi and hi over lo: the interferers' gains run swapped
+        x = g[:, self._signal] / (self.sigma2 + np.sum(g[::-1, self._interferers], axis=2))
+        x += 1.0
+        x *= self._pre_log
+        np.log2(x, out=x)
+        np.maximum(x, 0.0, out=x)  # log2 of a float >= 1
         if self.aggregate == "mean":
-            lo, hi = _widen(np.sum(lo, axis=1), np.sum(hi, axis=1), n_sc)
+            lo, hi = np.sum(x, axis=(1, 2))
         else:
-            lo, hi = _widen(n_sc * np.min(lo, axis=1), n_sc * np.min(hi, axis=1), 1)
-        lo, hi = _widen(float(np.sum(lo)), float(np.sum(hi)), n_pairs)
+            lo, hi = n_sc * np.sum(np.min(x, axis=2), axis=1)
+        lo, hi = float(lo) * self._post_log[0], float(hi) * self._post_log[1]
         if not -np.inf < lo <= hi < np.inf:
             return -np.inf, np.inf
         return lo, hi
 
     def _bracket_setup(self):
-        """e0 of every triple and the radius of its entries (see ``bracket``),
+        """e0 and the receiver stack in the product's layout, rho of every
+        (triple, subcarrier) and the two widening factors (see ``bracket``),
         with the moduli of the AP rows formed in subcarrier blocks."""
         links = self.links
         n_pairs, n_sc, m, n_s = self._u.shape
         n_owners, n_r, n_t = len(self._v), self._wh.shape[2], self._f.shape[2]
-        nlos = links.dl_nlos.reshape((-1,) + links.dl_nlos.shape[2:])[self._links_of]
-        spec = "qnrs,qnrt,qntk->qnsk"
-        self._e0 = np.einsum(spec, self._wh, nlos, self._f)
-        mag = np.einsum(spec, np.abs(self._wh), np.abs(nlos), np.abs(self._f))
-        wh, f = np.abs(self._wh[::n_owners]), np.abs(self._f[:n_owners])
+        self._rows = np.ascontiguousarray(self._u.transpose(1, 0, 3, 2)).reshape(n_sc, -1, m)
+        self._scaled = np.empty_like(self._rows)
+        self._eff = np.empty((n_owners, n_sc, n_pairs * n_s, n_s), dtype=complex)
+        # (P, K, ...) views of the triple stacks: W^H repeats per owner, F per pair
+        nlos = links.dl_nlos[self._rx, self._ap].reshape(n_pairs, n_owners, n_sc, n_r, n_t)
+        wh, f = self._wh[::n_owners], self._f[:n_owners]
+        spec = "pnrs,pknrt,kntc->knpsc"
+        self._e0 = np.einsum(spec, wh, nlos, f).reshape(self._eff.shape)
+        wh, f = np.abs(wh), np.abs(f)
+        mag = np.einsum(spec, wh, np.abs(nlos), f).reshape(self._eff.shape)
         users = self._rx[::n_owners]
         step = max(1, BRACKET_PIECE_BYTES // max(m * n_t * 8, 1))
         for start in range(0, n_sc, step):
@@ -375,11 +367,17 @@ class DlRateObjective:
             vbar = np.empty((n_owners,) + ubar.shape[:1] + (m, n_s))
             for b, k in self._owners_of.items():
                 np.einsum("nmt,knts->knms", np.abs(links.dl_ap_rows[b, n]), f[k, n], out=vbar[k])
-            mag[:, n] += _pair_owner_sum(ubar, vbar)
+            mag[:, n] += np.matmul(ubar.reshape(len(ubar), -1, m), vbar)
         n1 = 2 * m + 2 * n_r * n_t + 18
         n2 = n1 + 2 * n_r + 2 * n_t + 1
-        self._radius = BRACKET_SAFETY * _gamma(n1 + n2) * mag
-        self._radius_sq = np.sum(self._radius * self._radius, axis=(2, 3))
+        mag = mag.reshape(n_owners, n_sc, n_pairs, n_s * n_s)
+        rho = BRACKET_SAFETY * _gamma(n1 + n2) * np.sqrt(
+            np.einsum("knpi,knpi->pkn", mag, mag).reshape(-1, n_sc))
+        self._radius = np.stack([-rho, rho])
+        w_pre = BRACKET_SAFETY * _gamma(2 * (5 * n_s * n_s + 10) + 2 * n_owners + 6)
+        w_post = BRACKET_SAFETY * _gamma(2 * LOG2_ROUNDINGS + n_pairs * n_sc + n_sc + n_pairs + 1)
+        self._pre_log = np.array([1.0 - w_pre, 1.0 + w_pre])[:, None, None]
+        self._post_log = (1.0 - w_post, 1.0 + w_post)
         if self.counter is not None:
             n_q = len(self._rx)
             self.counter.add(2 * n_q * n_sc * n_s * (n_r * n_t + n_t * n_s)

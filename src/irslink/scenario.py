@@ -204,6 +204,8 @@ class RcgConfig:
         for name, low in (("epsilon", 0), ("max_iter", 1), ("outer_rounds", 1), ("beam_grid", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"optimizer.{name}: must be >= {low}")
+        if not _finite_float(self.epsilon):  # inf would skip every phase optimization
+            raise ConfigError("optimizer.epsilon: must be finite")
 
 
 @dataclass(frozen=True)

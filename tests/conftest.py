@@ -1,7 +1,10 @@
 """Shared builders for small, fast test scenarios."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from irslink.beamforming import build_analog_codebook
 from irslink.channel import synthesize_links
@@ -12,6 +15,12 @@ from irslink.optimizer import (
     _initial_assignment,
 )
 from irslink.scenario import Box, IrsPanel, Scenario, SystemParams, default_scenario
+
+# with CI set, every property test draws the same examples on every run, so a
+# commit cannot pass or fail by the luck of the draw
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def scalar_scenario(m_elements: int, n_sc: int = 1, **overrides) -> Scenario:

@@ -429,9 +429,10 @@ system:
             (["--irs-sizes", "0", "--modes", "no_irs", "with_irs"],
              "irs_sizes: run 2ant_1rf_irs0_mean_gain_no_irs is asked for twice"),
             (["--seed", "-1"], "seed: must be an integer >= 0, got -1"),
+            (["--epsilon", "inf"], "optimizer.epsilon: must be finite"),
         ],
         ids=["max_iter", "scenario", "negative_irs_size", "repeated_codebook", "repeated_size",
-             "negative_seed"],
+             "negative_seed", "infinite_epsilon"],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, args, message):
         scenario = tmp_path / "bad.yaml"

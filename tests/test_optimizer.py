@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink import channel, optimizer
 from irslink.beamforming import build_analog_codebook, design_beamformers
@@ -568,6 +570,28 @@ class TestBracket:
                 assert lo <= value <= hi
                 assert hi - lo <= 1e-9 * value  # narrow enough to decide
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_contains_value_on_random_scenarios(self, data):
+        # containment only: at very low SNR the bracket is far wider than the
+        # value, which is then close to 0
+        n_t, n_r = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+        n_s = data.draw(st.integers(1, min(2, n_t, n_r)))
+        scenario = default_scenario(
+            data.draw(st.integers(1, 96)), n_t=n_t, n_r=n_r, n_s=n_s,
+            n_rf=data.draw(st.integers(n_s, min(n_t, 3))), n_sc=data.draw(st.integers(1, 64)),
+            p_ap=10.0 ** data.draw(st.floats(-8.0, 8.0)),
+            noise_figure_db=data.draw(st.floats(-150.0, 150.0)),
+            delay_mode=data.draw(st.sampled_from(["phasor", "real_decay"])),
+        )
+        objective, theta, _, beamformers = _round_objective(scenario, data.draw(st.integers(0, 99)))
+        objective = DlRateObjective(objective.links, objective.assignment, beamformers,
+                                    data.draw(st.sampled_from(["mean", "min"])))
+        _, d = objective.value_and_grad(theta)
+        for k in data.draw(st.lists(st.integers(-20, 46), min_size=1, max_size=3)):
+            lo, hi = objective.bracket(theta + 2.0**-k * d)
+            assert lo <= objective.value(theta + 2.0**-k * d) <= hi
+
     def test_no_served_user(self, stock_links):
         n_users = stock_links.scenario.n_users
         objective = DlRateObjective(
@@ -575,9 +599,7 @@ class TestBracket:
         theta = np.full(stock_links.scenario.n_irs_elements, 0.3)
         assert objective.bracket(theta) == (0.0, 0.0) == (objective.value(theta),) * 2
 
-    @pytest.mark.parametrize(
-        "name", ["4ant_2rf", "8ant_1rf", "min_aggregate", "two_antenna_two_stream",
-                 "user_left_unserved", "m96"])
+    @pytest.mark.parametrize("name", _BRACKET_CASES)
     def test_trajectory_as_with_exact_values(self, name):
         make = _bracket_objective(name, 1)
         objective = make()

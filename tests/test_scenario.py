@@ -120,6 +120,8 @@ _MALFORMED = [
     (("optimizer", "epsilon"), "small", r"^optimizer\.epsilon: must be float, got 'small'$"),
     (("optimizer", "epsilon"), -1e-3, r"^optimizer\.epsilon: must be >= 0$"),
     (("optimizer", "beam_grid"), 4.0, r"^optimizer\.beam_grid: must be int, got 4\.0$"),
+    # checked at load; it used to skip every phase optimization without a word
+    (("optimizer", "epsilon"), float("inf"), r"^optimizer\.epsilon: must be finite$"),
 ]
 _FIELD_PATH = re.compile(r"^\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
 
