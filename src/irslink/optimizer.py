@@ -315,8 +315,8 @@ class DlRateObjective:
             self._bracket_setup()
         coeffs = np.exp(1j * np.asarray(phases, dtype=float))
         n_owners, n_sc, m, n_s = self._v.shape
-        np.multiply(self._rows, coeffs, out=self._scaled)
-        eff = np.matmul(self._scaled, self._v, out=self._eff)  # (K, n_sc, P * n_s, n_s)
+        # scaled into a fresh array: a buffer kept for it raises the round's peak memory
+        eff = np.matmul(self._rows * coeffs, self._v)  # (K, n_sc, P * n_s, n_s)
         eff += self._e0
         if self.counter is not None:
             self.counter.add(len(self._u) * n_owners * n_sc * m * n_s * n_s)
@@ -350,15 +350,15 @@ class DlRateObjective:
         n_pairs, n_sc, m, n_s = self._u.shape
         n_owners, n_r, n_t = len(self._v), self._wh.shape[2], self._f.shape[2]
         self._rows = np.ascontiguousarray(self._u.transpose(1, 0, 3, 2)).reshape(n_sc, -1, m)
-        self._scaled = np.empty_like(self._rows)
-        self._eff = np.empty((n_owners, n_sc, n_pairs * n_s, n_s), dtype=complex)
-        # (P, K, ...) views of the triple stacks: W^H repeats per owner, F per pair
+        # the affine product's layout; the triple stacks repeat W^H per owner
+        # and F per pair, so one of each is taken
+        shape = (n_owners, n_sc, n_pairs * n_s, n_s)
         nlos = links.dl_nlos[self._rx, self._ap].reshape(n_pairs, n_owners, n_sc, n_r, n_t)
         wh, f = self._wh[::n_owners], self._f[:n_owners]
         spec = "pnrs,pknrt,kntc->knpsc"
-        self._e0 = np.einsum(spec, wh, nlos, f).reshape(self._eff.shape)
+        self._e0 = np.einsum(spec, wh, nlos, f).reshape(shape)
         wh, f = np.abs(wh), np.abs(f)
-        mag = np.einsum(spec, wh, np.abs(nlos), f).reshape(self._eff.shape)
+        mag = np.einsum(spec, wh, np.abs(nlos), f).reshape(shape)
         users = self._rx[::n_owners]
         step = max(1, BRACKET_PIECE_BYTES // max(m * n_t * 8, 1))
         for start in range(0, n_sc, step):

@@ -582,6 +582,7 @@ class TestBracket:
             n_rf=data.draw(st.integers(n_s, min(n_t, 3))), n_sc=data.draw(st.integers(1, 64)),
             p_ap=10.0 ** data.draw(st.floats(-8.0, 8.0)),
             noise_figure_db=data.draw(st.floats(-150.0, 150.0)),
+            nlos_penalty_db=data.draw(st.floats(0.0, 250.0)),
             delay_mode=data.draw(st.sampled_from(["phasor", "real_decay"])),
         )
         objective, theta, _, beamformers = _round_objective(scenario, data.draw(st.integers(0, 99)))

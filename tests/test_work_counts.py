@@ -14,16 +14,18 @@ from irslink.optimizer import DlRateObjective, alternating_optimize
 from irslink.scenario import default_scenario
 
 
-_KEYS = ("value", "value_and_grad", "bracket", "open_comparisons", "_kernel", "_cascade",
-         "rcg_iterations", "ao_rounds_run", "ao_rounds_kept", "phase_macs", "bracket_macs")
+_KEYS = ("value", "value_and_grad", "bracket", "open_comparisons", "_effective", "_kernel",
+         "_cascade", "rcg_iterations", "ao_rounds_run", "ao_rounds_kept", "phase_macs",
+         "bracket_macs")
 
 
 def _ledger(monkeypatch, run):
     """Counts of the work ``run(counter)`` does; ``counter`` is the OpCounter
     it hands to its AO runs. Phase MACs are those counted inside ``value`` and
     ``value_and_grad``, bracket MACs those inside ``bracket`` (its set-up
-    included), so the two figures are apart; ``_kernel`` and ``_cascade``
-    count calls, whoever makes them."""
+    included), so the two figures are apart; ``_effective``, ``_kernel`` and
+    ``_cascade`` count calls, whoever makes them: an exact point served from
+    the cache is an ``_effective`` call with no ``_kernel`` call."""
     counts, counter = Counter(dict.fromkeys(_KEYS, 0)), OpCounter()
     in_rcg = []  # a value call inside the solver is a comparison brackets left open
 
@@ -40,7 +42,7 @@ def _ledger(monkeypatch, run):
         return wrapper
 
     for name, macs in (("value", "phase_macs"), ("value_and_grad", "phase_macs"),
-                       ("bracket", "bracket_macs"), ("_kernel", None)):
+                       ("bracket", "bracket_macs"), ("_effective", None), ("_kernel", None)):
         monkeypatch.setattr(DlRateObjective, name,
                             counted(name, getattr(DlRateObjective, name), macs))
     monkeypatch.setattr(channel, "_cascade", counted("_cascade", channel._cascade))
@@ -79,6 +81,7 @@ def test_stock_sweep_seed_0(monkeypatch):
         "value_and_grad": 51,
         "bracket": 327,
         "open_comparisons": 0,
+        "_effective": 93,
         "_kernel": 57,
         "_cascade": 69,
         "rcg_iterations": 36,
@@ -97,6 +100,7 @@ def test_large_surface_ao_m96(monkeypatch):
         "value_and_grad": 13,
         "bracket": 79,
         "open_comparisons": 0,
+        "_effective": 17,
         "_kernel": 13,
         "_cascade": 15,
         "rcg_iterations": 11,
