@@ -58,13 +58,7 @@ def _ledger(monkeypatch, run):
         return phases, trace
 
     monkeypatch.setattr(optimizer, "rcg_optimize_phases", rcg_counted)
-    phase_round = optimizer._phase_round
-
-    def round_counted(*args, **kwargs):
-        counts["ao_rounds_run"] += 1
-        return phase_round(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "_phase_round", round_counted)
+    monkeypatch.setattr(optimizer, "_phase_round", counted("ao_rounds_run", optimizer._phase_round))
     for result in run(counter):
         counts["ao_rounds_kept"] += len(result.trace)
     return dict(counts)
