@@ -31,11 +31,15 @@ from irslink.scenario import (
 # Armijo backtracking: first trial step, shrink factor per backtrack and the
 # fraction of the predicted ascent a step must achieve
 STEP_INIT, STEP_SHRINK, ARMIJO_SLOPE = 1.0, 0.5, 1e-4
+# backtracking gives up below STEP_MIN; doubling stops past STEP_CAP
+STEP_MIN, STEP_CAP = 1e-14, 1e6
+# steps bracketed per call of an objective's ``brackets``
+LADDER = 12
 # the alternating loop stops once a round gains no more than this, relative
 IMPROVEMENT_TOL = 1e-6
 
 # unit roundoff of float64, and the factor by which a bracket's radius and
-# widenings exceed their first-order rounding bounds (see ``DlRateObjective.bracket``)
+# widenings exceed their first-order rounding bounds (see ``DlRateObjective.brackets``)
 UNIT_ROUNDOFF = 2.0**-53
 BRACKET_SAFETY = 2.0
 # roundings charged to one float64 log2 (an error of up to 8 ulp)
@@ -43,6 +47,9 @@ LOG2_ROUNDINGS = 16
 # the bracket set-up forms the magnitudes of the AP rows in subcarrier blocks
 # of at most this many bytes
 BRACKET_PIECE_BYTES = 1 << 16
+# the brackets' product matrix is formed in subcarrier pieces of at most this
+# many bytes; the objective keeps the first for its round
+AFFINE_PIECE_BYTES = 1 << 20
 
 
 def _gamma(n):
@@ -85,9 +92,9 @@ class DlRateObjective:
     round's final value and gains) costs nothing; no kept entry shares memory
     with either buffer. ``prime`` hands over composites the caller already
     built, so the first pass at their point runs the gather and the einsum
-    but no cascade. ``bracket`` bounds the value from the affine form of the
-    effective matrices, without composites, for the line search's
-    comparisons.
+    but no cascade. ``brackets`` bounds the values at a stack of points from
+    the affine form of the effective matrices, without composites, for the
+    line search's comparisons.
     """
 
     _CACHED_POINTS = 2
@@ -147,7 +154,7 @@ class DlRateObjective:
         self._gathered = np.empty((len(self._rx),) + links.dl_nlos.shape[2:], dtype=complex)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
         self._primed = None  # (coefficient bytes, composites) from ``prime``
-        self._e0 = None  # formed by the first ``bracket`` call, with its other stacks
+        self._e0 = None  # formed by the first ``brackets`` call, with its other stacks
 
     def prime(self, coeffs, composites):
         """Take ``composites``, the DL composites at ``coeffs``, for the next
@@ -258,16 +265,25 @@ class DlRateObjective:
         return value, grad
 
     def bracket(self, phases: np.ndarray) -> tuple[float, float]:
-        """Bounds lo <= value(phases) <= hi from the affine kernel.
+        """``brackets`` of the one point ``phases``."""
+        lo, hi = self.brackets(np.asarray(phases, dtype=float)[None])
+        return float(lo[0]), float(hi[0])
+
+    def brackets(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds lo <= value(points[j]) <= hi of every row of ``points``
+        (S, M), from the affine kernel; lo and hi have shape (S,).
 
         With the beamformers fixed, every triple's effective matrix is affine
         in c = exp(j theta): E_q(c) = e0_q + sum_m c_m u_m v_m^T, with
         e0_q = W_i^H H_nlos F_l and the gradient's factors u (receiver side)
-        and v (AP rows times precoder) (Wu & Zhang, IEEE TWC 2019). A call
-        scales a contiguous (n_sc, P*n_s, M) copy of u by c and runs one
-        matmul batched over (owner, subcarrier) against v: P*K*n_sc*M*n_s^2
-        MACs against the composites' U*B*n_sc*M*n_r*n_t. It rounds otherwise
-        than ``value``'s composite kernel, so it yields an interval; the line
+        and v (AP rows times precoder) (Wu & Zhang, IEEE TWC 2019). With
+        W[m, (n, p, k, s, t)] = u[p, n, m, s] v[k, n, m, t], the entries of
+        all triples at all S points are one GEMM, exp(j points) @ W + e0:
+        S*P*K*n_sc*M*n_s^2 MACs against the composites' U*B*n_sc*M*n_r*n_t
+        per point. W is stored transposed, in subcarrier pieces of at most
+        ``AFFINE_PIECE_BYTES``; the first is kept from the set-up, the others
+        are formed on every call. The affine kernel rounds otherwise than
+        ``value``'s composite kernel, so it yields an interval; the line
         search settles a comparison on brackets wherever they lie on one side
         of it (a floating-point filter, Shewchuk 1997).
 
@@ -281,8 +297,15 @@ class DlRateObjective:
            ubar_m = |W|^T |user hop m|, vbar_m = |AP hop m|^T |F| (entrywise
            moduli, |c_m| = 1 within 2u). Against the exact product of the
            stored floats, the composite kernel is within gamma_n1 A_q,
-           n1 = 2M + 2 n_r n_t + 18, and the affine one within gamma_n2 A_q,
-           n2 = n1 + 2 n_r + 2 n_t + 1. By the triangle inequality,
+           n1 = 2M + 2 n_r n_t + 18. The affine entry is e0 + sum_m c_m W_m:
+           e0 and every u_m and v_m are einsum sums (of n_r n_t, n_r and n_t
+           products), W_m = u_m v_m is one ufunc complex multiply (fused
+           or not, within gamma_3 |u_m||v_m|) and the GEMM's sum of the
+           M + 1 terms c_m W_m and e0 a complex sum of products. So each
+           term carries the roundings the earlier (u_m c_m) v_m carried, one
+           multiply before the sum and one in it, and the affine entry is
+           within gamma_n2 A_q, n2 = n1 + 2 n_r + 2 n_t + 1, whatever the
+           order the BLAS sums in. By the triangle inequality,
            ||E_kernel||_F lies in ||E_affine||_F -+ rho_q on every subcarrier,
            rho_q = BRACKET_SAFETY * gamma_{n1+n2} ||A_q||_F, formed once; the
            factor 2 covers the rounding of rho_q and the relative terms
@@ -304,61 +327,99 @@ class DlRateObjective:
            add theta_{P n_sc + n_sc + P}. So the final sums, with lo clamped
            at 0 before them, times 1 -+ 2 gamma_{n_post}, n_post =
            2 LOG2_ROUNDINGS + P n_sc + n_sc + P + 1, bound the value.
-        lo and hi run as one stacked array, one numpy call per stage. A bound
-        that is not finite gives (-inf, inf), which settles nothing. Counts
-        P*K*n_sc*M*n_s^2 MACs per call, and the set-up on the first call.
-        Nothing enters the cache of exact points.
+        Every row is bounded on its own: lo and hi of all rows run as one
+        stacked array, one numpy call per stage, and a row whose bound is not
+        finite gives (-inf, inf), which settles nothing. Counts the GEMM's
+        MACs and one per entry of every piece of W formed, the kept piece in
+        the set-up on the first call. Nothing enters the cache of exact
+        points.
         """
+        points = np.asarray(points, dtype=float)
         if not self.assignment.served:
-            return 0.0, 0.0
+            return np.zeros(len(points)), np.zeros(len(points))
         if self._e0 is None:
             self._bracket_setup()
-        coeffs = np.exp(1j * np.asarray(phases, dtype=float))
-        n_owners, n_sc, m, n_s = self._v.shape
-        # scaled into a fresh array: a buffer kept for it raises the round's peak memory
-        eff = np.matmul(self._rows * coeffs, self._v)  # (K, n_sc, P * n_s, n_s)
-        eff += self._e0
-        if self.counter is not None:
-            self.counter.add(len(self._u) * n_owners * n_sc * m * n_s * n_s)
-        # ||E||_F^2 of every (triple, subcarrier), triples in q order
-        parts = eff.view(float).reshape(n_owners, n_sc, -1, 2 * n_s * n_s)
-        norm = np.sqrt(np.einsum("knpi,knpi->pkn", parts, parts).reshape(-1, n_sc))
-        g = norm + self._radius  # (2, Q, n_sc): ||E|| -+ rho
+        n_sc = self._v.shape[1]
+        # (2, S, n_sc, Q): ||E|| -+ rho, with the affine entries freed before it
+        g = self._affine_norms(np.exp(1j * points)) + self._radius
         np.maximum(g, 0.0, out=g)
         g *= g
         g *= self.p_ap
-        # lo over hi and hi over lo: the interferers' gains run swapped
-        x = g[:, self._signal] / (self.sigma2 + np.sum(g[::-1, self._interferers], axis=2))
+        # lo over hi and hi over lo: the interferers' gains run swapped, added
+        # to the noise one column at a time
+        x = g[..., self._signal]
+        denom = np.full_like(x, self.sigma2)
+        for k in range(self._interferers.shape[1]):
+            denom += g[::-1, ..., self._interferers[:, k]]
+        x /= denom
         x += 1.0
         x *= self._pre_log
         np.log2(x, out=x)
         np.maximum(x, 0.0, out=x)  # log2 of a float >= 1
         if self.aggregate == "mean":
-            lo, hi = np.sum(x, axis=(1, 2))
+            lo, hi = np.sum(x, axis=(2, 3))
         else:
-            lo, hi = n_sc * np.sum(np.min(x, axis=2), axis=1)
-        lo, hi = float(lo) * self._post_log[0], float(hi) * self._post_log[1]
-        if not -np.inf < lo <= hi < np.inf:
-            return -np.inf, np.inf
+            lo, hi = n_sc * np.sum(np.min(x, axis=2), axis=2)
+        lo, hi = lo * self._post_log[0], hi * self._post_log[1]
+        open_ = ~((-np.inf < lo) & (lo <= hi) & (hi < np.inf))
+        lo[open_], hi[open_] = -np.inf, np.inf
         return lo, hi
 
+    def _affine_norms(self, coeffs):
+        """||E_q||_F of the affine form at every row of ``coeffs`` (S, M), as
+        (S, n_sc, Q): one GEMM per piece of W, e0 added, squares summed in
+        place. The pieces after the kept one share one buffer."""
+        n_sc, m, n_s = self._v.shape[1:]
+        eff = np.empty((len(coeffs), len(self._e0)), dtype=complex)
+        np.matmul(coeffs, self._wt.T, out=eff[:, :len(self._wt)])
+        if len(self._wt) < len(self._e0):
+            piece = np.empty_like(self._wt)
+            for start in range(len(self._wt), len(self._e0), len(self._wt)):
+                wt = self._affine_piece(start, piece)
+                np.matmul(coeffs, wt.T, out=eff[:, start:start + len(wt)])
+                if self.counter is not None:
+                    self.counter.add(wt.size)
+        eff += self._e0
+        if self.counter is not None:
+            self.counter.add(eff.size * m)
+        parts = eff.view(float).reshape(-1, 2 * n_s * n_s)
+        np.square(parts, out=parts)
+        norm = parts[:, 0] + parts[:, 1]
+        for i in range(2, parts.shape[1]):
+            norm += parts[:, i]
+        return np.sqrt(norm, out=norm).reshape(len(coeffs), n_sc, -1)
+
+    def _affine_piece(self, start, out):
+        """Rows ``start`` on of W's transpose, W^T[(n, p, k, s, t), m] =
+        u[p, n, m, s] v[k, n, m, t], whole subcarriers, into the (rows, M)
+        buffer ``out``; returns the rows filled."""
+        n_owners, n_sc, m, n_s = self._v.shape
+        per_sc = len(self._e0) // n_sc
+        n = slice(start // per_sc, (start + len(out)) // per_sc)
+        u = self._u[:, n].transpose(1, 0, 3, 2)  # (n, P, s, M)
+        v = self._v[:, n].transpose(1, 0, 3, 2)  # (n, K, t, M)
+        wt = out[:len(u) * per_sc]
+        np.multiply(u[:, :, None, :, None], v[:, None, :, None],
+                    out=wt.reshape(u.shape[:2] + (n_owners, n_s, n_s, m)))
+        return wt
+
     def _bracket_setup(self):
-        """e0 and the receiver stack in the product's layout, rho of every
-        (triple, subcarrier) and the two widening factors (see ``bracket``),
+        """e0 in the product's layout, the first piece of W^T, rho of every
+        (triple, subcarrier) and the two widening factors (see ``brackets``),
         with the moduli of the AP rows formed in subcarrier blocks."""
         links = self.links
         n_pairs, n_sc, m, n_s = self._u.shape
         n_owners, n_r, n_t = len(self._v), self._wh.shape[2], self._f.shape[2]
-        self._rows = np.ascontiguousarray(self._u.transpose(1, 0, 3, 2)).reshape(n_sc, -1, m)
-        # the affine product's layout; the triple stacks repeat W^H per owner
-        # and F per pair, so one of each is taken
+        # the triple stacks repeat W^H per owner and F per pair, so one of each is taken
         shape = (n_owners, n_sc, n_pairs * n_s, n_s)
         nlos = links.dl_nlos[self._rx, self._ap].reshape(n_pairs, n_owners, n_sc, n_r, n_t)
         wh, f = self._wh[::n_owners], self._f[:n_owners]
-        spec = "pnrs,pknrt,kntc->knpsc"
-        self._e0 = np.einsum(spec, wh, nlos, f).reshape(shape)
+        self._e0 = np.einsum("pnrs,pknrt,kntc->npksc", wh, nlos, f).reshape(-1)
+        per_sc = n_pairs * n_owners * n_s * n_s
+        piece = min(n_sc, max(1, AFFINE_PIECE_BYTES // max(per_sc * m * 16, 1)))
+        self._wt = self._affine_piece(0, np.empty((piece * per_sc, m), dtype=complex))
         wh, f = np.abs(wh), np.abs(f)
-        mag = np.einsum(spec, wh, np.abs(nlos), f).reshape(shape)
+        mag = np.einsum("pnrs,pknrt,kntc->knpsc", wh, np.abs(nlos), f).reshape(shape)
         users = self._rx[::n_owners]
         step = max(1, BRACKET_PIECE_BYTES // max(m * n_t * 8, 1))
         for start in range(0, n_sc, step):
@@ -373,16 +434,16 @@ class DlRateObjective:
         mag = mag.reshape(n_owners, n_sc, n_pairs, n_s * n_s)
         rho = BRACKET_SAFETY * _gamma(n1 + n2) * np.sqrt(
             np.einsum("knpi,knpi->pkn", mag, mag).reshape(-1, n_sc))
-        self._radius = np.stack([-rho, rho])
+        self._radius = np.stack([-rho.T, rho.T])[:, None]
         w_pre = BRACKET_SAFETY * _gamma(2 * (5 * n_s * n_s + 10) + 2 * n_owners + 6)
         w_post = BRACKET_SAFETY * _gamma(2 * LOG2_ROUNDINGS + n_pairs * n_sc + n_sc + n_pairs + 1)
-        self._pre_log = np.array([1.0 - w_pre, 1.0 + w_pre])[:, None, None]
+        self._pre_log = np.array([1.0 - w_pre, 1.0 + w_pre])[:, None, None, None]
         self._post_log = (1.0 - w_post, 1.0 + w_post)
         if self.counter is not None:
             n_q = len(self._rx)
             self.counter.add(2 * n_q * n_sc * n_s * (n_r * n_t + n_t * n_s)
                              + n_pairs * n_sc * m * n_r * n_s + n_owners * n_sc * m * n_t * n_s
-                             + n_pairs * n_owners * n_sc * m * n_s * n_s)
+                             + n_pairs * n_owners * n_sc * m * n_s * n_s + self._wt.size)
 
 
 def rcg_optimize_phases(
@@ -407,11 +468,7 @@ def rcg_optimize_phases(
     best_f, best_theta = f, theta.copy()
     restart_every = max(len(theta), 1)
 
-    def exact(phases):
-        value = objective.value(phases)
-        return value, value
-
-    bracket = getattr(objective, "bracket", exact)
+    brackets = getattr(objective, "brackets", None)
 
     def line_search(d, slope):
         """Armijo backtracking, then greedy step doubling while the
@@ -421,26 +478,51 @@ def rcg_optimize_phases(
         Each comparison is settled on brackets lo <= value <= hi when they
         lie on one side of it, and on exact values otherwise, so it is the
         one exact values make. A bracket with lo == hi is the exact value.
+        An objective with ``brackets`` brackets a ladder of up to LADDER
+        steps in one call, each rung the step the walk would try next: up
+        from the first step and the doubling steps (to the doubling cap),
+        down from a backtracking step (to the smallest step). A step off
+        every ladder so far starts a new one. Without ``brackets`` each
+        value is taken exactly when the walk reaches it.
         """
+        rungs = {}  # step -> bracket of theta + step * d
+
+        def exact(step):
+            value = objective.value(theta + step * d)
+            return value, value
+
+        def bracket(step, up):
+            if brackets is None:
+                return exact(step)
+            if step not in rungs:
+                ladder = [step]
+                while len(ladder) < LADDER and (
+                        ladder[-1] <= STEP_CAP if up else ladder[-1] * STEP_SHRINK > STEP_MIN):
+                    ladder.append(2.0 * ladder[-1] if up else ladder[-1] * STEP_SHRINK)
+                lo, hi = brackets(np.stack([theta + s * d for s in ladder]))
+                rungs.update(zip(ladder, zip(lo.tolist(), hi.tolist())))
+            return rungs[step]
+
         step = STEP_INIT
-        while step > 1e-14:
+        while step > STEP_MIN:
             threshold = f + ARMIJO_SLOPE * step * slope
-            cand = bracket(theta + step * d)
+            # the first step's ladder runs up: most searches accept it and double
+            cand = bracket(step, up=step == STEP_INIT)
             if cand[0] < threshold <= cand[1]:
-                cand = exact(theta + step * d)
+                cand = exact(step)
             if cand[0] >= threshold:
                 break
             step *= STEP_SHRINK
         else:
             return None
-        while step <= 1e6:
-            nxt = bracket(theta + 2.0 * step * d)
+        while step <= STEP_CAP:
+            nxt = bracket(2.0 * step, up=True)
             if nxt[1] <= cand[0]:
                 break
             if nxt[0] <= cand[1]:  # the brackets overlap
                 if cand[0] != cand[1]:
-                    cand = exact(theta + step * d)
-                nxt = exact(theta + 2.0 * step * d)
+                    cand = exact(step)
+                nxt = exact(2.0 * step)
                 if nxt[0] <= cand[0]:
                     break
             step, cand = 2.0 * step, nxt
@@ -679,7 +761,7 @@ def complexity_probe(
     Antenna counts scale with M (n_t = n_r = M) so the probe exercises the
     cubic composite-rebuild cost of phase optimization and the quadratic
     projection cost of hybrid beamforming. The probe measures the paper's
-    search: its RCG sees the objective without ``bracket``, so every trial
+    search: its RCG sees the objective without ``brackets``, so every trial
     point runs the counted composite kernel.
     """
     if list(m_values) != sorted(m_values):

@@ -154,6 +154,8 @@ class SystemParams:
             raise ConfigError("system.n_rf: RF chains cannot exceed antennas")
         if self.n_s > self.n_rf:
             raise ConfigError("system.n_s: streams cannot exceed RF chains")
+        if self.n_s > self.n_r:
+            raise ConfigError("system.n_s: streams cannot exceed user antennas")
         for name in ("bandwidth", "carrier_dl", "carrier_ul", "p_ap", "p_user", "m_proc"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"system.{name}: must be positive")

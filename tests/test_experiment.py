@@ -461,6 +461,22 @@ system:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_more_streams_than_user_antennas_is_one_error_line(self, tmp_path, capsys):
+        # it used to load, synthesize every link and fail in the beamformer
+        # design with "stream count exceeds projected channel rank bound"
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(
+            "geometry:\n  ap_positions: [[2.0, 3.0, 2.5]]\n  user_positions: [[5.0, 5.0, 1.5]]\n"
+            "system: {n_s: 2}\n"
+        )
+        argv = ["run", "--scenario", str(scenario), "--codebooks", "4ant_2rf",
+                "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "irslink: error: system.n_s: streams cannot exceed user antennas\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_codebook_spec(self, capsys):
         for token in ("nonsense", "8xq", "8x9"):
             with pytest.raises(SystemExit) as exc:

@@ -518,16 +518,18 @@ class _ExactOnly:
 
 
 class _Loose(_ExactOnly):
-    """Brackets widened by a random amount, so some settle a comparison and
-    some leave it to exact values."""
+    """Brackets widened row by row by a random amount, so some settle a
+    comparison and some leave it to exact values."""
 
     def __init__(self, objective, seed):
         super().__init__(objective)
         self.objective, self.rng = objective, np.random.default_rng(seed)
+        self.calls = 0
 
-    def bracket(self, phases):
-        lo, hi = self.objective.bracket(phases)
-        pad = abs(hi) * self.rng.choice([0.0, 1e-9, 1e-3])
+    def brackets(self, points):
+        self.calls += 1
+        lo, hi = self.objective.brackets(points)
+        pad = np.abs(hi) * self.rng.choice([0.0, 1e-9, 1e-3], size=len(hi))
         return lo - pad, hi + pad
 
 
@@ -563,12 +565,13 @@ class TestBracket:
             theta = rng.uniform(-np.pi, np.pi, objective.n_phases)
             _, d = objective.value_and_grad(theta)
             # the line search's trial points: steps from its doubling cap to
-            # its shortest backtrack
-            for theta_k in [theta] + [theta + 2.0**-k * d for k in range(-20, 47, 3)]:
-                lo, hi = objective.bracket(theta_k)
+            # its shortest backtrack, bracketed one by one and as one stack
+            points = np.stack([theta] + [theta + 2.0**-k * d for k in range(-20, 47, 3)])
+            for theta_k, stacked in zip(points, zip(*objective.brackets(points))):
                 value = objective.value(theta_k)
-                assert lo <= value <= hi
-                assert hi - lo <= 1e-9 * value  # narrow enough to decide
+                for lo, hi in (objective.bracket(theta_k), stacked):
+                    assert lo <= value <= hi
+                    assert hi - lo <= 1e-9 * value  # narrow enough to decide
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -589,9 +592,10 @@ class TestBracket:
         objective = DlRateObjective(objective.links, objective.assignment, beamformers,
                                     data.draw(st.sampled_from(["mean", "min"])))
         _, d = objective.value_and_grad(theta)
-        for k in data.draw(st.lists(st.integers(-20, 46), min_size=1, max_size=3)):
-            lo, hi = objective.bracket(theta + 2.0**-k * d)
-            assert lo <= objective.value(theta + 2.0**-k * d) <= hi
+        steps = data.draw(st.lists(st.integers(-20, 46), min_size=1, max_size=12))
+        points = np.stack([theta + 2.0**-k * d for k in steps])
+        for point, lo, hi in zip(points, *objective.brackets(points)):
+            assert lo <= objective.value(point) <= hi
 
     def test_no_served_user(self, stock_links):
         n_users = stock_links.scenario.n_users
@@ -599,6 +603,8 @@ class TestBracket:
             stock_links, Assignment((-1,) * n_users, (False,) * n_users), {})
         theta = np.full(stock_links.scenario.n_irs_elements, 0.3)
         assert objective.bracket(theta) == (0.0, 0.0) == (objective.value(theta),) * 2
+        lo, hi = objective.brackets(np.stack([theta, theta + 1.0]))
+        assert lo.tolist() == hi.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("name", _BRACKET_CASES)
     def test_trajectory_as_with_exact_values(self, name):
@@ -609,6 +615,8 @@ class TestBracket:
         _rcg_runs_equal(rcg_optimize_phases(objective, theta0, max_iter=40), want)
         loose = _Loose(make(), seed=3)
         _rcg_runs_equal(rcg_optimize_phases(loose, theta0, max_iter=40), want)
+        # the solver asked the twin for brackets whenever it searched a line
+        assert (loose.calls > 0) == (len(want[1]) > 1 or want[1][-1].stop_reason == "line_search")
 
     def test_counts_affine_and_set_up_macs(self, stock_scenario):
         objective, *_ = build_rate_objective(stock_scenario, seed=0)
@@ -617,14 +625,37 @@ class TestBracket:
         objective.bracket(theta)
         first = counter.macs
         counter.reset()
-        objective.bracket(theta + 0.1)
+        objective.brackets(np.stack([theta + 0.1 * k for k in range(5)]))
         p = stock_scenario.params
         n_pairs = len(objective.assignment.served)
         m, n_q = objective.n_phases, n_pairs * n_pairs
-        assert counter.macs == n_pairs * n_pairs * p.n_sc * m * p.n_s * p.n_s
+        point = n_pairs * n_pairs * p.n_sc * m * p.n_s * p.n_s
+        assert counter.macs == 5 * point
+        # e0 and its moduli, the moduli's sum over the elements, and the
+        # product matrix, kept whole at this size
         set_up = (2 * n_q * p.n_sc * p.n_s * (p.n_r * p.n_t + p.n_t * p.n_s)
-                  + n_pairs * p.n_sc * m * (p.n_r + p.n_t) * p.n_s + counter.macs)
-        assert first == set_up + counter.macs
+                  + n_pairs * p.n_sc * m * (p.n_r + p.n_t) * p.n_s + 2 * point)
+        assert first == set_up + point
+
+    def test_product_matrix_formed_in_pieces(self, stock_scenario, monkeypatch):
+        objective, links, assignment, beamformers = build_rate_objective(stock_scenario, seed=0)
+        whole = DlRateObjective(links, assignment, beamformers)
+        rng = np.random.default_rng(4)
+        points = rng.uniform(-np.pi, np.pi, (7, objective.n_phases))
+        want = whole.brackets(points)
+        # two subcarriers per piece at M = 24, n_s = 1 and P = K = 4
+        monkeypatch.setattr(optimizer, "AFFINE_PIECE_BYTES", 2 * 16 * 16 * objective.n_phases)
+        objective.counter = counter = OpCounter()
+        objective.brackets(points)
+        counter.reset()
+        lo, hi = objective.brackets(points)
+        assert objective._wt.nbytes == optimizer.AFFINE_PIECE_BYTES
+        point = 16 * stock_scenario.params.n_sc * objective.n_phases
+        assert counter.macs == 7 * point + point - objective._wt.shape[0] * objective.n_phases
+        np.testing.assert_allclose(lo, want[0], rtol=1e-12)
+        np.testing.assert_allclose(hi, want[1], rtol=1e-12)
+        for theta, low, high in zip(points, lo, hi):
+            assert low <= objective.value(theta) <= high
 
     def test_exact_cache_and_hand_over_untouched(self):
         objective, theta, composites, _ = _round_objective(default_scenario(), 6)
@@ -934,6 +965,75 @@ class TestAlternatingOptimization:
             np.testing.assert_allclose(
                 np.abs(np.exp(1j * state.phases)), 1.0, atol=1e-15
             )
+
+
+class TestRunProperties:
+    """Whole ``alternating_optimize`` runs on random small scenarios, with
+    every bracket the line searches ask for checked against the exact value
+    at its point."""
+
+    _AO_STOPS = {"regressed", "no_improvement", "no_surface", "round_cap"}
+    _RCG_STOPS = {"epsilon", "max_iter", "line_search"}
+
+    @staticmethod
+    def _checked_brackets(rows):
+        """``DlRateObjective.brackets`` that asserts lo <= value <= hi at every
+        point it bounds and appends its row count to ``rows``."""
+        brackets = DlRateObjective.brackets
+
+        def checked(self, points):
+            lo, hi = brackets(self, points)
+            for point, low, high in zip(points, lo, hi):
+                assert low <= self.value(point) <= high
+            rows.append(len(points))
+            return lo, hi
+
+        return checked
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_brackets_hold_and_runs_are_well_formed(self, data):
+        m = data.draw(st.integers(0, 8), label="M")
+        n_t, n_r = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+        n_s = data.draw(st.integers(1, min(n_t, n_r)))
+        scenario = default_scenario(
+            m, n_t=n_t, n_r=n_r, n_s=n_s, n_rf=data.draw(st.integers(n_s, min(n_t, 2))),
+            n_sc=data.draw(st.integers(1, 4)), v_cap=data.draw(st.integers(1, 2)),
+            nlos_penalty_db=data.draw(st.floats(0.0, 60.0)),
+            delay_mode=data.draw(st.sampled_from(["phasor", "real_decay"])),
+        )
+        # a weak surface path stops RCG at its first gradient unless epsilon is 0
+        config = RcgConfig(epsilon=data.draw(st.sampled_from([0.0, 1e-3])),
+                           max_iter=data.draw(st.integers(1, 30)),
+                           outer_rounds=data.draw(st.integers(1, 4)), beam_grid=4)
+        rows = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DlRateObjective, "brackets", self._checked_brackets(rows))
+            result = alternating_optimize(
+                scenario, seed=data.draw(st.integers(0, 99)), config=config,
+                aggregate=data.draw(st.sampled_from(["mean", "min"])))
+        assert all(0 < n <= optimizer.LADDER for n in rows)
+        # unit modulus: real, finite phases of the surface's size
+        for phases in [result.phases] + [r.phases for r in result.trace]:
+            assert phases.shape == (m,) and np.all(np.isfinite(phases))
+            np.testing.assert_allclose(np.abs(np.exp(1j * phases)), 1.0, rtol=1e-15)
+        objectives = [r.objective for r in result.trace]
+        assert objectives == sorted(objectives) and np.all(np.isfinite(objectives))
+        # each RCG run: a non-decreasing trace whose last state alone has a reason
+        starts = [i for i, state in enumerate(result.rcg_trace) if state.iteration == 0]
+        for start, end in zip(starts, starts[1:] + [len(result.rcg_trace)]):
+            run = result.rcg_trace[start:end]
+            assert [s.objective for s in run] == sorted(s.objective for s in run)
+            assert [s.stop_reason for s in run[:-1]] == [None] * (len(run) - 1)
+            assert run[-1].stop_reason in self._RCG_STOPS
+        assert result.stop_reason in self._AO_STOPS
+        assert (result.stop_reason == "no_surface") == (m == 0)
+        assert not rows if m == 0 else len(starts) == len(result.trace)
+        report = result.report
+        for name in ("rate_dl", "rate_ul", "transmission", "processing",
+                     "conditional_utility", "routing_utility"):
+            assert np.all(np.isfinite(getattr(report, name))), name
+        assert np.isfinite(report.queuing) and np.isfinite(report.sum_utility)
 
 
 class TestComplexityProbe:

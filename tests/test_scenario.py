@@ -85,6 +85,9 @@ _MALFORMED = [
     (("system", "pathloss_exponent"), float("nan"), r"^system\.pathloss_exponent: must be float, got nan$"),
     # checked at load; it used to fail inside the run, in processing_delay
     (("system", "m_proc"), 0.0, r"^system\.m_proc: must be positive$"),
+    # checked at load; with the default single user antenna it used to fail
+    # after synthesis, in the beamformer design, naming no field
+    (("system", "n_s"), 2, r"^system\.n_s: streams cannot exceed user antennas$"),
     # checked at load; -1 used to fail inside the run, 0 to serve no user
     (("system", "v_cap"), -1, r"^system\.v_cap: must be >= 1$"),
     (("system", "v_cap"), 0, r"^system\.v_cap: must be >= 1$"),
@@ -357,7 +360,7 @@ class TestScenarioVariants:
             Scenario(sc.ap_positions, outside, sc.irs_panels, sc.bounds, sc.params)
 
     def test_variants_are_validated(self):
-        sc = default_scenario(0, n_s=2)
+        sc = default_scenario(0, n_r=2, n_s=2)
         with pytest.raises(ConfigError, match="n_s"):
             with_codebook(sc, STOCK_CODEBOOKS[0])
         narrow = Scenario(

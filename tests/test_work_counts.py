@@ -14,16 +14,17 @@ from irslink.optimizer import DlRateObjective, alternating_optimize
 from irslink.scenario import default_scenario
 
 
-_KEYS = ("value", "value_and_grad", "bracket", "open_comparisons", "_effective", "_kernel",
-         "_cascade", "rcg_iterations", "ao_rounds_run", "ao_rounds_kept", "phase_macs",
-         "bracket_macs")
+_KEYS = ("value", "value_and_grad", "brackets", "bracketed_points", "open_comparisons",
+         "_effective", "_kernel", "_cascade", "rcg_iterations", "ao_rounds_run", "ao_rounds_kept",
+         "phase_macs", "bracket_macs")
 
 
 def _ledger(monkeypatch, run):
     """Counts of the work ``run(counter)`` does; ``counter`` is the OpCounter
     it hands to its AO runs. Phase MACs are those counted inside ``value`` and
-    ``value_and_grad``, bracket MACs those inside ``bracket`` (its set-up
-    included), so the two figures are apart; ``_effective``, ``_kernel`` and
+    ``value_and_grad``, bracket MACs those inside ``brackets`` (its set-up
+    included), so the two figures are apart; ``bracketed_points`` sums the
+    rows of every ``brackets`` call; ``_effective``, ``_kernel`` and
     ``_cascade`` count calls, whoever makes them: an exact point served from
     the cache is an ``_effective`` call with no ``_kernel`` call."""
     counts, counter = Counter(dict.fromkeys(_KEYS, 0)), OpCounter()
@@ -34,6 +35,8 @@ def _ledger(monkeypatch, run):
             counts[name] += 1
             if name == "value" and in_rcg:
                 counts["open_comparisons"] += 1
+            if name == "brackets":
+                counts["bracketed_points"] += len(args[1])
             before = counter.macs
             out = fn(*args, **kwargs)
             if macs is not None:
@@ -42,7 +45,7 @@ def _ledger(monkeypatch, run):
         return wrapper
 
     for name, macs in (("value", "phase_macs"), ("value_and_grad", "phase_macs"),
-                       ("bracket", "bracket_macs"), ("_effective", None), ("_kernel", None)):
+                       ("brackets", "bracket_macs"), ("_effective", None), ("_kernel", None)):
         monkeypatch.setattr(DlRateObjective, name,
                             counted(name, getattr(DlRateObjective, name), macs))
     monkeypatch.setattr(channel, "_cascade", counted("_cascade", channel._cascade))
@@ -73,7 +76,8 @@ def test_stock_sweep_seed_0(monkeypatch):
     assert _ledger(monkeypatch, sweep) == {
         "value": 21,
         "value_and_grad": 51,
-        "bracket": 327,
+        "brackets": 38,
+        "bracketed_points": 450,
         "open_comparisons": 0,
         "_effective": 93,
         "_kernel": 57,
@@ -82,7 +86,7 @@ def test_stock_sweep_seed_0(monkeypatch):
         "ao_rounds_run": 21,
         "ao_rounds_kept": 18,
         "phase_macs": 5_402_624,
-        "bracket_macs": 8_691_712,
+        "bracket_macs": 11_911_168,
     }
 
 
@@ -92,7 +96,8 @@ def test_large_surface_ao_m96(monkeypatch):
         alternating_optimize(scenario, seed=1, counter=counter)]) == {
         "value": 2,
         "value_and_grad": 13,
-        "bracket": 79,
+        "brackets": 11,
+        "bracketed_points": 132,
         "open_comparisons": 0,
         "_effective": 17,
         "_kernel": 13,
@@ -101,5 +106,5 @@ def test_large_surface_ao_m96(monkeypatch):
         "ao_rounds_run": 2,
         "ao_rounds_kept": 1,
         "phase_macs": 7_094_272,
-        "bracket_macs": 8_470_528,
+        "bracket_macs": 14_181_376,
     }
