@@ -480,10 +480,10 @@ def rcg_optimize_phases(
         one exact values make. A bracket with lo == hi is the exact value.
         An objective with ``brackets`` brackets a ladder of up to LADDER
         steps in one call, each rung the step the walk would try next: up
-        from the first step and the doubling steps (to the doubling cap),
-        down from a backtracking step (to the smallest step). A step off
-        every ladder so far starts a new one. Without ``brackets`` each
-        value is taken exactly when the walk reaches it.
+        from the first step and the doubling steps (to the doubling cap). A
+        doubling step off every ladder so far starts a new one; a
+        backtracking step brackets only its own point. Without ``brackets``
+        each value is taken exactly when the walk reaches it.
         """
         rungs = {}  # step -> bracket of theta + step * d
 
@@ -496,9 +496,8 @@ def rcg_optimize_phases(
                 return exact(step)
             if step not in rungs:
                 ladder = [step]
-                while len(ladder) < LADDER and (
-                        ladder[-1] <= STEP_CAP if up else ladder[-1] * STEP_SHRINK > STEP_MIN):
-                    ladder.append(2.0 * ladder[-1] if up else ladder[-1] * STEP_SHRINK)
+                while up and len(ladder) < LADDER and ladder[-1] <= STEP_CAP:
+                    ladder.append(2.0 * ladder[-1])
                 lo, hi = brackets(np.stack([theta + s * d for s in ladder]))
                 rungs.update(zip(ladder, zip(lo.tolist(), hi.tolist())))
             return rungs[step]

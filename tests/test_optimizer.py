@@ -812,6 +812,29 @@ class TestRcg:
         assert phases[0] == 2.0**20  # the first doubled step above 1e6
         assert max(steps) == 2.0**20
 
+    def test_backtracking_step_brackets_its_own_point(self):
+        stacks = []
+
+        class Bump:
+            """Peaks at phase 1, halfway along the first step, so step 1 backtracks."""
+
+            def value(self, phases):
+                return -float((phases[0] - 1.0) ** 2)
+
+            def value_and_grad(self, phases):
+                return self.value(phases), np.array([-2.0 * (phases[0] - 1.0)])
+
+            def brackets(self, points):
+                stacks.append(points[:, 0].tolist())
+                values = -((points[:, 0] - 1.0) ** 2)
+                return values, values
+
+        phases, _ = rcg_optimize_phases(Bump(), np.zeros(1), epsilon=0.0, max_iter=1)
+        assert phases[0] == 1.0
+        # the first step's ladder runs up; step 0.5 brackets alone, and its
+        # doubling (step 1) is read from that ladder
+        assert stacks == [[2.0 * 2.0**k for k in range(12)], [1.0]]
+
     def test_argument_validation(self):
         sc = scalar_scenario(1)
         objective, *_ = build_rate_objective(sc)
