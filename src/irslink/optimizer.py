@@ -33,8 +33,9 @@ from irslink.scenario import (
 STEP_INIT, STEP_SHRINK, ARMIJO_SLOPE = 1.0, 0.5, 1e-4
 # backtracking gives up below STEP_MIN; doubling stops past STEP_CAP
 STEP_MIN, STEP_CAP = 1e-14, 1e6
-# steps bracketed per call of an objective's ``brackets``
-LADDER = 12
+# most steps bracketed per call of an objective's ``brackets``; a search's
+# ladders hold LADDER_MARGIN rungs beyond those the previous search read
+LADDER, LADDER_MARGIN = 12, 2
 # the alternating loop stops once a round gains no more than this, relative
 IMPROVEMENT_TOL = 1e-6
 
@@ -50,6 +51,12 @@ BRACKET_PIECE_BYTES = 1 << 16
 # the brackets' product matrix is formed in subcarrier pieces of at most this
 # many bytes; the objective keeps the first for its round
 AFFINE_PIECE_BYTES = 1 << 20
+
+
+def _checked_aggregate(aggregate):
+    if aggregate not in ("mean", "min"):
+        raise ValueError(f"aggregate must be 'mean' or 'min', not {aggregate!r}")
+    return aggregate
 
 
 def _gamma(n):
@@ -92,7 +99,10 @@ class DlRateObjective:
     round's final value and gains) costs nothing; no kept entry shares memory
     with either buffer. ``prime`` hands over composites the caller already
     built, so the first pass at their point runs the gather and the einsum
-    but no cascade. ``brackets`` bounds the values at a stack of points from
+    but no cascade. The objective holds the composites of its last kernel
+    pass (or the primed ones) with their point, and ``held_composites``
+    hands them out, so the next AO round designs on them without building
+    them again. ``brackets`` bounds the values at a stack of points from
     the affine form of the effective matrices, without composites, for the
     line search's comparisons.
     """
@@ -107,9 +117,9 @@ class DlRateObjective:
         aggregate: str = "mean",
         counter: OpCounter | None = None,
     ):
+        self.aggregate = _checked_aggregate(aggregate)
         self.links = links
         self.assignment = assignment
-        self.aggregate = aggregate
         self.counter = counter
         params = links.scenario.params
         self.sigma2 = params.sigma2
@@ -153,13 +163,20 @@ class DlRateObjective:
         self._links_of = self._rx * links.dl_nlos.shape[1] + self._ap
         self._gathered = np.empty((len(self._rx),) + links.dl_nlos.shape[2:], dtype=complex)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
-        self._primed = None  # (coefficient bytes, composites) from ``prime``
+        self._held = None  # (coefficient bytes, composites) of the last pass or ``prime``
         self._e0 = None  # formed by the first ``brackets`` call, with its other stacks
 
     def prime(self, coeffs, composites):
-        """Take ``composites``, the DL composites at ``coeffs``, for the next
-        kernel pass if it is at that point; any other pass drops them."""
-        self._primed = (coeffs.tobytes(), composites)
+        """Hold ``composites``, the DL composites at ``coeffs``, as if a kernel
+        pass had built them: a pass at that point takes them until another
+        pass builds its own."""
+        self._held = (coeffs.tobytes(), composites)
+
+    def held_composites(self, coeffs):
+        """The DL composites at ``coeffs`` if the last kernel pass built them
+        or they were primed with no pass built since, else None."""
+        key, composites = self._held or (None, None)
+        return composites if key == coeffs.tobytes() else None
 
     def _effective(self, coeffs):
         """Effective matrices (Q, n_sc, n_s, n_s) and power gains (Q, n_sc) of
@@ -167,9 +184,10 @@ class DlRateObjective:
         key = coeffs.tobytes()
         hit = self._cache.pop(key, None)
         if hit is None:
-            primed_key, composites = self._primed or (None, None)
-            self._primed = None  # good for the first pass only
-            hit = self._kernel(coeffs, composites if primed_key == key else None)
+            # only primed composites can be held at a point the cache lacks: the
+            # last pass's point is always cached
+            held_key, composites = self._held or (None, None)
+            hit = self._kernel(coeffs, composites if held_key == key else None)
             if len(self._cache) == self._CACHED_POINTS:
                 del self._cache[next(iter(self._cache))]
         self._cache[key] = hit
@@ -185,6 +203,7 @@ class DlRateObjective:
         h = composites
         if h is None:
             h = links.dl_composites(coeffs, out=self._composites)
+            self._held = (coeffs.tobytes(), h)
             if self.counter is not None:
                 self.counter.add(h.shape[0] * h.shape[1] * p.n_sc * self.n_phases * p.n_r * p.n_t)
         # the indices are in range; "clip" writes into the buffer directly, where
@@ -263,11 +282,6 @@ class DlRateObjective:
                 n_star = int(np.argmin(sinr))
                 grad += len(sinr) * ds[n_star]
         return value, grad
-
-    def bracket(self, phases: np.ndarray) -> tuple[float, float]:
-        """``brackets`` of the one point ``phases``."""
-        lo, hi = self.brackets(np.asarray(phases, dtype=float)[None])
-        return float(lo[0]), float(hi[0])
 
     def brackets(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds lo <= value(points[j]) <= hi of every row of ``points``
@@ -469,6 +483,7 @@ def rcg_optimize_phases(
     restart_every = max(len(theta), 1)
 
     brackets = getattr(objective, "brackets", None)
+    expected_reads = LADDER  # rungs the previous search read
 
     def line_search(d, slope):
         """Armijo backtracking, then greedy step doubling while the
@@ -478,14 +493,18 @@ def rcg_optimize_phases(
         Each comparison is settled on brackets lo <= value <= hi when they
         lie on one side of it, and on exact values otherwise, so it is the
         one exact values make. A bracket with lo == hi is the exact value.
-        An objective with ``brackets`` brackets a ladder of up to LADDER
-        steps in one call, each rung the step the walk would try next: up
-        from the first step and the doubling steps (to the doubling cap). A
-        doubling step off every ladder so far starts a new one; a
-        backtracking step brackets only its own point. Without ``brackets``
-        each value is taken exactly when the walk reaches it.
+        An objective with ``brackets`` brackets a ladder of steps in one
+        call, each rung the step the walk would try next: up from the first
+        step and the doubling steps (to the doubling cap). A doubling step
+        off every ladder so far starts a new one. A ladder holds the rungs
+        the previous search of the run read (LADDER in a run's first search)
+        less those this search has read, plus LADDER_MARGIN, at most LADDER;
+        a backtracking step brackets only its own point. Without
+        ``brackets`` each value is taken exactly when the walk reaches it.
         """
+        nonlocal expected_reads
         rungs = {}  # step -> bracket of theta + step * d
+        read = set()  # the steps whose brackets the walk asked for
 
         def exact(step):
             value = objective.value(theta + step * d)
@@ -496,10 +515,12 @@ def rcg_optimize_phases(
                 return exact(step)
             if step not in rungs:
                 ladder = [step]
-                while up and len(ladder) < LADDER and ladder[-1] <= STEP_CAP:
+                size = min(LADDER, max(expected_reads - len(read), 0) + LADDER_MARGIN)
+                while up and len(ladder) < size and ladder[-1] <= STEP_CAP:
                     ladder.append(2.0 * ladder[-1])
                 lo, hi = brackets(np.stack([theta + s * d for s in ladder]))
                 rungs.update(zip(ladder, zip(lo.tolist(), hi.tolist())))
+            read.add(step)
             return rungs[step]
 
         step = STEP_INIT
@@ -513,8 +534,8 @@ def rcg_optimize_phases(
                 break
             step *= STEP_SHRINK
         else:
-            return None
-        while step <= STEP_CAP:
+            step = None
+        while step is not None and step <= STEP_CAP:
             nxt = bracket(2.0 * step, up=True)
             if nxt[1] <= cand[0]:
                 break
@@ -525,6 +546,7 @@ def rcg_optimize_phases(
                 if nxt[0] <= cand[0]:
                     break
             step, cand = 2.0 * step, nxt
+        expected_reads = len(read)
         return step
 
     for it in range(1, max_iter + 1):
@@ -656,8 +678,9 @@ def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter
     """RCG phase optimization for fixed beamformers, from ``phases``, whose DL
     composites are ``composites``; the objective's first point takes them.
 
-    Returns the phases, their objective, their DL triple gains (Q, n_sc) and
-    the RCG trace. The objective, with its theta-gradient factors, lives only
+    Returns the phases, their objective, their DL triple gains (Q, n_sc), the
+    RCG trace and the DL composites at the phases if the objective holds them
+    (else None). The objective, with its theta-gradient factors, lives only
     for the round.
     """
     objective = DlRateObjective(links, assignment, beamformers, aggregate, counter)
@@ -666,8 +689,9 @@ def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter
     if objective.n_phases > 0:
         phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
     obj_val = objective.value(phases)
-    _, dl_gains = objective._effective(np.exp(1j * phases))  # cached by ``value``
-    return phases, obj_val, dl_gains, round_rcg
+    coeffs = np.exp(1j * phases)
+    _, dl_gains = objective._effective(coeffs)  # cached by ``value``
+    return phases, obj_val, dl_gains, round_rcg, objective.held_composites(coeffs)
 
 
 def alternating_optimize(
@@ -682,9 +706,15 @@ def alternating_optimize(
     """Alternating optimization: hybrid beamformer design then RCG phase
     optimization, for up to ``outer_rounds`` rounds, keeping the best state.
 
+    Each round designs on the DL composites at its start phases and hands
+    them to its objective; a round starts from the composites the previous
+    round's objective built at the phases it returned, when it still holds
+    them, and builds them only otherwise.
+
     With no IRS elements the loop degenerates to a single beamforming pass
     identical to the plain pipeline evaluation.
     """
+    _checked_aggregate(aggregate)
     cfg = config or scenario.optimizer
     if codebook is not None:
         scenario = with_codebook(scenario, codebook)
@@ -709,11 +739,12 @@ def alternating_optimize(
         t0 = time.perf_counter()
         if rnd > 1:
             coeffs = np.exp(1j * phases)
-            composites = links.dl_composites(coeffs)
+            if composites is None:  # the last round's objective no longer held them
+                composites = links.dl_composites(coeffs)
         beamformers = _design_all_beamformers(
             scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter, composites
         )
-        phases, obj_val, dl_gains, round_rcg = _phase_round(
+        phases, obj_val, dl_gains, round_rcg, composites = _phase_round(
             links, assignment, beamformers, phases, aggregate, cfg, counter, composites
         )
         if best is not None and obj_val < best[0]:

@@ -489,14 +489,69 @@ class TestPrimedObjective:
         cascade = channel._cascade
         monkeypatch.setattr(channel, "_cascade", lambda *a, **k: calls.append(1) or cascade(*a, **k))
         result = alternating_optimize(default_scenario(24), seed=0)
-        # three rounds run, the third regressed. Each round builds the
-        # composites at its start phases (3) and hands them to its objective,
+        # three rounds run, the third regressed. The first round builds the
+        # composites at its start phases (1) and hands them to its objective,
         # whose line searches decide on brackets: composites are built only at
         # the 10 accepted points past each round's first, and once for the
-        # report's UL gains (1). Without the hand-over the run built 89
+        # report's UL gains (1). Rounds 2 and 3 start from the composites the
+        # previous round's objective built at its returned phases. Without
+        # that the run built 3 + 10 + 1, without priming the objectives 89
         # cascades, without the brackets 86.
         assert len(result.trace) == 2 and result.stop_reason == "regressed"
-        assert len(calls) == 3 + 10 + 1
+        assert len(calls) == 1 + 10 + 1
+
+
+class TestRoundHandOver:
+    """An AO round after the first designs on the composites the previous
+    round's objective built at the phases it returned, and primes its own
+    objective with them."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"outer_rounds": 3},
+        # RCG stops at its first gradient, so each objective holds only the
+        # composites it was primed with, at the phases the round returns
+        {"epsilon": 1e3, "outer_rounds": 3},
+    ])
+    def test_next_round_designs_on_fresh_composites(self, fast_config, monkeypatch, overrides):
+        designs, handed = [], []
+        design, phase_round = optimizer._design_all_beamformers, optimizer._phase_round
+
+        def recording_design(scenario, links, assignment, coeffs, tx, rx, counter=None,
+                             composites=None):
+            designs.append((links, coeffs.copy(), composites, composites.copy()))
+            return design(scenario, links, assignment, coeffs, tx, rx, counter, composites)
+
+        def recording_round(*args):
+            out = phase_round(*args)
+            handed.append(out[-1])
+            return out
+
+        monkeypatch.setattr(optimizer, "_design_all_beamformers", recording_design)
+        monkeypatch.setattr(optimizer, "_phase_round", recording_round)
+        result = alternating_optimize(default_scenario(24), seed=0,
+                                      config=replace(fast_config, **overrides))
+        assert len(designs) == len(handed) >= 2
+        for (links, coeffs, composites, at_design), previous in zip(designs[1:], handed):
+            assert composites is previous  # handed on, not built again
+            assert at_design.tobytes() == links.dl_composites(coeffs).tobytes()
+        if overrides.get("epsilon"):
+            assert {state.iteration for state in result.rcg_trace} == {0}
+            # the primed array itself goes round after round
+            assert all(h is designs[0][2] for h in handed)
+
+    def test_composites_of_a_point_not_returned_are_not_handed_on(self):
+        objective, theta, composites, _ = _round_objective(default_scenario(), 6)
+        coeffs = np.exp(1j * theta)
+        objective.prime(coeffs, composites)
+        assert objective.held_composites(coeffs) is composites
+        objective.value(theta)  # the primed pass
+        assert objective.held_composites(coeffs) is composites
+        other = np.exp(1j * (theta + 0.25))
+        objective.value(theta + 0.25)
+        assert objective.held_composites(coeffs) is None
+        assert objective.held_composites(other) is objective._composites
+        objective.value(theta)  # a cache hit builds nothing
+        assert objective.held_composites(coeffs) is None
 
 
 _BRACKET_CASES = {
@@ -554,7 +609,7 @@ def _rcg_runs_equal(got, want):
 
 
 class TestBracket:
-    """``DlRateObjective.bracket`` bounds the exact value, and a line search
+    """``DlRateObjective.brackets`` bounds the exact value, and a line search
     that decides on brackets makes every decision exact values make."""
 
     @pytest.mark.parametrize("name", _BRACKET_CASES)
@@ -569,7 +624,8 @@ class TestBracket:
             points = np.stack([theta] + [theta + 2.0**-k * d for k in range(-20, 47, 3)])
             for theta_k, stacked in zip(points, zip(*objective.brackets(points))):
                 value = objective.value(theta_k)
-                for lo, hi in (objective.bracket(theta_k), stacked):
+                alone = next(zip(*objective.brackets(theta_k[None])))
+                for lo, hi in (alone, stacked):
                     assert lo <= value <= hi
                     assert hi - lo <= 1e-9 * value  # narrow enough to decide
 
@@ -602,9 +658,10 @@ class TestBracket:
         objective = DlRateObjective(
             stock_links, Assignment((-1,) * n_users, (False,) * n_users), {})
         theta = np.full(stock_links.scenario.n_irs_elements, 0.3)
-        assert objective.bracket(theta) == (0.0, 0.0) == (objective.value(theta),) * 2
-        lo, hi = objective.brackets(np.stack([theta, theta + 1.0]))
-        assert lo.tolist() == hi.tolist() == [0.0, 0.0]
+        assert objective.value(theta) == 0.0
+        for points in (theta[None], np.stack([theta, theta + 1.0])):
+            lo, hi = objective.brackets(points)
+            assert lo.tolist() == hi.tolist() == [0.0] * len(points)
 
     @pytest.mark.parametrize("name", _BRACKET_CASES)
     def test_trajectory_as_with_exact_values(self, name):
@@ -622,7 +679,7 @@ class TestBracket:
         objective, *_ = build_rate_objective(stock_scenario, seed=0)
         objective.counter = counter = OpCounter()
         theta = np.full(objective.n_phases, 0.3)
-        objective.bracket(theta)
+        objective.brackets(theta[None])
         first = counter.macs
         counter.reset()
         objective.brackets(np.stack([theta + 0.1 * k for k in range(5)]))
@@ -661,10 +718,10 @@ class TestBracket:
         objective, theta, composites, _ = _round_objective(default_scenario(), 6)
         coeffs = np.exp(1j * theta)
         objective.prime(coeffs, composites)
-        objective.bracket(theta)
-        objective.bracket(theta + 0.25)
+        objective.brackets(theta[None])
+        objective.brackets(theta[None] + 0.25)
         assert objective._cache == {}
-        assert objective._primed[0] == coeffs.tobytes()
+        assert objective.held_composites(coeffs) is composites
 
 
 class TestGradient:
@@ -835,6 +892,38 @@ class TestRcg:
         # doubling (step 1) is read from that ladder
         assert stacks == [[2.0 * 2.0**k for k in range(12)], [1.0]]
 
+    def test_ladders_hold_the_rungs_the_last_search_read(self):
+        stacks = []
+
+        class Target:
+            """Each search along d = 1 peaks at step 2^j and reads the rungs
+            1, 2, ..., 2^(j+1); j is drawn from ``peaks`` at every gradient."""
+
+            def __init__(self, peaks):
+                self.peaks = iter(peaks)
+
+            def value(self, phases):
+                return -abs(float(phases[0]) - self.target)
+
+            def value_and_grad(self, phases):
+                self.origin = float(phases[0])
+                self.target = self.origin + 2.0 ** next(self.peaks)
+                return self.value(phases), np.array([1.0])
+
+            def brackets(self, points):
+                stacks.append((points[:, 0] - self.origin).tolist())
+                values = -np.abs(points[:, 0] - self.target)
+                return values, values
+
+        rcg_optimize_phases(Target([10, 3, 6, 0, 2, 0]), np.zeros(1), epsilon=0.0, max_iter=5)
+        # rungs read: 12, 5, 8, 2 and 4. A ladder holds the rungs the last
+        # search read less those read so far, plus LADDER_MARGIN = 2, at most
+        # LADDER = 12
+        assert stacks == [[2.0**k for k in range(12)], [2.0**k for k in range(12)],
+                          # the walk reads all 7 rungs and doubles on: 2 more
+                          [2.0**k for k in range(7)], [128.0, 256.0],
+                          [2.0**k for k in range(10)], [2.0**k for k in range(4)]]
+
     def test_argument_validation(self):
         sc = scalar_scenario(1)
         objective, *_ = build_rate_objective(sc)
@@ -901,6 +990,14 @@ class TestAlternatingOptimization:
         assert result.report.sum_utility > 0
         gc.collect()
         assert all(ref() is None for ref in made)
+
+    def test_unknown_aggregate_is_rejected_before_any_work(self, monkeypatch):
+        objective, *_ = build_rate_objective(scalar_scenario(2))
+        with pytest.raises(ValueError, match="'mean' or 'min'"):
+            DlRateObjective(objective.links, objective.assignment, {}, aggregate="median")
+        monkeypatch.setattr(optimizer, "synthesize_links", lambda *a: pytest.fail("synthesized"))
+        with pytest.raises(ValueError, match="'mean' or 'min', not 'median'"):
+            alternating_optimize(default_scenario(24), aggregate="median")
 
     def test_one_dl_gain_table_per_run(self, monkeypatch):
         # each round keeps its triple gains; only the kept round's are scattered

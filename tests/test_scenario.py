@@ -11,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irslink.channel import synthesize_links
 from irslink.scenario import (
     STOCK_CODEBOOKS,
     Assignment,
@@ -368,6 +369,34 @@ class TestScenarioVariants:
         )
         with pytest.raises(ConfigError, match="element outside bounds"):
             with_irs_elements(narrow, 24)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_panel_splits_fit_or_name_the_geometry(self, data):
+        """m elements split over 1-3 panel origins on the side walls, some
+        within a panel's size of the far wall or the ceiling: the resized
+        scenario either raises ConfigError with a geometry path or gives
+        finite links."""
+        base = default_scenario(0, n_t=2, n_sc=2)
+        spacing = base.params.wavelength_dl / 2.0  # 600 elements on one panel span ~6 cm
+        origins = data.draw(st.lists(st.tuples(
+            st.floats(0.0, 0.2) | st.floats(9.8, 10.0),
+            st.floats(0.0, 17.0) | st.floats(16.9, 17.0),
+            st.floats(0.0, 3.0) | st.floats(2.9, 3.0),
+        ), min_size=1, max_size=3), label="origins")
+        sc = replace(base, irs_panels=tuple(IrsPanel(o, 1, 1, spacing) for o in origins))
+        m = data.draw(st.integers(0, 600), label="m")
+        try:
+            resized = with_irs_elements(sc, m)
+        except ConfigError as exc:
+            assert str(exc).startswith("geometry."), str(exc)
+            return
+        assert resized.n_irs_elements == m
+        links = synthesize_links(resized, seed=data.draw(st.integers(0, 99)))
+        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
+                     "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
+            assert np.all(np.isfinite(getattr(links, name))), name
+        assert links.dl_ap_rows.shape[2] == m
 
 
 class TestIrsPanel:
