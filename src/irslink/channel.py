@@ -22,7 +22,7 @@ from irslink.arrays import (
     upa_steering,
     vector_norm,
 )
-from irslink.scenario import Scenario, compute_dod_doa
+from irslink.scenario import Scenario, compute_dod_doa, derive
 
 
 def path_gain_db(distance, carrier: float, w: float):
@@ -186,6 +186,29 @@ class LinkChannels:
     def ul_ap_cols(self) -> np.ndarray:
         """(B, n_sc, M, n_t) UL IRS element -> AP hops, formed from their factors."""
         return _element_hops(self.ul_ap_gains, self.ul_ap_steering)
+
+    def without_surface(self, scenario: Scenario) -> "LinkChannels":
+        """These links with no IRS elements, as the links of ``scenario``, a
+        surface-free copy of theirs.
+
+        The direct hops read no surface, so they are shared, not checked
+        again. The element stacks and UL factors are fresh empty arrays,
+        shaped as ``synthesize_links`` shapes them at M = 0, so the larger
+        stacks are not kept alive.
+        """
+        if scenario.n_irs_elements:
+            raise ValueError(f"scenario has {scenario.n_irs_elements} IRS elements, not 0")
+        user_gains, user_steering, ap_gains, ap_steering = (
+            np.empty((len(a), 0) + a.shape[2:], a.dtype) for a in (
+                self.ul_user_gains, self.ul_user_steering, self.ul_ap_gains, self.ul_ap_steering))
+        # an empty DL stack has the shape of its UL factors' stack
+        return derive(
+            self, scenario=scenario,
+            dl_user_cols=_element_hops(user_gains, user_steering),
+            dl_ap_rows=_element_hops(ap_gains, ap_steering),
+            ul_user_gains=user_gains, ul_user_steering=user_steering,
+            ul_ap_gains=ap_gains, ul_ap_steering=ap_steering,
+        )
 
     def _check_phase_count(self, phi_coeffs: np.ndarray) -> None:
         if len(phi_coeffs) != self.dl_ap_rows.shape[2]:

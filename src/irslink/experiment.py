@@ -239,15 +239,23 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
             )
 
     results = []
+    surfaces = [with_irs_elements(scenario, m) for m in spec.irs_cases]
     links, links_n_t = {}, None  # IRS size -> links of the current antenna count
     for cb in spec.codebooks:
+        params = with_codebook(scenario, cb).params
+        variants = {m: derive(surface, params=params)
+                    for m, surface in zip(spec.irs_cases, surfaces)}
         if cb.n_t != links_n_t:
-            # synthesis does not read n_rf: codebooks of one antenna count share links
+            # synthesis does not read n_rf: codebooks of one antenna count share
+            # links. The direct hops read no surface, so the no-surface links are
+            # cut from the largest surface's
             links, links_n_t = {}, cb.n_t
-        for m in spec.irs_cases:
-            variant = with_codebook(with_irs_elements(scenario, m), cb)
-            if m not in links:
-                links[m] = channel.synthesize_links(variant, spec.seed)
+            for m in sorted(variants, reverse=True):
+                if m == 0 and links:
+                    links[m] = links[max(links)].without_surface(variants[m])
+                else:
+                    links[m] = channel.synthesize_links(variants[m], spec.seed)
+        for m, variant in variants.items():
             # checked at synthesis; the variant differs in no channel input
             shared = derive(links[m], scenario=variant)
             for agg_mode in spec.aggregates:

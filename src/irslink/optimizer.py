@@ -709,7 +709,9 @@ def alternating_optimize(
     Each round designs on the DL composites at its start phases and hands
     them to its objective; a round starts from the composites the previous
     round's objective built at the phases it returned, when it still holds
-    them, and builds them only otherwise.
+    them, and builds them only otherwise. A round that returns its start
+    phases is followed by a copy of itself, not a run of the next round, which
+    would repeat it bit for bit and stop with ``no_improvement``.
 
     With no IRS elements the loop degenerates to a single beamforming pass
     identical to the plain pipeline evaluation.
@@ -744,6 +746,7 @@ def alternating_optimize(
         beamformers = _design_all_beamformers(
             scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter, composites
         )
+        start = phases
         phases, obj_val, dl_gains, round_rcg, composites = _phase_round(
             links, assignment, beamformers, phases, aggregate, cfg, counter, composites
         )
@@ -769,6 +772,13 @@ def alternating_optimize(
             stop_reason = "no_surface"
             break
         if prev_obj > -np.inf and obj_val - prev_obj <= IMPROVEMENT_TOL * max(abs(prev_obj), 1.0):
+            stop_reason = "no_improvement"
+            break
+        if rnd < cfg.outer_rounds and phases.tobytes() == start.tobytes():
+            # the next round would run on this round's composites, assignment
+            # and codebooks, so it would repeat this round and stop: record it
+            trace.append(replace(trace[-1], round_index=rnd + 1))
+            rcg_trace.extend(round_rcg)
             stop_reason = "no_improvement"
             break
         prev_obj = obj_val

@@ -26,6 +26,7 @@ from irslink.scenario import (
     SystemParams,
     compute_dod_doa,
     default_scenario,
+    with_irs_elements,
 )
 
 from conftest import scalar_scenario
@@ -343,6 +344,21 @@ class TestLinkChannels:
         for name in ("dl_user_cols", "dl_ap_rows", "ul_user_rows", "ul_ap_cols"):
             stack = getattr(links, name)
             assert stack.strides[2] == stack.itemsize, name
+
+    @pytest.mark.parametrize("delay_mode", ["phasor", "real_decay"])
+    def test_without_surface_equals_a_fresh_synthesis(self, delay_mode):
+        sc = default_scenario(12, n_sc=3, delay_mode=delay_mode)
+        bare = with_irs_elements(sc, 0)
+        links = synthesize_links(sc, seed=4)
+        cut, fresh = links.without_surface(bare), synthesize_links(bare, seed=4)
+        assert cut.scenario is bare and cut.seed == 4
+        assert cut.dl_nlos is links.dl_nlos and cut.ul_nlos is links.ul_nlos
+        for f in fields(LinkChannels)[2:]:
+            got, want = getattr(cut, f.name), getattr(fresh, f.name)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), f.name
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="12 IRS elements, not 0"):
+            links.without_surface(sc)
 
     def test_shared_phases_for_both_bands(self):
         sc = scalar_scenario(2, n_sc=2)

@@ -236,10 +236,13 @@ class TestExperimentSpec:
             run_experiment(spec, scenario=small_scenario())
 
 
-@pytest.fixture(scope="module")
-def stock_sweep_calls():
-    """The (scenario, links) of every AO run of a stock sweep, and the scenario
-    of every channel synthesis it made."""
+_LINK_ARRAYS = ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
+                "ul_user_steering", "ul_ap_gains", "ul_ap_steering")
+
+
+def _sweep_calls(spec, scenario=None):
+    """The (scenario, links) of every AO run of a sweep, and the scenario of
+    every channel synthesis it made."""
     runs, synthesized = [], []
     ao, synthesize = experiment.alternating_optimize, channel.synthesize_links
 
@@ -254,28 +257,65 @@ def stock_sweep_calls():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "alternating_optimize", recording_ao)
         mp.setattr(channel, "synthesize_links", counting_synthesis)
-        run_experiment(ExperimentSpec(seed=3, optimizer_overrides=FAST))
+        run_experiment(spec, scenario)
     return runs, synthesized
+
+
+@pytest.fixture(scope="module")
+def stock_sweep_calls():
+    return _sweep_calls(ExperimentSpec(seed=3, optimizer_overrides=FAST))
+
+
+@pytest.fixture(scope="module")
+def two_size_sweep_calls():
+    """Two antenna counts, no surface and surfaces of 8 and 24 elements, seed
+    5, by delay mode (the real-decay UL gains are real, the phasor ones complex)."""
+    by_name = {cb.name: cb for cb in STOCK_CODEBOOKS}
+    spec = ExperimentSpec(codebooks=(by_name["2ant_1rf"], by_name["4ant_2rf"]),
+                          irs_sizes=(8, 24), seed=5, optimizer_overrides=FAST)
+    return {mode: _sweep_calls(spec, default_scenario(n_sc=8, delay_mode=mode))
+            for mode in ("phasor", "real_decay")}
+
+
+def _assert_links_equal_fresh(runs, seed):
+    for scenario, links in runs:
+        assert links.scenario is scenario and links.seed == seed
+        fresh = channel.synthesize_links(scenario, seed)
+        for name in _LINK_ARRAYS:
+            got, want = getattr(links, name), getattr(fresh, name)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+            np.testing.assert_array_equal(got, want)
 
 
 class TestRunExperiment:
     def test_one_synthesis_per_antenna_count_and_irs_size(self, stock_sweep_calls):
         runs, synthesized = stock_sweep_calls
         assert len(runs) == 12
-        # the RF-chain count is not a channel input: 3 antenna counts x 2 IRS cases
-        assert len(synthesized) == 6
-        assert len({(sc.params.n_t, sc.n_irs_elements) for sc in synthesized}) == 6
+        # the RF-chain count is not a channel input, and the no-surface links
+        # are cut from the surface's: one synthesis per antenna count, at M = 24
+        assert len(synthesized) == 3
+        assert [(sc.params.n_t, sc.n_irs_elements) for sc in synthesized] == [
+            (2, 24), (4, 24), (8, 24)]
 
-    def test_shared_links_equal_fresh_links(self, stock_sweep_calls):
+    def test_shared_links_equal_fresh_links(self, stock_sweep_calls, two_size_sweep_calls):
         runs, _ = stock_sweep_calls
         assert {(sc.params.n_t, sc.params.n_rf) for sc, _ in runs} == {
             (cb.n_t, cb.n_rf) for cb in STOCK_CODEBOOKS}
-        for scenario, links in runs:
-            assert links.scenario is scenario and links.seed == 3
-            fresh = channel.synthesize_links(scenario, 3)
-            for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
-                         "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
-                np.testing.assert_array_equal(getattr(links, name), getattr(fresh, name))
+        _assert_links_equal_fresh(runs, 3)
+        for runs, _ in two_size_sweep_calls.values():
+            assert [sc.n_irs_elements for sc, _ in runs] == [0, 8, 24] * 2
+            _assert_links_equal_fresh(runs, 5)
+
+    def test_no_surface_links_cut_from_the_largest_surface(self, two_size_sweep_calls):
+        for runs, synthesized in two_size_sweep_calls.values():
+            assert [(sc.params.n_t, sc.n_irs_elements) for sc in synthesized] == [
+                (2, 24), (2, 8), (4, 24), (4, 8)]
+            for (_, bare), (_, largest) in zip(runs[::3], runs[2::3]):
+                assert bare.dl_nlos is largest.dl_nlos and bare.ul_nlos is largest.ul_nlos
+                for name in _LINK_ARRAYS[1:3] + _LINK_ARRAYS[4:]:
+                    # an empty element array views no larger stack, so keeps none alive
+                    array = getattr(bare, name)
+                    assert (array if array.base is None else array.base).size == 0, name
 
     def test_shared_links_are_checked_once_at_synthesis(self, monkeypatch):
         checks = []
@@ -287,7 +327,8 @@ class TestRunExperiment:
                               optimizer_overrides=FAST)
         bundle = run_experiment(spec, scenario=small_scenario())
         assert len(bundle) == 4  # two codebooks x {no surface, 24 elements}
-        assert len(checks) == 2  # one synthesis per surface size
+        # one synthesis, of the 24 elements; the no-surface links are cut from it
+        assert len(checks) == 1
 
     def test_twelve_runs_for_full_grid(self):
         spec = ExperimentSpec(

@@ -508,8 +508,9 @@ class TestRoundHandOver:
 
     @pytest.mark.parametrize("overrides", [
         {"outer_rounds": 3},
-        # RCG stops at its first gradient, so each objective holds only the
-        # composites it was primed with, at the phases the round returns
+        # RCG stops at its first gradient, so the objective holds only the
+        # composites it was primed with, at the phases the round returns; the
+        # round after it would repeat it, so it is recorded, not designed
         {"epsilon": 1e3, "outer_rounds": 3},
     ])
     def test_next_round_designs_on_fresh_composites(self, fast_config, monkeypatch, overrides):
@@ -530,14 +531,18 @@ class TestRoundHandOver:
         monkeypatch.setattr(optimizer, "_phase_round", recording_round)
         result = alternating_optimize(default_scenario(24), seed=0,
                                       config=replace(fast_config, **overrides))
+        if overrides.get("epsilon"):
+            assert {state.iteration for state in result.rcg_trace} == {0}
+            assert len(designs) == len(handed) == 1 and len(result.trace) == 2
+            # the primed array itself is what the round hands on, at its start phases
+            links, coeffs, primed, _ = designs[0]
+            assert handed[0] is primed
+            assert handed[0].tobytes() == links.dl_composites(coeffs).tobytes()
+            return
         assert len(designs) == len(handed) >= 2
         for (links, coeffs, composites, at_design), previous in zip(designs[1:], handed):
             assert composites is previous  # handed on, not built again
             assert at_design.tobytes() == links.dl_composites(coeffs).tobytes()
-        if overrides.get("epsilon"):
-            assert {state.iteration for state in result.rcg_trace} == {0}
-            # the primed array itself goes round after round
-            assert all(h is designs[0][2] for h in handed)
 
     def test_composites_of_a_point_not_returned_are_not_handed_on(self):
         objective, theta, composites, _ = _round_objective(default_scenario(), 6)
@@ -553,6 +558,79 @@ class TestRoundHandOver:
         objective.value(theta)  # a cache hit builds nothing
         assert objective.held_composites(coeffs) is None
 
+
+def _states_equal(got, want):
+    """RCG states equal field by field, phases bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert replace(a, phases=None) == replace(b, phases=None)
+        assert a.phases.tobytes() == b.phases.tobytes()
+
+
+class TestRecordedRound:
+    """A round that returns its start phases is followed by a copy of itself,
+    not by a run of the next round, which would repeat it bit for bit."""
+
+    def test_round_at_its_start_phases_is_recorded_not_run(self, fast_config, monkeypatch):
+        config = replace(fast_config, epsilon=1e3, outer_rounds=3)  # RCG runs no iteration
+        scenario = default_scenario(24)
+        alone = alternating_optimize(scenario, seed=0, config=replace(config, outer_rounds=1))
+        runs, designs = [], []
+        phase_round, design = optimizer._phase_round, optimizer._design_all_beamformers
+        monkeypatch.setattr(optimizer, "_phase_round",
+                            lambda *args: runs.append(1) or phase_round(*args))
+        monkeypatch.setattr(optimizer, "_design_all_beamformers",
+                            lambda *args: designs.append(1) or design(*args))
+        result = alternating_optimize(scenario, seed=0, config=config)
+        assert len(runs) == len(designs) == 1
+        first, second = result.trace
+        assert (first.round_index, second.round_index) == (1, 2)
+        assert replace(second, round_index=1, phases=None) == replace(first, phases=None)
+        assert second.phases.tobytes() == first.phases.tobytes() == np.zeros(24).tobytes()
+        # as the run of round 2 gave: the same RCG run again, and the same state
+        assert result.stop_reason == "no_improvement"
+        assert len(result.rcg_trace) == 2 and result.rcg_trace[1] is result.rcg_trace[0]
+        _states_equal(result.rcg_trace, alone.rcg_trace * 2)
+        assert result.phases.tobytes() == alone.phases.tobytes()
+        assert result.report.rows == alone.report.rows
+
+    def test_round_whose_phases_moved_is_run(self, fast_config, monkeypatch):
+        # each round's phases move by one ulp, with the next round's
+        # composites left to be built at them: every round runs
+        runs, phase_round = [], optimizer._phase_round
+
+        def nudged_round(*args):
+            phases, *out, _ = phase_round(*args)
+            runs.append(phases)
+            return (np.nextafter(phases, np.inf), *out, None)
+
+        monkeypatch.setattr(optimizer, "_phase_round", nudged_round)
+        config = replace(fast_config, epsilon=1e3, outer_rounds=3)
+        result = alternating_optimize(default_scenario(24), seed=0, config=config)
+        assert len(runs) == 2 and result.stop_reason in ("no_improvement", "regressed")
+        assert len(result.trace) <= len(runs)
+        assert runs[1].tobytes() != runs[0].tobytes()  # round 2 started where round 1 moved to
+
+    def test_stock_runs_copy_only_rounds_that_returned_their_start(self, monkeypatch):
+        starts, phase_round = [], optimizer._phase_round
+        monkeypatch.setattr(optimizer, "_phase_round",
+                            lambda *args: starts.append(args[3]) or phase_round(*args))
+        copies = 0
+        for cb in STOCK_CODEBOOKS[:2]:
+            for aggregate in ("mean", "min"):
+                starts.clear()
+                result = alternating_optimize(with_codebook(default_scenario(), cb), seed=0,
+                                              aggregate=aggregate)
+                # every kept round after the ones run is a copy, and only of a
+                # run round that returned its start phases
+                copied = result.trace[len(starts):]
+                assert len(copied) <= 1
+                if copied:
+                    copies += 1
+                    last_run = result.trace[len(starts) - 1]
+                    assert last_run.phases.tobytes() == starts[-1].tobytes()
+                    assert replace(copied[0], round_index=last_run.round_index) == last_run
+        assert copies >= 1
 
 _BRACKET_CASES = {
     **{cb.name: (with_codebook(default_scenario(), cb), "mean") for cb in STOCK_CODEBOOKS},
@@ -1033,7 +1111,7 @@ class TestAlternatingOptimization:
             (0, 0, {}, "no_surface", 1),
             (24, 1, {}, "regressed", 1),
             (24, 0, {}, "round_cap", 2),
-            # RCG stops at once, so round 2 redesigns at the same phases
+            # RCG stops at once, so round 2 would repeat round 1 and is recorded
             (24, 0, {"epsilon": 1e3, "outer_rounds": 3}, "no_improvement", 2),
         ],
     )
