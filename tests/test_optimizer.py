@@ -632,6 +632,7 @@ class TestRecordedRound:
                     assert replace(copied[0], round_index=last_run.round_index) == last_run
         assert copies >= 1
 
+
 _BRACKET_CASES = {
     **{cb.name: (with_codebook(default_scenario(), cb), "mean") for cb in STOCK_CODEBOOKS},
     "min_aggregate": (default_scenario(), "min"),
