@@ -22,7 +22,7 @@ from irslink.arrays import (
     upa_steering,
     vector_norm,
 )
-from irslink.scenario import Scenario, compute_dod_doa, derive
+from irslink.scenario import Scenario, compute_dod_doa
 
 
 def path_gain_db(distance, carrier: float, w: float):
@@ -138,9 +138,16 @@ def _cascade(nlos, phi_coeffs, user, ap, spec, out=None) -> np.ndarray:
     return out
 
 
-# the UL composites re-form their AP-side hops in pieces of at most this many
-# bytes, so the final UL gains of an AO run never set its memory peak
-UL_PIECE_BYTES = 1 << 20
+# a stack formed in pieces (the UL composites' AP-side hops, the brackets'
+# product matrix) takes whole subcarriers, at most this many bytes a piece
+PIECE_BYTES = 1 << 20
+
+
+def subcarrier_pieces(n_sc: int, bytes_per_subcarrier: int) -> list[slice]:
+    """Slices of whole subcarriers that cover 0..n_sc, each piece within
+    ``PIECE_BYTES`` (or one subcarrier, when that alone exceeds them)."""
+    step = max(1, PIECE_BYTES // max(bytes_per_subcarrier, 1))
+    return [slice(start, min(start + step, n_sc)) for start in range(0, n_sc, step)]
 
 
 @dataclass(frozen=True)
@@ -187,28 +194,12 @@ class LinkChannels:
         """(B, n_sc, M, n_t) UL IRS element -> AP hops, formed from their factors."""
         return _element_hops(self.ul_ap_gains, self.ul_ap_steering)
 
-    def without_surface(self, scenario: Scenario) -> "LinkChannels":
-        """These links with no IRS elements, as the links of ``scenario``, a
-        surface-free copy of theirs.
-
-        The direct hops read no surface, so they are shared, not checked
-        again. The element stacks and UL factors are fresh empty arrays,
-        shaped as ``synthesize_links`` shapes them at M = 0, so the larger
-        stacks are not kept alive.
-        """
-        if scenario.n_irs_elements:
-            raise ValueError(f"scenario has {scenario.n_irs_elements} IRS elements, not 0")
-        user_gains, user_steering, ap_gains, ap_steering = (
-            np.empty((len(a), 0) + a.shape[2:], a.dtype) for a in (
-                self.ul_user_gains, self.ul_user_steering, self.ul_ap_gains, self.ul_ap_steering))
-        # an empty DL stack has the shape of its UL factors' stack
-        return derive(
-            self, scenario=scenario,
-            dl_user_cols=_element_hops(user_gains, user_steering),
-            dl_ap_rows=_element_hops(ap_gains, ap_steering),
-            ul_user_gains=user_gains, ul_user_steering=user_steering,
-            ul_ap_gains=ap_gains, ul_ap_steering=ap_steering,
-        )
+    def with_surface(self, scenario: Scenario) -> "LinkChannels":
+        """The links of ``scenario``, which differs from these links' in its IRS
+        panels alone: the direct hops read no surface, so they are shared, and
+        the element hops are synthesized for ``scenario``'s surface."""
+        return LinkChannels(scenario, self.seed, dl_nlos=self.dl_nlos, ul_nlos=self.ul_nlos,
+                            **_surface_hops(scenario))
 
     def _check_phase_count(self, phi_coeffs: np.ndarray) -> None:
         if len(phi_coeffs) != self.dl_ap_rows.shape[2]:
@@ -229,49 +220,31 @@ class LinkChannels:
         """(U, B, n_sc, n_t, n_r) total UL channels of every user-AP link for
         given unit-modulus coefficients.
 
-        The hop stacks are re-formed in subcarrier blocks whose AP-side piece
-        stays within ``UL_PIECE_BYTES``. Each composite entry sums over the
-        elements only, so a block's entries have the bits the whole stacks
-        would give.
+        The hop stacks are re-formed in ``subcarrier_pieces`` sized by their
+        AP-side hops. Each composite entry sums over the elements only, so a
+        piece's entries have the bits the whole stacks would give.
         """
         self._check_phase_count(phi_coeffs)
         out = np.empty_like(self.ul_nlos)
-        n_sc = out.shape[2]
-        step = max(1, UL_PIECE_BYTES // max(self.ul_ap_steering.size * out.itemsize, 1))
-        for start in range(0, n_sc, step):
-            n = slice(start, start + step)
+        for n in subcarrier_pieces(out.shape[2], self.ul_ap_steering.size * out.itemsize):
             user = _element_hops(self.ul_user_gains[:, :, n], self.ul_user_steering)
             ap = _element_hops(self.ul_ap_gains[:, :, n], self.ul_ap_steering)
             _cascade(self.ul_nlos[:, :, n], phi_coeffs, user, ap, "inmr,bnmt->ibntr", out[:, :, n])
         return out
 
 
-def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:
-    """Synthesize every raw link channel of the scenario once.
+def _surface_hops(scenario: Scenario) -> dict:
+    """The element hops of ``LinkChannels``, by field name: the DL stacks and
+    the UL factors, each stacked over all links and IRS elements.
 
-    Each hop family (direct, AP-IRS, IRS-user, both bands) is built as one
-    stack over all links and IRS elements; the UL element hops are kept as
-    their factors.
+    The UPA entry is the single-antenna end. Each hop takes its directions
+    from its own rx - tx: the reverse hop's negated vector flips signed zeros,
+    and atan2(+-0, x < 0) = +-pi.
     """
     p = scenario.params
     aps = scenario.ap_positions  # (B, 3)
     users = scenario.user_positions  # (U, 3)
     elems = scenario.irs_element_positions()[None]  # (1, M, 3)
-
-    # direct NLoS links, stacked (U, B)
-    dod, doa = compute_dod_doa(aps[None], users[:, None])
-    dl_nlos = _direct_hops(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), _ula_along(p.n_t, dod))
-    dod, doa = compute_dod_doa(users[:, None], aps[None])
-    ul_nlos = _direct_hops(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), _ula_along(p.n_r, dod))
-    if p.smallscale:
-        for i, j in np.ndindex(dl_nlos.shape[:2]):
-            dl_nlos[i, j] *= nlos_smallscale_factor(seed, i, j, "DL")
-            ul_nlos[i, j] *= nlos_smallscale_factor(seed, i, j, "UL")
-
-    # per-element cascade hops, stacked (B, M) and (U, M); the UPA entry is
-    # the single-antenna end. Each hop takes its directions from its own
-    # rx - tx: the reverse hop's negated vector flips signed zeros, and
-    # atan2(+-0, x < 0) = +-pi.
     ap_dep, ap_arr = _panel_steering(scenario, aps)[..., None]
     user_dep, user_arr = _panel_steering(scenario, users)[..., None]
     dod, _ = compute_dod_doa(aps[:, None], elems)
@@ -284,6 +257,29 @@ def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:
         *_element_factors(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), user_dep))
     dod, _ = compute_dod_doa(users[:, None], elems)
     ul_user = _element_factors(p, p.carrier_ul, dod, user_arr, _ula_along(p.n_r, dod))
-    return LinkChannels(
-        scenario, seed, dl_nlos, dl_user_cols, dl_ap_rows, ul_nlos, *ul_user, *ul_ap
-    )
+    return dict(dl_user_cols=dl_user_cols, dl_ap_rows=dl_ap_rows,
+                ul_user_gains=ul_user[0], ul_user_steering=ul_user[1],
+                ul_ap_gains=ul_ap[0], ul_ap_steering=ul_ap[1])
+
+
+def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:
+    """Synthesize every raw link channel of the scenario once.
+
+    Each hop family (direct, AP-IRS, IRS-user, both bands) is built as one
+    stack over all links and IRS elements; the UL element hops are kept as
+    their factors.
+    """
+    p = scenario.params
+    aps = scenario.ap_positions  # (B, 3)
+    users = scenario.user_positions  # (U, 3)
+
+    # direct NLoS links, stacked (U, B)
+    dod, doa = compute_dod_doa(aps[None], users[:, None])
+    dl_nlos = _direct_hops(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), _ula_along(p.n_t, dod))
+    dod, doa = compute_dod_doa(users[:, None], aps[None])
+    ul_nlos = _direct_hops(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), _ula_along(p.n_r, dod))
+    if p.smallscale:
+        for i, j in np.ndindex(dl_nlos.shape[:2]):
+            dl_nlos[i, j] *= nlos_smallscale_factor(seed, i, j, "DL")
+            ul_nlos[i, j] *= nlos_smallscale_factor(seed, i, j, "UL")
+    return LinkChannels(scenario, seed, dl_nlos=dl_nlos, ul_nlos=ul_nlos, **_surface_hops(scenario))

@@ -11,7 +11,6 @@ is written last as a completion marker.
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +26,7 @@ from irslink.scenario import (
     ConfigError,
     RcgConfig,
     Scenario,
+    _is_kind,
     associate_users,
     default_scenario,
     derive,
@@ -64,10 +64,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown modes: {sorted(unknown)}")
         if "external_snr" in self.modes and not self.snr_csv_path:
             raise ValueError("external_snr mode requires snr_csv_path")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_kind(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         for k, m in enumerate(self.irs_sizes):
-            if not isinstance(m, numbers.Integral) or m < 0:
+            if not _is_kind(m, int) or m < 0:
                 raise ConfigError(f"irs_sizes[{k}]: must be an integer >= 0, got {m!r}")
         keys = [run_key(cb.name, m, agg, "no_irs" if m == 0 else "with_irs")
                 for cb in self.codebooks for m in self.irs_cases for agg in self.aggregates]
@@ -247,16 +247,16 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
                     for m, surface in zip(spec.irs_cases, surfaces)}
         if cb.n_t != links_n_t:
             # synthesis does not read n_rf: codebooks of one antenna count share
-            # links. The direct hops read no surface, so the no-surface links are
-            # cut from the largest surface's
-            links, links_n_t = {}, cb.n_t
-            for m in sorted(variants, reverse=True):
-                if m == 0 and links:
-                    links[m] = links[max(links)].without_surface(variants[m])
+            # links. The direct hops read no surface, so the first size's are
+            # synthesized and every other size shares them
+            links, links_n_t, first = {}, cb.n_t, None
+            for m, variant in variants.items():
+                if first is None:
+                    first = links[m] = channel.synthesize_links(variant, spec.seed)
                 else:
-                    links[m] = channel.synthesize_links(variants[m], spec.seed)
+                    links[m] = first.with_surface(variant)
         for m, variant in variants.items():
-            # checked at synthesis; the variant differs in no channel input
+            # checked when built; the variant differs in no channel input
             shared = derive(links[m], scenario=variant)
             for agg_mode in spec.aggregates:
                 agg = "mean" if agg_mode == "mean_gain" else "min"

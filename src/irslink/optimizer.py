@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from irslink.beamforming import build_analog_codebook, design_beamformers
-from irslink.channel import LinkChannels, synthesize_links
+from irslink.channel import LinkChannels, subcarrier_pieces, synthesize_links
 from irslink.metrics import UtilityReport, rate, sinr_dl, sinr_ul, sum_in_order, utility_report
 from irslink.opcount import OpCounter
 from irslink.scenario import (
@@ -45,12 +45,6 @@ UNIT_ROUNDOFF = 2.0**-53
 BRACKET_SAFETY = 2.0
 # roundings charged to one float64 log2 (an error of up to 8 ulp)
 LOG2_ROUNDINGS = 16
-# the bracket set-up forms the magnitudes of the AP rows in subcarrier blocks
-# of at most this many bytes
-BRACKET_PIECE_BYTES = 1 << 16
-# the brackets' product matrix is formed in subcarrier pieces of at most this
-# many bytes; the objective keeps the first for its round
-AFFINE_PIECE_BYTES = 1 << 20
 
 
 def _checked_aggregate(aggregate):
@@ -62,6 +56,16 @@ def _checked_aggregate(aggregate):
 def _gamma(n):
     """Higham's gamma_n = n u / (1 - n u)."""
     return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def _fro(stack, axes):
+    """Frobenius norms of a complex ``stack`` over the einsum ``axes`` it
+    drops ("inmr->in" sums over m and r), from views of its real and
+    imaginary parts, so the stack is not copied."""
+    ins, out = axes.split("->")
+    spec = f"{ins},{ins}->{out}"
+    return np.sqrt(np.einsum(spec, stack.real, stack.real)
+                   + np.einsum(spec, stack.imag, stack.imag))
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,9 @@ class DlRateObjective:
             # owners run AP by AP: one einsum per AP over its owners' slice, as
             # the AP rows are too large to gather once per owner
             aps = [b for b, _ in owners]
-            self._owners_of = {b: slice(aps.index(b), aps.index(b) + aps.count(b))
-                               for b in dict.fromkeys(aps)}
             self._v = np.empty(f.shape[:2] + (self.n_phases, f.shape[3]), dtype=complex)
-            for b, k in self._owners_of.items():
+            for b in dict.fromkeys(aps):
+                k = slice(aps.index(b), aps.index(b) + aps.count(b))
                 np.einsum("nmt,knts->knms", links.dl_ap_rows[b], f[k], out=self._v[k])
             self._wh = np.repeat(wh, len(owners), axis=0)
             self._f = np.tile(f, (len(pairs), 1, 1, 1))
@@ -294,12 +297,12 @@ class DlRateObjective:
         W[m, (n, p, k, s, t)] = u[p, n, m, s] v[k, n, m, t], the entries of
         all triples at all S points are one GEMM, exp(j points) @ W + e0:
         S*P*K*n_sc*M*n_s^2 MACs against the composites' U*B*n_sc*M*n_r*n_t
-        per point. W is stored transposed, in subcarrier pieces of at most
-        ``AFFINE_PIECE_BYTES``; the first is kept from the set-up, the others
-        are formed on every call. The affine kernel rounds otherwise than
-        ``value``'s composite kernel, so it yields an interval; the line
-        search settles a comparison on brackets wherever they lie on one side
-        of it (a floating-point filter, Shewchuk 1997).
+        per point. W is stored transposed, in ``subcarrier_pieces``; the
+        first is kept from the set-up, the others are formed on every call.
+        The affine kernel rounds otherwise than ``value``'s composite kernel,
+        so it yields an interval; the line search settles a comparison on
+        brackets wherever they lie on one side of it (a floating-point
+        filter, Shewchuk 1997).
 
         Derivation, with u = 2^-53, gamma_n = n u / (1 - n u) and theta_n any
         product of n factors (1 + delta)^-+1, |delta| <= u, so |theta_n| <=
@@ -307,10 +310,11 @@ class DlRateObjective:
         ed., ch. 3). Underflow aside, a complex sum of n products rounds
         within gamma_{2n+4} sum |a||b| in any order (einsum, BLAS, with or
         without FMA), and a real sum of n nonnegative terms within theta_n.
-        1. Let A_q = |W|^T |H_nlos| |F| + sum_m ubar_m vbar_m^T, with
-           ubar_m = |W|^T |user hop m|, vbar_m = |AP hop m|^T |F| (entrywise
-           moduli, |c_m| = 1 within 2u). Against the exact product of the
-           stored floats, the composite kernel is within gamma_n1 A_q,
+        1. On each subcarrier let U_i (M, n_r) and V_b (M, n_t) be the
+           element hops of receiver i and AP b, and A_q = |W|^T (|H_nlos| +
+           |U_i|^T |V_b|) |F| (entrywise moduli, |c_m| = 1 within 2u).
+           Against the exact product of the stored floats, the composite
+           kernel is within gamma_n1 A_q,
            n1 = 2M + 2 n_r n_t + 18. The affine entry is e0 + sum_m c_m W_m:
            e0 and every u_m and v_m are einsum sums (of n_r n_t, n_r and n_t
            products), W_m = u_m v_m is one ufunc complex multiply (fused
@@ -320,10 +324,13 @@ class DlRateObjective:
            multiply before the sum and one in it, and the affine entry is
            within gamma_n2 A_q, n2 = n1 + 2 n_r + 2 n_t + 1, whatever the
            order the BLAS sums in. By the triangle inequality,
-           ||E_kernel||_F lies in ||E_affine||_F -+ rho_q on every subcarrier,
-           rho_q = BRACKET_SAFETY * gamma_{n1+n2} ||A_q||_F, formed once; the
-           factor 2 covers the rounding of rho_q and the relative terms
-           moved past it below.
+           ||E_kernel||_F lies in ||E_affine||_F -+ gamma_{n1+n2} ||A_q||_F.
+           A modulus keeps a Frobenius norm, so the triangle inequality,
+           ||X Y||_F <= ||X||_F ||Y||_F and Cauchy-Schwarz over the elements
+           give ||A_q||_F <= ||W||_F ||F||_F (||H_nlos||_F + ||U_i||_F
+           ||V_b||_F). The radius rho_q is BRACKET_SAFETY * gamma_{n1+n2}
+           times that bound, formed once per subcarrier; the factor 2 covers
+           the rounding of rho_q and the relative terms moved past it below.
         2. The bracket's norm, sqrt of a sum of N = 2 n_s^2 squares, is
            ||E_affine||_F theta_{N+1}; (norm -+ rho)^2, clamped at 0, adds
            theta_3. The kernel's gain (hypot, square, n_s^2 terms) is
@@ -344,9 +351,10 @@ class DlRateObjective:
         Every row is bounded on its own: lo and hi of all rows run as one
         stacked array, one numpy call per stage, and a row whose bound is not
         finite gives (-inf, inf), which settles nothing. Counts the GEMM's
-        MACs and one per entry of every piece of W formed, the kept piece in
-        the set-up on the first call. Nothing enters the cache of exact
-        points.
+        MACs and one per entry of every piece of W formed; the first call
+        also counts the set-up's: e0, the kept piece, and one per entry of
+        the element stacks whose norms it takes. Nothing enters the cache of
+        exact points.
         """
         points = np.asarray(points, dtype=float)
         if not self.assignment.served:
@@ -384,13 +392,14 @@ class DlRateObjective:
         (S, n_sc, Q): one GEMM per piece of W, e0 added, squares summed in
         place. The pieces after the kept one share one buffer."""
         n_sc, m, n_s = self._v.shape[1:]
+        per_sc = len(self._e0) // n_sc
         eff = np.empty((len(coeffs), len(self._e0)), dtype=complex)
         np.matmul(coeffs, self._wt.T, out=eff[:, :len(self._wt)])
-        if len(self._wt) < len(self._e0):
+        if len(self._pieces) > 1:
             piece = np.empty_like(self._wt)
-            for start in range(len(self._wt), len(self._e0), len(self._wt)):
-                wt = self._affine_piece(start, piece)
-                np.matmul(coeffs, wt.T, out=eff[:, start:start + len(wt)])
+            for n in self._pieces[1:]:
+                wt = self._affine_piece(n, piece)
+                np.matmul(coeffs, wt.T, out=eff[:, n.start * per_sc:n.stop * per_sc])
                 if self.counter is not None:
                     self.counter.add(wt.size)
         eff += self._e0
@@ -403,61 +412,50 @@ class DlRateObjective:
             norm += parts[:, i]
         return np.sqrt(norm, out=norm).reshape(len(coeffs), n_sc, -1)
 
-    def _affine_piece(self, start, out):
-        """Rows ``start`` on of W's transpose, W^T[(n, p, k, s, t), m] =
-        u[p, n, m, s] v[k, n, m, t], whole subcarriers, into the (rows, M)
-        buffer ``out``; returns the rows filled."""
+    def _affine_piece(self, n, out):
+        """The subcarriers ``n`` (a slice) of W's transpose, W^T[(n, p, k, s,
+        t), m] = u[p, n, m, s] v[k, n, m, t], into the (rows, M) buffer
+        ``out``; returns the rows filled."""
         n_owners, n_sc, m, n_s = self._v.shape
-        per_sc = len(self._e0) // n_sc
-        n = slice(start // per_sc, (start + len(out)) // per_sc)
         u = self._u[:, n].transpose(1, 0, 3, 2)  # (n, P, s, M)
         v = self._v[:, n].transpose(1, 0, 3, 2)  # (n, K, t, M)
-        wt = out[:len(u) * per_sc]
+        wt = out[:len(u) * (len(self._e0) // n_sc)]
         np.multiply(u[:, :, None, :, None], v[:, None, :, None],
                     out=wt.reshape(u.shape[:2] + (n_owners, n_s, n_s, m)))
         return wt
 
     def _bracket_setup(self):
         """e0 in the product's layout, the first piece of W^T, rho of every
-        (triple, subcarrier) and the two widening factors (see ``brackets``),
-        with the moduli of the AP rows formed in subcarrier blocks."""
+        (triple, subcarrier) from Frobenius norms and the two widening factors
+        (see ``brackets``)."""
         links = self.links
         n_pairs, n_sc, m, n_s = self._u.shape
         n_owners, n_r, n_t = len(self._v), self._wh.shape[2], self._f.shape[2]
         # the triple stacks repeat W^H per owner and F per pair, so one of each is taken
-        shape = (n_owners, n_sc, n_pairs * n_s, n_s)
         nlos = links.dl_nlos[self._rx, self._ap].reshape(n_pairs, n_owners, n_sc, n_r, n_t)
         wh, f = self._wh[::n_owners], self._f[:n_owners]
         self._e0 = np.einsum("pnrs,pknrt,kntc->npksc", wh, nlos, f).reshape(-1)
         per_sc = n_pairs * n_owners * n_s * n_s
-        piece = min(n_sc, max(1, AFFINE_PIECE_BYTES // max(per_sc * m * 16, 1)))
-        self._wt = self._affine_piece(0, np.empty((piece * per_sc, m), dtype=complex))
-        wh, f = np.abs(wh), np.abs(f)
-        mag = np.einsum("pnrs,pknrt,kntc->knpsc", wh, np.abs(nlos), f).reshape(shape)
-        users = self._rx[::n_owners]
-        step = max(1, BRACKET_PIECE_BYTES // max(m * n_t * 8, 1))
-        for start in range(0, n_sc, step):
-            n = slice(start, start + step)
-            ubar = np.einsum("pnrs,pnmr->npsm", wh[:, n], np.abs(links.dl_user_cols[users, n]))
-            vbar = np.empty((n_owners,) + ubar.shape[:1] + (m, n_s))
-            for b, k in self._owners_of.items():
-                np.einsum("nmt,knts->knms", np.abs(links.dl_ap_rows[b, n]), f[k, n], out=vbar[k])
-            mag[:, n] += np.matmul(ubar.reshape(len(ubar), -1, m), vbar)
+        self._pieces = subcarrier_pieces(n_sc, per_sc * m * 16)
+        first = self._pieces[0]
+        self._wt = self._affine_piece(
+            first, np.empty(((first.stop - first.start) * per_sc, m), dtype=complex))
+        # ||A_q||_F <= ||W||_F ||F||_F (||H_nlos||_F + ||U_i||_F ||V_b||_F), (Q, n_sc)
+        hops = (_fro(links.dl_nlos, "ibnrt->ibn")[self._rx, self._ap]
+                + _fro(links.dl_user_cols, "inmr->in")[self._rx]
+                * _fro(links.dl_ap_rows, "bnmt->bn")[self._ap])
         n1 = 2 * m + 2 * n_r * n_t + 18
         n2 = n1 + 2 * n_r + 2 * n_t + 1
-        mag = mag.reshape(n_owners, n_sc, n_pairs, n_s * n_s)
-        rho = BRACKET_SAFETY * _gamma(n1 + n2) * np.sqrt(
-            np.einsum("knpi,knpi->pkn", mag, mag).reshape(-1, n_sc))
+        rho = (BRACKET_SAFETY * _gamma(n1 + n2) * _fro(self._wh, "qnrs->qn")
+               * _fro(self._f, "qnts->qn") * hops)
         self._radius = np.stack([-rho.T, rho.T])[:, None]
         w_pre = BRACKET_SAFETY * _gamma(2 * (5 * n_s * n_s + 10) + 2 * n_owners + 6)
         w_post = BRACKET_SAFETY * _gamma(2 * LOG2_ROUNDINGS + n_pairs * n_sc + n_sc + n_pairs + 1)
         self._pre_log = np.array([1.0 - w_pre, 1.0 + w_pre])[:, None, None, None]
         self._post_log = (1.0 - w_post, 1.0 + w_post)
         if self.counter is not None:
-            n_q = len(self._rx)
-            self.counter.add(2 * n_q * n_sc * n_s * (n_r * n_t + n_t * n_s)
-                             + n_pairs * n_sc * m * n_r * n_s + n_owners * n_sc * m * n_t * n_s
-                             + n_pairs * n_owners * n_sc * m * n_s * n_s + self._wt.size)
+            self.counter.add(len(self._rx) * n_sc * n_s * (n_r * n_t + n_t * n_s) + self._wt.size
+                             + links.dl_user_cols.size + links.dl_ap_rows.size)
 
 
 def rcg_optimize_phases(

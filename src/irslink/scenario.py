@@ -532,7 +532,7 @@ def with_irs_elements(scenario: Scenario, m: int) -> Scenario:
     positions when the scenario has none), each panel near-square; m = 0
     removes the IRS, and m < 0 or a non-integer m raises ``ConfigError``.
     """
-    if not isinstance(m, numbers.Integral):
+    if not _is_kind(m, int):
         raise ConfigError(f"geometry.irs_panels: element count must be an integer, got {m!r}")
     if m < 0:
         raise ConfigError(f"geometry.irs_panels: element count must be >= 0, got {m}")

@@ -16,6 +16,7 @@ from irslink.channel import (
     _ula_along,
     nlos_smallscale_factor,
     path_gain_db,
+    subcarrier_pieces,
     synthesize_links,
 )
 from irslink.scenario import (
@@ -346,19 +347,19 @@ class TestLinkChannels:
             assert stack.strides[2] == stack.itemsize, name
 
     @pytest.mark.parametrize("delay_mode", ["phasor", "real_decay"])
-    def test_without_surface_equals_a_fresh_synthesis(self, delay_mode):
+    def test_with_surface_equals_a_fresh_synthesis(self, delay_mode):
         sc = default_scenario(12, n_sc=3, delay_mode=delay_mode)
-        bare = with_irs_elements(sc, 0)
         links = synthesize_links(sc, seed=4)
-        cut, fresh = links.without_surface(bare), synthesize_links(bare, seed=4)
-        assert cut.scenario is bare and cut.seed == 4
-        assert cut.dl_nlos is links.dl_nlos and cut.ul_nlos is links.ul_nlos
-        for f in fields(LinkChannels)[2:]:
-            got, want = getattr(cut, f.name), getattr(fresh, f.name)
-            assert (got.shape, got.dtype) == (want.shape, want.dtype), f.name
-            np.testing.assert_array_equal(got, want)
-        with pytest.raises(ValueError, match="12 IRS elements, not 0"):
-            links.without_surface(sc)
+        for m in (0, 8, 24):
+            resized = with_irs_elements(sc, m)
+            built, fresh = links.with_surface(resized), synthesize_links(resized, seed=4)
+            assert built.scenario is resized and built.seed == 4
+            # the direct hops read no surface: shared, not synthesized again
+            assert built.dl_nlos is links.dl_nlos and built.ul_nlos is links.ul_nlos
+            for f in fields(LinkChannels)[2:]:
+                got, want = getattr(built, f.name), getattr(fresh, f.name)
+                assert (got.shape, got.dtype) == (want.shape, want.dtype), (m, f.name)
+                np.testing.assert_array_equal(got, want)
 
     def test_shared_phases_for_both_bands(self):
         sc = scalar_scenario(2, n_sc=2)
@@ -495,9 +496,19 @@ class TestCompositeBits:
         # re-form their hops piece by piece with the bits of the whole stacks
         links, coeffs = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(channel, "UL_PIECE_BYTES", piece_bytes)
+            mp.setattr(channel, "PIECE_BYTES", piece_bytes)
             ul = links.ul_composites(coeffs)
         np.testing.assert_array_equal(ul, _three_operand(links, coeffs, "UL"))
+
+    @given(st.integers(1, 300), st.integers(0, 3 << 20))
+    def test_subcarrier_pieces_cover_the_band_within_the_limit(self, n_sc, bytes_per_subcarrier):
+        pieces = subcarrier_pieces(n_sc, bytes_per_subcarrier)
+        assert [n.start for n in pieces] == [0] + [n.stop for n in pieces[:-1]]
+        assert pieces[-1].stop == n_sc
+        most = max(1, channel.PIECE_BYTES // max(bytes_per_subcarrier, 1))
+        # every piece but the last holds as many subcarriers as fit, at least one
+        assert [n.stop - n.start for n in pieces[:-1]] == [most] * (len(pieces) - 1)
+        assert 1 <= pieces[-1].stop - pieces[-1].start <= most
 
     @settings(max_examples=20, deadline=None)
     @given(_cascade_links(), st.integers(0, 2**32 - 1))

@@ -181,6 +181,13 @@ class TestIrsResizing:
         with pytest.raises(ConfigError, match=message):
             with_irs_elements(default_scenario(), 2.5)
 
+    @pytest.mark.parametrize("size", [True, False])
+    def test_bool_size_rejected(self, size):
+        # a bool is an int to Python, but no element count: True gave one element
+        message = rf"^geometry\.irs_panels: element count must be an integer, got {size}$"
+        with pytest.raises(ConfigError, match=message):
+            with_irs_elements(default_scenario(), size)
+
 
 class TestExperimentSpec:
     def test_mode_validation(self):
@@ -193,13 +200,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="requires snr_csv_path"):
             ExperimentSpec(modes=("external_snr",))
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False])
     def test_seed_must_be_a_count(self, seed):
         # checked before the sweep starts, not in synthesis
         with pytest.raises(ConfigError, match=rf"^seed: must be an integer >= 0, got {seed}$"):
             ExperimentSpec(seed=seed)
 
-    @pytest.mark.parametrize("size", [-1, 2.5])
+    @pytest.mark.parametrize("size", [-1, 2.5, True])
     def test_irs_size_must_be_a_count(self, size):
         message = rf"^irs_sizes\[1\]: must be an integer >= 0, got {size}$"
         with pytest.raises(ConfigError, match=message):
@@ -291,11 +298,12 @@ class TestRunExperiment:
     def test_one_synthesis_per_antenna_count_and_irs_size(self, stock_sweep_calls):
         runs, synthesized = stock_sweep_calls
         assert len(runs) == 12
-        # the RF-chain count is not a channel input, and the no-surface links
-        # are cut from the surface's: one synthesis per antenna count, at M = 24
+        # the RF-chain count is not a channel input, and a surface size shares
+        # the direct hops of the first size: one synthesis per antenna count,
+        # of the first size (no surface)
         assert len(synthesized) == 3
         assert [(sc.params.n_t, sc.n_irs_elements) for sc in synthesized] == [
-            (2, 24), (4, 24), (8, 24)]
+            (2, 0), (4, 0), (8, 0)]
 
     def test_shared_links_equal_fresh_links(self, stock_sweep_calls, two_size_sweep_calls):
         runs, _ = stock_sweep_calls
@@ -306,16 +314,12 @@ class TestRunExperiment:
             assert [sc.n_irs_elements for sc, _ in runs] == [0, 8, 24] * 2
             _assert_links_equal_fresh(runs, 5)
 
-    def test_no_surface_links_cut_from_the_largest_surface(self, two_size_sweep_calls):
+    def test_surface_sizes_share_the_first_size_direct_hops(self, two_size_sweep_calls):
         for runs, synthesized in two_size_sweep_calls.values():
-            assert [(sc.params.n_t, sc.n_irs_elements) for sc in synthesized] == [
-                (2, 24), (2, 8), (4, 24), (4, 8)]
-            for (_, bare), (_, largest) in zip(runs[::3], runs[2::3]):
-                assert bare.dl_nlos is largest.dl_nlos and bare.ul_nlos is largest.ul_nlos
-                for name in _LINK_ARRAYS[1:3] + _LINK_ARRAYS[4:]:
-                    # an empty element array views no larger stack, so keeps none alive
-                    array = getattr(bare, name)
-                    assert (array if array.base is None else array.base).size == 0, name
+            assert [(sc.params.n_t, sc.n_irs_elements) for sc in synthesized] == [(2, 0), (4, 0)]
+            for first, *others in (runs[:3], runs[3:]):
+                for _, links in others:
+                    assert links.dl_nlos is first[1].dl_nlos and links.ul_nlos is first[1].ul_nlos
 
     def test_shared_links_are_checked_once_at_synthesis(self, monkeypatch):
         checks = []
@@ -327,8 +331,10 @@ class TestRunExperiment:
                               optimizer_overrides=FAST)
         bundle = run_experiment(spec, scenario=small_scenario())
         assert len(bundle) == 4  # two codebooks x {no surface, 24 elements}
-        # one synthesis, of the 24 elements; the no-surface links are cut from it
-        assert len(checks) == 1
+        # one check per surface size: the synthesis with no surface, and the
+        # 24-element links built on its direct hops; the second codebook
+        # shares both
+        assert len(checks) == 2
 
     def test_twelve_runs_for_full_grid(self):
         spec = ExperimentSpec(

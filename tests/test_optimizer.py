@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irslink import channel, optimizer
@@ -767,10 +767,11 @@ class TestBracket:
         m, n_q = objective.n_phases, n_pairs * n_pairs
         point = n_pairs * n_pairs * p.n_sc * m * p.n_s * p.n_s
         assert counter.macs == 5 * point
-        # e0 and its moduli, the moduli's sum over the elements, and the
-        # product matrix, kept whole at this size
-        set_up = (2 * n_q * p.n_sc * p.n_s * (p.n_r * p.n_t + p.n_t * p.n_s)
-                  + n_pairs * p.n_sc * m * (p.n_r + p.n_t) * p.n_s + 2 * point)
+        # e0, the product matrix, kept whole at this size, and one MAC per
+        # entry of the DL element stacks whose norms bound the radius
+        n_users, n_aps = stock_scenario.n_users, stock_scenario.n_aps
+        set_up = (n_q * p.n_sc * p.n_s * (p.n_r * p.n_t + p.n_t * p.n_s) + point
+                  + p.n_sc * m * (n_users * p.n_r + n_aps * p.n_t))
         assert first == set_up + point
 
     def test_product_matrix_formed_in_pieces(self, stock_scenario, monkeypatch):
@@ -780,18 +781,50 @@ class TestBracket:
         points = rng.uniform(-np.pi, np.pi, (7, objective.n_phases))
         want = whole.brackets(points)
         # two subcarriers per piece at M = 24, n_s = 1 and P = K = 4
-        monkeypatch.setattr(optimizer, "AFFINE_PIECE_BYTES", 2 * 16 * 16 * objective.n_phases)
+        monkeypatch.setattr(channel, "PIECE_BYTES", 2 * 16 * 16 * objective.n_phases)
         objective.counter = counter = OpCounter()
         objective.brackets(points)
         counter.reset()
         lo, hi = objective.brackets(points)
-        assert objective._wt.nbytes == optimizer.AFFINE_PIECE_BYTES
+        assert objective._wt.nbytes == channel.PIECE_BYTES
         point = 16 * stock_scenario.params.n_sc * objective.n_phases
         assert counter.macs == 7 * point + point - objective._wt.shape[0] * objective.n_phases
         np.testing.assert_allclose(lo, want[0], rtol=1e-12)
         np.testing.assert_allclose(hi, want[1], rtol=1e-12)
         for theta, low, high in zip(points, lo, hi):
             assert low <= objective.value(theta) <= high
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_radius_covers_the_entrywise_norm(self, data):
+        # the radius bounds ||A_q||_F by norms; the entrywise A_q = |W|^T
+        # (|H_nlos| + |U_i|^T |V_b|) |F| is formed here, subcarrier by
+        # subcarrier. Where the inequality is tight (no element or one, and
+        # beams along a rank-one |H_nlos|), the two rounded evaluations may
+        # differ by a few ulp either way (about 1e-15 relative)
+        n_t, n_r = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+        n_s = data.draw(st.integers(1, min(2, n_t, n_r)))
+        scenario = default_scenario(
+            data.draw(st.integers(0, 96)), n_t=n_t, n_r=n_r, n_s=n_s,
+            n_rf=data.draw(st.integers(n_s, min(n_t, 3))), n_sc=data.draw(st.integers(1, 16)),
+            nlos_penalty_db=data.draw(st.floats(0.0, 250.0)),
+            delay_mode=data.draw(st.sampled_from(["phasor", "real_decay"])),
+        )
+        objective, theta, _, _ = _round_objective(scenario, data.draw(st.integers(0, 99)))
+        assume(objective.assignment.served)
+        objective.brackets(theta[None])
+        links, rx, ap = objective.links, objective._rx, objective._ap
+        hops = np.abs(links.dl_nlos[rx, ap]) + np.einsum(
+            "qnmr,qnmt->qnrt", np.abs(links.dl_user_cols[rx]), np.abs(links.dl_ap_rows[ap]))
+        a = np.einsum("qnrs,qnrt,qntc->qnsc", np.abs(objective._wh), hops, np.abs(objective._f))
+        m, n_rt = objective.n_phases, n_r * n_t
+        n1 = 2 * m + 2 * n_rt + 18
+        scale = optimizer.BRACKET_SAFETY * optimizer._gamma(2 * n1 + 2 * n_r + 2 * n_t + 1)
+        oracle = scale * np.sqrt(np.einsum("qnsc,qnsc->nq", a, a))
+        radius = objective._radius[1, 0]
+        assert radius.shape == oracle.shape
+        np.testing.assert_array_equal(objective._radius[0, 0], -radius)
+        assert np.all(radius >= oracle * (1.0 - 1e-12))
 
     def test_exact_cache_and_hand_over_untouched(self):
         objective, theta, composites, _ = _round_objective(default_scenario(), 6)

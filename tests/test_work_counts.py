@@ -18,6 +18,7 @@ run: the copy is a kept round (``ao_rounds_kept``) but no round run
 """
 
 from collections import Counter
+from dataclasses import replace
 
 from irslink import channel, experiment, optimizer
 from irslink.opcount import OpCounter
@@ -102,7 +103,7 @@ def test_stock_sweep_seed_0(monkeypatch):
         "ao_rounds_run": 20,
         "ao_rounds_kept": 18,
         "phase_macs": 5_349_376,
-        "bracket_macs": 10_731_520,
+        "bracket_macs": 10_330_112,
     }
 
 
@@ -122,5 +123,30 @@ def test_large_surface_ao_m96(monkeypatch):
         "ao_rounds_run": 2,
         "ao_rounds_kept": 1,
         "phase_macs": 7_094_272,
-        "bracket_macs": 11_822_080,
+        "bracket_macs": 11_396_096,
+    }
+
+
+def test_min_aggregate_stock_seed_0(monkeypatch):
+    # under min, only the worst subcarrier of each link counts. Its line
+    # searches take about 23 brackets calls an iteration, against about one
+    # under mean (39 for 36 iterations on stock seed 0), and leave 137
+    # comparisons to exact values, where the mean runs leave none
+    scenario = default_scenario()
+    config = replace(scenario.optimizer, max_iter=40, outer_rounds=3)
+    assert _ledger(monkeypatch, lambda counter: [alternating_optimize(
+        scenario, seed=0, aggregate="min", config=config, counter=counter)]) == {
+        "value": 140,
+        "value_and_grad": 123,
+        "brackets": 2_799,
+        "bracketed_points": 4_068,
+        "open_comparisons": 137,
+        "_effective": 266,
+        "_kernel": 219,
+        "_cascade": 218,
+        "rcg_iterations": 120,
+        "ao_rounds_run": 3,
+        "ao_rounds_kept": 2,
+        "phase_macs": 30_867_456,
+        "bracket_macs": 100_190_208,
     }
