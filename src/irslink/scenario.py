@@ -12,6 +12,7 @@ values and out-of-range values are rejected with their field path.
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -169,9 +170,18 @@ class SystemParams:
             sigma2 = self.sigma2
         except OverflowError:
             sigma2 = math.inf
-        if not 0.0 < sigma2 < math.inf:  # the SINR denominators start from it
+        # the SINR denominators start from it; a subnormal one makes their
+        # ratios overflow
+        if not sys.float_info.min <= sigma2 < math.inf:
+            if self.noise_power is not None:
+                field = "noise_power"
+            elif BOLTZMANN * ROOM_TEMP_K * self.bandwidth < sys.float_info.min:
+                field = "bandwidth"
+            else:
+                field = "noise_figure_db"
             raise ConfigError(
-                f"system.noise_figure_db: gives noise power {sigma2!r} W, which must be finite and > 0"
+                f"system.{field}: the noise power {sigma2!r} W must be finite and "
+                f">= {sys.float_info.min!r} W"
             )
 
     @property

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +506,25 @@ system:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("irslink: error: system.noise_figure_db: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_subnormal_noise_power_names_the_bandwidth(self, tmp_path, capsys):
+        # a noise power of about 2e-320 W used to load, warn of an overflow in
+        # the initial association and fail with "rate table must be finite"
+        stock = Path(__file__).resolve().parents[1] / "configs" / "indoor_room.yaml"
+        text = stock.read_text()
+        assert "bandwidth: 2.16e+9\n" in text
+        scenario = tmp_path / "tiny_bandwidth.yaml"
+        scenario.write_text(text.replace("bandwidth: 2.16e+9\n", "bandwidth: 1.0e-300\n"))
+        argv = ["run", "--scenario", str(scenario), "--max-iter", "3", "--outer-rounds", "1",
+                "--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("irslink: error: system.bandwidth: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

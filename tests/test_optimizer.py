@@ -25,6 +25,8 @@ from irslink.optimizer import (
     _dl_gain_table,
     _evaluate,
     _initial_assignment,
+    _probe_objective,
+    _ProbeObjective,
     _ul_gains,
 )
 from irslink.scenario import STOCK_CODEBOOKS, Assignment, default_scenario, with_codebook
@@ -981,7 +983,7 @@ class TestRcg:
         assert phases[0] == 2.0**20  # the first doubled step above 1e6
         assert max(steps) == 2.0**20
 
-    def test_backtracking_step_brackets_its_own_point(self):
+    def test_backtracking_step_brackets_its_halvings(self):
         stacks = []
 
         class Bump:
@@ -1000,9 +1002,35 @@ class TestRcg:
 
         phases, _ = rcg_optimize_phases(Bump(), np.zeros(1), epsilon=0.0, max_iter=1)
         assert phases[0] == 1.0
-        # the first step's ladder runs up; step 0.5 brackets alone, and its
-        # doubling (step 1) is read from that ladder
-        assert stacks == [[2.0 * 2.0**k for k in range(12)], [1.0]]
+        # the first step's ladder runs up; step 0.5 brackets itself and its
+        # next 11 halvings, and its doubling (step 1) is read from the first ladder
+        assert stacks == [[2.0 * 2.0**k for k in range(12)], [2.0**-k for k in range(12)]]
+
+    def test_downward_ladders_stop_above_the_smallest_step(self):
+        stacks = []
+
+        class Peak:
+            """Every step along the gradient lowers the objective."""
+
+            def value(self, phases):
+                return -1.0
+
+            def value_and_grad(self, phases):
+                return 0.0, np.ones(len(phases))
+
+            def brackets(self, points):
+                stacks.append(points[:, 0].tolist())
+                return np.full(len(points), -1.0), np.full(len(points), -1.0)
+
+        _, trace = rcg_optimize_phases(Peak(), np.zeros(1), epsilon=0.0, max_iter=1)
+        assert trace[-1].stop_reason == "line_search"
+        # each search (the conjugate one, then the raw gradient's) tries the
+        # steps 2^0 ... 2^-46, the last above STEP_MIN = 1e-14, each bracketed
+        # once: the first step's ladder runs up, the backtracking steps' ladders
+        # run down, 12 rungs at most
+        search = [[2.0**k for k in range(12)]] + [
+            [2.0**-k for k in range(start, min(start + 12, 47))] for start in (1, 13, 25, 37)]
+        assert stacks == search + search
 
     def test_ladders_hold_the_rungs_the_last_search_read(self):
         stacks = []
@@ -1284,6 +1312,45 @@ class TestComplexityProbe:
     def test_requires_sorted_m(self):
         with pytest.raises(ValueError):
             complexity_probe([8, 4])
+
+    def test_objective_builds_composites_by_gemm(self, monkeypatch):
+        def einsum_build(objective, coeffs):
+            raise AssertionError("the probe built composites with the run path's einsum")
+
+        monkeypatch.setattr(DlRateObjective, "_build_composites", einsum_build)
+        assert complexity_probe([8], rcg_iters=2)[0]["phase_macs"] > 0
+
+
+def _stock_probe_objective():
+    _, links, assignment, beamformers = build_rate_objective(
+        with_codebook(default_scenario(), STOCK_CODEBOOKS[-1]), seed=0)  # 8ant_2rf
+    return _ProbeObjective(links, assignment, beamformers)
+
+
+class TestProbeKernel:
+    """The probe's GEMM composites agree with ``LinkChannels.dl_composites``
+    to rounding."""
+
+    @pytest.mark.parametrize("build", [partial(_probe_objective, 8, 4, 0),
+                                       partial(_probe_objective, 64, 4, 0), _stock_probe_objective],
+                             ids=["m8", "m64", "8ant_2rf"])
+    def test_agrees_with_run_path_composites(self, build):
+        objective = build()
+        links = objective.links
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            coeffs = np.exp(1j * rng.uniform(-np.pi, np.pi, objective.n_phases))
+            want = links.dl_composites(coeffs)
+            got = objective._build_composites(coeffs)
+            assert got is objective._composites
+            # relative Frobenius error per (user, AP, subcarrier)
+            error = np.linalg.norm(got - want, axis=(3, 4)) / np.linalg.norm(want, axis=(3, 4))
+            assert error.max() <= 1e-12
+
+    def test_no_surface_gives_direct_hops(self):
+        _, links, assignment, beamformers = build_rate_objective(default_scenario(0), seed=0)
+        got = _ProbeObjective(links, assignment, beamformers)._build_composites(np.zeros(0))
+        assert got.tobytes() == links.dl_nlos.tobytes()
 
 
 def test_opcounter_reset():

@@ -153,12 +153,15 @@ class TestSystemParams:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("noise_figure_db", 4000.0), ("noise_figure_db", -4000.0), ("s_i", 10**400)],
-        ids=["noise_power_overflows", "noise_power_underflows", "int_beyond_float"],
+        [("noise_figure_db", 4000.0), ("noise_figure_db", -4000.0), ("s_i", 10**400),
+         ("bandwidth", 1e-300), ("noise_power", 1e-320)],
+        ids=["noise_power_overflows", "noise_power_underflows", "int_beyond_float",
+             "thermal_noise_subnormal", "noise_power_subnormal"],
     )
     def test_values_that_overflow_rejected(self, name, value):
         # each used to fail inside the run: an OverflowError from sigma2, a
-        # zero noise power, an OverflowError converting the int
+        # zero noise power, an OverflowError converting the int, and a
+        # subnormal noise power whose SINR ratios overflow
         with pytest.raises(ConfigError, match=rf"^system\.{name}: "):
             SystemParams(**{name: value})
 
