@@ -132,8 +132,8 @@ def test_min_aggregate_stock_seed_0(monkeypatch):
     # searches backtrack, and leave 137 comparisons to exact values, where the
     # mean runs leave none. A backtracking step brackets its next halvings in
     # the same call, so the searches take about 3.3 brackets calls an
-    # iteration (one point a call, they took 2,799), against about one under
-    # mean (39 for 36 iterations on stock seed 0)
+    # iteration, against about one under mean (39 for 36 iterations on stock
+    # seed 0)
     scenario = default_scenario()
     config = replace(scenario.optimizer, max_iter=40, outer_rounds=3)
     assert _ledger(monkeypatch, lambda counter: [alternating_optimize(
