@@ -38,6 +38,32 @@ def path_gain_db(distance, carrier: float, w: float):
     return -(pl0 + 10.0 * w * np.log10(distance / d0))
 
 
+def _amp_delay(carrier, dod, exponent, extra_loss_db=0.0):
+    """Amplitude and propagation delay of a stack of links, ``dod`` (..., 3)
+    (rx minus tx position): the per-link factors of every subcarrier's gain."""
+    distance = vector_norm(dod)
+    pg = path_gain_db(distance, carrier, exponent) - extra_loss_db
+    # float_power, unlike power, rounds like the scalar 10.0 ** x
+    return np.float_power(10.0, pg / 20.0), distance / SPEED_OF_LIGHT
+
+
+def _hop_gains(params, carrier, amp, tau, n=slice(None)):
+    """Per-subcarrier gains amp * phasor (..., n_sc) of links with amplitudes
+    ``amp`` and delays ``tau`` (...), on the subcarriers ``n`` (a slice).
+
+    Each entry is one elementwise product of its link's factors and its
+    subcarrier's frequency, so the gains of a slice of subcarriers have the
+    bits of that slice of the whole band's.
+    """
+    if params.delay_mode == "real_decay":
+        decay = np.exp(-params.t_proc / tau)[..., None]
+        phasor = np.broadcast_to(decay, decay.shape[:-1] + (params.n_sc,))[..., n]
+    else:
+        freqs = params.subcarrier_frequencies(carrier)[n]
+        phasor = np.exp(-2j * np.pi * freqs * tau[..., None])
+    return amp[..., None] * phasor
+
+
 def _hop_factors(params, carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):
     """Factors of rank-one hops h_n = gain_n * a_rx a_tx^H for a stack of links.
 
@@ -45,18 +71,9 @@ def _hop_factors(params, carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):
     (..., n_rx) / (..., n_tx). Returns the per-subcarrier gains
     amp * phasor, (..., n_sc), and the outer products, (..., n_rx, n_tx).
     """
-    distance = vector_norm(dod)
-    pg = path_gain_db(distance, carrier, exponent) - extra_loss_db
-    # float_power, unlike power, rounds like the scalar 10.0 ** x
-    amp = np.float_power(10.0, pg / 20.0)
-    tau = distance / SPEED_OF_LIGHT
-    if params.delay_mode == "real_decay":
-        decay = np.exp(-params.t_proc / tau)[..., None]
-        phasor = np.broadcast_to(decay, decay.shape[:-1] + (params.n_sc,))
-    else:
-        freqs = params.subcarrier_frequencies(carrier)
-        phasor = np.exp(-2j * np.pi * freqs * tau[..., None])
-    return amp[..., None] * phasor, a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
+    amp, tau = _amp_delay(carrier, dod, exponent, extra_loss_db)
+    return (_hop_gains(params, carrier, amp, tau),
+            a_rx[..., :, None] * np.conj(a_tx)[..., None, :])
 
 
 def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
@@ -69,15 +86,17 @@ def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
 
 def _element_factors(params, carrier, dod, a_rx, a_tx):
     """Factors of the LoS hops between L nodes and the M IRS elements, links
-    stacked (L, M): per-subcarrier gains (L, M, n_sc) and steering outer
-    products flattened to (L, M, n_antennas); the IRS end is one element."""
-    gain, outer = _hop_factors(params, carrier, dod, a_rx, a_tx, params.los_exponent)
+    stacked (L, M): amplitudes and delays (L, M) and steering outer products
+    flattened to (L, M, n_antennas); the IRS end is one element."""
+    amp, tau = _amp_delay(carrier, dod, params.los_exponent)
+    outer = a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
     n_links, m, n_rx, n_tx = outer.shape
-    return gain, outer.reshape(n_links, m, n_rx * n_tx)
+    return amp, tau, outer.reshape(n_links, m, n_rx * n_tx)
 
 
 def _element_hops(gain, steering) -> np.ndarray:
-    """Hop stack gain[l, m, n] * steering[l, m, :] from ``_element_factors``.
+    """Hop stack gain[l, m, n] * steering[l, m, :], from ``_hop_gains`` and
+    ``_element_factors``.
 
     The hops form an (L, n_sc, M, n_antennas) stack. Its memory runs
     element-fastest: the composites sum over elements, and einsum then walks
@@ -116,9 +135,8 @@ def nlos_smallscale_factor(seed: int, user: int, ap: int, band: str) -> complex:
     return complex(re, im) / np.sqrt(2.0)
 
 
-def _cascade(nlos, phi_coeffs, user, ap, spec, out=None) -> np.ndarray:
-    """nlos + sum_m phi_m * (user_m x ap_m) for every user-AP link, into ``out``
-    (a fresh array when None).
+def _cascade(nlos, phi_coeffs, user, ap, spec, out) -> np.ndarray:
+    """nlos + sum_m phi_m * (user_m x ap_m) for every user-AP link, into ``out``.
 
     The user-side stack is scaled by the phases once, then contracted with the
     AP-side stack, so phi_m * u_m is not recomputed per AP and AP antenna.
@@ -127,8 +145,6 @@ def _cascade(nlos, phi_coeffs, user, ap, spec, out=None) -> np.ndarray:
     goes through einsum: numpy's complex ufunc multiply fuses multiply-adds
     and rounds differently.
     """
-    if out is None:
-        out = np.empty_like(nlos)
     if len(phi_coeffs):
         scaled = np.einsum("m,inmr->inmr", phi_coeffs, user)
         np.einsum(spec, scaled, ap, out=out)
@@ -138,8 +154,9 @@ def _cascade(nlos, phi_coeffs, user, ap, spec, out=None) -> np.ndarray:
     return out
 
 
-# a stack formed in pieces (the UL composites' AP-side hops, the brackets'
-# product matrix) takes whole subcarriers, at most this many bytes a piece
+# a stack formed in pieces (the composites' phase-scaled user stacks and UL
+# hops, the brackets' product matrix) takes whole subcarriers, at most this
+# many bytes a piece
 PIECE_BYTES = 1 << 20
 
 
@@ -150,6 +167,19 @@ def subcarrier_pieces(n_sc: int, bytes_per_subcarrier: int) -> list[slice]:
     return [slice(start, min(start + step, n_sc)) for start in range(0, n_sc, step)]
 
 
+def _composites(nlos, phi_coeffs, hops, spec, bytes_per_subcarrier, out=None) -> np.ndarray:
+    """``_cascade`` of every user-AP link, one ``subcarrier_pieces`` piece at a
+    time, into ``out`` (a fresh array when None); ``hops(n)`` gives the user-
+    and AP-side stacks of the subcarriers ``n``. Each composite entry sums
+    over the elements only, so a piece's entries have the bits the whole
+    stacks would give."""
+    if out is None:
+        out = np.empty_like(nlos)
+    for n in subcarrier_pieces(nlos.shape[2], bytes_per_subcarrier):
+        _cascade(nlos[:, :, n], phi_coeffs, *hops(n), spec, out[:, :, n])
+    return out
+
+
 @dataclass(frozen=True)
 class LinkChannels:
     """All raw per-link channels of a scenario, stacked for fast composites.
@@ -157,14 +187,16 @@ class LinkChannels:
     DL cascade for (user i, AP j):
         H_ij(phi) = dl_nlos[i][j] + sum_m phi_m * outer(dl_user_cols[i][:, m], dl_ap_rows[j][:, m])
     and analogously for UL with the same phases. ``dl_composites`` /
-    ``ul_composites`` build every link's composite in two einsums: the user
-    stack scaled by the phases once, then contracted with the AP stack.
+    ``ul_composites`` build every link's composite in subcarrier pieces, two
+    einsums a piece: the user stack scaled by the phases once, then
+    contracted with the AP stack.
 
     The DL hops, which every objective evaluation reads, are stored as
     (L, n_sc, M, n) stacks. The UL hops are read once per AO run, by the
-    final report, so they are stored as their rank-one factors, per-subcarrier
-    gains (L, M, n_sc) and steering (L, M, n), and ``ul_composites`` re-forms
-    the stacks piece by piece; ``ul_user_rows`` / ``ul_ap_cols`` form them whole.
+    final report, so they are stored as their rank-one factors: amplitudes
+    and delays (L, M), from which ``_hop_gains`` forms the per-subcarrier
+    gains, and steering (L, M, n). ``ul_composites`` forms the gains and
+    stacks piece by piece; ``ul_user_rows`` / ``ul_ap_cols`` form them whole.
     """
 
     scenario: Scenario
@@ -173,26 +205,39 @@ class LinkChannels:
     dl_user_cols: np.ndarray  # (U, n_sc, M, n_r)   IRS element -> user
     dl_ap_rows: np.ndarray  # (B, n_sc, M, n_t)     AP -> IRS element
     ul_nlos: np.ndarray  # (U, B, n_sc, n_t, n_r)
-    ul_user_gains: np.ndarray  # (U, M, n_sc)     user -> IRS element
+    ul_user_amp: np.ndarray  # (U, M)             user -> IRS element
+    ul_user_delay: np.ndarray  # (U, M), seconds
     ul_user_steering: np.ndarray  # (U, M, n_r)
-    ul_ap_gains: np.ndarray  # (B, M, n_sc)       IRS element -> AP
+    ul_ap_amp: np.ndarray  # (B, M)               IRS element -> AP
+    ul_ap_delay: np.ndarray  # (B, M), seconds
     ul_ap_steering: np.ndarray  # (B, M, n_t)
 
     def __post_init__(self):
-        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
-                     "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
+        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_amp",
+                     "ul_user_delay", "ul_user_steering", "ul_ap_amp", "ul_ap_delay",
+                     "ul_ap_steering"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite channel entries in {name}")
+
+    def _ul_user_hops(self, n=slice(None)) -> np.ndarray:
+        p = self.scenario.params
+        gains = _hop_gains(p, p.carrier_ul, self.ul_user_amp, self.ul_user_delay, n)
+        return _element_hops(gains, self.ul_user_steering)
+
+    def _ul_ap_hops(self, n=slice(None)) -> np.ndarray:
+        p = self.scenario.params
+        gains = _hop_gains(p, p.carrier_ul, self.ul_ap_amp, self.ul_ap_delay, n)
+        return _element_hops(gains, self.ul_ap_steering)
 
     @property
     def ul_user_rows(self) -> np.ndarray:
         """(U, n_sc, M, n_r) UL user -> IRS element hops, formed from their factors."""
-        return _element_hops(self.ul_user_gains, self.ul_user_steering)
+        return self._ul_user_hops()
 
     @property
     def ul_ap_cols(self) -> np.ndarray:
         """(B, n_sc, M, n_t) UL IRS element -> AP hops, formed from their factors."""
-        return _element_hops(self.ul_ap_gains, self.ul_ap_steering)
+        return self._ul_ap_hops()
 
     def with_surface(self, scenario: Scenario) -> "LinkChannels":
         """The links of ``scenario``, which differs from these links' in its IRS
@@ -211,31 +256,28 @@ class LinkChannels:
     def dl_composites(self, phi_coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(U, B, n_sc, n_r, n_t) total DL channels of every user-AP link for
         given unit-modulus coefficients, written into ``out`` (shaped like
-        ``dl_nlos``) or a new array."""
+        ``dl_nlos``) or a new array. The pieces are sized by the phase-scaled
+        user stack."""
         self._check_phase_count(phi_coeffs)
-        return _cascade(self.dl_nlos, phi_coeffs, self.dl_user_cols, self.dl_ap_rows,
-                        "inmr,bnmt->ibnrt", out)
+        user, ap = self.dl_user_cols, self.dl_ap_rows
+        return _composites(self.dl_nlos, phi_coeffs, lambda n: (user[:, n], ap[:, n]),
+                           "inmr,bnmt->ibnrt", user.nbytes // user.shape[1], out)
 
     def ul_composites(self, phi_coeffs: np.ndarray) -> np.ndarray:
         """(U, B, n_sc, n_t, n_r) total UL channels of every user-AP link for
-        given unit-modulus coefficients.
-
-        The hop stacks are re-formed in ``subcarrier_pieces`` sized by their
-        AP-side hops. Each composite entry sums over the elements only, so a
-        piece's entries have the bits the whole stacks would give.
-        """
+        given unit-modulus coefficients. Each piece forms the gains and hop
+        stacks of its subcarriers, sized by the larger of its two stacks."""
         self._check_phase_count(phi_coeffs)
-        out = np.empty_like(self.ul_nlos)
-        for n in subcarrier_pieces(out.shape[2], self.ul_ap_steering.size * out.itemsize):
-            user = _element_hops(self.ul_user_gains[:, :, n], self.ul_user_steering)
-            ap = _element_hops(self.ul_ap_gains[:, :, n], self.ul_ap_steering)
-            _cascade(self.ul_nlos[:, :, n], phi_coeffs, user, ap, "inmr,bnmt->ibntr", out[:, :, n])
-        return out
+        per_sc = max(self.ul_user_steering.nbytes, self.ul_ap_steering.nbytes)
+        return _composites(self.ul_nlos, phi_coeffs,
+                           lambda n: (self._ul_user_hops(n), self._ul_ap_hops(n)),
+                           "inmr,bnmt->ibntr", per_sc)
 
 
 def _surface_hops(scenario: Scenario) -> dict:
     """The element hops of ``LinkChannels``, by field name: the DL stacks and
-    the UL factors, each stacked over all links and IRS elements.
+    the UL amplitudes, delays and steering, each stacked over all links and
+    IRS elements.
 
     The UPA entry is the single-antenna end. Each hop takes its directions
     from its own rx - tx: the reverse hop's negated vector flips signed zeros,
@@ -247,19 +289,22 @@ def _surface_hops(scenario: Scenario) -> dict:
     elems = scenario.irs_element_positions()[None]  # (1, M, 3)
     ap_dep, ap_arr = _panel_steering(scenario, aps)[..., None]
     user_dep, user_arr = _panel_steering(scenario, users)[..., None]
+
+    def dl_hops(dod, a_rx, a_tx):
+        amp, tau, steering = _element_factors(p, p.carrier_dl, dod, a_rx, a_tx)
+        return _element_hops(_hop_gains(p, p.carrier_dl, amp, tau), steering)
+
     dod, _ = compute_dod_doa(aps[:, None], elems)
-    dl_ap_rows = _element_hops(
-        *_element_factors(p, p.carrier_dl, dod, ap_arr, _ula_along(p.n_t, dod)))
+    dl_ap_rows = dl_hops(dod, ap_arr, _ula_along(p.n_t, dod))
     dod, doa = compute_dod_doa(elems, aps[:, None])
     ul_ap = _element_factors(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), ap_dep)
     dod, doa = compute_dod_doa(elems, users[:, None])
-    dl_user_cols = _element_hops(
-        *_element_factors(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), user_dep))
+    dl_user_cols = dl_hops(dod, _ula_along(p.n_r, doa), user_dep)
     dod, _ = compute_dod_doa(users[:, None], elems)
     ul_user = _element_factors(p, p.carrier_ul, dod, user_arr, _ula_along(p.n_r, dod))
     return dict(dl_user_cols=dl_user_cols, dl_ap_rows=dl_ap_rows,
-                ul_user_gains=ul_user[0], ul_user_steering=ul_user[1],
-                ul_ap_gains=ul_ap[0], ul_ap_steering=ul_ap[1])
+                ul_user_amp=ul_user[0], ul_user_delay=ul_user[1], ul_user_steering=ul_user[2],
+                ul_ap_amp=ul_ap[0], ul_ap_delay=ul_ap[1], ul_ap_steering=ul_ap[2])
 
 
 def synthesize_links(scenario: Scenario, seed: int = 0) -> LinkChannels:

@@ -217,9 +217,10 @@ def _bits_over_rate(bits: float, rates: np.ndarray) -> np.ndarray:
 
 def transmission_delay(s_i: float, a_i: float, rate_dl, rate_ul):
     """S_i / c_DL + A_i / c_UL elementwise; infinite (infeasible) where a
-    needed rate is zero."""
+    needed rate is zero, or so small that the delay overflows."""
     rate_dl, rate_ul = np.asarray(rate_dl, dtype=float), np.asarray(rate_ul, dtype=float)
-    out = _bits_over_rate(s_i, rate_dl) + _bits_over_rate(a_i, rate_ul)
+    with np.errstate(over="ignore"):  # an overflowed delay is infinite, as at a zero rate
+        out = _bits_over_rate(s_i, rate_dl) + _bits_over_rate(a_i, rate_ul)
     return float(out) if out.ndim == 0 else out
 
 
@@ -229,7 +230,8 @@ def processing_delay(tracking_error, params, users_served=1):
     err = np.asarray(tracking_error, dtype=float)
     if np.any(err < 0):
         raise ValueError("tracking error must be non-negative")
-    payload = np.minimum(np.maximum(params.v_bits * err, 0.0), params.s_i)
+    with np.errstate(over="ignore"):  # the clamp to S_i takes an overflowed payload
+        payload = np.minimum(np.maximum(params.v_bits * err, 0.0), params.s_i)
     out = payload / (params.m_proc / np.maximum(users_served, 1))
     return float(out) if out.ndim == 0 else out
 

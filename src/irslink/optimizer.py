@@ -304,8 +304,9 @@ class DlRateObjective:
         W[m, (n, p, k, s, t)] = u[p, n, m, s] v[k, n, m, t], the entries of
         all triples at all S points are one GEMM, exp(j points) @ W + e0:
         S*P*K*n_sc*M*n_s^2 MACs against the composites' U*B*n_sc*M*n_r*n_t
-        per point. W is stored transposed, in ``subcarrier_pieces``; the
-        first is kept from the set-up, the others are formed on every call.
+        per point. W is stored transposed, in ``subcarrier_pieces``: when it
+        is one piece the set-up forms it and the round keeps it, else every
+        call forms each piece into one buffer, so at most one piece is held.
         The affine kernel rounds otherwise than ``value``'s composite kernel,
         so it yields an interval; the line search settles a comparison on
         brackets wherever they lie on one side of it (a floating-point
@@ -359,7 +360,7 @@ class DlRateObjective:
         stacked array, one numpy call per stage, and a row whose bound is not
         finite gives (-inf, inf), which settles nothing. Counts the GEMM's
         MACs and one per entry of every piece of W formed; the first call
-        also counts the set-up's: e0, the kept piece, and one per entry of
+        also counts the set-up's: e0, W if kept, and one per entry of
         the element stacks whose norms it takes. Nothing enters the cache of
         exact points.
         """
@@ -397,18 +398,20 @@ class DlRateObjective:
     def _affine_norms(self, coeffs):
         """||E_q||_F of the affine form at every row of ``coeffs`` (S, M), as
         (S, n_sc, Q): one GEMM per piece of W, e0 added, squares summed in
-        place. The pieces after the kept one share one buffer."""
+        place. W is kept when it is one piece; otherwise each piece is formed
+        into one buffer, the first piece's size."""
         n_sc, m, n_s = self._v.shape[1:]
         per_sc = len(self._e0) // n_sc
         eff = np.empty((len(coeffs), len(self._e0)), dtype=complex)
-        np.matmul(coeffs, self._wt.T, out=eff[:, :len(self._wt)])
-        if len(self._pieces) > 1:
-            piece = np.empty_like(self._wt)
-            for n in self._pieces[1:]:
-                wt = self._affine_piece(n, piece)
-                np.matmul(coeffs, wt.T, out=eff[:, n.start * per_sc:n.stop * per_sc])
+        first, wt, buffer = self._pieces[0], self._wt, None
+        if wt is None:
+            buffer = np.empty(((first.stop - first.start) * per_sc, m), dtype=complex)
+        for n in self._pieces:
+            if buffer is not None:
+                wt = self._affine_piece(n, buffer)
                 if self.counter is not None:
                     self.counter.add(wt.size)
+            np.matmul(coeffs, wt.T, out=eff[:, n.start * per_sc:n.stop * per_sc])
         eff += self._e0
         if self.counter is not None:
             self.counter.add(eff.size * m)
@@ -432,7 +435,7 @@ class DlRateObjective:
         return wt
 
     def _bracket_setup(self):
-        """e0 in the product's layout, the first piece of W^T, rho of every
+        """e0 in the product's layout, W^T when it is one piece, rho of every
         (triple, subcarrier) from Frobenius norms and the two widening factors
         (see ``brackets``)."""
         links = self.links
@@ -444,9 +447,10 @@ class DlRateObjective:
         self._e0 = np.einsum("pnrs,pknrt,kntc->npksc", wh, nlos, f).reshape(-1)
         per_sc = n_pairs * n_owners * n_s * n_s
         self._pieces = subcarrier_pieces(n_sc, per_sc * m * 16)
-        first = self._pieces[0]
-        self._wt = self._affine_piece(
-            first, np.empty(((first.stop - first.start) * per_sc, m), dtype=complex))
+        self._wt = None  # W^T, kept for the round when it is one piece
+        if len(self._pieces) == 1:
+            self._wt = self._affine_piece(slice(0, n_sc),
+                                          np.empty((n_sc * per_sc, m), dtype=complex))
         # ||A_q||_F <= ||W||_F ||F||_F (||H_nlos||_F + ||U_i||_F ||V_b||_F), (Q, n_sc)
         hops = (_fro(links.dl_nlos, "ibnrt->ibn")[self._rx, self._ap]
                 + _fro(links.dl_user_cols, "inmr->in")[self._rx]
@@ -461,7 +465,8 @@ class DlRateObjective:
         self._pre_log = np.array([1.0 - w_pre, 1.0 + w_pre])[:, None, None, None]
         self._post_log = (1.0 - w_post, 1.0 + w_post)
         if self.counter is not None:
-            self.counter.add(len(self._rx) * n_sc * n_s * (n_r * n_t + n_t * n_s) + self._wt.size
+            kept = 0 if self._wt is None else self._wt.size
+            self.counter.add(len(self._rx) * n_sc * n_s * (n_r * n_t + n_t * n_s) + kept
                              + links.dl_user_cols.size + links.dl_ap_rows.size)
 
 

@@ -24,6 +24,12 @@ from irslink.arrays import SPEED_OF_LIGHT
 
 BOLTZMANN = 1.380649e-23
 ROOM_TEMP_K = 290.0
+# the noise power starts the SINR denominators, which the gradient squares:
+# outside this range their squares leave the normal floats (0 / 0 below,
+# overflow above)
+NOISE_POWER_MIN, NOISE_POWER_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+# below this a carrier's wavelength overflows, and its hop amplitudes with it
+CARRIER_MIN = SPEED_OF_LIGHT / sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -160,6 +166,13 @@ class SystemParams:
         for name in ("bandwidth", "carrier_dl", "carrier_ul", "p_ap", "p_user", "m_proc"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"system.{name}: must be positive")
+        for name in ("carrier_dl", "carrier_ul"):
+            if getattr(self, name) < CARRIER_MIN:
+                raise ConfigError(f"system.{name}: must be >= {CARRIER_MIN!r} Hz")
+        for name in ("p_ap", "p_user"):
+            # received powers scale with it, and the DL SINR gradient squares them
+            if getattr(self, name) > NOISE_POWER_MAX:
+                raise ConfigError(f"system.{name}: must be <= {NOISE_POWER_MAX!r} W")
         if self.mu_j <= self.lambda_i:
             raise ConfigError("system.mu_j: queuing stability violated (mu_j <= lambda_i)")
         if self.delay_mode not in ("phasor", "real_decay"):
@@ -170,18 +183,17 @@ class SystemParams:
             sigma2 = self.sigma2
         except OverflowError:
             sigma2 = math.inf
-        # the SINR denominators start from it; a subnormal one makes their
-        # ratios overflow
-        if not sys.float_info.min <= sigma2 < math.inf:
+        if not NOISE_POWER_MIN <= sigma2 <= NOISE_POWER_MAX:
+            thermal = BOLTZMANN * ROOM_TEMP_K * self.bandwidth  # kTB
             if self.noise_power is not None:
                 field = "noise_power"
-            elif BOLTZMANN * ROOM_TEMP_K * self.bandwidth < sys.float_info.min:
+            elif not NOISE_POWER_MIN <= thermal <= NOISE_POWER_MAX:
                 field = "bandwidth"
             else:
                 field = "noise_figure_db"
             raise ConfigError(
-                f"system.{field}: the noise power {sigma2!r} W must be finite and "
-                f">= {sys.float_info.min!r} W"
+                f"system.{field}: the noise power {sigma2!r} W must lie in "
+                f"[{NOISE_POWER_MIN!r}, {NOISE_POWER_MAX!r}] W"
             )
 
     @property

@@ -1,6 +1,7 @@
 """Channel synthesis oracles: path gain, delay phasors, cascades, composites."""
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from irslink.arrays import SPEED_OF_LIGHT
 from irslink.channel import (
     LinkChannels,
     _hop_factors,
+    _hop_gains,
     _panel_steering,
     _ula_along,
     nlos_smallscale_factor,
@@ -114,21 +116,21 @@ def _cascade_oracles(sc, band):
 
 def _scalar_links(h0, into=(), outof=()):
     """1x1, one-subcarrier links: direct h0 plus cascades outof[m] * into[m] in
-    both bands; the UL hops are stored as factors, gains into / outof times a
-    unit steering entry."""
+    both bands; the UL hops are stored as factors, unit amplitudes at zero
+    delay (a unit gain) and steering entries into / outof."""
     m = len(into)
 
     def stack(values):
         return np.asarray(values, dtype=complex).reshape(1, 1, m, 1)
 
-    def gains(values):
+    def steering(values):
         return np.asarray(values, dtype=complex).reshape(1, m, 1)
 
-    unit = np.ones((1, m, 1), dtype=complex)
+    unit, zero = np.ones((1, m)), np.zeros((1, m))
     direct = np.full((1, 1, 1, 1, 1), h0, dtype=complex)
     return LinkChannels(
-        scalar_scenario(m), 0, direct, stack(outof), stack(into), direct, gains(into), unit,
-        gains(outof), unit,
+        scalar_scenario(m), 0, direct, stack(outof), stack(into), direct, unit, zero,
+        steering(into), unit, zero, steering(outof),
     )
 
 
@@ -167,7 +169,9 @@ class TestDirectChannels:
         assert links.ul_nlos.shape == (1, 1, 5, 4, 2)
         assert links.dl_user_cols.shape == links.ul_user_rows.shape == (1, 5, 3, 2)
         assert links.dl_ap_rows.shape == links.ul_ap_cols.shape == (1, 5, 3, 4)
-        assert links.ul_user_gains.shape == links.ul_ap_gains.shape == (1, 3, 5)
+        # the UL hops are stored as per-(link, element) amplitudes and delays
+        for name in ("ul_user_amp", "ul_user_delay", "ul_ap_amp", "ul_ap_delay"):
+            assert getattr(links, name).shape == (1, 3), name
         assert links.ul_user_steering.shape == (1, 3, 2)
         assert links.ul_ap_steering.shape == (1, 3, 4)
 
@@ -209,8 +213,9 @@ class TestDirectChannels:
 
     def test_nonfinite_rejected(self):
         links = _scalar_links(0.5, [0.1], [0.2])
-        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
-                     "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
+        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_amp",
+                     "ul_user_delay", "ul_user_steering", "ul_ap_amp", "ul_ap_delay",
+                     "ul_ap_steering"):
             bad = getattr(links, name).copy()
             bad.flat[-1] = np.nan
             with pytest.raises(ValueError, match=f"non-finite channel entries in {name}$"):
@@ -421,15 +426,39 @@ class TestFactoredUlHops:
             assert formed.tobytes() == stored.tobytes()
 
     def test_links_hold_no_ul_stack(self):
-        # at M = 384 the two UL stacks took 7.9 MB of the 15.9 MB held; their
-        # factors take 2.5 MB
+        # at M = 384 the two UL stacks took 7.9 MB of the 15.9 MB held, and
+        # their per-subcarrier gains 2.4 MB; amplitudes, delays and steering
+        # take 0.16 MB
         links = synthesize_links(default_scenario(384))
+        n_links = {"user": links.scenario.n_users, "ap": links.scenario.n_aps}
         m = links.scenario.n_irs_elements
         for f in fields(links):
             array = getattr(links, f.name)
             if f.name.startswith("ul_") and f.name != "ul_nlos":
-                assert array.ndim == 3 and array.shape[1] == m, f.name
-        assert _held_bytes(links) <= 10_500_000
+                side, factor = f.name.split("_")[1:]
+                assert array.shape[:2] == (n_links[side], m), f.name
+                assert array.ndim == (3 if factor == "steering" else 2), f.name
+        assert _held_bytes(links) <= 8_300_000
+
+    @pytest.mark.parametrize("delay_mode", ["phasor", "real_decay"])
+    def test_gains_from_stored_factors_equal_the_whole_product(self, delay_mode):
+        # the gains a UL piece forms from the stored amplitudes and delays are,
+        # byte for byte, the slice of _hop_factors' whole (L, M, n_sc) product
+        sc = default_scenario(24, delay_mode=delay_mode)
+        p, links = sc.params, synthesize_links(sc, seed=4)
+        elems = sc.irs_element_positions()[None]
+        user_dod, _ = compute_dod_doa(sc.user_positions[:, None], elems)
+        ap_dod, _ = compute_dod_doa(elems, sc.ap_positions[:, None])
+        for dod, amp, delay in ((user_dod, links.ul_user_amp, links.ul_user_delay),
+                                (ap_dod, links.ul_ap_amp, links.ul_ap_delay)):
+            unit = np.ones(dod.shape[:-1] + (1,))
+            whole, _ = _hop_factors(p, p.carrier_ul, dod, unit, unit, p.los_exponent)
+            assert whole.shape == amp.shape + (p.n_sc,)
+            for size in (1, 5, p.n_sc):
+                for start in range(0, p.n_sc, size):
+                    n = slice(start, start + size)
+                    formed = _hop_gains(p, p.carrier_ul, amp, delay, n)
+                    assert formed.tobytes() == np.ascontiguousarray(whole[..., n]).tobytes()
 
 
 def _element_fastest(stack):
@@ -443,23 +472,30 @@ def _element_fastest(stack):
 @st.composite
 def _cascade_links(draw):
     """Random LinkChannels over U, B, n_sc, n_r, n_t and M, in either DL stack
-    layout, and unit-modulus coefficients for them. Composites read only the
-    hops, never the scenario."""
+    layout and either delay mode, and unit-modulus coefficients for them.
+    Composites read only the hops and, for the UL gains, the scenario's
+    system parameters."""
     n_users, n_aps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     n_sc = draw(st.sampled_from([1, 2, 4]))
     n_r, n_t = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 8, 17, 64]))
     m = draw(st.one_of(st.sampled_from([0, 1, 384]), st.integers(0, 96)))
+    params = SystemParams(n_t=n_t, n_r=n_r, n_rf=1, n_s=1, n_sc=n_sc,
+                          delay_mode=draw(st.sampled_from(["phasor", "real_decay"])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def cn(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    def amp_delay(n_links):
+        return rng.uniform(1e-4, 1.0, (n_links, m)), rng.uniform(1e-9, 1e-7, (n_links, m))
+
     layout = _element_fastest if draw(st.booleans()) else np.ascontiguousarray
     # the DL hops are stored as stacks, the UL hops as their factors
     links = LinkChannels(
-        None, 0, cn(n_users, n_aps, n_sc, n_r, n_t), layout(cn(n_users, n_sc, m, n_r)),
-        layout(cn(n_aps, n_sc, m, n_t)), cn(n_users, n_aps, n_sc, n_t, n_r),
-        cn(n_users, m, n_sc), cn(n_users, m, n_r), cn(n_aps, m, n_sc), cn(n_aps, m, n_t),
+        SimpleNamespace(params=params), 0, cn(n_users, n_aps, n_sc, n_r, n_t),
+        layout(cn(n_users, n_sc, m, n_r)), layout(cn(n_aps, n_sc, m, n_t)),
+        cn(n_users, n_aps, n_sc, n_t, n_r), *amp_delay(n_users), cn(n_users, m, n_r),
+        *amp_delay(n_aps), cn(n_aps, m, n_t),
     )
     return links, np.exp(1j * rng.uniform(-np.pi, np.pi, m))
 
@@ -499,6 +535,19 @@ class TestCompositeBits:
             mp.setattr(channel, "PIECE_BYTES", piece_bytes)
             ul = links.ul_composites(coeffs)
         np.testing.assert_array_equal(ul, _three_operand(links, coeffs, "UL"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_cascade_links(), st.sampled_from([1, 3000, 40000]))
+    def test_dl_pieces_equal_one_piece(self, case, piece_bytes):
+        # one subcarrier per piece, a few, or the whole band: the DL composites
+        # scale and contract piece by piece with the bits of one piece
+        links, coeffs = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "PIECE_BYTES", 1 << 40)
+            whole = links.dl_composites(coeffs)
+            mp.setattr(channel, "PIECE_BYTES", piece_bytes)
+            pieced = links.dl_composites(coeffs, out=np.empty_like(links.dl_nlos))
+        assert pieced.tobytes() == whole.tobytes()
 
     @given(st.integers(1, 300), st.integers(0, 3 << 20))
     def test_subcarrier_pieces_cover_the_band_within_the_limit(self, n_sc, bytes_per_subcarrier):

@@ -1,16 +1,24 @@
 """Sweep driver, SNR trace import/export, result bundles and the CLI."""
 
 import ast
+import contextlib
+import csv
+import dataclasses
 import filecmp
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irslink
 from irslink import channel, experiment
@@ -25,7 +33,13 @@ from irslink.experiment import (
     with_irs_elements,
 )
 from irslink.metrics import rate
-from irslink.scenario import STOCK_CODEBOOKS, CodebookScenario, ConfigError, default_scenario
+from irslink.scenario import (
+    STOCK_CODEBOOKS,
+    CodebookScenario,
+    ConfigError,
+    SystemParams,
+    default_scenario,
+)
 
 FAST = {"max_iter": 5, "outer_rounds": 1}
 
@@ -244,8 +258,8 @@ class TestExperimentSpec:
             run_experiment(spec, scenario=small_scenario())
 
 
-_LINK_ARRAYS = ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
-                "ul_user_steering", "ul_ap_gains", "ul_ap_steering")
+_LINK_ARRAYS = ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_amp",
+                "ul_user_delay", "ul_user_steering", "ul_ap_amp", "ul_ap_delay", "ul_ap_steering")
 
 
 def _sweep_calls(spec, scenario=None):
@@ -528,6 +542,26 @@ system:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_noise_power_overflowing_the_gradient_names_the_bandwidth(self, tmp_path, capsys):
+        # a noise power of about 2e280 W used to overflow the gradient's squared
+        # SINR denominators: a traceback under -W error, and otherwise a zero
+        # gradient and an infinite min_d_t
+        stock = Path(__file__).resolve().parents[1] / "configs" / "indoor_room.yaml"
+        text = stock.read_text()
+        assert "bandwidth: 2.16e+9\n" in text
+        scenario = tmp_path / "huge_bandwidth.yaml"
+        scenario.write_text(text.replace("bandwidth: 2.16e+9\n", "bandwidth: 1.0e+300\n"))
+        argv = ["run", "--scenario", str(scenario), "--codebooks", "2ant_1rf", "--max-iter", "3",
+                "--outer-rounds", "1", "--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("irslink: error: system.bandwidth: the noise power ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_more_streams_than_user_antennas_is_one_error_line(self, tmp_path, capsys):
         # it used to load, synthesize every link and fail in the beamformer
         # design with "stream count exceeds projected channel rank bound"
@@ -572,6 +606,68 @@ system:
         assert captured.out == ""
         assert captured.err.startswith("usage: irslink probe")
         assert captured.err.endswith(f"irslink probe: error: {message}\n")
+
+
+# ROADMAP item 10's values for a mutated field: zero, negative, huge, tiny,
+# small, not finite, and every wrong YAML kind
+_FUZZ_VALUES = [0, -1, 1e300, 1e-300, 1e-9, float("nan"), float("inf"), float("-inf"), "text",
+                None, True, [1.0], {"a": 1.0}]
+_SYSTEM_FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SYSTEM_FIELDS), st.sampled_from(_FUZZ_VALUES),
+                       min_size=1, max_size=2))
+def test_mutated_system_fields_fail_loudly_or_run_finite(mutation):
+    """One or two ``system`` fields of the stock scenario file set to a bad or
+    extreme value: the run either exits 0 with finite results or exits 2 with
+    one error line that names a ``system`` field.
+
+    Two outcomes are results, not failures. An IRS panel without a spacing
+    takes half the DL wavelength, so a mutated ``carrier_dl`` may fail on
+    that panel's ``geometry.irs_panels[k]`` path. And ``min_d_t`` is the
+    smallest finite transmission delay, infinite when every needed rate
+    rounds to zero; that run then has no utility either.
+    """
+    import yaml
+
+    stock = Path(__file__).resolve().parents[1] / "configs" / "indoor_room.yaml"
+    document = yaml.safe_load(stock.read_text())
+    document["system"].update(mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "mutated.yaml", Path(tmp) / "out"
+        scenario.write_text(yaml.safe_dump(document))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(["run", "--scenario", str(scenario), "--codebooks", "2ant_1rf",
+                         "--max-iter", "3", "--outer-rounds", "1", "--output-dir", str(out)])
+        if code == 2:
+            paths = r"system\.\w+" + (r"|geometry\.irs_panels\[\d+\]" if "carrier_dl" in mutation
+                                       else "")
+            assert re.fullmatch(rf"irslink: error: ({paths}): .*\n", stderr.getvalue()), \
+                stderr.getvalue()
+            return
+        assert code == 0, stderr.getvalue()
+        utility = {tuple(row[:4]): float(row[4])
+                   for row in _csv_rows(out / "utility_by_codebook.csv")}
+        for path in out.glob("*.csv"):
+            for row in _csv_rows(path):
+                for k, cell in enumerate(row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    if path.name == "min_transmission_delay.csv" and k == 4 and value == np.inf:
+                        assert utility[tuple(row[:4])] == 0.0, row
+                        continue
+                    assert np.isfinite(value), (path.name, row)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))[1:]
 
 
 def test_external_trace_dataclass():

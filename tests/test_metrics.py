@@ -2,6 +2,7 @@
 and the columnar utility report against the row-by-row code it replaced."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,20 @@ class TestDelays:
 
     def test_zero_rate_is_infeasible(self):
         assert math.isinf(transmission_delay(1e6, 1.0, 0.0, 1e6))
+
+    def test_overflowing_delay_is_infinite_without_a_warning(self):
+        # a rate of 1e-305 bit/s (as from a 1e-300 Hz band) used to warn of
+        # an overflow in the division; the delay is infinite, as at a zero rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transmission_delay(1e6, 1.0, 1e-305, 1e6) == math.inf
+            assert transmission_delay(1e300, 1e300, 1e-10, 1e-10) == math.inf
+
+    def test_processing_payload_clamps_an_overflowed_product(self):
+        p = SystemParams(v_bits=1e300, m_proc=1e9, s_i=100.0, tracking_e0=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert processing_delay(1e300, p) == 100.0 / 1e9
 
     def test_processing_zero_error(self):
         assert processing_delay(0.0, SystemParams()) == 0.0

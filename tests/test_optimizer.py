@@ -1,6 +1,7 @@
 """Phase-gradient oracles, conjugate-gradient behavior and the outer loop."""
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -788,9 +789,12 @@ class TestBracket:
         objective.brackets(points)
         counter.reset()
         lo, hi = objective.brackets(points)
-        assert objective._wt.nbytes == channel.PIECE_BYTES
         point = 16 * stock_scenario.params.n_sc * objective.n_phases
-        assert counter.macs == 7 * point + point - objective._wt.shape[0] * objective.n_phases
+        # one piece: the round keeps W. In pieces, W is not kept, and every
+        # call forms each piece, one MAC per entry of W
+        assert whole._wt.shape == (point // objective.n_phases, objective.n_phases)
+        assert objective._wt is None
+        assert counter.macs == 7 * point + point
         np.testing.assert_allclose(lo, want[0], rtol=1e-12)
         np.testing.assert_allclose(hi, want[1], rtol=1e-12)
         for theta, low, high in zip(points, lo, hi):
@@ -1360,3 +1364,26 @@ def test_opcounter_reset():
     assert c.macs == 12
     c.reset()
     assert c.macs == 0
+
+
+def test_large_surface_run_holds_about_one_piece_beyond_its_stacks():
+    # at M = 384 the DL hop stacks take 7.5 MiB and a round's u / v tangent
+    # stacks 3 MiB; beyond them the phase loop holds about one PIECE_BYTES
+    # piece at a time. The traced peak read 16.8 MiB when the links kept the
+    # UL gains, a composite build scaled the whole user stack and the
+    # objective kept W's first piece; it reads about 13.5 MiB now
+    scenario = default_scenario(384)
+    config = replace(scenario.optimizer, max_iter=5, outer_rounds=2)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start, _ = tracemalloc.get_traced_memory()
+    try:
+        alternating_optimize(scenario, seed=3, config=config,
+                             links=synthesize_links(scenario, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - start <= 14.5 * 2**20

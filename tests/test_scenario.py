@@ -154,14 +154,23 @@ class TestSystemParams:
     @pytest.mark.parametrize(
         "name, value",
         [("noise_figure_db", 4000.0), ("noise_figure_db", -4000.0), ("s_i", 10**400),
-         ("bandwidth", 1e-300), ("noise_power", 1e-320)],
+         ("bandwidth", 1e-300), ("noise_power", 1e-320), ("bandwidth", 1e300),
+         ("noise_power", 1e160), ("noise_power", 1e-300), ("p_ap", 1e300), ("p_user", 1e300),
+         ("carrier_ul", 1e-300), ("carrier_dl", 1e-300)],
         ids=["noise_power_overflows", "noise_power_underflows", "int_beyond_float",
-             "thermal_noise_subnormal", "noise_power_subnormal"],
+             "thermal_noise_subnormal", "noise_power_subnormal", "thermal_noise_squares_overflow",
+             "noise_power_squares_overflow", "noise_power_squares_underflow",
+             "ap_power_squares_overflow", "user_power_overflows", "ul_wavelength_overflows",
+             "dl_wavelength_overflows"],
     )
     def test_values_that_overflow_rejected(self, name, value):
         # each used to fail inside the run: an OverflowError from sigma2, a
-        # zero noise power, an OverflowError converting the int, and a
-        # subnormal noise power whose SINR ratios overflow
+        # zero noise power, an OverflowError converting the int, a subnormal
+        # noise power whose SINR ratios overflow, a noise or AP power whose
+        # squared SINR denominators overflow in the gradient, a noise power
+        # whose squared denominators underflow there to 0 / 0, a user power
+        # whose received UL powers overflow, and a carrier whose wavelength
+        # and hop amplitudes overflow
         with pytest.raises(ConfigError, match=rf"^system\.{name}: "):
             SystemParams(**{name: value})
 
@@ -396,8 +405,9 @@ class TestScenarioVariants:
             return
         assert resized.n_irs_elements == m
         links = synthesize_links(resized, seed=data.draw(st.integers(0, 99)))
-        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_gains",
-                     "ul_user_steering", "ul_ap_gains", "ul_ap_steering"):
+        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_amp",
+                     "ul_user_delay", "ul_user_steering", "ul_ap_amp", "ul_ap_delay",
+                     "ul_ap_steering"):
             assert np.all(np.isfinite(getattr(links, name))), name
         assert links.dl_ap_rows.shape[2] == m
 
