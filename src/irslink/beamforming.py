@@ -122,46 +122,39 @@ def _rotate(x: np.ndarray, rot: np.ndarray, length: int) -> np.ndarray:
 def digital_beamformers_svd(
     h_d: np.ndarray,
     n_s: int,
-    p_a: AnalogBeamformer | None = None,
+    p_a: np.ndarray | None = None,
     total_power: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subcarrier digital precoder/combiner from the SVD of H_D.
+    """Per-subcarrier digital precoder/combiner from the SVD of H_D, for a
+    stack of links: h_d (..., n_sc, rx_rf, n_rf) -> P_D (..., n_sc, n_rf, n_s)
+    and G_D (..., n_sc, rx_rf, n_s).
 
     P_D takes the first n_s right singular vectors, G_D the first n_s left
     ones, singular values descending, each pair rotated so the
-    largest-magnitude entry of the left vector is real-positive. If p_a is
-    given the precoder is scaled so ||P_A P_D||_F^2 = total_power per
-    subcarrier, otherwise ||P_D||_F^2 = total_power; a subcarrier whose
-    norm is zero stays unscaled.
+    largest-magnitude entry of the left vector is real-positive. If the
+    analog precoders p_a (..., n_t, n_rf) are given the precoder is scaled so
+    ||P_A P_D||_F^2 = total_power per subcarrier, otherwise ||P_D||_F^2 =
+    total_power; a subcarrier whose norm is zero stays unscaled.
     """
-    analog = None if p_a is None else p_a.matrix[None]
-    p_d, g_d = _digital_stage(h_d[None], n_s, analog, total_power)
-    return p_d[0], g_d[0]
-
-
-def _digital_stage(h_d, n_s, p_a, total_power):
-    """``digital_beamformers_svd`` for a stack of links: h_d (L, n_sc, rx_rf,
-    n_rf) and p_a (L, n_t, n_rf) or None -> P_D (L, n_sc, n_rf, n_s) and
-    G_D (L, n_sc, rx_rf, n_s)."""
-    n_links, n_sc, rx_rf, n_rf = h_d.shape
+    *lead, n_sc, rx_rf, n_rf = h_d.shape
     if n_s > min(rx_rf, n_rf):
         raise ValueError("stream count exceeds projected channel rank bound")
     u, _, vh = np.linalg.svd(h_d.reshape(-1, rx_rf, n_rf), full_matrices=False)
     u, vh = u[:, :, :n_s], vh[:, :n_s, :]
     # singular vectors have unit norm, so the pivot is never zero
     pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)
-    rot = np.conj(pivot) / np.abs(pivot)  # (L * n_sc, 1, n_s)
+    rot = np.conj(pivot) / np.abs(pivot)  # (links * n_sc, 1, n_s)
     g_d = _rotate(u, rot, rx_rf)
     vh = _rotate(vh, np.conj(rot).transpose(0, 2, 1), n_rf)
     p_d = np.ascontiguousarray(vh.conj().transpose(0, 2, 1))
-    full = p_d if p_a is None else p_a[:, None] @ p_d.reshape(n_links, n_sc, n_rf, n_s)
-    full = full.reshape(n_links * n_sc, -1)
+    full = p_d if p_a is None else p_a[..., None, :, :] @ p_d.reshape(*lead, n_sc, n_rf, n_s)
+    full = full.reshape(len(p_d), -1)
     # one dot product per part and subcarrier, the same bits as np.linalg.norm
     re, im = full.real[:, None, :], full.imag[:, None, :]
     norm = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
     scaled = norm > 0
     p_d[scaled] *= (np.sqrt(total_power) / norm[scaled])[:, None, None]
-    return p_d.reshape(n_links, n_sc, n_rf, n_s), g_d.reshape(n_links, n_sc, rx_rf, n_s)
+    return p_d.reshape(*lead, n_sc, n_rf, n_s), g_d.reshape(*lead, n_sc, rx_rf, n_s)
 
 
 def select_codewords(
@@ -169,22 +162,18 @@ def select_codewords(
     tx_codebook: AnalogCodebook,
     rx_codebook: AnalogCodebook,
     counter: OpCounter | None = None,
-) -> tuple[AnalogBeamformer, AnalogBeamformer]:
-    """Pick the analog codeword pair maximizing ||G_A^H H P_A||_F^2.
+) -> tuple[list[AnalogBeamformer], list[AnalogBeamformer]]:
+    """Pick each link's analog codeword pair maximizing ||G_A^H H P_A||_F^2,
+    for a stack of links h (L, n_sc, n_rx, n_tx): the chosen precoders and
+    combiners, one list each.
 
     For a fixed combiner the norm is a sum of per-beam energies over the
     precoder's columns, so the best precoder holds the n_rf beams of
     largest energy; ties go to the lower beam index, which is the codeword
     an ordered search over all subsets meets first. Combiners are compared
-    in codebook order and the first strictly larger value wins.
+    in codebook order and the first strictly larger value wins. A link's
+    choice does not depend on the other links of the stack.
     """
-    (p_a,), (g_a,) = _select(h[None], tx_codebook, rx_codebook, counter)
-    return p_a, g_a
-
-
-def _select(h, tx_codebook, rx_codebook, counter):
-    """``select_codewords`` for a stack of links h (L, n_sc, n_rx, n_tx):
-    the chosen precoders and combiners, one list each."""
     n_links, n_sc, n_rx, n_tx = h.shape
     if rx_codebook.n_antennas != n_rx or tx_codebook.n_antennas != n_tx:
         raise ValueError("analog beamformer dimensions do not match channel")
@@ -224,7 +213,7 @@ def design_beamformers(
     """
     if not len(h):
         return []
-    p_a, g_a = _select(h, tx_codebook, rx_codebook, counter)
+    p_a, g_a = select_codewords(h, tx_codebook, rx_codebook, counter)
     h_d = np.stack([project_channel(*link, counter) for link in zip(h, g_a, p_a)])
-    p_d, g_d = _digital_stage(h_d, n_s, np.stack([p.matrix for p in p_a]), total_power)
+    p_d, g_d = digital_beamformers_svd(h_d, n_s, np.stack([p.matrix for p in p_a]), total_power)
     return [BeamformerSet(*bf) for bf in zip(p_a, g_a, p_d, g_d)]

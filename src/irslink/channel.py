@@ -64,32 +64,32 @@ def _hop_gains(params, carrier, amp, tau, n=slice(None)):
     return amp[..., None] * phasor
 
 
-def _hop_factors(params, carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):
+def _hop_factors(carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):
     """Factors of rank-one hops h_n = gain_n * a_rx a_tx^H for a stack of links.
 
     ``dod`` is (..., 3) (rx minus tx position); ``a_rx`` / ``a_tx`` are
-    (..., n_rx) / (..., n_tx). Returns the per-subcarrier gains
-    amp * phasor, (..., n_sc), and the outer products, (..., n_rx, n_tx).
+    (..., n_rx) / (..., n_tx). Returns the amplitudes and delays (...), from
+    which ``_hop_gains`` forms the per-subcarrier gains, and the outer
+    products, (..., n_rx, n_tx).
     """
     amp, tau = _amp_delay(carrier, dod, exponent, extra_loss_db)
-    return (_hop_gains(params, carrier, amp, tau),
-            a_rx[..., :, None] * np.conj(a_tx)[..., None, :])
+    return amp, tau, a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
 
 
 def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
     """Blocked user-AP hops, links stacked (U, B): (U, B, n_sc, n_rx, n_tx)."""
-    gain, outer = _hop_factors(
-        params, carrier, dod, a_rx, a_tx, params.pathloss_exponent, params.nlos_penalty_db
+    amp, tau, outer = _hop_factors(
+        carrier, dod, a_rx, a_tx, params.pathloss_exponent, params.nlos_penalty_db
     )
+    gain = _hop_gains(params, carrier, amp, tau)
     return gain[..., :, None, None] * outer[..., None, :, :]
 
 
 def _element_factors(params, carrier, dod, a_rx, a_tx):
-    """Factors of the LoS hops between L nodes and the M IRS elements, links
-    stacked (L, M): amplitudes and delays (L, M) and steering outer products
-    flattened to (L, M, n_antennas); the IRS end is one element."""
-    amp, tau = _amp_delay(carrier, dod, params.los_exponent)
-    outer = a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
+    """``_hop_factors`` of the LoS hops between L nodes and the M IRS
+    elements, links stacked (L, M), with the outer products flattened to
+    (L, M, n_antennas); the IRS end is one element."""
+    amp, tau, outer = _hop_factors(carrier, dod, a_rx, a_tx, params.los_exponent)
     n_links, m, n_rx, n_tx = outer.shape
     return amp, tau, outer.reshape(n_links, m, n_rx * n_tx)
 
@@ -196,7 +196,7 @@ class LinkChannels:
     final report, so they are stored as their rank-one factors: amplitudes
     and delays (L, M), from which ``_hop_gains`` forms the per-subcarrier
     gains, and steering (L, M, n). ``ul_composites`` forms the gains and
-    stacks piece by piece; ``ul_user_rows`` / ``ul_ap_cols`` form them whole.
+    stacks piece by piece, with ``ul_hops``.
     """
 
     scenario: Scenario
@@ -219,25 +219,14 @@ class LinkChannels:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite channel entries in {name}")
 
-    def _ul_user_hops(self, n=slice(None)) -> np.ndarray:
+    def ul_hops(self, side: str, n=slice(None)) -> np.ndarray:
+        """UL hops of one ``side``, formed from their factors on the
+        subcarriers ``n`` (a slice): "user" gives the (U, n_sc, M, n_r) user
+        -> IRS element hops, "ap" the (B, n_sc, M, n_t) IRS element -> AP hops."""
         p = self.scenario.params
-        gains = _hop_gains(p, p.carrier_ul, self.ul_user_amp, self.ul_user_delay, n)
-        return _element_hops(gains, self.ul_user_steering)
-
-    def _ul_ap_hops(self, n=slice(None)) -> np.ndarray:
-        p = self.scenario.params
-        gains = _hop_gains(p, p.carrier_ul, self.ul_ap_amp, self.ul_ap_delay, n)
-        return _element_hops(gains, self.ul_ap_steering)
-
-    @property
-    def ul_user_rows(self) -> np.ndarray:
-        """(U, n_sc, M, n_r) UL user -> IRS element hops, formed from their factors."""
-        return self._ul_user_hops()
-
-    @property
-    def ul_ap_cols(self) -> np.ndarray:
-        """(B, n_sc, M, n_t) UL IRS element -> AP hops, formed from their factors."""
-        return self._ul_ap_hops()
+        amp, delay, steering = (getattr(self, f"ul_{side}_{name}")
+                                for name in ("amp", "delay", "steering"))
+        return _element_hops(_hop_gains(p, p.carrier_ul, amp, delay, n), steering)
 
     def with_surface(self, scenario: Scenario) -> "LinkChannels":
         """The links of ``scenario``, which differs from these links' in its IRS
@@ -270,7 +259,7 @@ class LinkChannels:
         self._check_phase_count(phi_coeffs)
         per_sc = max(self.ul_user_steering.nbytes, self.ul_ap_steering.nbytes)
         return _composites(self.ul_nlos, phi_coeffs,
-                           lambda n: (self._ul_user_hops(n), self._ul_ap_hops(n)),
+                           lambda n: (self.ul_hops("user", n), self.ul_hops("ap", n)),
                            "inmr,bnmt->ibntr", per_sc)
 
 

@@ -16,8 +16,9 @@ import numpy as np
 from irslink.scenario import Assignment, Scenario
 
 
-def sum_in_order(values) -> float:
-    """Float sum added left to right (Python 3.12's sum() of floats is compensated)."""
+def sum_in_order(values):
+    """Sum added left to right (Python 3.12's sum() of floats is compensated):
+    a float for floats, an array for arrays of one shape."""
     total = 0.0
     for v in values:
         total += v
@@ -115,11 +116,13 @@ class UtilityReport:
         return tuple(rows)
 
 
-def _used_gain(gains: np.ndarray, index: tuple, label: str) -> np.ndarray:
-    values = gains[index]
-    if np.any(np.isnan(values)):
-        raise ValueError(f"missing interferer channel in {label} gain table at {index}")
-    return values
+def _check_used(gains: np.ndarray, index: np.ndarray, label: str) -> None:
+    """Raise on the first NaN of ``gains`` (..., n_sc), naming the row of
+    ``index`` (..., k) at its position."""
+    missing = np.isnan(gains).any(axis=-1)
+    if missing.any():
+        at = tuple(index[np.unravel_index(np.argmax(missing), missing.shape)].tolist())
+        raise ValueError(f"missing interferer channel in {label} gain table at {at}")
 
 
 def sinr_dl(
@@ -134,70 +137,51 @@ def sinr_dl(
     from AP b transmitting user l's stream on subcarrier n (unit-power
     precoders; AP power is applied here). The serving-link gain is
     aggregated over subcarriers by mean or min per ``signal_aggregate``;
-    interference always uses the mean. Interferers are summed in
-    ``assignment.owners`` order.
+    interference always uses the mean. The gains of the assignment's DL
+    triples are gathered once; interferers are added one owner at a time,
+    in ``assignment.owners`` order.
     """
     if signal_aggregate not in ("mean", "min"):
         raise ValueError("signal_aggregate must be 'mean' or 'min'")
     p = scenario.params
-    agg = np.mean if signal_aggregate == "mean" else np.min
-    out = {}
-    for i, j in assignment.served:
-        signal = p.p_ap * float(agg(_used_gain(eff_gains, (i, j, i), "DL")))
-        intra = sum_in_order(
-            p.p_ap * float(np.mean(_used_gain(eff_gains, (i, j, l), "DL")))
-            for b, l in assignment.owners
-            if b == j and l != i
-        )
-        inter = sum_in_order(
-            p.p_ap * float(np.mean(_used_gain(eff_gains, (i, b, l), "DL")))
-            for b, l in assignment.owners
-            if b != j
-        )
-        out[(i, j)] = SinrBreakdown(signal, intra, inter, p.sigma2)
-    return out
+    rx, ap, owner = assignment.dl_triples.T
+    used = eff_gains[rx, ap, owner]  # (Q, n_sc)
+    _check_used(used, assignment.dl_triples, "DL")
+    mean = p.p_ap * np.mean(used, axis=1)
+    serving = np.flatnonzero(owner == rx)  # each pair's own triple, in served order
+    signal = mean[serving] if signal_aggregate == "mean" else p.p_ap * np.min(used[serving], axis=1)
+    mean = mean.reshape(len(serving), len(assignment.owners))
+    users, aps = rx[serving], ap[serving]
+    intra, inter = np.zeros(len(serving)), np.zeros(len(serving))
+    for k, (b, l) in enumerate(assignment.owners):
+        np.add(intra, mean[:, k], out=intra, where=(aps == b) & (users != l))
+        np.add(inter, mean[:, k], out=inter, where=aps != b)
+    return {pair: SinrBreakdown(*terms, p.sigma2) for pair, terms in
+            zip(assignment.served, zip(signal.tolist(), intra.tolist(), inter.tolist()))}
 
 
-@dataclass(frozen=True)
-class UlSinrBreakdown:
-    """Per-subcarrier UL signal/interference decomposition for one (user, AP)."""
-
-    signal: np.ndarray  # Watts, (n_sc,)
-    intra_interference: np.ndarray
-    inter_interference: np.ndarray
-    noise: float
-
-    @property
-    def sinr(self) -> np.ndarray:
-        return self.signal / (self.noise + self.intra_interference + self.inter_interference)
-
-
-def sinr_ul(
-    scenario: Scenario,
-    assignment: Assignment,
-    ul_gains: np.ndarray,
-) -> dict[tuple[int, int], UlSinrBreakdown]:
-    """Per served (user, AP) per-subcarrier UL SINR breakdown.
+def sinr_ul(scenario: Scenario, assignment: Assignment, ul_gains: np.ndarray) -> np.ndarray:
+    """UL SINR (P, n_sc) of every served (user, AP) pair, in served order, on
+    every subcarrier.
 
     ul_gains[i, j, n] is the composite channel power gain from user i to
-    AP j on subcarrier n. All other active users interfere at the
-    receiving AP: same-cell users count as intra, other cells as inter.
+    AP j on subcarrier n. All other served users interfere at the receiving
+    AP, same-cell users as intra-cell and other cells as inter-cell
+    interference, each sum added one user at a time in served order.
     """
     p = scenario.params
-    out = {}
-    for i, j in assignment.served:
-        signal = p.p_user * _used_gain(ul_gains, (i, j), "UL")
-        intra = np.zeros(p.n_sc)
-        inter = np.zeros(p.n_sc)
-        for l, b in assignment.served:
-            if l == i:
-                continue
-            if b == j:
-                intra += p.p_user * _used_gain(ul_gains, (l, j), "UL")
-            else:
-                inter += p.p_user * _used_gain(ul_gains, (l, j), "UL")
-        out[(i, j)] = UlSinrBreakdown(signal, intra, inter, p.sigma2)
-    return out
+    users, aps = np.array(assignment.served, dtype=int).reshape(-1, 2).T
+    # [r, t]: the power of pair t's user at pair r's AP, (P, P, n_sc)
+    received = p.p_user * ul_gains[users[None, :], aps[:, None]]
+    _check_used(received, np.stack(np.broadcast_arrays(users[None, :], aps[:, None]), -1), "UL")
+    intra = np.zeros((len(users), ul_gains.shape[-1]))
+    inter = np.zeros_like(intra)
+    for t, b in enumerate(aps.tolist()):
+        others = np.arange(len(users)) != t
+        np.add(intra, received[:, t], out=intra, where=((aps == b) & others)[:, None])
+        np.add(inter, received[:, t], out=inter, where=(aps != b)[:, None])
+    signal = received[np.arange(len(users)), np.arange(len(users))]
+    return signal / (p.sigma2 + intra + inter)
 
 
 def rate(sinr, bandwidth: float):

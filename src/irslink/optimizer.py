@@ -41,6 +41,8 @@ STEP_MIN, STEP_CAP = 1e-14, 1e6
 LADDER, LADDER_MARGIN = 12, 2
 # the alternating loop stops once a round gains no more than this, relative
 IMPROVEMENT_TOL = 1e-6
+# subcarriers of ``complexity_probe``'s link
+PROBE_N_SC = 4
 
 # unit roundoff of float64, and the factor by which a bracket's radius and
 # widenings exceed their first-order rounding bounds (see ``DlRateObjective.brackets``)
@@ -226,31 +228,45 @@ class DlRateObjective:
         """The DL composites at ``coeffs``, built into the objective's buffer."""
         return self.links.dl_composites(coeffs, out=self._composites)
 
-    def _sinr_terms(self, gains):
-        """Signal and denominator (served pair, subcarrier): interferers are
-        added to the noise one column at a time, in triple order."""
-        signal = self.p_ap * gains[self._signal]
+    def _sinr_terms(self, gains, interferer_gains):
+        """Signal and denominator (..., served pair, subcarrier) from triple
+        gains (..., Q, n_sc): the signal from ``gains``, the interferers from
+        ``interferer_gains``, added to the noise one at a time in triple order."""
+        signal = gains[..., self._signal, :]  # gathers copy, so both scale in place
+        signal *= self.p_ap
         denom = np.full_like(signal, self.sigma2)
-        interference = self.p_ap * gains[self._interferers]  # (pair, interferer, subcarrier)
-        for k in range(interference.shape[1]):
-            denom += interference[:, k]
+        # (..., pair, interferer, subcarrier)
+        interference = interferer_gains[..., self._interferers, :]
+        interference *= self.p_ap
+        for k in range(interference.shape[-2]):
+            denom += interference[..., k, :]
         return signal, denom
 
-    def _link_values(self, gains) -> list[float]:
-        signal, denom = self._sinr_terms(gains)
-        se = np.log2(1.0 + signal / denom)
+    def _link_values(self, signal, denom, widen=None):
+        """Spectral efficiency of every served link (..., P): log2(1 + SINR_n)
+        summed over subcarriers ("mean"), or n_sc times the smallest ("min").
+        ``widen`` scales 1 + SINR before the log2 and the log2 is clamped at
+        0, as ``brackets`` bounds them."""
+        x = signal / denom
+        x += 1.0
+        if widen is not None:
+            x *= widen
+        se = np.log2(x, out=x)
+        if widen is not None:
+            np.maximum(se, 0.0, out=se)  # log2 of a float >= 1
         if self.aggregate == "mean":
-            return np.sum(se, axis=1).tolist()
-        return (se.shape[1] * np.min(se, axis=1)).tolist()
+            return np.sum(se, axis=-1)
+        return se.shape[-1] * np.min(se, axis=-1)
 
     def value(self, phases: np.ndarray) -> float:
         _, gains = self._effective(np.exp(1j * np.asarray(phases, dtype=float)))
-        return sum_in_order(self._link_values(gains))
+        return sum_in_order(self._link_values(*self._sinr_terms(gains, gains)).tolist())
 
     def value_and_grad(self, phases: np.ndarray) -> tuple[float, np.ndarray]:
         coeffs = np.exp(1j * np.asarray(phases, dtype=float))
         eff, gains = self._effective(coeffs)
-        value = sum_in_order(self._link_values(gains))
+        signal, denom = self._sinr_terms(gains, gains)
+        value = sum_in_order(self._link_values(signal, denom).tolist())
         if self.n_phases == 0:
             return value, np.zeros(0)
         n_sc, n_s = eff.shape[1], eff.shape[2]
@@ -270,7 +286,6 @@ class DlRateObjective:
             np.multiply(jc, t, out=t)
             return np.multiply(t.real, p2, out=out)
 
-        signal, denom = self._sinr_terms(gains)
         grad = np.zeros(self.n_phases)
         ln2 = np.log(2.0)
         for s, d, q_signal, interferers in zip(signal, denom, self._signal, self._interferers):
@@ -369,27 +384,14 @@ class DlRateObjective:
             return np.zeros(len(points)), np.zeros(len(points))
         if self._e0 is None:
             self._bracket_setup()
-        n_sc = self._v.shape[1]
-        # (2, S, n_sc, Q): ||E|| -+ rho, with the affine entries freed before it
-        g = self._affine_norms(np.exp(1j * points)) + self._radius
+        # (2, S, Q, n_sc): the gains of ||E|| -+ rho, with the affine entries
+        # freed before them
+        g = self._affine_norms(np.exp(1j * points)).swapaxes(1, 2) + self._radius
         np.maximum(g, 0.0, out=g)
         g *= g
-        g *= self.p_ap
-        # lo over hi and hi over lo: the interferers' gains run swapped, added
-        # to the noise one column at a time
-        x = g[..., self._signal]
-        denom = np.full_like(x, self.sigma2)
-        for k in range(self._interferers.shape[1]):
-            denom += g[::-1, ..., self._interferers[:, k]]
-        x /= denom
-        x += 1.0
-        x *= self._pre_log
-        np.log2(x, out=x)
-        np.maximum(x, 0.0, out=x)  # log2 of a float >= 1
-        if self.aggregate == "mean":
-            lo, hi = np.sum(x, axis=(2, 3))
-        else:
-            lo, hi = n_sc * np.sum(np.min(x, axis=2), axis=2)
+        # lo over hi and hi over lo: the interferers' gains run swapped
+        links = self._link_values(*self._sinr_terms(g, g[::-1]), widen=self._pre_log)
+        lo, hi = sum_in_order(np.moveaxis(links, -1, 0))
         lo, hi = lo * self._post_log[0], hi * self._post_log[1]
         open_ = ~((-np.inf < lo) & (lo <= hi) & (hi < np.inf))
         lo[open_], hi[open_] = -np.inf, np.inf
@@ -459,7 +461,7 @@ class DlRateObjective:
         n2 = n1 + 2 * n_r + 2 * n_t + 1
         rho = (BRACKET_SAFETY * _gamma(n1 + n2) * _fro(self._wh, "qnrs->qn")
                * _fro(self._f, "qnts->qn") * hops)
-        self._radius = np.stack([-rho.T, rho.T])[:, None]
+        self._radius = np.stack([-rho, rho])[:, None]
         w_pre = BRACKET_SAFETY * _gamma(2 * (5 * n_s * n_s + 10) + 2 * n_owners + 6)
         w_post = BRACKET_SAFETY * _gamma(2 * LOG2_ROUNDINGS + n_pairs * n_sc + n_sc + n_pairs + 1)
         self._pre_log = np.array([1.0 - w_pre, 1.0 + w_pre])[:, None, None, None]
@@ -683,11 +685,9 @@ def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, dl_ga
     p = scenario.params
     table = _dl_gain_table(links, assignment, dl_gains)
     dl = sinr_dl(scenario, assignment, table, signal_aggregate=aggregate)
+    rate_dl = np.array([rate(dl[pair].sinr, p.bandwidth) for pair in assignment.served])
     ul = sinr_ul(scenario, assignment, _ul_gains(links, coeffs))
-    served = assignment.served
-    rate_dl = np.array([rate(dl[pair].sinr, p.bandwidth) for pair in served])
-    sinr_ul_cols = np.array([ul[pair].sinr for pair in served]).reshape(len(served), p.n_sc)
-    return utility_report(scenario, assignment, rate_dl, sinr_ul_cols), dl
+    return utility_report(scenario, assignment, rate_dl, ul), dl
 
 
 def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter, composites):
@@ -835,12 +835,13 @@ class _ProbeObjective(DlRateObjective):
         return h
 
 
-def _probe_objective(m: int, n_sc: int, seed: int, bf_counter=None, counter=None):
+def _probe_objective(m: int, bf_counter=None, counter=None):
     """The probe's objective at M elements: one AP and one user, n_t = n_r = M,
     beside an M-element surface, with beamformers designed at zero phases;
-    ``bf_counter`` counts the design's MACs, ``counter`` the objective's."""
+    ``bf_counter`` counts the design's MACs, ``counter`` the objective's.
+    Small-scale fading is off, so the links depend on no seed."""
     params = SystemParams(
-        n_t=m, n_r=m, n_rf=1, n_s=1, n_sc=n_sc, smallscale=False, r_min=0.0, v_cap=1
+        n_t=m, n_r=m, n_rf=1, n_s=1, n_sc=PROBE_N_SC, smallscale=False, r_min=0.0, v_cap=1
     )
     scenario = Scenario(
         ap_positions=np.array([[1.0, 1.0, 1.0]]),
@@ -849,7 +850,7 @@ def _probe_objective(m: int, n_sc: int, seed: int, bf_counter=None, counter=None
         bounds=Box((0.0, 0.0, 0.0), (10.0, 50.0, 3.0)),
         params=params,
     )
-    links = synthesize_links(scenario, seed)
+    links = synthesize_links(scenario)
     assignment = Assignment((0,), (False,))
     tx_cb = build_analog_codebook(m, 1, beam_grid=1)
     rx_cb = build_analog_codebook(m, 1, beam_grid=1)
@@ -860,12 +861,7 @@ def _probe_objective(m: int, n_sc: int, seed: int, bf_counter=None, counter=None
     return _ProbeObjective(links, assignment, beamformers, counter=counter)
 
 
-def complexity_probe(
-    m_values: list[int],
-    rcg_iters: int = 30,
-    n_sc: int = 4,
-    seed: int = 0,
-) -> list[dict]:
+def complexity_probe(m_values: list[int], rcg_iters: int = 30) -> list[dict]:
     """Measure counted multiply-accumulates and wall time versus element count.
 
     Antenna counts scale with M (n_t = n_r = M) so the probe exercises the
@@ -881,7 +877,7 @@ def complexity_probe(
     rows = []
     for m in m_values:
         bf_counter, phase_counter = OpCounter(), OpCounter()
-        objective = _probe_objective(m, n_sc, seed, bf_counter, phase_counter)
+        objective = _probe_objective(m, bf_counter, phase_counter)
         t0 = time.perf_counter()
         exact = SimpleNamespace(value=objective.value, value_and_grad=objective.value_and_grad)
         rcg_optimize_phases(exact, np.zeros(m), epsilon=0.0, max_iter=rcg_iters)

@@ -28,8 +28,9 @@ ROOM_TEMP_K = 290.0
 # outside this range their squares leave the normal floats (0 / 0 below,
 # overflow above)
 NOISE_POWER_MIN, NOISE_POWER_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
-# below this a carrier's wavelength overflows, and its hop amplitudes with it
-CARRIER_MIN = SPEED_OF_LIGHT / sys.float_info.max
+# below this carrier the 1 m reference loss 20 log10(4 pi f / c) of the
+# path gain turns into a gain, and a hop's amplitude can overflow
+CARRIER_MIN = SPEED_OF_LIGHT / (4.0 * math.pi)
 
 
 class ConfigError(ValueError):
@@ -154,7 +155,9 @@ class SystemParams:
         for name, value in vars(self).items():
             if isinstance(value, numbers.Real) and not _finite_float(value):
                 raise ConfigError(f"system.{name}: must be finite")
-        for name in ("s_i", "a_i", "lambda_i", "gamma_d", "r_min", "v_bits", "tracking_e0", "t_proc"):
+        # a negative path-loss exponent or penalty turns a loss into a gain
+        for name in ("s_i", "a_i", "lambda_i", "gamma_d", "r_min", "v_bits", "tracking_e0",
+                     "t_proc", "pathloss_exponent", "los_exponent", "nlos_penalty_db"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"system.{name}: must be >= 0")
         if self.n_rf > self.n_t:

@@ -100,7 +100,7 @@ class TestAnalogCodebook:
         h = np.outer(np.ones(1), a_tx.conj())[None, :, :].astype(complex)
         tx_cb = build_analog_codebook(8, 1, beam_grid=grid)
         rx_cb = build_analog_codebook(1, 1, beam_grid=1)
-        p_a, _ = select_codewords(h, tx_cb, rx_cb)
+        (p_a,), _ = select_codewords(h[None], tx_cb, rx_cb)
         assert p_a.codebook_id == "b5"
 
 
@@ -116,7 +116,7 @@ def _exhaustive_select(h, tx_codebook, rx_codebook):
 
 
 def _selected_ids(h, tx_codebook, rx_codebook, counter=None):
-    p_a, g_a = select_codewords(h, tx_codebook, rx_codebook, counter)
+    (p_a,), (g_a,) = select_codewords(h[None], tx_codebook, rx_codebook, counter)
     return p_a.codebook_id, g_a.codebook_id
 
 
@@ -156,7 +156,7 @@ class TestCodewordSelection:
         tx = build_analog_codebook(8, 2, beam_grid=16)
         rx = build_analog_codebook(4, 2, beam_grid=8)
         h = _random_channel(np.random.default_rng(13), 5, 4, 8)
-        select_codewords(h, tx, rx, counter)
+        select_codewords(h[None], tx, rx, counter)
         # per combiner: G_A^H H, then that against every grid column
         assert counter.macs == len(rx) * 5 * (2 * 4 * 8 + 2 * 8 * 16)
 
@@ -164,7 +164,7 @@ class TestCodewordSelection:
         tx = build_analog_codebook(4, 1, beam_grid=4)
         rx = build_analog_codebook(1, 1, beam_grid=1)
         with pytest.raises(ValueError, match="dimensions"):
-            select_codewords(np.zeros((1, 1, 8), dtype=complex), tx, rx)
+            select_codewords(np.zeros((1, 1, 1, 8), dtype=complex), tx, rx)
 
 
 class TestProjection:
@@ -217,7 +217,7 @@ class TestProjection:
 class TestDigitalSvd:
     def test_diagonal_selection(self):
         h_d = np.array([[[3.0, 0.0], [0.0, 1.0]]], dtype=complex)
-        p_d, g_d = digital_beamformers_svd(h_d, n_s=1)
+        (p_d,), (g_d,) = digital_beamformers_svd(h_d[None], n_s=1)
         eff = effective_channel(h_d, p_d, g_d)
         assert abs(eff[0, 0, 0]) == pytest.approx(3.0, rel=1e-12)
 
@@ -232,7 +232,7 @@ class TestDigitalSvd:
     def test_dominant_singular_value_gain(self):
         rng = np.random.default_rng(4)
         h_d = _random_channel(rng, 3, 2, 2)
-        p_d, g_d = digital_beamformers_svd(h_d, n_s=1)
+        (p_d,), (g_d,) = digital_beamformers_svd(h_d[None], n_s=1)
         for n in range(3):
             sigma_max = np.linalg.svd(h_d[n], compute_uv=False)[0]
             gain = abs((g_d[n].conj().T @ h_d[n] @ p_d[n])[0, 0])
@@ -242,7 +242,7 @@ class TestDigitalSvd:
         rng = np.random.default_rng(5)
         p_a = AnalogBeamformer(np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 2))) / 2.0, "p")
         h_d = _random_channel(rng, 3, 2, 2)
-        p_d, _ = digital_beamformers_svd(h_d, n_s=1, p_a=p_a, total_power=2.5)
+        (p_d,), _ = digital_beamformers_svd(h_d[None], n_s=1, p_a=p_a.matrix, total_power=2.5)
         for n in range(3):
             f = p_a.matrix @ p_d[n]
             assert np.linalg.norm(f) ** 2 == pytest.approx(2.5, rel=1e-12)
@@ -250,12 +250,12 @@ class TestDigitalSvd:
 
     def test_stream_count_bound(self):
         with pytest.raises(ValueError, match="stream count"):
-            digital_beamformers_svd(np.zeros((1, 2, 2), dtype=complex), n_s=3)
+            digital_beamformers_svd(np.zeros((1, 1, 2, 2), dtype=complex), n_s=3)
 
     def test_beats_random_digital_pairs(self):
         rng = np.random.default_rng(6)
         h_d = _random_channel(rng, 1, 2, 2)
-        p_d, g_d = digital_beamformers_svd(h_d, n_s=1)
+        (p_d,), (g_d,) = digital_beamformers_svd(h_d[None], n_s=1)
         svd_gain = abs((g_d[0].conj().T @ h_d[0] @ p_d[0])[0, 0])
         for _ in range(50):
             f = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
@@ -267,8 +267,8 @@ class TestDigitalSvd:
     def test_sign_fix_determinism(self):
         rng = np.random.default_rng(7)
         h_d = _random_channel(rng, 2, 2, 2)
-        a = digital_beamformers_svd(h_d, n_s=1)
-        b = digital_beamformers_svd(h_d.copy(), n_s=1)
+        a = digital_beamformers_svd(h_d[None], n_s=1)
+        b = digital_beamformers_svd(h_d[None].copy(), n_s=1)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -283,15 +283,16 @@ class TestDigitalSvd:
             phases = rng.uniform(0, 2 * np.pi, (6, shape[2]))
             p_a = AnalogBeamformer(np.exp(1j * phases) / np.sqrt(6), "p")
         for n_s in range(1, min(shape[1:]) + 1):
-            got = digital_beamformers_svd(h_d, n_s, p_a=p_a, total_power=2.5)
+            matrix = None if p_a is None else p_a.matrix
+            (p_d,), (g_d,) = digital_beamformers_svd(h_d[None], n_s, p_a=matrix, total_power=2.5)
             want = _per_subcarrier_svd(h_d, n_s, p_a=p_a, total_power=2.5)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(p_d, want[0])
+            np.testing.assert_array_equal(g_d, want[1])
 
     def test_zero_norm_precoder_stays_unscaled(self):
         h_d = _random_channel(np.random.default_rng(9), 4, 2, 2)
         p_a = AnalogBeamformer(np.zeros((4, 2), dtype=complex), "zero")
-        p_d, _ = digital_beamformers_svd(h_d, n_s=1, p_a=p_a)
+        (p_d,), _ = digital_beamformers_svd(h_d[None], n_s=1, p_a=p_a.matrix)
         np.testing.assert_array_equal(p_d, _per_subcarrier_svd(h_d, 1, p_a=p_a)[0])
         np.testing.assert_allclose(np.linalg.norm(p_d, axis=(1, 2)), 1.0, rtol=1e-12)
 

@@ -167,8 +167,8 @@ class TestDirectChannels:
         links = synthesize_links(_mimo_scenario(3, 1, n_sc=5))
         assert links.dl_nlos.shape == (1, 1, 5, 2, 4)
         assert links.ul_nlos.shape == (1, 1, 5, 4, 2)
-        assert links.dl_user_cols.shape == links.ul_user_rows.shape == (1, 5, 3, 2)
-        assert links.dl_ap_rows.shape == links.ul_ap_cols.shape == (1, 5, 3, 4)
+        assert links.dl_user_cols.shape == links.ul_hops("user").shape == (1, 5, 3, 2)
+        assert links.dl_ap_rows.shape == links.ul_hops("ap").shape == (1, 5, 3, 4)
         # the UL hops are stored as per-(link, element) amplitudes and delays
         for name in ("ul_user_amp", "ul_user_delay", "ul_ap_amp", "ul_ap_delay"):
             assert getattr(links, name).shape == (1, 3), name
@@ -347,8 +347,9 @@ class TestLinkChannels:
 
     def test_cascade_stacks_run_element_fastest(self):
         links = synthesize_links(_mimo_scenario(2, 2), seed=0)
-        for name in ("dl_user_cols", "dl_ap_rows", "ul_user_rows", "ul_ap_cols"):
-            stack = getattr(links, name)
+        stacks = {"dl_user_cols": links.dl_user_cols, "dl_ap_rows": links.dl_ap_rows,
+                  "ul user": links.ul_hops("user"), "ul ap": links.ul_hops("ap")}
+        for name, stack in stacks.items():
             assert stack.strides[2] == stack.itemsize, name
 
     @pytest.mark.parametrize("delay_mode", ["phasor", "real_decay"])
@@ -380,14 +381,15 @@ class TestLinkChannels:
 
 def _stored_ul_stacks(sc):
     """The UL element-hop stacks as synthesis stored them before it kept
-    their factors: ``_hop_factors`` and one np.multiply into an
-    element-fastest (L, n_sc, M, n) buffer."""
+    their factors: ``_hop_factors``, the gains of the whole band and one
+    np.multiply into an element-fastest (L, n_sc, M, n) buffer."""
     p = sc.params
     aps, users = sc.ap_positions, sc.user_positions
     elems = sc.irs_element_positions()[None]
 
     def hops(carrier, dod, a_rx, a_tx):
-        gain, outer = _hop_factors(p, carrier, dod, a_rx, a_tx, p.los_exponent)
+        amp, tau, outer = _hop_factors(carrier, dod, a_rx, a_tx, p.los_exponent)
+        gain = _hop_gains(p, carrier, amp, tau)
         n_links, m, n_rx, n_tx = outer.shape
         out = np.empty((n_links, gain.shape[-1], n_rx * n_tx, m), dtype=complex).swapaxes(2, 3)
         return np.multiply(gain.swapaxes(1, 2)[..., None],
@@ -421,7 +423,8 @@ class TestFactoredUlHops:
     ], ids=["stock24", "stock384", "mimo", "real_decay", "no_surface"])
     def test_formed_stacks_equal_the_stored_stacks(self, sc):
         links = synthesize_links(sc, seed=4)
-        for formed, stored in zip((links.ul_user_rows, links.ul_ap_cols), _stored_ul_stacks(sc)):
+        for formed, stored in zip((links.ul_hops("user"), links.ul_hops("ap")),
+                                  _stored_ul_stacks(sc)):
             assert formed.shape == stored.shape and formed.strides == stored.strides
             assert formed.tobytes() == stored.tobytes()
 
@@ -443,7 +446,8 @@ class TestFactoredUlHops:
     @pytest.mark.parametrize("delay_mode", ["phasor", "real_decay"])
     def test_gains_from_stored_factors_equal_the_whole_product(self, delay_mode):
         # the gains a UL piece forms from the stored amplitudes and delays are,
-        # byte for byte, the slice of _hop_factors' whole (L, M, n_sc) product
+        # byte for byte, the slice of the whole (L, M, n_sc) product formed from
+        # _hop_factors' amplitudes and delays
         sc = default_scenario(24, delay_mode=delay_mode)
         p, links = sc.params, synthesize_links(sc, seed=4)
         elems = sc.irs_element_positions()[None]
@@ -452,7 +456,8 @@ class TestFactoredUlHops:
         for dod, amp, delay in ((user_dod, links.ul_user_amp, links.ul_user_delay),
                                 (ap_dod, links.ul_ap_amp, links.ul_ap_delay)):
             unit = np.ones(dod.shape[:-1] + (1,))
-            whole, _ = _hop_factors(p, p.carrier_ul, dod, unit, unit, p.los_exponent)
+            whole = _hop_gains(p, p.carrier_ul,
+                               *_hop_factors(p.carrier_ul, dod, unit, unit, p.los_exponent)[:2])
             assert whole.shape == amp.shape + (p.n_sc,)
             for size in (1, 5, p.n_sc):
                 for start in range(0, p.n_sc, size):
@@ -505,7 +510,7 @@ def _three_operand(links, coeffs, band):
     if band == "DL":
         h, user, ap, spec = links.dl_nlos, links.dl_user_cols, links.dl_ap_rows, "ibnrt"
     else:
-        h, user, ap, spec = links.ul_nlos, links.ul_user_rows, links.ul_ap_cols, "ibntr"
+        h, user, ap, spec = links.ul_nlos, links.ul_hops("user"), links.ul_hops("ap"), "ibntr"
     h = h.copy()
     if len(coeffs):
         h += np.einsum("m,inmr,bnmt->" + spec, coeffs, user, ap)

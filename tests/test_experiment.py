@@ -608,10 +608,10 @@ system:
         assert captured.err.endswith(f"irslink probe: error: {message}\n")
 
 
-# ROADMAP item 10's values for a mutated field: zero, negative, huge, tiny,
+# ROADMAP item 10's values for a mutated field: zero, negative, huge of either sign, tiny,
 # small, not finite, and every wrong YAML kind
-_FUZZ_VALUES = [0, -1, 1e300, 1e-300, 1e-9, float("nan"), float("inf"), float("-inf"), "text",
-                None, True, [1.0], {"a": 1.0}]
+_FUZZ_VALUES = [0, -1, 1e300, -1e300, 1e-300, 1e-100, 1e-9, float("nan"), float("inf"),
+                float("-inf"), "text", None, True, [1.0], {"a": 1.0}]
 _SYSTEM_FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
 
 

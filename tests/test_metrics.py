@@ -1,8 +1,10 @@
 """SINR, rate, delay and utility oracles (hand-computed scalar instances),
-and the columnar utility report against the row-by-row code it replaced."""
+the column-wise SINRs against the per-pair loops they replaced, and the
+columnar utility report against the row-by-row code it replaced."""
 
 import math
 import warnings
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,6 @@ from irslink.experiment import (
 from irslink.metrics import (
     DelayBreakdown,
     SinrBreakdown,
-    UlSinrBreakdown,
     UtilityRow,
     conditional_utility,
     processing_delay,
@@ -37,7 +38,9 @@ from irslink.metrics import (
     utility_report,
 )
 from irslink.optimizer import (
+    DlRateObjective,
     _design_all_beamformers,
+    _dl_gain_table,
     _evaluate,
     _initial_assignment,
     _ul_gains,
@@ -138,13 +141,14 @@ class TestSinrUl:
         ul[0, 0] = ul[1, 1] = 0.9
         ul[0, 1] = ul[1, 0] = 0.2
         out = sinr_ul(sc, Assignment((0, 1), (False, False)), ul)
-        np.testing.assert_allclose(out[(0, 0)].sinr, out[(1, 1)].sinr)
+        assert out.shape == (2, 1)
+        np.testing.assert_allclose(out[0], out[1])
 
     def test_noise_scaling(self):
         gains = np.full((1, 1, 2), 0.5)
         a = sinr_ul(_metric_scenario(n_sc=2, noise_power=1.0), Assignment((0,), (False,)), gains)
         b = sinr_ul(_metric_scenario(n_sc=2, noise_power=2.0), Assignment((0,), (False,)), gains)
-        np.testing.assert_allclose(a[(0, 0)].sinr, 2.0 * b[(0, 0)].sinr)
+        np.testing.assert_allclose(a, 2.0 * b)
 
     def test_three_node_scalar_oracle(self):
         # users 0,1 at AP 0; user 2 at AP 1; all interfere at AP 0
@@ -154,12 +158,20 @@ class TestSinrUl:
         ul[1, 0] = 0.5
         ul[2, 0] = 0.125
         ul[1, 1] = ul[2, 1] = 0.3
-        out = sinr_ul(sc, Assignment((0, 0, 1), (False,) * 3), ul)
-        b = out[(0, 0)]
+        assignment = Assignment((0, 0, 1), (False,) * 3)
         expected = 2.0 * 1.0 / (0.25 + 2.0 * 0.5 + 2.0 * 0.125)
+        assert sinr_ul(sc, assignment, ul)[0, 0] == pytest.approx(expected, abs=1e-12)
+        b = reference_sinr_ul(sc, assignment, ul)[(0, 0)]
         assert b.sinr[0] == pytest.approx(expected, abs=1e-12)
         assert b.intra_interference[0] == pytest.approx(1.0)
         assert b.inter_interference[0] == pytest.approx(0.25)
+
+    def test_missing_interferer_rejected(self):
+        sc = _metric_scenario(n_users=2, n_aps=2, n_sc=2)
+        ul = np.ones((2, 2, 2))
+        ul[1, 0, 1] = np.nan  # user 1 at AP 0, which serves user 0
+        with pytest.raises(ValueError, match=r"in UL gain table at \(1, 0\)$"):
+            sinr_ul(sc, Assignment((0, 1), (False, False)), ul)
 
 
 class TestRate:
@@ -328,6 +340,96 @@ class TestUtilityReport:
         )
 
 
+# --- oracle: the per-pair SINR loops that sinr_dl / sinr_ul replaced --------
+
+
+def _ref_used_gain(gains, index, label):
+    values = gains[index]
+    if np.any(np.isnan(values)):
+        raise ValueError(f"missing interferer channel in {label} gain table at {index}")
+    return values
+
+
+def _ref_sum(values):
+    # left to right, as Python < 3.12 sum() adds floats
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def reference_sinr_dl(scenario, assignment, eff_gains, signal_aggregate="mean"):
+    """Per served (user, AP) DL breakdown, pair by pair: interferers summed in
+    ``assignment.owners`` order, intra-cell and inter-cell apart."""
+    p = scenario.params
+    agg = np.mean if signal_aggregate == "mean" else np.min
+    out = {}
+    for i, j in assignment.served:
+        signal = p.p_ap * float(agg(_ref_used_gain(eff_gains, (i, j, i), "DL")))
+        intra = _ref_sum(
+            p.p_ap * float(np.mean(_ref_used_gain(eff_gains, (i, j, l), "DL")))
+            for b, l in assignment.owners
+            if b == j and l != i
+        )
+        inter = _ref_sum(
+            p.p_ap * float(np.mean(_ref_used_gain(eff_gains, (i, b, l), "DL")))
+            for b, l in assignment.owners
+            if b != j
+        )
+        out[(i, j)] = SinrBreakdown(signal, intra, inter, p.sigma2)
+    return out
+
+
+@dataclass(frozen=True)
+class UlSinrBreakdown:
+    """Per-subcarrier UL signal/interference decomposition for one (user, AP)."""
+
+    signal: np.ndarray  # Watts, (n_sc,)
+    intra_interference: np.ndarray
+    inter_interference: np.ndarray
+    noise: float
+
+    @property
+    def sinr(self) -> np.ndarray:
+        return self.signal / (self.noise + self.intra_interference + self.inter_interference)
+
+
+def reference_sinr_ul(scenario, assignment, ul_gains):
+    """Per served (user, AP) per-subcarrier UL breakdown, pair by pair: every
+    other served user interferes at the receiving AP, in served order."""
+    p = scenario.params
+    out = {}
+    for i, j in assignment.served:
+        signal = p.p_user * _ref_used_gain(ul_gains, (i, j), "UL")
+        intra = np.zeros(p.n_sc)
+        inter = np.zeros(p.n_sc)
+        for l, b in assignment.served:
+            if l == i:
+                continue
+            if b == j:
+                intra += p.p_user * _ref_used_gain(ul_gains, (l, j), "UL")
+            else:
+                inter += p.p_user * _ref_used_gain(ul_gains, (l, j), "UL")
+        out[(i, j)] = UlSinrBreakdown(signal, intra, inter, p.sigma2)
+    return out
+
+
+def _assert_sinrs_match_reference(scenario, assignment, table, ul, aggregate):
+    """sinr_dl and sinr_ul on a DL gain table and UL gains equal the per-pair
+    loops byte for byte; returns the reference breakdowns."""
+    ref_dl = reference_sinr_dl(scenario, assignment, table, aggregate)
+    dl = sinr_dl(scenario, assignment, table, aggregate)
+    assert list(dl) == list(ref_dl)
+    assert (np.array([astuple(b) for b in dl.values()]).tobytes()
+            == np.array([astuple(b) for b in ref_dl.values()]).tobytes())
+    ref_ul = reference_sinr_ul(scenario, assignment, ul)
+    columns = np.array([ref_ul[pair].sinr for pair in assignment.served])
+    got = sinr_ul(scenario, assignment, ul)
+    assert got.shape == (len(assignment.served), scenario.params.n_sc)
+    assert got.tobytes() == columns.tobytes()
+    return ref_dl, ref_ul
+
+
 # --- oracle: the row-by-row report that utility_report replaced -------------
 
 
@@ -352,14 +454,6 @@ def _ref_conditional(d, d_max, gamma):
 def _ref_routing(errors):
     peak = errors.max()
     return np.ones_like(errors) if peak <= 0 else 1.0 - errors / peak
-
-
-def _ref_sum(rows):
-    # left to right, as Python < 3.12 sum() adds floats
-    total = 0
-    for r in rows:
-        total += r.total_utility
-    return total
 
 
 def reference_utility_report(scenario, assignment, dl_sinr, ul_sinr):
@@ -394,7 +488,7 @@ def reference_utility_report(scenario, assignment, dl_sinr, ul_sinr):
                            u_cond if feasible else 0.0,
                            float(u_route[n]) if feasible else 0.0, feasible)
             )
-    return tuple(rows), _ref_sum(rows)
+    return tuple(rows), _ref_sum(r.total_utility for r in rows)
 
 
 def reference_external_snr(scenario, trace):
@@ -425,7 +519,7 @@ def reference_external_snr(scenario, trace):
             UtilityRow(i, j, 0, dl_rates[i, j], rate_ul, d, u_cond if feasible else 0.0,
                        u_route if feasible else 0.0, feasible)
         )
-    return tuple(rows), _ref_sum(rows)
+    return tuple(rows), _ref_sum(r.total_utility for r in rows)
 
 
 def _final_state(scenario, seed, codebook=None, infeasible=None):
@@ -456,8 +550,12 @@ def _assert_matches_reference(report, reference):
 def _check_evaluate(scenario, seed, aggregate="mean", codebook=None, infeasible=None):
     scenario, links, assignment, coeffs, bfs = _final_state(scenario, seed, codebook, infeasible)
     report, dl = _evaluate(scenario, links, assignment, coeffs, bfs, aggregate)
-    ul = _ul_gains(links, coeffs)
-    reference = reference_utility_report(scenario, assignment, dl, sinr_ul(scenario, assignment, ul))
+    _, gains = DlRateObjective(links, assignment, bfs)._effective(coeffs)
+    table = _dl_gain_table(links, assignment, gains)
+    ref_dl, ref_ul = _assert_sinrs_match_reference(
+        scenario, assignment, table, _ul_gains(links, coeffs), aggregate)
+    assert dl == ref_dl
+    reference = reference_utility_report(scenario, assignment, ref_dl, ref_ul)
     _assert_matches_reference(report, reference)
     return report
 
@@ -476,8 +574,9 @@ QUEUE = {"lambda_i": 2e3, "mu_j": 4e3}
 
 
 class TestColumnarReportOracle:
-    """utility_report and the external-SNR run equal the row-by-row code bit
-    for bit: every row, the sum utility and the minimum transmission delay."""
+    """sinr_dl and sinr_ul equal the per-pair loops, and utility_report and
+    the external-SNR run the row-by-row code, bit for bit: every SINR term,
+    every row, the sum utility and the minimum transmission delay."""
 
     @pytest.mark.parametrize("aggregate", ["mean", "min"])
     def test_stock_seeds_and_codebooks(self, aggregate):
@@ -507,6 +606,26 @@ class TestColumnarReportOracle:
         assert dl == {}
         assert report.rate_dl.shape == (0,) and report.rate_ul.shape == (0, 4)
         assert report.sum_utility == 0.0 and report.rows == ()
+
+    @pytest.mark.parametrize("band", ["DL", "UL"])
+    def test_missing_entry_rejected_as_the_reference_does(self, band):
+        # one NaN in a used entry: both name that entry, whichever sum meets it
+        scenario, links, assignment, coeffs, bfs = _final_state(default_scenario(n_sc=4), 0)
+        _, gains = DlRateObjective(links, assignment, bfs)._effective(coeffs)
+        table, ul = _dl_gain_table(links, assignment, gains), _ul_gains(links, coeffs)
+        (i, j), (l, b) = assignment.served[0], assignment.served[-1]
+        if band == "DL":
+            table[i, b, l, 2] = np.nan
+            calls = (sinr_dl, reference_sinr_dl)
+        else:
+            ul[l, j, 2] = np.nan
+            calls = (sinr_ul, reference_sinr_ul)
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError, match="missing interferer channel") as exc:
+                call(scenario, assignment, table if band == "DL" else ul)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
     def test_single_subcarrier(self):
         for seed in range(4):

@@ -152,8 +152,8 @@ class PerTripleObjective:
             eff[i, b, l] = gain
         ul = np.zeros((U, B, sc.params.n_sc))
         # the UL hops in C order, formed from their stored factors
-        user_rows = np.ascontiguousarray(links.ul_user_rows)
-        ap_cols = np.ascontiguousarray(links.ul_ap_cols)
+        user_rows = np.ascontiguousarray(links.ul_hops("user"))
+        ap_cols = np.ascontiguousarray(links.ul_hops("ap"))
         for i in range(U):
             for j in range(B):
                 h = links.ul_nlos[i, j].copy()
@@ -826,7 +826,7 @@ class TestBracket:
         m, n_rt = objective.n_phases, n_r * n_t
         n1 = 2 * m + 2 * n_rt + 18
         scale = optimizer.BRACKET_SAFETY * optimizer._gamma(2 * n1 + 2 * n_r + 2 * n_t + 1)
-        oracle = scale * np.sqrt(np.einsum("qnsc,qnsc->nq", a, a))
+        oracle = scale * np.sqrt(np.einsum("qnsc,qnsc->qn", a, a))
         radius = objective._radius[1, 0]
         assert radius.shape == oracle.shape
         np.testing.assert_array_equal(objective._radius[0, 0], -radius)
@@ -1335,8 +1335,8 @@ class TestProbeKernel:
     """The probe's GEMM composites agree with ``LinkChannels.dl_composites``
     to rounding."""
 
-    @pytest.mark.parametrize("build", [partial(_probe_objective, 8, 4, 0),
-                                       partial(_probe_objective, 64, 4, 0), _stock_probe_objective],
+    @pytest.mark.parametrize("build", [partial(_probe_objective, 8),
+                                       partial(_probe_objective, 64), _stock_probe_objective],
                              ids=["m8", "m64", "8ant_2rf"])
     def test_agrees_with_run_path_composites(self, build):
         objective = build()

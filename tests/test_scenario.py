@@ -156,12 +156,16 @@ class TestSystemParams:
         [("noise_figure_db", 4000.0), ("noise_figure_db", -4000.0), ("s_i", 10**400),
          ("bandwidth", 1e-300), ("noise_power", 1e-320), ("bandwidth", 1e300),
          ("noise_power", 1e160), ("noise_power", 1e-300), ("p_ap", 1e300), ("p_user", 1e300),
-         ("carrier_ul", 1e-300), ("carrier_dl", 1e-300)],
+         ("carrier_ul", 1e-300), ("carrier_dl", 1e-300), ("carrier_ul", 1e-100),
+         ("carrier_dl", 2.3e7), ("los_exponent", -1e300), ("pathloss_exponent", -1e300),
+         ("nlos_penalty_db", -1e300), ("los_exponent", -0.5)],
         ids=["noise_power_overflows", "noise_power_underflows", "int_beyond_float",
              "thermal_noise_subnormal", "noise_power_subnormal", "thermal_noise_squares_overflow",
              "noise_power_squares_overflow", "noise_power_squares_underflow",
              "ap_power_squares_overflow", "user_power_overflows", "ul_wavelength_overflows",
-             "dl_wavelength_overflows"],
+             "dl_wavelength_overflows", "ul_reference_loss_a_gain", "dl_reference_loss_a_gain",
+             "los_exponent_a_gain", "pathloss_exponent_a_gain", "nlos_penalty_a_gain",
+             "los_exponent_negative"],
     )
     def test_values_that_overflow_rejected(self, name, value):
         # each used to fail inside the run: an OverflowError from sigma2, a
@@ -169,8 +173,10 @@ class TestSystemParams:
         # noise power whose SINR ratios overflow, a noise or AP power whose
         # squared SINR denominators overflow in the gradient, a noise power
         # whose squared denominators underflow there to 0 / 0, a user power
-        # whose received UL powers overflow, and a carrier whose wavelength
-        # and hop amplitudes overflow
+        # whose received UL powers overflow, a carrier whose wavelength and
+        # hop amplitudes overflow, and a carrier below c / (4 pi * 1 m) or a
+        # negative exponent or penalty, which turn a path loss into a gain
+        # whose hop amplitudes overflow
         with pytest.raises(ConfigError, match=rf"^system\.{name}: "):
             SystemParams(**{name: value})
 
