@@ -100,7 +100,8 @@ class DlRateObjective:
     stacked pass: ``dl_composites`` builds the composites of all user-AP
     links into a buffer the objective owns and reuses, a gather copies each
     triple's link into a second such buffer, and one einsum forms the
-    effective matrices W_i^H H_ib F_l of all triples. Triples run
+    effective matrices W_i^H H_ib F_l of all triples
+    (``_effective_matrices``). Triples run
     receiver-major, then by (AP, owner), the order in which each receiver's
     interferers are summed (``Assignment.dl_triples``). The effective matrices
     and gains of the last two points are kept, keyed by the coefficient
@@ -203,7 +204,12 @@ class DlRateObjective:
 
     def _kernel(self, coeffs, composites=None):
         """One stacked pass over every triple, building the composites unless
-        given them; counts the MACs it performs."""
+        given them. Counts the paper-literal MACs: M n_r n_t per link and
+        subcarrier for each composite built, and the chain (W^H H) F,
+        n_s (n_r n_t + n_t n_s) per triple and subcarrier, for the effective
+        matrices. ``_effective_matrices`` forms them with a three-operand
+        einsum over the gathered links; ``_ProbeObjective`` runs the chain's
+        two GEMMs, so the probe times the products counted here."""
         links = self.links
         p = links.scenario.params
         if not self.assignment.served:
@@ -214,11 +220,7 @@ class DlRateObjective:
             self._held = (coeffs.tobytes(), h)
             if self.counter is not None:
                 self.counter.add(h.shape[0] * h.shape[1] * p.n_sc * self.n_phases * p.n_r * p.n_t)
-        # the indices are in range; "clip" writes into the buffer directly, where
-        # the default "raise" goes through a temporary copy
-        np.take(h.reshape((-1,) + h.shape[2:]), self._links_of, axis=0, out=self._gathered,
-                mode="clip")
-        eff = np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, self._gathered, self._f)
+        eff = self._effective_matrices(h)
         if self.counter is not None:
             n_q, n_s = eff.shape[0], eff.shape[2]
             self.counter.add(n_q * p.n_sc * n_s * (p.n_r * p.n_t + p.n_t * n_s))
@@ -227,6 +229,19 @@ class DlRateObjective:
     def _build_composites(self, coeffs):
         """The DL composites at ``coeffs``, built into the objective's buffer."""
         return self.links.dl_composites(coeffs, out=self._composites)
+
+    def _gather(self, h):
+        """Each triple's link of the composites ``h``, copied into the
+        objective's buffer, (Q, n_sc, n_r, n_t)."""
+        # the indices are in range; "clip" writes into the buffer directly, where
+        # the default "raise" goes through a temporary copy
+        return np.take(h.reshape((-1,) + h.shape[2:]), self._links_of, axis=0,
+                       out=self._gathered, mode="clip")
+
+    def _effective_matrices(self, h):
+        """W_i^H H_ib F_l of every triple, (Q, n_sc, n_s, n_s), from the
+        composites ``h``: the links gathered, then one three-operand einsum."""
+        return np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, self._gather(h), self._f)
 
     def _sinr_terms(self, gains, interferer_gains):
         """Signal and denominator (..., served pair, subcarrier) from triple
@@ -807,22 +822,31 @@ def alternating_optimize(
 
 
 class _ProbeObjective(DlRateObjective):
-    """``DlRateObjective`` that builds its composites with one batched GEMM,
-    H = H_nlos + (phi . U)^T V per (user, AP, subcarrier), where U and V are
-    the user and AP element stacks: the paper-literal rebuild that
-    ``complexity_probe`` times, and that ``_kernel`` counts as M n_r n_t
-    MACs per link and subcarrier, as on the run path.
+    """``DlRateObjective`` that runs the products ``_kernel`` counts, as
+    batched GEMMs: the composites H = H_nlos + (phi . U)^T V per (user, AP,
+    subcarrier), where U and V are the user and AP element stacks (the
+    paper-literal rebuild, M n_r n_t MACs per link and subcarrier), and the
+    effective matrices as the chain (W^H H) F (n_s (n_r n_t + n_t n_s) MACs
+    per triple and subcarrier). When the triples are the links in order, as
+    in every ``_probe_objective``, the chain reads the composites in place;
+    otherwise it gathers them first, as the run path does.
 
-    The GEMM rounds otherwise than the run path's ``_cascade`` einsum, whose
-    bits the golden result files and the benchmark's reference digests pin,
-    so only the probe uses it. The class goes once a rounding-level
-    re-record moves ``_cascade`` onto the same GEMM (ROADMAP item 2).
+    The GEMMs round otherwise than the run path's ``_cascade`` einsum and
+    three-operand effective einsum, whose bits the golden result files and
+    the benchmark's reference digests pin, so only the probe uses them. The
+    class goes once a rounding-level re-record moves the run path onto the
+    same products (ROADMAP item 2).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # the user stack as stored, (U, n_sc, n_r, M), scaled by the phases per pass
         self._scaled = np.empty_like(self.links.dl_user_cols.swapaxes(2, 3))
+        n_links = self.links.dl_nlos.shape[0] * self.links.dl_nlos.shape[1]
+        self._links_in_order = np.array_equal(self._links_of, np.arange(n_links))
+        if self.assignment.served:
+            # W^H of every triple, (Q, n_sc, n_s, n_r), contiguous for the GEMM
+            self._w_adj = np.ascontiguousarray(self._wh.swapaxes(2, 3))
 
     def _build_composites(self, coeffs):
         links, h = self.links, self._composites
@@ -833,6 +857,10 @@ class _ProbeObjective(DlRateObjective):
         else:
             np.copyto(h, links.dl_nlos)
         return h
+
+    def _effective_matrices(self, h):
+        links = h.reshape((-1,) + h.shape[2:]) if self._links_in_order else self._gather(h)
+        return np.matmul(np.matmul(self._w_adj, links), self._f)
 
 
 def _probe_objective(m: int, bf_counter=None, counter=None):
@@ -868,8 +896,10 @@ def complexity_probe(m_values: list[int], rcg_iters: int = 30) -> list[dict]:
     cubic composite-rebuild cost of phase optimization and the quadratic
     projection cost of hybrid beamforming. The probe measures the paper's
     search: its RCG sees the objective without ``brackets``, so every trial
-    point runs the counted composite kernel, whose composites
-    ``_ProbeObjective`` builds with one GEMM.
+    point runs the counted composite kernel. ``_ProbeObjective`` runs that
+    kernel as the products it counts, one GEMM for the composites and two
+    for the effective matrices, so the wall time and ``phase_macs`` measure
+    the same work.
     """
     if list(m_values) != sorted(m_values):
         raise ValueError("m_values must be ascending")

@@ -9,6 +9,7 @@ Configuration documents are YAML key/value trees with sections
 values and out-of-range values are rejected with their field path.
 """
 
+import itertools
 import math
 import numbers
 import os
@@ -295,6 +296,31 @@ class Scenario:
                 if hits.size:
                     k, l = hits[0]
                     raise ConfigError(f"geometry.{label}[{k}]: coincides with {other}[{l}]")
+        self._check_hop_amplitudes()
+
+    def _check_hop_amplitudes(self):
+        """Raise ConfigError naming the exponent of a hop family whose
+        amplitudes overflow or exceed ``NOISE_POWER_MAX``, the bound the powers
+        keep: below 1 m a hop's path loss is a gain that grows with the
+        exponent, and the shortest hop of a family has its largest amplitude."""
+        from irslink.channel import _amp_delay  # here: channel imports this module
+
+        p = self.params
+        nodes = np.concatenate([self.user_positions, self.ap_positions])
+        families = [("pathloss_exponent", p.nlos_penalty_db,
+                     self.user_positions[:, None] - self.ap_positions[None])]
+        if self.irs_panels:
+            families.append(("los_exponent", 0.0, nodes[:, None] - self.irs_element_positions()))
+        for (name, loss_db, dod), carrier in itertools.product(
+                families, (p.carrier_dl, p.carrier_ul)):
+            with np.errstate(all="ignore"):  # the overflow is what this looks for
+                amp = float(np.max(_amp_delay(carrier, dod, getattr(p, name), loss_db)[0]))
+            if not amp <= NOISE_POWER_MAX:  # NaN fails too
+                shortest = float(np.min(np.linalg.norm(dod, axis=-1)))
+                raise ConfigError(
+                    f"system.{name}: the shortest hop ({shortest:.3g} m) has amplitude "
+                    f"{amp!r}, above {NOISE_POWER_MAX!r}"
+                )
 
     @property
     def n_users(self) -> int:

@@ -1,5 +1,6 @@
 """Channel synthesis oracles: path gain, delay phasors, cascades, composites."""
 
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -254,6 +255,39 @@ class TestDegenerateGeometry:
                 bounds=sc.bounds,
                 params=sc.params,
             )
+
+    @pytest.mark.parametrize(
+        "name, value, user, shortest",
+        [("pathloss_exponent", 1e300, (2.0, 3.0, 2.0), "0.5"),
+         ("pathloss_exponent", 1300.0, (2.0, 3.0, 2.0), "0.5"),
+         ("los_exponent", 1e300, (0.5, 4.0, 1.2), "0.5"),
+         ("pathloss_exponent", 1e308, (2.0, 3.0, 1.5), "1")],
+        ids=["direct_hop_overflows", "direct_hop_above_power_bound", "element_hop_overflows",
+             "exponent_times_zero_log_is_nan"],
+    )
+    def test_short_hop_whose_amplitude_overflows_rejected(self, name, value, user, shortest):
+        # a hop shorter than 1 m turns its path loss into a gain that grows
+        # with the exponent: 0.5 m below the AP, or 0.5 m from a panel corner.
+        # At 1 m, 10 * 1e308 overflows to inf and inf * log10(1) is NaN
+        sc = _mimo_scenario(3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError,
+                               match=rf"^system\.{name}: the shortest hop \({shortest} m\)"):
+                replace(sc, user_positions=np.array([user]),
+                        params=replace(sc.params, **{name: value}))
+
+    def test_short_hop_within_the_power_bound_is_finite(self):
+        # amplitudes about 4e146 (DL) and 5e147 (UL) at 0.5 m, below the
+        # powers' bound of 1.34e154
+        sc = _mimo_scenario(3, 2)
+        near = replace(sc, user_positions=np.array([(2.0, 3.0, 2.0)]),
+                       params=replace(sc.params, pathloss_exponent=1000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            links = synthesize_links(near)
+        for hops in (links.dl_nlos, links.ul_nlos):
+            assert 1e145 < np.abs(hops).max() < 1.34e154
 
 
 class TestSmallScale:

@@ -562,6 +562,25 @@ system:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_short_hop_whose_amplitude_overflows_names_the_exponent(self, tmp_path, capsys):
+        # a user 0.5 m below the AP: at this exponent the direct hop's path
+        # loss is a gain that overflowed in channel._amp_delay, a traceback
+        # under -W error
+        scenario = tmp_path / "short_hop.yaml"
+        scenario.write_text(
+            "geometry:\n  ap_positions: [[2.0, 3.0, 2.5]]\n  user_positions: [[2.0, 3.0, 2.0]]\n"
+            "system: {pathloss_exponent: 1.0e+300}\n"
+        )
+        argv = ["run", "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("irslink: error: system.pathloss_exponent: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_more_streams_than_user_antennas_is_one_error_line(self, tmp_path, capsys):
         # it used to load, synthesize every link and fail in the beamformer
         # design with "stream count exceeds projected channel rank bound"

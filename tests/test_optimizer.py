@@ -1324,6 +1324,13 @@ class TestComplexityProbe:
         monkeypatch.setattr(DlRateObjective, "_build_composites", einsum_build)
         assert complexity_probe([8], rcg_iters=2)[0]["phase_macs"] > 0
 
+    def test_objective_forms_effective_matrices_by_gemm(self, monkeypatch):
+        def einsum_step(objective, h):
+            raise AssertionError("the probe formed its effective matrices with the run path's einsum")
+
+        monkeypatch.setattr(DlRateObjective, "_effective_matrices", einsum_step)
+        assert complexity_probe([8], rcg_iters=2)[0]["phase_macs"] > 0
+
 
 def _stock_probe_objective():
     _, links, assignment, beamformers = build_rate_objective(
@@ -1331,13 +1338,17 @@ def _stock_probe_objective():
     return _ProbeObjective(links, assignment, beamformers)
 
 
-class TestProbeKernel:
-    """The probe's GEMM composites agree with ``LinkChannels.dl_composites``
-    to rounding."""
+_PROBE_BUILDS = pytest.mark.parametrize(
+    "build", [partial(_probe_objective, 8), partial(_probe_objective, 64), _stock_probe_objective],
+    ids=["m8", "m64", "8ant_2rf"])
 
-    @pytest.mark.parametrize("build", [partial(_probe_objective, 8),
-                                       partial(_probe_objective, 64), _stock_probe_objective],
-                             ids=["m8", "m64", "8ant_2rf"])
+
+class TestProbeKernel:
+    """The probe's GEMM composites agree with ``LinkChannels.dl_composites``,
+    and its GEMM chain's effective matrices and gains with the run path's
+    einsum, to rounding."""
+
+    @_PROBE_BUILDS
     def test_agrees_with_run_path_composites(self, build):
         objective = build()
         links = objective.links
@@ -1350,6 +1361,23 @@ class TestProbeKernel:
             # relative Frobenius error per (user, AP, subcarrier)
             error = np.linalg.norm(got - want, axis=(3, 4)) / np.linalg.norm(want, axis=(3, 4))
             assert error.max() <= 1e-12
+
+    @_PROBE_BUILDS
+    def test_effective_matrices_agree_with_run_path(self, build):
+        objective = build()
+        # the probe's single link is read in place; the stock objective's 16
+        # triples repeat links, so it gathers them
+        assert objective._links_in_order == (len(objective._rx) == 1)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            coeffs = np.exp(1j * rng.uniform(-np.pi, np.pi, objective.n_phases))
+            eff, gains = objective._kernel(coeffs)
+            want = DlRateObjective._effective_matrices(objective, objective._composites)
+            want_gains = np.sum(np.abs(want) ** 2, axis=(2, 3))
+            # relative Frobenius error per (triple, subcarrier), and of the gains
+            error = np.linalg.norm(eff - want, axis=(2, 3)) / np.linalg.norm(want, axis=(2, 3))
+            assert error.max() <= 1e-12
+            assert np.max(np.abs(gains - want_gains) / want_gains) <= 1e-12
 
     def test_no_surface_gives_direct_hops(self):
         _, links, assignment, beamformers = build_rate_objective(default_scenario(0), seed=0)
