@@ -203,9 +203,8 @@ def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityRep
     dl_snr = trace.snr_linear([(i, U + j) for i in range(U) for j in range(B)])
     dl_rates = np.array([rate(snr, p.bandwidth) for snr in dl_snr]).reshape(U, B)
     assignment = associate_users(scenario, dl_rates)
-    served = assignment.served
-    rate_dl = np.array([dl_rates[i, j] for i, j in served])
-    sinr_ul = np.array(trace.snr_linear([(U + j, i) for i, j in served])).reshape(len(served), 1)
+    rate_dl = dl_rates[assignment.users, assignment.aps]
+    sinr_ul = np.array(trace.snr_linear([(U + j, i) for i, j in assignment.served])).reshape(-1, 1)
     return utility_report(scenario, assignment, rate_dl, sinr_ul)
 
 

@@ -151,7 +151,7 @@ def sinr_dl(
     serving = np.flatnonzero(owner == rx)  # each pair's own triple, in served order
     signal = mean[serving] if signal_aggregate == "mean" else p.p_ap * np.min(used[serving], axis=1)
     mean = mean.reshape(len(serving), len(assignment.owners))
-    users, aps = rx[serving], ap[serving]
+    users, aps = assignment.users, assignment.aps
     intra, inter = np.zeros(len(serving)), np.zeros(len(serving))
     for k, (b, l) in enumerate(assignment.owners):
         np.add(intra, mean[:, k], out=intra, where=(aps == b) & (users != l))
@@ -170,7 +170,7 @@ def sinr_ul(scenario: Scenario, assignment: Assignment, ul_gains: np.ndarray) ->
     interference, each sum added one user at a time in served order.
     """
     p = scenario.params
-    users, aps = np.array(assignment.served, dtype=int).reshape(-1, 2).T
+    users, aps = assignment.users, assignment.aps
     # [r, t]: the power of pair t's user at pair r's AP, (P, P, n_sc)
     received = p.p_user * ul_gains[users[None, :], aps[:, None]]
     _check_used(received, np.stack(np.broadcast_arrays(users[None, :], aps[:, None]), -1), "UL")
@@ -277,8 +277,7 @@ def utility_report(
     """
     p = scenario.params
     n_pairs = len(assignment.served)
-    users = np.array([i for i, _ in assignment.served], dtype=int)
-    aps = np.array([j for _, j in assignment.served], dtype=int)
+    users, aps = assignment.users, assignment.aps
     rate_dl = np.asarray(rate_dl, dtype=float)
     sinr_ul = np.asarray(sinr_ul, dtype=float)
     if rate_dl.shape != (n_pairs,) or sinr_ul.ndim != 2 or len(sinr_ul) != n_pairs:
@@ -288,7 +287,7 @@ def utility_report(
         )
     rate_ul = rate(sinr_ul, p.bandwidth)
     errors = tracking_error_model(sinr_ul, e0=p.tracking_e0)
-    served = np.array([len(assignment.users_of_ap(j)) for j in aps.tolist()], dtype=int)
+    served = np.bincount(aps)[aps]  # users of each pair's AP
     d_t = transmission_delay(p.s_i, p.a_i, rate_dl[:, None], rate_ul)
     d_p = processing_delay(errors, p, users_served=served[:, None])
     d_q = queuing_delay(p.mu_j, p.lambda_i)

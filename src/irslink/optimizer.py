@@ -98,23 +98,21 @@ class DlRateObjective:
 
     Every (receiver i, AP b, precoder owner l) triple is evaluated in one
     stacked pass: ``dl_composites`` builds the composites of all user-AP
-    links into a buffer the objective owns and reuses, a gather copies each
-    triple's link into a second such buffer, and one einsum forms the
-    effective matrices W_i^H H_ib F_l of all triples
-    (``_effective_matrices``). Triples run
+    links into a buffer the objective owns and reuses, and ``_products``
+    forms the effective matrices W_i^H H_ib F_l from W^H per served pair and
+    F per owner, one einsum per AP over its owners. Triples run
     receiver-major, then by (AP, owner), the order in which each receiver's
-    interferers are summed (``Assignment.dl_triples``). The effective matrices
-    and gains of the last two points are kept, keyed by the coefficient
-    bytes, so a point evaluated again (the accepted line-search point, the
-    round's final value and gains) costs nothing; no kept entry shares memory
-    with either buffer. ``prime`` hands over composites the caller already
-    built, so the first pass at their point runs the gather and the einsum
-    but no cascade. The objective holds the composites of its last kernel
-    pass (or the primed ones) with their point, and ``held_composites``
-    hands them out, so the next AO round designs on them without building
-    them again. ``brackets`` bounds the values at a stack of points from
-    the affine form of the effective matrices, without composites, for the
-    line search's comparisons.
+    interferers are summed (``Assignment.dl_triples``). The effective
+    matrices and gains of the last two points are kept, keyed by the
+    coefficient bytes, so a point evaluated again (the accepted line-search
+    point, the round's final value and gains) costs nothing; no kept entry
+    shares memory with the buffer. ``prime`` hands over composites the
+    caller already built, for the first pass at their point. The objective
+    holds the composites of its last kernel pass (or the primed ones) with
+    their point, and ``held_composites`` hands them out, so the next AO round
+    designs on them without building them again. ``brackets`` bounds the
+    values at a stack of points from the affine form of the effective
+    matrices, without composites, for the line search's comparisons.
     """
 
     _CACHED_POINTS = 2
@@ -137,11 +135,15 @@ class DlRateObjective:
         pairs, owners = assignment.served, assignment.owners
         self.n_phases = links.scenario.n_irs_elements
         # triple q = p * len(owners) + k: receiver of pair p, owner k's AP and precoder
-        self._rx, self._ap, self._owner = assignment.dl_triples.T
-        self._signal = np.flatnonzero(self._owner == self._rx)
-        self._interferers = np.flatnonzero(self._owner != self._rx).reshape(
+        rx, _, owner = assignment.dl_triples.T
+        self._signal = np.flatnonzero(owner == rx)
+        self._interferers = np.flatnonzero(owner != rx).reshape(
             len(pairs), max(len(owners) - 1, 0)
         )
+        # owners run AP by AP: (AP, its slice of the owners)
+        owner_aps = [b for b, _ in owners]
+        self._by_ap = [(b, slice(owner_aps.index(b), owner_aps.index(b) + owner_aps.count(b)))
+                       for b in dict.fromkeys(owner_aps)]
         if pairs:
             # every served user's total precoder F and combiner W (unit power),
             # one stacked einsum each, with the products and sums of
@@ -149,28 +151,20 @@ class DlRateObjective:
             sets = [beamformers[i] for i, _ in pairs]
             f = np.einsum("ltk,lnks->lnts", np.stack([bf.analog_precoder.matrix for bf in sets]),
                           np.stack([bf.digital_precoders for bf in sets]))
-            wh = np.conj(np.einsum("ltk,lnks->lnts",
-                                   np.stack([bf.analog_combiner.matrix for bf in sets]),
-                                   np.stack([bf.digital_combiners for bf in sets])))
-            f = f[[pairs.index((l, b)) for b, l in owners]]  # served order -> owner order
+            self._f = f[[pairs.index((l, b)) for b, l in owners]]  # per owner, (K, n_sc, n_t, n_s)
+            # per served pair, (P, n_sc, n_r, n_s)
+            self._wh = np.conj(np.einsum("ltk,lnks->lnts",
+                                         np.stack([bf.analog_combiner.matrix for bf in sets]),
+                                         np.stack([bf.digital_combiners for bf in sets])))
             # theta-independent tangent factors: u depends on the receiver,
             # v on (transmitting AP via its rows, precoder owner)
-            self._u = np.einsum("pnrs,pnmr->pnms", wh, links.dl_user_cols[[i for i, _ in pairs]])
-            # owners run AP by AP: one einsum per AP over its owners' slice, as
+            self._u = np.einsum("pnrs,pnmr->pnms", self._wh, links.dl_user_cols[assignment.users])
             # the AP rows are too large to gather once per owner
-            aps = [b for b, _ in owners]
             self._v = np.empty(f.shape[:2] + (self.n_phases, f.shape[3]), dtype=complex)
-            for b in dict.fromkeys(aps):
-                k = slice(aps.index(b), aps.index(b) + aps.count(b))
-                np.einsum("nmt,knts->knms", links.dl_ap_rows[b], f[k], out=self._v[k])
-            self._wh = np.repeat(wh, len(owners), axis=0)
-            self._f = np.tile(f, (len(pairs), 1, 1, 1))
-        # refilled by every kernel pass: the composites, and each triple's link
-        # gathered from them (flat user-AP index); a gather allocated afresh
-        # lets glibc hand heap pages back and fault them in again every pass
+            for b, k in self._by_ap:
+                np.einsum("nmt,knts->knms", links.dl_ap_rows[b], self._f[k], out=self._v[k])
+        # refilled by every kernel pass
         self._composites = np.empty_like(links.dl_nlos)
-        self._links_of = self._rx * links.dl_nlos.shape[1] + self._ap
-        self._gathered = np.empty((len(self._rx),) + links.dl_nlos.shape[2:], dtype=complex)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
         self._held = None  # (coefficient bytes, composites) of the last pass or ``prime``
         self._e0 = None  # formed by the first ``brackets`` call, with its other stacks
@@ -207,11 +201,8 @@ class DlRateObjective:
         given them. Counts the paper-literal MACs: M n_r n_t per link and
         subcarrier for each composite built, and the chain (W^H H) F,
         n_s (n_r n_t + n_t n_s) per triple and subcarrier, for the effective
-        matrices. ``_effective_matrices`` forms them with a three-operand
-        einsum over the gathered links; ``_ProbeObjective`` runs the chain's
-        two GEMMs, so the probe times the products counted here."""
-        links = self.links
-        p = links.scenario.params
+        matrices, which ``_ProbeObjective`` forms as the chain's two GEMMs."""
+        p = self.links.scenario.params
         if not self.assignment.served:
             return np.zeros((0, p.n_sc, p.n_s, p.n_s), dtype=complex), np.zeros((0, p.n_sc))
         h = composites
@@ -230,18 +221,21 @@ class DlRateObjective:
         """The DL composites at ``coeffs``, built into the objective's buffer."""
         return self.links.dl_composites(coeffs, out=self._composites)
 
-    def _gather(self, h):
-        """Each triple's link of the composites ``h``, copied into the
-        objective's buffer, (Q, n_sc, n_r, n_t)."""
-        # the indices are in range; "clip" writes into the buffer directly, where
-        # the default "raise" goes through a temporary copy
-        return np.take(h.reshape((-1,) + h.shape[2:]), self._links_of, axis=0,
-                       out=self._gathered, mode="clip")
+    def _products(self, h, out):
+        """W_i^H H_ib F_l of every (served pair p, owner k) from the link stack
+        ``h`` (U, B, n_sc, n_r, n_t), into ``out`` (P, K, n_sc, n_s, n_s): one
+        einsum per AP b over its owners, on the served users' links of b."""
+        users = self.assignment.users
+        for b, k in self._by_ap:
+            np.einsum("pnrs,pnrt,kntc->pknsc", self._wh, h[users, b], self._f[k], out=out[:, k])
+        return out
 
     def _effective_matrices(self, h):
         """W_i^H H_ib F_l of every triple, (Q, n_sc, n_s, n_s), from the
-        composites ``h``: the links gathered, then one three-operand einsum."""
-        return np.einsum("qnrs,qnrt,qntk->qnsk", self._wh, self._gather(h), self._f)
+        composites ``h``."""
+        n_pairs, n_sc, _, n_s = self._wh.shape
+        out = np.empty((n_pairs, len(self._f), n_sc, n_s, n_s), dtype=complex)
+        return self._products(h, out).reshape(-1, n_sc, n_s, n_s)
 
     def _sinr_terms(self, gains, interferer_gains):
         """Signal and denominator (..., served pair, subcarrier) from triple
@@ -458,24 +452,24 @@ class DlRateObjective:
         links = self.links
         n_pairs, n_sc, m, n_s = self._u.shape
         n_owners, n_r, n_t = len(self._v), self._wh.shape[2], self._f.shape[2]
-        # the triple stacks repeat W^H per owner and F per pair, so one of each is taken
-        nlos = links.dl_nlos[self._rx, self._ap].reshape(n_pairs, n_owners, n_sc, n_r, n_t)
-        wh, f = self._wh[::n_owners], self._f[:n_owners]
-        self._e0 = np.einsum("pnrs,pknrt,kntc->npksc", wh, nlos, f).reshape(-1)
+        e0 = np.empty((n_sc, n_pairs, n_owners, n_s, n_s), dtype=complex)
+        self._products(links.dl_nlos, e0.transpose(1, 2, 0, 3, 4))
+        self._e0 = e0.reshape(-1)
         per_sc = n_pairs * n_owners * n_s * n_s
         self._pieces = subcarrier_pieces(n_sc, per_sc * m * 16)
         self._wt = None  # W^T, kept for the round when it is one piece
         if len(self._pieces) == 1:
             self._wt = self._affine_piece(slice(0, n_sc),
                                           np.empty((n_sc * per_sc, m), dtype=complex))
-        # ||A_q||_F <= ||W||_F ||F||_F (||H_nlos||_F + ||U_i||_F ||V_b||_F), (Q, n_sc)
-        hops = (_fro(links.dl_nlos, "ibnrt->ibn")[self._rx, self._ap]
-                + _fro(links.dl_user_cols, "inmr->in")[self._rx]
-                * _fro(links.dl_ap_rows, "bnmt->bn")[self._ap])
+        # ||A_q||_F <= ||W||_F ||F||_F (||H_nlos||_F + ||U_i||_F ||V_b||_F), (P, K, n_sc)
+        users, aps = self.assignment.users[:, None], [b for b, _ in self.assignment.owners]
+        hops = (_fro(links.dl_nlos, "ibnrt->ibn")[users, aps]
+                + _fro(links.dl_user_cols, "inmr->in")[users]
+                * _fro(links.dl_ap_rows, "bnmt->bn")[aps])
         n1 = 2 * m + 2 * n_r * n_t + 18
         n2 = n1 + 2 * n_r + 2 * n_t + 1
-        rho = (BRACKET_SAFETY * _gamma(n1 + n2) * _fro(self._wh, "qnrs->qn")
-               * _fro(self._f, "qnts->qn") * hops)
+        rho = (BRACKET_SAFETY * _gamma(n1 + n2) * _fro(self._wh, "pnrs->pn")[:, None]
+               * _fro(self._f, "knts->kn") * hops).reshape(-1, n_sc)
         self._radius = np.stack([-rho, rho])[:, None]
         w_pre = BRACKET_SAFETY * _gamma(2 * (5 * n_s * n_s + 10) + 2 * n_owners + 6)
         w_post = BRACKET_SAFETY * _gamma(2 * LOG2_ROUNDINGS + n_pairs * n_sc + n_sc + n_pairs + 1)
@@ -483,7 +477,7 @@ class DlRateObjective:
         self._post_log = (1.0 - w_post, 1.0 + w_post)
         if self.counter is not None:
             kept = 0 if self._wt is None else self._wt.size
-            self.counter.add(len(self._rx) * n_sc * n_s * (n_r * n_t + n_t * n_s) + kept
+            self.counter.add(n_pairs * n_owners * n_sc * n_s * (n_r * n_t + n_t * n_s) + kept
                              + links.dl_user_cols.size + links.dl_ap_rows.size)
 
 
@@ -668,11 +662,8 @@ def _design_all_beamformers(scenario, links, assignment, coeffs, tx_codebook, rx
     serving links. ``composites`` are the DL composites at ``coeffs`` when
     already built."""
     h = links.dl_composites(coeffs) if composites is None else composites
-    users, aps = np.array(assignment.served, dtype=int).reshape(-1, 2).T
-    designs = design_beamformers(
-        h[users, aps], tx_codebook, rx_codebook, scenario.params.n_s, total_power=1.0,
-        counter=counter,
-    )
+    designs = design_beamformers(h[assignment.users, assignment.aps], tx_codebook, rx_codebook,
+                                 scenario.params.n_s, total_power=1.0, counter=counter)
     return {i: design for (i, _), design in zip(assignment.served, designs)}
 
 
@@ -827,9 +818,8 @@ class _ProbeObjective(DlRateObjective):
     subcarrier), where U and V are the user and AP element stacks (the
     paper-literal rebuild, M n_r n_t MACs per link and subcarrier), and the
     effective matrices as the chain (W^H H) F (n_s (n_r n_t + n_t n_s) MACs
-    per triple and subcarrier). When the triples are the links in order, as
-    in every ``_probe_objective``, the chain reads the composites in place;
-    otherwise it gathers them first, as the run path does.
+    per triple and subcarrier). Every ``_probe_objective`` has one user and
+    one AP, so the chain reads that link of the composites in place.
 
     The GEMMs round otherwise than the run path's ``_cascade`` einsum and
     three-operand effective einsum, whose bits the golden result files and
@@ -842,11 +832,6 @@ class _ProbeObjective(DlRateObjective):
         super().__init__(*args, **kwargs)
         # the user stack as stored, (U, n_sc, n_r, M), scaled by the phases per pass
         self._scaled = np.empty_like(self.links.dl_user_cols.swapaxes(2, 3))
-        n_links = self.links.dl_nlos.shape[0] * self.links.dl_nlos.shape[1]
-        self._links_in_order = np.array_equal(self._links_of, np.arange(n_links))
-        if self.assignment.served:
-            # W^H of every triple, (Q, n_sc, n_s, n_r), contiguous for the GEMM
-            self._w_adj = np.ascontiguousarray(self._wh.swapaxes(2, 3))
 
     def _build_composites(self, coeffs):
         links, h = self.links, self._composites
@@ -859,8 +844,8 @@ class _ProbeObjective(DlRateObjective):
         return h
 
     def _effective_matrices(self, h):
-        links = h.reshape((-1,) + h.shape[2:]) if self._links_in_order else self._gather(h)
-        return np.matmul(np.matmul(self._w_adj, links), self._f)
+        # W^H as (1, n_sc, n_s, n_r): with one stream, a contiguous view
+        return np.matmul(np.matmul(self._wh.swapaxes(2, 3), h[:, 0]), self._f)
 
 
 def _probe_objective(m: int, bf_counter=None, counter=None):

@@ -9,7 +9,6 @@ Configuration documents are YAML key/value trees with sections
 values and out-of-range values are rejected with their field path.
 """
 
-import itertools
 import math
 import numbers
 import os
@@ -301,26 +300,43 @@ class Scenario:
     def _check_hop_amplitudes(self):
         """Raise ConfigError naming the exponent of a hop family whose
         amplitudes overflow or exceed ``NOISE_POWER_MAX``, the bound the powers
-        keep: below 1 m a hop's path loss is a gain that grows with the
-        exponent, and the shortest hop of a family has its largest amplitude."""
+        keep (below 1 m a hop's path loss is a gain that grows with the
+        exponent), or naming what makes a link's interference-free SNR
+        p n_t n_r A^2 / sigma2 overflow, formed as the association forms it:
+        A, the direct hop's amplitude plus the element cascades' products,
+        bounds every entry of the composite (the small-scale factor aside).
+        That is the exponent of the larger part of A, or p where A <= 1."""
         from irslink.channel import _amp_delay  # here: channel imports this module
 
-        p = self.params
+        p, n = self.params, self.n_users
         nodes = np.concatenate([self.user_positions, self.ap_positions])
         families = [("pathloss_exponent", p.nlos_penalty_db,
-                     self.user_positions[:, None] - self.ap_positions[None])]
-        if self.irs_panels:
-            families.append(("los_exponent", 0.0, nodes[:, None] - self.irs_element_positions()))
-        for (name, loss_db, dod), carrier in itertools.product(
-                families, (p.carrier_dl, p.carrier_ul)):
+                     self.user_positions[:, None] - self.ap_positions[None]),
+                    ("los_exponent", 0.0, nodes[:, None] - self.irs_element_positions())]
+        bands = np.array([p.carrier_dl, p.carrier_ul])[:, None, None]  # DL, UL
+        amps = []
+        for name, loss_db, dod in families:
             with np.errstate(all="ignore"):  # the overflow is what this looks for
-                amp = float(np.max(_amp_delay(carrier, dod, getattr(p, name), loss_db)[0]))
+                amps.append(_amp_delay(bands, dod, getattr(p, name), loss_db)[0])
+            amp = float(np.max(amps[-1], initial=0.0))
             if not amp <= NOISE_POWER_MAX:  # NaN fails too
                 shortest = float(np.min(np.linalg.norm(dod, axis=-1)))
                 raise ConfigError(
                     f"system.{name}: the shortest hop ({shortest:.3g} m) has amplitude "
                     f"{amp!r}, above {NOISE_POWER_MAX!r}"
                 )
+        direct, hops = amps  # (band, U, B) and (band, U + B, M), bands DL then UL
+        with np.errstate(over="ignore"):
+            cascade = hops[:, :n] @ hops[:, n:].swapaxes(1, 2)
+            link = direct + cascade
+            power = np.array([p.p_ap, p.p_user])[:, None, None]
+            snr = power * (p.n_t * p.n_r * link**2) / p.sigma2
+        if not np.all(np.isfinite(snr)):
+            band, i, j = np.argwhere(~np.isfinite(snr))[0].tolist()
+            parts = {"pathloss_exponent": direct[band, i, j], "los_exponent": cascade[band, i, j]}
+            name = max(parts, key=parts.get) if link[band, i, j] > 1 else ("p_ap", "p_user")[band]
+            raise ConfigError(f"system.{name}: the interference-free {('DL', 'UL')[band]} SNR "
+                              f"of user {i} at AP {j} overflows")
 
     @property
     def n_users(self) -> int:
@@ -377,16 +393,27 @@ class Assignment:
         return tuple(sorted((j, i) for i, j in self.served))
 
     @cached_property
+    def users(self) -> np.ndarray:
+        """The users of ``served``, in served order (read-only)."""
+        return _shared(np.array([i for i, _ in self.served], dtype=int))
+
+    @cached_property
+    def aps(self) -> np.ndarray:
+        """The APs of ``served``, in served order (read-only)."""
+        return _shared(np.array([j for _, j in self.served], dtype=int))
+
+    @cached_property
     def dl_triples(self) -> np.ndarray:
         """(receiver, AP, owner) of every DL triple, shape (Q, 3): receivers in
         served order, each over ``owners``."""
-        triples = np.array([(i, b, l) for i, _ in self.served for b, l in self.owners],
-                           dtype=int).reshape(-1, 3)
-        triples.flags.writeable = False  # formed once and shared
-        return triples
+        return _shared(np.array([(i, b, l) for i in self.users.tolist() for b, l in self.owners],
+                                dtype=int).reshape(-1, 3))
 
-    def users_of_ap(self, j: int) -> list[int]:
-        return [i for i, a in enumerate(self.user_to_ap) if a == j]
+
+def _shared(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only: it is formed once and shared."""
+    array.flags.writeable = False
+    return array
 
 
 def _max_weight_assignment(weights: np.ndarray) -> tuple[list[int], list[int]]:

@@ -23,6 +23,7 @@ from irslink.channel import (
     synthesize_links,
 )
 from irslink.scenario import (
+    CARRIER_MIN,
     Box,
     ConfigError,
     IrsPanel,
@@ -276,6 +277,37 @@ class TestDegenerateGeometry:
                                match=rf"^system\.{name}: the shortest hop \({shortest} m\)"):
                 replace(sc, user_positions=np.array([user]),
                         params=replace(sc.params, **{name: value}))
+
+    @pytest.mark.parametrize(
+        "name, band, ap, user, m_z, overrides",
+        [("pathloss_exponent", "DL", (2.0, 3.0, 2.5), (2.0, 3.0, 2.0), 0,
+          {"pathloss_exponent": 1035.0}),
+         ("los_exponent", "DL", (0.5, 4.0, 1.7), (0.5, 4.0, 1.2), 2, {"los_exponent": 700.0}),
+         ("p_ap", "DL", (2.0, 3.0, 2.5), (2.0, 3.0, 1.5), 0,
+          {"p_ap": 1.3e154, "noise_power": 1.5e-154, "carrier_dl": 1.5 * CARRIER_MIN,
+           "pathloss_exponent": 0.0, "nlos_penalty_db": 0.0}),
+         ("p_user", "UL", (2.0, 3.0, 2.5), (2.0, 3.0, 1.5), 0,
+          {"p_user": 1.3e154, "noise_power": 1.5e-154, "carrier_ul": 1.5 * CARRIER_MIN,
+           "pathloss_exponent": 0.0, "nlos_penalty_db": 0.0})],
+        ids=["direct_hop", "element_cascades", "ap_power_over_noise", "user_power_over_noise"],
+    )
+    def test_link_whose_snr_overflows_rejected(self, name, band, ap, user, m_z, overrides):
+        # hop amplitudes within the powers' bound, but a link's SNR bound
+        # p n_t n_r A^2 / sigma2 overflows: 0.5 m below the AP (the direct hop,
+        # amplitude about 7.6e151 at 60 GHz), an AP and a user 0.5 m from a
+        # panel (six element cascades), or a 1 m hop of amplitude 2/3 whose
+        # power over the noise is about 8.7e307. A short AO run used to
+        # overflow on the first two at seed 0, and on the last two at the
+        # seeds whose small-scale factor passes about 0.6 (1, 2 and 5 in the
+        # DL; 3 and 5 in the UL)
+        sc = _mimo_scenario(3, m_z) if m_z else _mimo_scenario()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError,
+                               match=rf"^system\.{name}: the interference-free {band} SNR of "
+                                     rf"user 0 at AP 0 overflows$"):
+                replace(sc, ap_positions=np.array([ap]), user_positions=np.array([user]),
+                        params=replace(sc.params, **overrides))
 
     def test_short_hop_within_the_power_bound_is_finite(self):
         # amplitudes about 4e146 (DL) and 5e147 (UL) at 0.5 m, below the

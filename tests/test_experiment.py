@@ -581,6 +581,27 @@ system:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_short_hop_whose_snr_overflows_names_the_exponent(self, tmp_path, capsys):
+        # a user 0.5 m below the AP: the hop amplitudes (about 7.6e151 DL and
+        # 9e152 UL) pass their bound, but the association's SNR overflowed in
+        # optimizer._initial_assignment, a traceback under -W error
+        scenario = tmp_path / "short_hop.yaml"
+        scenario.write_text(
+            "geometry: {ap_positions: [[2.0, 3.0, 2.5]], user_positions: [[2.0, 3.0, 2.0]]}\n"
+            "system: {pathloss_exponent: 1035.0}\n"
+        )
+        argv = ["run", "--scenario", str(scenario), "--codebooks", "2ant_1rf", "8ant_2rf",
+                "--max-iter", "20", "--outer-rounds", "2", "--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "irslink: error: system.pathloss_exponent: the interference-free DL SNR ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_more_streams_than_user_antennas_is_one_error_line(self, tmp_path, capsys):
         # it used to load, synthesize every link and fail in the beamformer
         # design with "stream count exceeds projected channel rank bound"
@@ -632,27 +653,19 @@ system:
 _FUZZ_VALUES = [0, -1, 1e300, -1e300, 1e-300, 1e-100, 1e-9, float("nan"), float("inf"),
                 float("-inf"), "text", None, True, [1.0], {"a": 1.0}]
 _SYSTEM_FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
+_STOCK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "indoor_room.yaml"
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.sampled_from(_SYSTEM_FIELDS), st.sampled_from(_FUZZ_VALUES),
-                       min_size=1, max_size=2))
-def test_mutated_system_fields_fail_loudly_or_run_finite(mutation):
-    """One or two ``system`` fields of the stock scenario file set to a bad or
-    extreme value: the run either exits 0 with finite results or exits 2 with
-    one error line that names a ``system`` field.
+def _assert_fails_loudly_or_runs_finite(document, paths):
+    """``irslink run`` on ``document``, in-process under -W error with a small
+    iteration budget, either exits 2 with one error line naming a path that
+    the regex ``paths`` matches, or exits 0 with finite results.
 
-    Two outcomes are results, not failures. An IRS panel without a spacing
-    takes half the DL wavelength, so a mutated ``carrier_dl`` may fail on
-    that panel's ``geometry.irs_panels[k]`` path. And ``min_d_t`` is the
-    smallest finite transmission delay, infinite when every needed rate
-    rounds to zero; that run then has no utility either.
+    ``min_d_t`` is the smallest finite transmission delay, infinite when
+    every needed rate rounds to zero; that run then has no utility either.
     """
     import yaml
 
-    stock = Path(__file__).resolve().parents[1] / "configs" / "indoor_room.yaml"
-    document = yaml.safe_load(stock.read_text())
-    document["system"].update(mutation)
     with tempfile.TemporaryDirectory() as tmp:
         scenario, out = Path(tmp) / "mutated.yaml", Path(tmp) / "out"
         scenario.write_text(yaml.safe_dump(document))
@@ -663,8 +676,6 @@ def test_mutated_system_fields_fail_loudly_or_run_finite(mutation):
             code = main(["run", "--scenario", str(scenario), "--codebooks", "2ant_1rf",
                          "--max-iter", "3", "--outer-rounds", "1", "--output-dir", str(out)])
         if code == 2:
-            paths = r"system\.\w+" + (r"|geometry\.irs_panels\[\d+\]" if "carrier_dl" in mutation
-                                       else "")
             assert re.fullmatch(rf"irslink: error: ({paths}): .*\n", stderr.getvalue()), \
                 stderr.getvalue()
             return
@@ -682,6 +693,99 @@ def test_mutated_system_fields_fail_loudly_or_run_finite(mutation):
                         assert utility[tuple(row[:4])] == 0.0, row
                         continue
                     assert np.isfinite(value), (path.name, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SYSTEM_FIELDS), st.sampled_from(_FUZZ_VALUES),
+                       min_size=1, max_size=2))
+def test_mutated_system_fields_fail_loudly_or_run_finite(mutation):
+    """One or two ``system`` fields of the stock scenario file set to a bad or
+    extreme value: the run either exits 0 with finite results or exits 2 with
+    one error line that names a ``system`` field.
+
+    An IRS panel without a spacing takes half the DL wavelength, so a
+    mutated ``carrier_dl`` may fail on that panel's ``geometry.irs_panels[k]``
+    path, which is a result, not a failure.
+    """
+    import yaml
+
+    document = yaml.safe_load(_STOCK_CONFIG.read_text())
+    document["system"].update(mutation)
+    paths = r"system\.\w+" + (r"|geometry\.irs_panels\[\d+\]" if "carrier_dl" in mutation else "")
+    _assert_fails_loudly_or_runs_finite(document, paths)
+
+
+def _tree_paths(node, path=()):
+    """The path (keys and list indices) of every node below ``node`` of a YAML tree."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _tree_paths(child, path + (key,))
+
+
+def _holds(container, key) -> bool:
+    """Whether ``container`` (a mapping or a list) has an entry at ``key``."""
+    return (isinstance(container, dict) and key in container
+            or isinstance(container, list) and isinstance(key, int) and key < len(container))
+
+
+def _node(tree, path):
+    """The node at ``path``; KeyError where an earlier mutation removed it."""
+    for key in path:
+        if not _holds(tree, key):
+            raise KeyError(path)
+        tree = tree[key]
+    return tree
+
+
+def _mutate(tree, kind, path, value):
+    """Set the node at ``path`` to ``value``, delete it, or add an unknown key
+    with ``value`` to the mapping there; a path that an earlier mutation
+    removed changes nothing."""
+    try:
+        node = _node(tree, path if kind == "unknown" else path[:-1])
+    except KeyError:
+        return
+    if kind == "unknown":
+        if isinstance(node, dict):
+            node["unknown"] = value
+    elif _holds(node, path[-1]):
+        if kind == "delete":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+
+
+def _document_mutations():
+    """One mutation of the stock scenario file: (kind, path, value)."""
+    import yaml
+
+    document = yaml.safe_load(_STOCK_CONFIG.read_text())
+    paths = list(_tree_paths(document))
+    mappings = [()] + [path for path in paths if isinstance(_node(document, path), dict)]
+    return st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(paths), st.sampled_from(_FUZZ_VALUES)),
+        st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+        st.tuples(st.just("unknown"), st.sampled_from(mappings), st.sampled_from(_FUZZ_VALUES)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_document_mutations(), min_size=1, max_size=2))
+def test_mutated_documents_fail_loudly_or_run_finite(mutations):
+    """One or two nodes anywhere in the stock scenario file set to a bad or
+    extreme value, deleted, or given an unknown key (ROADMAP item 10): the
+    run either exits 0 with finite results or exits 2 with one error line
+    that names the path of a node, from the document root (``config``) or
+    a section down."""
+    import yaml
+
+    document = yaml.safe_load(_STOCK_CONFIG.read_text())
+    for mutation in mutations:
+        _mutate(document, *mutation)
+    _assert_fails_loudly_or_runs_finite(
+        document, r"(config|geometry|system|optimizer)(\.\w+|\[\d+\])*")
 
 
 def _csv_rows(path):

@@ -467,7 +467,7 @@ def reference_utility_report(scenario, assignment, dl_sinr, ul_sinr):
         ul_values = ul_sinr[(i, j)].sinr
         rates_ul = rate(ul_values, p.bandwidth)
         errors = p.tracking_e0 / (1.0 + ul_values)
-        served = len(assignment.users_of_ap(j))
+        served = assignment.user_to_ap.count(j)
         delays = [
             DelayBreakdown(
                 _ref_transmission(p.s_i, p.a_i, rate_dl, rates_ul[n]),
@@ -509,7 +509,7 @@ def reference_external_snr(scenario, trace):
         err = p.tracking_e0 / (1.0 + sinr_ul_value)
         d = DelayBreakdown(
             _ref_transmission(p.s_i, p.a_i, dl_rates[i, j], rate_ul),
-            _ref_processing(err, p, len(assignment.users_of_ap(j))),
+            _ref_processing(err, p, assignment.user_to_ap.count(j)),
             1.0 / (p.mu_j - p.lambda_i),
         )
         feasible = d.feasible and not assignment.infeasible[i]

@@ -57,7 +57,8 @@ class PerTripleObjective:
         self.sigma2, self.p_ap = p.sigma2, p.p_ap
         self.pairs = assignment.served
         self.active_aps = sorted({j for _, j in self.pairs})
-        self.users_of = {j: assignment.users_of_ap(j) for j in self.active_aps}
+        self.users_of = {j: [l for l, a in enumerate(assignment.user_to_ap) if a == j]
+                         for j in self.active_aps}
         self.n_phases = links.scenario.n_irs_elements
         self._u = {
             i: np.einsum("nrs,nmr->nms", np.conj(combiners[i]), links.dl_user_cols[i])
@@ -163,6 +164,14 @@ class PerTripleObjective:
         return eff, ul
 
 
+def _unequal_owners_scenario(ap):
+    """The stock room with ``v_cap`` = 3 and one user moved so that AP ``ap``
+    serves three users and the other AP one."""
+    users = default_scenario().user_positions.copy()
+    users[2 if ap == 0 else 1] = (3.5, 7.0, 1.5) if ap == 0 else (7.0, 10.0, 1.5)
+    return replace(default_scenario(v_cap=3), user_positions=users)
+
+
 def _c_ordered(links):
     """The same channels with the DL cascade stacks in C order, the layout the
     per-triple loop ran on."""
@@ -226,6 +235,17 @@ class TestStackedKernel:
             default_scenario(v_cap=1), seed=2)
         assert -1 in assignment.user_to_ap
         _assert_matches_per_triple(objective, beamformers)
+
+    @pytest.mark.parametrize("ap", [0, 1], ids=["three_on_ap0", "three_on_ap1"])
+    def test_bit_identical_with_unequal_owner_slices(self, ap):
+        # the products run one einsum per AP over its owners' slice: slices of
+        # 3 and 1 owners, the longer first or last
+        for aggregate in ("mean", "min"):
+            objective, _, assignment, beamformers = build_rate_objective(
+                _unequal_owners_scenario(ap), seed=1, aggregate=aggregate)
+            owner_aps = [b for b, _ in assignment.owners]
+            assert owner_aps.count(ap) == 3 and owner_aps.count(1 - ap) == 1
+            _assert_matches_per_triple(objective, beamformers)
 
     def test_single_subcarrier_two_antenna_receivers_within_rounding(self):
         # for this one shape numpy's per-triple einsum summed each combiner
@@ -325,7 +345,10 @@ class TestCompositeBuffer:
             for array, copy in zip(arrays, copies):
                 np.testing.assert_array_equal(array, copy)
                 assert not np.shares_memory(array, objective._composites)
-                assert not np.shares_memory(array, objective._gathered)
+        # every pass wrote its effective matrices and gains into arrays of its own
+        entries = [array for arrays, _ in kept for array in arrays]
+        for k, array in enumerate(entries):
+            assert not any(np.shares_memory(array, other) for other in entries[k + 1:])
 
     def test_no_surface(self):
         objective, *_ = build_rate_objective(scalar_scenario(0, n_sc=2), seed=0)
@@ -395,13 +418,15 @@ class TestStackedRoundSetUp:
 
     @pytest.mark.parametrize("name", _ROUND_SCENARIOS)
     def test_objective_beamformers_as_formed_per_user(self, name):
-        # the objective forms every user's F and W in one stacked einsum each
+        # the objective forms every user's F and W in one stacked einsum each,
+        # and keeps W^H per served pair and F per owner
         objective, _, _, beamformers = _round_objective(_ROUND_SCENARIOS[name], seed=3)
-        triples = objective.assignment.dl_triples
-        assert len(objective._wh) == len(objective._f) == len(triples) > 0
-        for q, (i, _, l) in enumerate(triples):
-            np.testing.assert_array_equal(objective._wh[q], np.conj(beamformers[i].combiners()))
-            np.testing.assert_array_equal(objective._f[q], beamformers[l].precoders())
+        assignment = objective.assignment
+        assert len(objective._wh) == len(objective._f) == len(assignment.served) > 0
+        for wh, i in zip(objective._wh, assignment.users.tolist()):
+            np.testing.assert_array_equal(wh, np.conj(beamformers[i].combiners()))
+        for f, (_, l) in zip(objective._f, assignment.owners):
+            np.testing.assert_array_equal(f, beamformers[l].precoders())
 
 
 def _round_objective(sc, seed):
@@ -819,10 +844,13 @@ class TestBracket:
         objective, theta, _, _ = _round_objective(scenario, data.draw(st.integers(0, 99)))
         assume(objective.assignment.served)
         objective.brackets(theta[None])
-        links, rx, ap = objective.links, objective._rx, objective._ap
+        links, (rx, ap, _) = objective.links, objective.assignment.dl_triples.T
+        # triple q = p K + k: W^H of pair p, F of owner k
+        pair, owner = np.divmod(np.arange(len(rx)), len(objective.assignment.owners))
         hops = np.abs(links.dl_nlos[rx, ap]) + np.einsum(
             "qnmr,qnmt->qnrt", np.abs(links.dl_user_cols[rx]), np.abs(links.dl_ap_rows[ap]))
-        a = np.einsum("qnrs,qnrt,qntc->qnsc", np.abs(objective._wh), hops, np.abs(objective._f))
+        a = np.einsum("qnrs,qnrt,qntc->qnsc", np.abs(objective._wh[pair]), hops,
+                      np.abs(objective._f[owner]))
         m, n_rt = objective.n_phases, n_r * n_t
         n1 = 2 * m + 2 * n_rt + 18
         scale = optimizer.BRACKET_SAFETY * optimizer._gamma(2 * n1 + 2 * n_r + 2 * n_t + 1)
@@ -1338,9 +1366,9 @@ def _stock_probe_objective():
     return _ProbeObjective(links, assignment, beamformers)
 
 
+_PROBE_OBJECTIVES = [partial(_probe_objective, 8), partial(_probe_objective, 64)]
 _PROBE_BUILDS = pytest.mark.parametrize(
-    "build", [partial(_probe_objective, 8), partial(_probe_objective, 64), _stock_probe_objective],
-    ids=["m8", "m64", "8ant_2rf"])
+    "build", _PROBE_OBJECTIVES + [_stock_probe_objective], ids=["m8", "m64", "8ant_2rf"])
 
 
 class TestProbeKernel:
@@ -1362,12 +1390,12 @@ class TestProbeKernel:
             error = np.linalg.norm(got - want, axis=(3, 4)) / np.linalg.norm(want, axis=(3, 4))
             assert error.max() <= 1e-12
 
-    @_PROBE_BUILDS
+    @pytest.mark.parametrize("build", _PROBE_OBJECTIVES, ids=["m8", "m64"])
     def test_effective_matrices_agree_with_run_path(self, build):
         objective = build()
-        # the probe's single link is read in place; the stock objective's 16
-        # triples repeat links, so it gathers them
-        assert objective._links_in_order == (len(objective._rx) == 1)
+        # one user and one AP: the chain reads the composites' one link in place
+        assert objective._composites.shape[:2] == (1, 1)
+        assert len(objective.assignment.dl_triples) == 1
         rng = np.random.default_rng(5)
         for _ in range(3):
             coeffs = np.exp(1j * rng.uniform(-np.pi, np.pi, objective.n_phases))

@@ -501,10 +501,20 @@ class TestAssociation:
         with pytest.raises(ValueError, match="rate table"):
             associate_users(sc, np.ones((3, 2)))
 
-    def test_users_of_ap(self):
-        a = Assignment((0, 1, 0), (False, False, False))
-        assert a.users_of_ap(0) == [0, 2]
-        assert a.users_of_ap(1) == [1]
+    def test_users_and_aps_in_served_order(self):
+        a = Assignment((0, 1, -1, 0), (False,) * 4)
+        assert a.users.tolist() == [0, 1, 3] and a.aps.tolist() == [0, 1, 0]
+        assert a.users.dtype == a.aps.dtype == int
+        assert a.users is a.users and a.aps is a.aps  # formed once
+        assert not a.users.flags.writeable and not a.aps.flags.writeable
+        empty = Assignment((-1, -1), (False, False))
+        assert empty.users.shape == empty.aps.shape == (0,) and empty.users.dtype == int
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-1, 3), max_size=8))
+    def test_users_and_aps_are_served(self, user_to_ap):
+        a = Assignment(tuple(user_to_ap), (False,) * len(user_to_ap))
+        assert list(zip(a.users.tolist(), a.aps.tolist())) == list(a.served)
 
     def test_served_pairs_in_user_order(self):
         a = Assignment((1, -1, 0, 1), (False,) * 4)
