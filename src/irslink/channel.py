@@ -22,7 +22,7 @@ from irslink.arrays import (
     upa_steering,
     vector_norm,
 )
-from irslink.scenario import Scenario, compute_dod_doa
+from irslink.scenario import NOISE_POWER_MAX, ConfigError, Scenario, compute_dod_doa
 
 
 def path_gain_db(distance, carrier: float, w: float):
@@ -40,11 +40,25 @@ def path_gain_db(distance, carrier: float, w: float):
 
 def _amp_delay(carrier, dod, exponent, extra_loss_db=0.0):
     """Amplitude and propagation delay of a stack of links, ``dod`` (..., 3)
-    (rx minus tx position): the per-link factors of every subcarrier's gain."""
+    (rx minus tx position): the per-link factors of every subcarrier's gain.
+    An amplitude that overflows is inf (or NaN), for ``_checked_amplitudes``."""
     distance = vector_norm(dod)
-    pg = path_gain_db(distance, carrier, exponent) - extra_loss_db
-    # float_power, unlike power, rounds like the scalar 10.0 ** x
-    return np.float_power(10.0, pg / 20.0), distance / SPEED_OF_LIGHT
+    with np.errstate(over="ignore", invalid="ignore"):
+        pg = path_gain_db(distance, carrier, exponent) - extra_loss_db
+        # float_power, unlike power, rounds like the scalar 10.0 ** x
+        return np.float_power(10.0, pg / 20.0), distance / SPEED_OF_LIGHT
+
+
+def _checked_amplitudes(name, amp, dod):
+    """``amp``, the amplitudes of one family's hops ``dod``; ConfigError names
+    the exponent ``name`` where one exceeds ``NOISE_POWER_MAX``, the bound the
+    powers keep (below 1 m a path loss is a gain that grows with the exponent)."""
+    top = float(np.max(amp, initial=0.0))
+    if not top <= NOISE_POWER_MAX:  # NaN fails too
+        shortest = float(np.min(vector_norm(dod)))
+        raise ConfigError(f"system.{name}: the shortest hop ({shortest:.3g} m) has amplitude "
+                          f"{top!r}, above {NOISE_POWER_MAX!r}")
+    return amp
 
 
 def _hop_gains(params, carrier, amp, tau, n=slice(None)):
@@ -81,7 +95,7 @@ def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
     amp, tau, outer = _hop_factors(
         carrier, dod, a_rx, a_tx, params.pathloss_exponent, params.nlos_penalty_db
     )
-    gain = _hop_gains(params, carrier, amp, tau)
+    gain = _hop_gains(params, carrier, _checked_amplitudes("pathloss_exponent", amp, dod), tau)
     return gain[..., :, None, None] * outer[..., None, :, :]
 
 
@@ -91,7 +105,8 @@ def _element_factors(params, carrier, dod, a_rx, a_tx):
     (L, M, n_antennas); the IRS end is one element."""
     amp, tau, outer = _hop_factors(carrier, dod, a_rx, a_tx, params.los_exponent)
     n_links, m, n_rx, n_tx = outer.shape
-    return amp, tau, outer.reshape(n_links, m, n_rx * n_tx)
+    return (_checked_amplitudes("los_exponent", amp, dod), tau,
+            outer.reshape(n_links, m, n_rx * n_tx))
 
 
 def _element_hops(gain, steering) -> np.ndarray:
@@ -218,6 +233,59 @@ class LinkChannels:
                      "ul_ap_steering"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite channel entries in {name}")
+        self._check_link_budget()
+
+    def _check_link_budget(self):
+        """Raise ConfigError where a link's SINR chain would leave the floats.
+
+        Every hop entry of a link has the modulus of its first one (unit-
+        modulus steering, one gain modulus on every subcarrier), so A, the
+        direct modulus plus the element products summed over the elements,
+        bounds every composite entry, and G = n_t n_r A^2 its squared norm.
+        Unit-power precoders and combiners of rx = min(n_r, n_s) unit-norm
+        columns keep a DL received power below R = p rx G (rx = 1 in the UL).
+        Each bound, doubled, must stay finite, in this order: the
+        interference-free SNR R / sigma2; the DL codeword search's energies,
+        n_sc n_t rx G; the SINR denominators, sigma2 plus the R of every user
+        at the AP (UL) or D = sigma2 + (U - 1) R of the receiver's strongest
+        link (DL); with IRS elements, the gradient's products ds d, s dd and
+        d^2, at most max(2 R, D) D. An SNR names the exponent of the larger
+        part of A where n_t n_r A^2 outweighs p rx / sigma2, an energy that
+        exponent, and the rest the power.
+        """
+        p = self.scenario.params
+        rx = min(p.n_r, p.n_s)
+        # (band, U, B), bands DL then UL
+        direct = np.abs(np.stack([self.dl_nlos[:, :, 0, 0, 0], self.ul_nlos[:, :, 0, 0, 0]]))
+        user = np.stack([np.abs(self.dl_user_cols[:, 0, :, 0]), self.ul_user_amp])
+        ap = np.stack([np.abs(self.dl_ap_rows[:, 0, :, 0]), self.ul_ap_amp])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is what this looks for
+            cascade = user @ ap.swapaxes(1, 2)
+            link = direct + cascade
+            gain = p.n_t * p.n_r * link**2
+            power = np.array([p.p_ap * rx, p.p_user])[:, None, None]
+            received = power * gain
+            by_channel = gain >= power / p.sigma2  # where an SNR names an exponent
+            ul_denom = p.sigma2 + np.sum(received[1], axis=0, keepdims=True)
+            dl_denom = p.sigma2 + (len(link[0]) - 1) * np.max(received[0], axis=1, keepdims=True)
+            checks = [(0, "interference-free DL SNR", received[0] / p.sigma2, by_channel[0]),
+                      (1, "interference-free UL SNR", received[1] / p.sigma2, by_channel[1]),
+                      (0, "DL channel gain", p.n_sc * p.n_t * rx * gain[0], True),
+                      (1, "UL SINR denominator", ul_denom, False),
+                      (0, "DL SINR denominator", dl_denom, False)]
+            if user.shape[2]:
+                gradient = np.maximum(2.0 * received[0], dl_denom) * dl_denom
+                checks.append((0, "DL SINR gradient", gradient, False))
+        top = np.finfo(float).max / 2  # a bound doubled must stay finite
+        for band, what, bound, by_exponent in checks:
+            bad = np.argwhere(~(np.broadcast_to(bound, link.shape[1:]) <= top))
+            if len(bad):  # NaN is out too
+                i, j = bad[0].tolist()
+                name = ("p_ap", "p_user")[band]
+                if np.broadcast_to(by_exponent, link.shape[1:])[i, j]:
+                    name = ("los_exponent" if cascade[band, i, j] > direct[band, i, j]
+                            else "pathloss_exponent")
+                raise ConfigError(f"system.{name}: the {what} of user {i} at AP {j} overflows")
 
     def ul_hops(self, side: str, n=slice(None)) -> np.ndarray:
         """UL hops of one ``side``, formed from their factors on the

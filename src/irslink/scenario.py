@@ -295,48 +295,6 @@ class Scenario:
                 if hits.size:
                     k, l = hits[0]
                     raise ConfigError(f"geometry.{label}[{k}]: coincides with {other}[{l}]")
-        self._check_hop_amplitudes()
-
-    def _check_hop_amplitudes(self):
-        """Raise ConfigError naming the exponent of a hop family whose
-        amplitudes overflow or exceed ``NOISE_POWER_MAX``, the bound the powers
-        keep (below 1 m a hop's path loss is a gain that grows with the
-        exponent), or naming what makes a link's interference-free SNR
-        p n_t n_r A^2 / sigma2 overflow, formed as the association forms it:
-        A, the direct hop's amplitude plus the element cascades' products,
-        bounds every entry of the composite (the small-scale factor aside).
-        That is the exponent of the larger part of A, or p where A <= 1."""
-        from irslink.channel import _amp_delay  # here: channel imports this module
-
-        p, n = self.params, self.n_users
-        nodes = np.concatenate([self.user_positions, self.ap_positions])
-        families = [("pathloss_exponent", p.nlos_penalty_db,
-                     self.user_positions[:, None] - self.ap_positions[None]),
-                    ("los_exponent", 0.0, nodes[:, None] - self.irs_element_positions())]
-        bands = np.array([p.carrier_dl, p.carrier_ul])[:, None, None]  # DL, UL
-        amps = []
-        for name, loss_db, dod in families:
-            with np.errstate(all="ignore"):  # the overflow is what this looks for
-                amps.append(_amp_delay(bands, dod, getattr(p, name), loss_db)[0])
-            amp = float(np.max(amps[-1], initial=0.0))
-            if not amp <= NOISE_POWER_MAX:  # NaN fails too
-                shortest = float(np.min(np.linalg.norm(dod, axis=-1)))
-                raise ConfigError(
-                    f"system.{name}: the shortest hop ({shortest:.3g} m) has amplitude "
-                    f"{amp!r}, above {NOISE_POWER_MAX!r}"
-                )
-        direct, hops = amps  # (band, U, B) and (band, U + B, M), bands DL then UL
-        with np.errstate(over="ignore"):
-            cascade = hops[:, :n] @ hops[:, n:].swapaxes(1, 2)
-            link = direct + cascade
-            power = np.array([p.p_ap, p.p_user])[:, None, None]
-            snr = power * (p.n_t * p.n_r * link**2) / p.sigma2
-        if not np.all(np.isfinite(snr)):
-            band, i, j = np.argwhere(~np.isfinite(snr))[0].tolist()
-            parts = {"pathloss_exponent": direct[band, i, j], "los_exponent": cascade[band, i, j]}
-            name = max(parts, key=parts.get) if link[band, i, j] > 1 else ("p_ap", "p_user")[band]
-            raise ConfigError(f"system.{name}: the interference-free {('DL', 'UL')[band]} SNR "
-                              f"of user {i} at AP {j} overflows")
 
     @property
     def n_users(self) -> int:

@@ -22,11 +22,15 @@ from irslink.channel import (
     subcarrier_pieces,
     synthesize_links,
 )
+from irslink.optimizer import alternating_optimize
 from irslink.scenario import (
     CARRIER_MIN,
+    NOISE_POWER_MAX,
+    NOISE_POWER_MIN,
     Box,
     ConfigError,
     IrsPanel,
+    RcgConfig,
     Scenario,
     SystemParams,
     compute_dod_doa,
@@ -269,29 +273,31 @@ class TestDegenerateGeometry:
     def test_short_hop_whose_amplitude_overflows_rejected(self, name, value, user, shortest):
         # a hop shorter than 1 m turns its path loss into a gain that grows
         # with the exponent: 0.5 m below the AP, or 0.5 m from a panel corner.
-        # At 1 m, 10 * 1e308 overflows to inf and inf * log10(1) is NaN
+        # At 1 m, 10 * 1e308 overflows to inf and inf * log10(1) is NaN. The
+        # scenario loads; synthesis rejects it before it forms the family's hops
         sc = _mimo_scenario(3, 2)
+        near = replace(sc, user_positions=np.array([user]),
+                       params=replace(sc.params, **{name: value}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError,
                                match=rf"^system\.{name}: the shortest hop \({shortest} m\)"):
-                replace(sc, user_positions=np.array([user]),
-                        params=replace(sc.params, **{name: value}))
+                synthesize_links(near)
 
     @pytest.mark.parametrize(
-        "name, band, ap, user, m_z, overrides",
-        [("pathloss_exponent", "DL", (2.0, 3.0, 2.5), (2.0, 3.0, 2.0), 0,
+        "name, band, ap, user, m_z, seed, overrides",
+        [("pathloss_exponent", "DL", (2.0, 3.0, 2.5), (2.0, 3.0, 2.0), 0, 0,
           {"pathloss_exponent": 1035.0}),
-         ("los_exponent", "DL", (0.5, 4.0, 1.7), (0.5, 4.0, 1.2), 2, {"los_exponent": 700.0}),
-         ("p_ap", "DL", (2.0, 3.0, 2.5), (2.0, 3.0, 1.5), 0,
+         ("los_exponent", "DL", (0.5, 4.0, 1.7), (0.5, 4.0, 1.2), 2, 0, {"los_exponent": 700.0}),
+         ("p_ap", "DL", (2.0, 3.0, 2.5), (2.0, 3.0, 1.5), 0, 1,
           {"p_ap": 1.3e154, "noise_power": 1.5e-154, "carrier_dl": 1.5 * CARRIER_MIN,
            "pathloss_exponent": 0.0, "nlos_penalty_db": 0.0}),
-         ("p_user", "UL", (2.0, 3.0, 2.5), (2.0, 3.0, 1.5), 0,
+         ("p_user", "UL", (2.0, 3.0, 2.5), (2.0, 3.0, 1.5), 0, 3,
           {"p_user": 1.3e154, "noise_power": 1.5e-154, "carrier_ul": 1.5 * CARRIER_MIN,
            "pathloss_exponent": 0.0, "nlos_penalty_db": 0.0})],
         ids=["direct_hop", "element_cascades", "ap_power_over_noise", "user_power_over_noise"],
     )
-    def test_link_whose_snr_overflows_rejected(self, name, band, ap, user, m_z, overrides):
+    def test_link_whose_snr_overflows_rejected(self, name, band, ap, user, m_z, seed, overrides):
         # hop amplitudes within the powers' bound, but a link's SNR bound
         # p n_t n_r A^2 / sigma2 overflows: 0.5 m below the AP (the direct hop,
         # amplitude about 7.6e151 at 60 GHz), an AP and a user 0.5 m from a
@@ -299,27 +305,62 @@ class TestDegenerateGeometry:
         # power over the noise is about 8.7e307. A short AO run used to
         # overflow on the first two at seed 0, and on the last two at the
         # seeds whose small-scale factor passes about 0.6 (1, 2 and 5 in the
-        # DL; 3 and 5 in the UL)
+        # DL; 3 and 5 in the UL); synthesis bounds A with that factor
         sc = _mimo_scenario(3, m_z) if m_z else _mimo_scenario()
+        bad = replace(sc, ap_positions=np.array([ap]), user_positions=np.array([user]),
+                      params=replace(sc.params, **overrides))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError,
                                match=rf"^system\.{name}: the interference-free {band} SNR of "
                                      rf"user 0 at AP 0 overflows$"):
-                replace(sc, ap_positions=np.array([ap]), user_positions=np.array([user]),
-                        params=replace(sc.params, **overrides))
+                synthesize_links(bad, seed)
 
     def test_short_hop_within_the_power_bound_is_finite(self):
         # amplitudes about 4e146 (DL) and 5e147 (UL) at 0.5 m, below the
-        # powers' bound of 1.34e154
+        # powers' bound of 1.34e154. With one user no interferer enters the
+        # SINR denominators, so a short AO run stays finite as well
         sc = _mimo_scenario(3, 2)
         near = replace(sc, user_positions=np.array([(2.0, 3.0, 2.0)]),
                        params=replace(sc.params, pathloss_exponent=1000.0))
+        config = RcgConfig(max_iter=3, outer_rounds=2)
+        for seed in range(4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                links = synthesize_links(near, seed)
+                result = alternating_optimize(near, seed, config=config, links=links)
+            for hops in (links.dl_nlos, links.ul_nlos):
+                assert 1e145 < np.abs(hops).max() < 1.34e154
+            assert np.isfinite(result.report.sum_utility)
+            assert all(np.isfinite(state.objective) and np.isfinite(state.grad_norm)
+                       for state in result.rcg_trace)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_link_whose_fading_lifts_its_ul_snr_past_the_floats_rejected(self, seed):
+        # 1 m below the AP at 1.5 CARRIER_MIN: hop amplitude 2/3, and p_user
+        # over the noise about 2.2e307, so p n_t n_r A^2 / sigma2 is about
+        # 7.7e307 |h|^2 with |h| the seed's small-scale factor. The check
+        # keeps it below half the largest float, so seeds 3, 5, 6 and 8 fail;
+        # the UL SINR used to overflow in metrics.sinr_ul at seeds 3 and 8
+        sc = _mimo_scenario()
+        bad = replace(sc, user_positions=np.array([(2.0, 3.0, 1.5)]),
+                      params=replace(sc.params, p_user=3.25e153, noise_power=1.5e-154,
+                                     carrier_ul=1.5 * CARRIER_MIN, pathloss_exponent=0.0,
+                                     nlos_penalty_db=0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            links = synthesize_links(near)
-        for hops in (links.dl_nlos, links.ul_nlos):
-            assert 1e145 < np.abs(hops).max() < 1.34e154
+            try:
+                links = synthesize_links(bad, seed)
+            except ConfigError as exc:
+                assert str(exc) == ("system.p_user: the interference-free UL SNR of user 0 "
+                                    "at AP 0 overflows")
+                return
+            result = alternating_optimize(bad, seed, config=RcgConfig(max_iter=3, outer_rounds=2),
+                                          links=links)
+        report = result.report
+        for column in (report.rate_dl, report.rate_ul, report.transmission, report.processing):
+            assert np.all(np.isfinite(column))
+        assert np.isfinite(report.sum_utility)
 
 
 class TestSmallScale:
@@ -653,3 +694,54 @@ class TestCompositeBits:
         h = no_surface.dl_composites(np.zeros(0))
         assert not np.shares_memory(h, no_surface.dl_nlos)
         np.testing.assert_array_equal(h, no_surface.dl_nlos)
+
+
+def _log_uniform(lo, hi):
+    """Floats spread evenly in log10 over [lo, hi]."""
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: float(np.clip(10.0**x, lo, hi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    powers=st.tuples(*[_log_uniform(NOISE_POWER_MIN, NOISE_POWER_MAX)] * 3),
+    carriers=st.tuples(*[_log_uniform(CARRIER_MIN, 1e12)] * 2),
+    exponents=st.tuples(*[st.floats(0.0, 1100.0)] * 2),
+    hop=st.tuples(st.floats(0.5, 3.0), st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 0.9)),
+    n_t=st.sampled_from([1, 8, 64]),
+    m=st.sampled_from([0, 4]),
+    seed=st.integers(0, 9),
+)
+def test_link_budget_rejects_or_runs_finite(powers, carriers, exponents, hop, n_t, m, seed):
+    """Powers and noise anywhere in their ranges, any carriers and exponents,
+    a user 0.5 to 3 m from the AP, and a 2 x 2 panel 1 m beside the AP or
+    none: synthesis either rejects the links with one ``system`` field, or a
+    short AO run and its report stay finite with warnings as errors."""
+    p_ap, p_user, noise_power = powers
+    distance, azimuth, dip = hop
+    user = np.array([5.0, 8.0, 2.5]) + distance * np.array(
+        [np.cos(dip) * np.cos(azimuth), np.cos(dip) * np.sin(azimuth), -np.sin(dip)])
+    params = SystemParams(n_t=n_t, n_r=1, n_rf=1, n_s=1, n_sc=4, v_cap=1, p_ap=p_ap,
+                          p_user=p_user, noise_power=noise_power, carrier_dl=carriers[0],
+                          carrier_ul=carriers[1], pathloss_exponent=exponents[0],
+                          los_exponent=exponents[1], r_min=0.0)
+    panels = (IrsPanel((4.0, 7.5, 1.2), 2, 2, 0.05),) if m else ()
+    scenario = Scenario(ap_positions=np.array([[5.0, 8.0, 2.5]]), user_positions=user[None],
+                        irs_panels=panels, bounds=Box((0.0, 0.0, 0.0), (10.0, 17.0, 3.0)),
+                        params=params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            links = synthesize_links(scenario, seed)
+        except ConfigError as exc:
+            assert str(exc).startswith("system."), exc
+            return
+        result = alternating_optimize(scenario, seed, config=RcgConfig(max_iter=2, outer_rounds=2),
+                                      links=links)
+    report = result.report
+    for column in (report.rate_dl, report.rate_ul, report.processing,
+                   report.conditional_utility, report.routing_utility):
+        assert np.all(np.isfinite(column))
+    # a needed rate that rounds to zero has an infinite delay and no utility
+    assert np.all(np.isfinite(report.transmission) | (report.conditional_utility == 0.0))
+    assert np.isfinite(report.sum_utility)
+    assert all(np.isfinite([state.objective, state.grad_norm]).all() for state in result.rcg_trace)

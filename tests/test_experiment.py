@@ -602,6 +602,60 @@ system:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    _ONE_ANTENNA_ROOM = (
+        "geometry: {ap_positions: [[2.0, 3.0, 2.5]], user_positions: [[2.0, 3.0, 1.5]]}\n"
+        "system: {n_t: 1, n_rf: 1, carrier_dl: 2.4e+7, carrier_ul: 2.4e+7, "
+        "pathloss_exponent: 0.0, nlos_penalty_db: 0.0, noise_power: 1.5e-154, "
+        "p_ap: 2.0e+153}\n"
+    )
+
+    @pytest.mark.parametrize("codebook, code", [("1x1", 0), ("64x1", 2)])
+    def test_link_budget_is_checked_with_the_codebook_antenna_count(self, tmp_path, capsys,
+                                                                     codebook, code):
+        # the file's n_t of 1 keeps p_ap n_t n_r A^2 / sigma2 near 1.3e307; a
+        # 64-antenna codebook multiplies it by 64, which used to overflow in
+        # optimizer._initial_assignment, a traceback under -W error
+        scenario = tmp_path / "one_antenna.yaml"
+        scenario.write_text(self._ONE_ANTENNA_ROOM)
+        argv = ["run", "--scenario", str(scenario), "--codebooks", codebook, "--irs-sizes", "0",
+                "--modes", "no_irs", "--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert (tmp_path / "out" / "manifest.json").exists()
+            return
+        assert captured.out == ""
+        assert captured.err == ("irslink: error: system.p_ap: the interference-free DL SNR of "
+                                "user 0 at AP 0 overflows\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_link_whose_gradient_products_overflow_names_the_power(self, tmp_path, capsys):
+        # sigma2 = 1e150 and p_ap = 1.3e154 are each in range and the SNR is
+        # about 5e6, but the gradient's ds * d used to overflow in
+        # DlRateObjective.value_and_grad: a traceback under -W error, and
+        # otherwise sum_utility 0 with min_d_t inf
+        scenario = tmp_path / "loud_noise.yaml"
+        scenario.write_text(
+            "geometry: {ap_positions: [[2.0, 3.0, 2.5], [8.0, 14.0, 2.5]], "
+            "user_positions: [[2.0, 3.0, 1.5], [7.0, 13.0, 1.5]], "
+            "irs_panels: [{origin: [0.0, 7.0, 1.2], m_y: 2, m_z: 2, spacing: 0.01}]}\n"
+            "system: {carrier_dl: 2.4e+7, carrier_ul: 2.4e+7, pathloss_exponent: 0.0, "
+            "los_exponent: 0.0, nlos_penalty_db: 0.0, noise_power: 1.0e+150, p_ap: 1.3e+154}\n"
+        )
+        argv = ["run", "--scenario", str(scenario), "--codebooks", "8x2", "--irs-sizes", "4",
+                "--modes", "with_irs", "--max-iter", "3", "--outer-rounds", "1",
+                "--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("irslink: error: system.p_ap: the DL SINR gradient ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_more_streams_than_user_antennas_is_one_error_line(self, tmp_path, capsys):
         # it used to load, synthesize every link and fail in the beamformer
         # design with "stream count exceeds projected channel rank bound"
