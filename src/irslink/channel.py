@@ -171,8 +171,9 @@ def _cascade(nlos, phi_coeffs, user, ap, spec, out) -> np.ndarray:
 
 # a stack formed in pieces (the composites' phase-scaled user stacks and UL
 # hops, the brackets' product matrix) takes whole subcarriers, at most this
-# many bytes a piece
-PIECE_BYTES = 1 << 20
+# many bytes a piece: 512 KiB held the large-surface peak lower than 1 MiB,
+# and no piece size ran faster
+PIECE_BYTES = 1 << 19
 
 
 def subcarrier_pieces(n_sc: int, bytes_per_subcarrier: int) -> list[slice]:

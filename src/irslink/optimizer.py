@@ -329,8 +329,9 @@ class DlRateObjective:
         all triples at all S points are one GEMM, exp(j points) @ W + e0:
         S*P*K*n_sc*M*n_s^2 MACs against the composites' U*B*n_sc*M*n_r*n_t
         per point. W is stored transposed, in ``subcarrier_pieces``: when it
-        is one piece the set-up forms it and the round keeps it, else every
-        call forms each piece into one buffer, so at most one piece is held.
+        spans at most two pieces (1 MiB) the set-up forms it whole and the
+        round keeps it, else every call forms each piece into one buffer, so
+        at most one piece is held.
         The affine kernel rounds otherwise than ``value``'s composite kernel,
         so it yields an interval; the line search settles a comparison on
         brackets wherever they lie on one side of it (a floating-point
@@ -408,21 +409,23 @@ class DlRateObjective:
 
     def _affine_norms(self, coeffs):
         """||E_q||_F of the affine form at every row of ``coeffs`` (S, M), as
-        (S, n_sc, Q): one GEMM per piece of W, e0 added, squares summed in
-        place. W is kept when it is one piece; otherwise each piece is formed
-        into one buffer, the first piece's size."""
+        (S, n_sc, Q): one GEMM on the kept W, or one per piece of W, each
+        piece formed into one buffer the first piece's size; e0 added,
+        squares summed in place. Every column of a GEMM is its own dot
+        product over M, so the pieces give the whole W's bits."""
         n_sc, m, n_s = self._v.shape[1:]
         per_sc = len(self._e0) // n_sc
         eff = np.empty((len(coeffs), len(self._e0)), dtype=complex)
-        first, wt, buffer = self._pieces[0], self._wt, None
-        if wt is None:
+        if self._wt is not None:
+            np.matmul(coeffs, self._wt.T, out=eff)
+        else:
+            first = self._pieces[0]
             buffer = np.empty(((first.stop - first.start) * per_sc, m), dtype=complex)
-        for n in self._pieces:
-            if buffer is not None:
+            for n in self._pieces:
                 wt = self._affine_piece(n, buffer)
                 if self.counter is not None:
                     self.counter.add(wt.size)
-            np.matmul(coeffs, wt.T, out=eff[:, n.start * per_sc:n.stop * per_sc])
+                np.matmul(coeffs, wt.T, out=eff[:, n.start * per_sc:n.stop * per_sc])
         eff += self._e0
         if self.counter is not None:
             self.counter.add(eff.size * m)
@@ -446,9 +449,9 @@ class DlRateObjective:
         return wt
 
     def _bracket_setup(self):
-        """e0 in the product's layout, W^T when it is one piece, rho of every
-        (triple, subcarrier) from Frobenius norms and the two widening factors
-        (see ``brackets``)."""
+        """e0 in the product's layout, W^T when it spans at most two pieces,
+        rho of every (triple, subcarrier) from Frobenius norms and the two
+        widening factors (see ``brackets``)."""
         links = self.links
         n_pairs, n_sc, m, n_s = self._u.shape
         n_owners, n_r, n_t = len(self._v), self._wh.shape[2], self._f.shape[2]
@@ -457,8 +460,10 @@ class DlRateObjective:
         self._e0 = e0.reshape(-1)
         per_sc = n_pairs * n_owners * n_s * n_s
         self._pieces = subcarrier_pieces(n_sc, per_sc * m * 16)
-        self._wt = None  # W^T, kept for the round when it is one piece
-        if len(self._pieces) == 1:
+        # W^T, kept for the round up to 1 MiB: a mid-size W re-formed on
+        # every call slowed M = 48 AO runs by 8-29%
+        self._wt = None
+        if len(self._pieces) <= 2:
             self._wt = self._affine_piece(slice(0, n_sc),
                                           np.empty((n_sc * per_sc, m), dtype=complex))
         # ||A_q||_F <= ||W||_F ||F||_F (||H_nlos||_F + ||U_i||_F ||V_b||_F), (P, K, n_sc)

@@ -108,9 +108,10 @@ def test_stock_sweep_seed_0(monkeypatch):
 
 
 def test_large_surface_ao_m96(monkeypatch):
-    # W (1.5 MiB at M = 96) is two pieces, so no objective keeps it: each of
-    # the 11 brackets calls forms both pieces, and neither of the 2 set-ups
-    # forms one (9 more forms of the 64,512-entry first piece)
+    # W (1.5 MiB at M = 96) is four pieces, so no objective keeps it: each of
+    # the 11 brackets calls forms all four, W in full, and neither of the 2
+    # set-ups forms one. The final report builds the UL composites in four
+    # pieces of at most 21 subcarriers, one _cascade call each
     scenario = default_scenario(96)
     assert _ledger(monkeypatch, lambda counter: [
         alternating_optimize(scenario, seed=1, counter=counter)]) == {
@@ -121,7 +122,7 @@ def test_large_surface_ao_m96(monkeypatch):
         "open_comparisons": 0,
         "_effective": 17,
         "_kernel": 13,
-        "_cascade": 14,
+        "_cascade": 16,
         "rcg_iterations": 11,
         "ao_rounds_run": 2,
         "ao_rounds_kept": 1,
