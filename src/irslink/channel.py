@@ -171,8 +171,8 @@ def _cascade(nlos, phi_coeffs, user, ap, spec, out) -> np.ndarray:
 
 # a stack formed in pieces (the composites' phase-scaled user stacks and UL
 # hops, the brackets' product matrix) takes whole subcarriers, at most this
-# many bytes a piece: 512 KiB held the large-surface peak lower than 1 MiB,
-# and no piece size ran faster
+# many bytes a piece. At 512 KiB the large-surface peak no longer sits on a
+# piece: 1 and 2 MiB raised it, 128 and 256 KiB kept it and ran no faster
 PIECE_BYTES = 1 << 19
 
 

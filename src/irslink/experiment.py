@@ -119,6 +119,7 @@ def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
     path = Path(path)
     rows = []
     first_line = {}  # (node, peer) -> line number
+    known = None if known_node_ids is None else set(known_node_ids)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -138,8 +139,16 @@ def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
                 snr = float(row[2])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from None
+            if known is not None and not {node, peer} <= known:
+                unknown = sorted({node, peer} - known)
+                raise ValueError(f"{path}: line {lineno}: unknown node ids {unknown}")
             if not math.isfinite(snr):
                 raise ValueError(f"{path}: line {lineno}: snr_db must be finite, got {row[2]!r}")
+            try:
+                10.0 ** (snr / 10.0)  # the linear SNR that ``snr_linear`` forms
+            except OverflowError:
+                raise ValueError(f"{path}: line {lineno}: snr_db must give a finite linear SNR "
+                                 f"(at most about 3082.5 dB), got {row[2]!r}") from None
             if (node, peer) in first_line:
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate row for node {node}, peer {peer} "
@@ -147,11 +156,6 @@ def import_ns3_snr_csv(path, known_node_ids=None) -> ExternalSnrTrace:
                 )
             first_line[node, peer] = lineno
             rows.append((node, peer, snr))
-    if known_node_ids is not None:
-        known = set(known_node_ids)
-        unknown = sorted({n for r in rows for n in (r[0], r[1])} - known)
-        if unknown:
-            raise ValueError(f"{path}: unknown node ids {unknown}")
     return ExternalSnrTrace(tuple(rows), source=str(path))
 
 

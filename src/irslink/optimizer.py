@@ -460,8 +460,8 @@ class DlRateObjective:
         self._e0 = e0.reshape(-1)
         per_sc = n_pairs * n_owners * n_s * n_s
         self._pieces = subcarrier_pieces(n_sc, per_sc * m * 16)
-        # W^T, kept for the round up to 1 MiB: a mid-size W re-formed on
-        # every call slowed M = 48 AO runs by 8-29%
+        # W^T, kept for the round up to 1 MiB: re-formed on every call, the
+        # two-piece W of M = 48 and 64 slowed their AO runs by 4-5%
         self._wt = None
         if len(self._pieces) <= 2:
             self._wt = self._affine_piece(slice(0, n_sc),

@@ -137,6 +137,34 @@ class TestSnrTrace:
         with pytest.raises(ValueError, match=f"line 3: snr_db must be finite, got '{value}'"):
             import_ns3_snr_csv(bad)
 
+    @pytest.mark.parametrize("value", ["4000", "3082.6", "1e4"])
+    def test_snr_overflowing_as_linear_rejected_with_line_number(self, tmp_path, value):
+        # 10 ** (snr_db / 10) raises OverflowError above about 3082.5 dB
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"node_id,peer_id,snr_db\n0,4,10\n4,0,{value}\n")
+        with pytest.raises(ValueError, match=f"line 3: snr_db must give a finite linear SNR "
+                                             rf"\(at most about 3082.5 dB\), got '{value}'"):
+            import_ns3_snr_csv(bad)
+
+    @pytest.mark.parametrize("value", [3082.5, -4000.0])
+    def test_extreme_snr_runs(self, tmp_path, value):
+        # the largest SNR that stays finite runs, and -4000 dB, a linear SNR
+        # of 0, runs with rate 0: no pair meets its delay, so nothing is useful
+        path = tmp_path / "snr.csv"
+        lines = ["node_id,peer_id,snr_db"]
+        for i in range(4):
+            for j in (4, 5):
+                lines += [f"{i},{j},{value}", f"{j},{i},{value}"]
+        path.write_text("\n".join(lines) + "\n")
+        spec = ExperimentSpec(codebooks=(CodebookScenario("2ant_1rf", 2, 1),),
+                              modes=("external_snr",), snr_csv_path=str(path))
+        report = run_experiment(spec, scenario=small_scenario(0))[0].report
+        if value < 0:
+            assert not report.rate_dl.any() and not report.rate_ul.any()
+            assert report.min_transmission_delay == np.inf and report.sum_utility == 0.0
+        else:
+            assert np.isfinite(report.rate_dl).all() and report.rate_dl.min() > 0
+
     def test_column_count_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("node_id,peer_id,snr_db\n0,4\n")
@@ -151,7 +179,7 @@ class TestSnrTrace:
 
     def test_unknown_node_ids_rejected(self, tmp_path):
         src = snr_fixture(tmp_path / "snr.csv")
-        with pytest.raises(ValueError, match="unknown node ids"):
+        with pytest.raises(ValueError, match=r"line 2: unknown node ids \[4\]$"):
             import_ns3_snr_csv(src, known_node_ids=range(4))
 
     def test_duplicate_row_rejected_with_both_line_numbers(self, tmp_path):
@@ -710,29 +738,27 @@ _SYSTEM_FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
 _STOCK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "indoor_room.yaml"
 
 
-def _assert_fails_loudly_or_runs_finite(document, paths):
-    """``irslink run`` on ``document``, in-process under -W error with a small
-    iteration budget, either exits 2 with one error line naming a path that
-    the regex ``paths`` matches, or exits 0 with finite results.
+def _assert_fails_loudly_or_runs_finite(args, error) -> int:
+    """``irslink run`` with ``args`` and a new output directory, in-process
+    under -W error, either exits 2 with one error line whose message the
+    regex ``error`` matches in full, and no output directory, or exits 0 with
+    finite results; returns the exit code.
 
     ``min_d_t`` is the smallest finite transmission delay, infinite when
     every needed rate rounds to zero; that run then has no utility either.
     """
-    import yaml
-
     with tempfile.TemporaryDirectory() as tmp:
-        scenario, out = Path(tmp) / "mutated.yaml", Path(tmp) / "out"
-        scenario.write_text(yaml.safe_dump(document))
+        out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             warnings.simplefilter("error")
-            code = main(["run", "--scenario", str(scenario), "--codebooks", "2ant_1rf",
-                         "--max-iter", "3", "--outer-rounds", "1", "--output-dir", str(out)])
+            code = main(["run", *args, "--output-dir", str(out)])
         if code == 2:
-            assert re.fullmatch(rf"irslink: error: ({paths}): .*\n", stderr.getvalue()), \
+            assert re.fullmatch(rf"irslink: error: {error}\n", stderr.getvalue()), \
                 stderr.getvalue()
-            return
+            assert not out.exists()
+            return code
         assert code == 0, stderr.getvalue()
         utility = {tuple(row[:4]): float(row[4])
                    for row in _csv_rows(out / "utility_by_codebook.csv")}
@@ -747,6 +773,21 @@ def _assert_fails_loudly_or_runs_finite(document, paths):
                         assert utility[tuple(row[:4])] == 0.0, row
                         continue
                     assert np.isfinite(value), (path.name, row)
+    return code
+
+
+def _assert_document_fails_loudly_or_runs_finite(document, paths):
+    """``_assert_fails_loudly_or_runs_finite`` on a scenario document, with a
+    small iteration budget; an error names a path that the regex ``paths``
+    matches."""
+    import yaml
+
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "mutated.yaml"
+        scenario.write_text(yaml.safe_dump(document))
+        _assert_fails_loudly_or_runs_finite(
+            ["--scenario", str(scenario), "--codebooks", "2ant_1rf", "--max-iter", "3",
+             "--outer-rounds", "1"], rf"({paths}): .*")
 
 
 @settings(max_examples=200, deadline=None)
@@ -766,7 +807,7 @@ def test_mutated_system_fields_fail_loudly_or_run_finite(mutation):
     document = yaml.safe_load(_STOCK_CONFIG.read_text())
     document["system"].update(mutation)
     paths = r"system\.\w+" + (r"|geometry\.irs_panels\[\d+\]" if "carrier_dl" in mutation else "")
-    _assert_fails_loudly_or_runs_finite(document, paths)
+    _assert_document_fails_loudly_or_runs_finite(document, paths)
 
 
 def _tree_paths(node, path=()):
@@ -838,8 +879,75 @@ def test_mutated_documents_fail_loudly_or_run_finite(mutations):
     document = yaml.safe_load(_STOCK_CONFIG.read_text())
     for mutation in mutations:
         _mutate(document, *mutation)
-    _assert_fails_loudly_or_runs_finite(
+    _assert_document_fails_loudly_or_runs_finite(
         document, r"(config|geometry|system|optimizer)(\.\w+|\[\d+\])*")
+
+
+# the stock room's trace: users 0-3 and APs 4-5, DL rows (user, AP), UL rows (AP, user)
+_TRACE_LINKS = ([(i, j) for i in range(4) for j in (4, 5)]
+                + [(j, i) for i in range(4) for j in (4, 5)])
+_BAD_IDS = ["-1", "6", "99", "1.5", "x", ""]
+
+
+def _first_rejected_line(rows):
+    """The line number of the first trace row of ``rows`` (a header on line
+    1) that the import rejects, or None: a malformed or unknown id, an SNR
+    that is not finite or overflows as a linear SNR, or a (node, peer) pair
+    already read."""
+    seen = set()
+    for lineno, (node, peer, snr) in enumerate(rows, start=2):
+        try:
+            ids, db = (int(node), int(peer)), float(snr)
+            10.0 ** (db / 10.0)
+        except (ValueError, OverflowError):
+            return lineno
+        if not set(ids) <= set(range(6)) or not np.isfinite(db) or ids in seen:
+            return lineno
+        seen.add(ids)
+    return None
+
+
+@st.composite
+def _snr_traces(draw):
+    """The stock room's trace with SNRs within +-1e4 dB that all stay finite
+    as linear SNRs, then up to three faults: a row dropped or doubled, a bad
+    node or peer id, or an SNR that is not finite or overflows."""
+    rows = [[str(node), str(peer), repr(draw(st.floats(-1e4, 3082.5)))]
+            for node, peer in _TRACE_LINKS]
+    for kind in draw(st.lists(st.sampled_from(["drop", "double", "id", "snr"]), max_size=3)):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        if kind == "drop":
+            del rows[k]
+        elif kind == "double":
+            rows.insert(draw(st.integers(k + 1, len(rows))), list(rows[k]))
+        elif kind == "id":
+            rows[k][draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_IDS))
+        else:
+            rows[k][2] = draw(st.one_of(st.sampled_from(["nan", "inf", "-inf", "4000"]),
+                                        st.floats(3082.6, 1e4).map(repr)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_snr_traces())
+def test_mutated_snr_traces_fail_loudly_or_run_finite(rows):
+    """An external SNR trace with bad node ids, NaN, +-inf, duplicate or
+    missing rows and SNRs within +-1e4 dB (ROADMAP item 10): the run exits 2
+    with one error line that names the trace file and the first bad line, or
+    the rows it lacks, or exits 0 with finite results. It exits 2 whenever
+    a row is bad."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        trace.write_text("node_id,peer_id,snr_db\n" + "".join(f"{','.join(r)}\n" for r in rows))
+        bad = _first_rejected_line(rows)
+        error = (rf"line {bad}: .*" if bad
+                 else r"no SNR rows for \(node, peer\) \[\(\d+, \d+\)(, \(\d+, \d+\))*\]")
+        code = _assert_fails_loudly_or_runs_finite(
+            ["--modes", "external_snr", "--snr-csv", str(trace), "--codebooks", "2ant_1rf"],
+            rf"{re.escape(str(trace))}: {error}")
+        assert code == 2 or bad is None
 
 
 def _csv_rows(path):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from irslink.channel import synthesize_links
+from irslink.experiment import ExperimentSpec, run_experiment
 from irslink.optimizer import alternating_optimize
-from irslink.scenario import RcgConfig, default_scenario
+from irslink.scenario import STOCK_CODEBOOKS, RcgConfig, default_scenario
 
 CONFIG = RcgConfig(max_iter=8, outer_rounds=2)
 
@@ -76,3 +77,16 @@ def test_relabelled_users_relabel_the_results(order, aggregate):
     assert len(got.trace) == len(want.trace)
     for a, b in zip(got.trace, want.trace):
         assert a.objective == pytest.approx(b.objective, rel=3e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_surface_gives_utility_on_finite_queues(seed):
+    # the stock queue rates wait 5e8 s, so every stock utility is about 0
+    # with or without the surface; with finite queues (lambda_i = 2e3,
+    # mu_j = 4e3) the surface's links meet the delay and earn utility, and
+    # the direct links, blocked by 30 dB, do not
+    spec = ExperimentSpec(seed=seed, optimizer_overrides={"max_iter": 30, "outer_rounds": 3})
+    scenario = default_scenario(24, lambda_i=2e3, mu_j=4e3)
+    utility = {(r.codebook, r.mode): r.sum_utility for r in run_experiment(spec, scenario)}
+    for codebook in STOCK_CODEBOOKS:
+        assert utility[codebook.name, "with_irs"] > utility[codebook.name, "no_irs"]
