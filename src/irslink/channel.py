@@ -183,14 +183,12 @@ def subcarrier_pieces(n_sc: int, bytes_per_subcarrier: int) -> list[slice]:
     return [slice(start, min(start + step, n_sc)) for start in range(0, n_sc, step)]
 
 
-def _composites(nlos, phi_coeffs, hops, spec, bytes_per_subcarrier, out=None) -> np.ndarray:
+def _composites(nlos, phi_coeffs, hops, spec, bytes_per_subcarrier) -> np.ndarray:
     """``_cascade`` of every user-AP link, one ``subcarrier_pieces`` piece at a
-    time, into ``out`` (a fresh array when None); ``hops(n)`` gives the user-
-    and AP-side stacks of the subcarriers ``n``. Each composite entry sums
-    over the elements only, so a piece's entries have the bits the whole
-    stacks would give."""
-    if out is None:
-        out = np.empty_like(nlos)
+    time, into a new array; ``hops(n)`` gives the user- and AP-side stacks of
+    the subcarriers ``n``. Each composite entry sums over the elements only,
+    so a piece's entries have the bits the whole stacks would give."""
+    out = np.empty_like(nlos)
     for n in subcarrier_pieces(nlos.shape[2], bytes_per_subcarrier):
         _cascade(nlos[:, :, n], phi_coeffs, *hops(n), spec, out[:, :, n])
     return out
@@ -213,6 +211,13 @@ class LinkChannels:
     and delays (L, M), from which ``_hop_gains`` forms the per-subcarrier
     gains, and steering (L, M, n). ``ul_composites`` forms the gains and
     stacks piece by piece, with ``ul_hops``.
+
+    Every stack is read-only, and ``dl_composites`` keeps its last build:
+    association, beamformer design and the DL objective each ask for the
+    composites at their phases, and a phase point is built once. The entry
+    is the one mutable part: ``derive`` copies, which share every stack,
+    share it too, and ``with_surface`` or ``dataclasses.replace`` start
+    their own.
     """
 
     scenario: Scenario
@@ -232,9 +237,13 @@ class LinkChannels:
         for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_amp",
                      "ul_user_delay", "ul_user_steering", "ul_ap_amp", "ul_ap_delay",
                      "ul_ap_steering"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            stack = getattr(self, name)
+            if not np.all(np.isfinite(stack)):
                 raise ValueError(f"non-finite channel entries in {name}")
+            stack.flags.writeable = False  # an edit would leave the memo stale
         self._check_link_budget()
+        # the memo: [(coefficient bytes, DL composites)] of the last build
+        object.__setattr__(self, "_last_dl", [(None, None)])
 
     def _check_link_budget(self):
         """Raise ConfigError where a link's SINR chain would leave the floats.
@@ -311,15 +320,26 @@ class LinkChannels:
                 f"{self.dl_ap_rows.shape[2]} IRS elements"
             )
 
-    def dl_composites(self, phi_coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def dl_composites(self, phi_coeffs: np.ndarray, counter=None) -> np.ndarray:
         """(U, B, n_sc, n_r, n_t) total DL channels of every user-AP link for
-        given unit-modulus coefficients, written into ``out`` (shaped like
-        ``dl_nlos``) or a new array. The pieces are sized by the phase-scaled
-        user stack."""
+        given unit-modulus coefficients, read-only. The last build is kept
+        and returned again while the coefficients' bytes stay the same; a
+        build counts M n_r n_t MACs per link and subcarrier into ``counter``.
+        The pieces are sized by the phase-scaled user stack."""
         self._check_phase_count(phi_coeffs)
+        key = np.asarray(phi_coeffs, dtype=complex).tobytes()
+        kept = self._last_dl[0]  # read once: the entry is replaced, never edited
+        if kept[0] == key:
+            return kept[1]
+        self._last_dl[0] = kept = (None, None)  # the old build goes before the new one is made
         user, ap = self.dl_user_cols, self.dl_ap_rows
-        return _composites(self.dl_nlos, phi_coeffs, lambda n: (user[:, n], ap[:, n]),
-                           "inmr,bnmt->ibnrt", user.nbytes // user.shape[1], out)
+        h = _composites(self.dl_nlos, phi_coeffs, lambda n: (user[:, n], ap[:, n]),
+                        "inmr,bnmt->ibnrt", user.nbytes // user.shape[1])
+        h.flags.writeable = False
+        if counter is not None:
+            counter.add(h.size * len(phi_coeffs))
+        self._last_dl[0] = key, h
+        return h
 
     def ul_composites(self, phi_coeffs: np.ndarray) -> np.ndarray:
         """(U, B, n_sc, n_t, n_r) total UL channels of every user-AP link for

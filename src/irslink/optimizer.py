@@ -97,22 +97,18 @@ class DlRateObjective:
     subcarrier's spectral efficiency ("min").
 
     Every (receiver i, AP b, precoder owner l) triple is evaluated in one
-    stacked pass: ``dl_composites`` builds the composites of all user-AP
-    links into a buffer the objective owns and reuses, and ``_products``
-    forms the effective matrices W_i^H H_ib F_l from W^H per served pair and
-    F per owner, one einsum per AP over its owners. Triples run
-    receiver-major, then by (AP, owner), the order in which each receiver's
-    interferers are summed (``Assignment.dl_triples``). The effective
-    matrices and gains of the last two points are kept, keyed by the
-    coefficient bytes, so a point evaluated again (the accepted line-search
-    point, the round's final value and gains) costs nothing; no kept entry
-    shares memory with the buffer. ``prime`` hands over composites the
-    caller already built, for the first pass at their point. The objective
-    holds the composites of its last kernel pass (or the primed ones) with
-    their point, and ``held_composites`` hands them out, so the next AO round
-    designs on them without building them again. ``brackets`` bounds the
-    values at a stack of points from the affine form of the effective
-    matrices, without composites, for the line search's comparisons.
+    stacked pass: ``dl_composites`` gives the composites of all user-AP
+    links (its last build when it was at the same point, such as the one
+    the round's beamformers were designed on), and ``_products`` forms the
+    effective matrices W_i^H H_ib F_l from W^H per served pair and F per
+    owner, one einsum per AP over its owners. Triples run receiver-major,
+    then by (AP, owner), the order in which each receiver's interferers are
+    summed (``Assignment.dl_triples``). The effective matrices and gains of
+    the last two points are kept, keyed by the coefficient bytes, so a point
+    evaluated again (the accepted line-search point, the round's final value
+    and gains) costs nothing. ``brackets`` bounds the values at a stack of
+    points from the affine form of the effective matrices, without
+    composites, for the line search's comparisons.
     """
 
     _CACHED_POINTS = 2
@@ -163,23 +159,8 @@ class DlRateObjective:
             self._v = np.empty(f.shape[:2] + (self.n_phases, f.shape[3]), dtype=complex)
             for b, k in self._by_ap:
                 np.einsum("nmt,knts->knms", links.dl_ap_rows[b], self._f[k], out=self._v[k])
-        # refilled by every kernel pass
-        self._composites = np.empty_like(links.dl_nlos)
         self._cache = {}  # coefficient bytes -> (effective matrices, gains)
-        self._held = None  # (coefficient bytes, composites) of the last pass or ``prime``
         self._e0 = None  # formed by the first ``brackets`` call, with its other stacks
-
-    def prime(self, coeffs, composites):
-        """Hold ``composites``, the DL composites at ``coeffs``, as if a kernel
-        pass had built them: a pass at that point takes them until another
-        pass builds its own."""
-        self._held = (coeffs.tobytes(), composites)
-
-    def held_composites(self, coeffs):
-        """The DL composites at ``coeffs`` if the last kernel pass built them
-        or they were primed with no pass built since, else None."""
-        key, composites = self._held or (None, None)
-        return composites if key == coeffs.tobytes() else None
 
     def _effective(self, coeffs):
         """Effective matrices (Q, n_sc, n_s, n_s) and power gains (Q, n_sc) of
@@ -187,39 +168,31 @@ class DlRateObjective:
         key = coeffs.tobytes()
         hit = self._cache.pop(key, None)
         if hit is None:
-            # only primed composites can be held at a point the cache lacks: the
-            # last pass's point is always cached
-            held_key, composites = self._held or (None, None)
-            hit = self._kernel(coeffs, composites if held_key == key else None)
+            hit = self._kernel(coeffs)
             if len(self._cache) == self._CACHED_POINTS:
                 del self._cache[next(iter(self._cache))]
         self._cache[key] = hit
         return hit
 
-    def _kernel(self, coeffs, composites=None):
-        """One stacked pass over every triple, building the composites unless
-        given them. Counts the paper-literal MACs: M n_r n_t per link and
-        subcarrier for each composite built, and the chain (W^H H) F,
+    def _kernel(self, coeffs):
+        """One stacked pass over every triple. Counts the paper-literal MACs:
+        M n_r n_t per link and subcarrier for each composite built (a
+        composite the links kept costs none), and the chain (W^H H) F,
         n_s (n_r n_t + n_t n_s) per triple and subcarrier, for the effective
         matrices, which ``_ProbeObjective`` forms as the chain's two GEMMs."""
         p = self.links.scenario.params
         if not self.assignment.served:
             return np.zeros((0, p.n_sc, p.n_s, p.n_s), dtype=complex), np.zeros((0, p.n_sc))
-        h = composites
-        if h is None:
-            h = self._build_composites(coeffs)
-            self._held = (coeffs.tobytes(), h)
-            if self.counter is not None:
-                self.counter.add(h.shape[0] * h.shape[1] * p.n_sc * self.n_phases * p.n_r * p.n_t)
-        eff = self._effective_matrices(h)
+        eff = self._effective_matrices(self._build_composites(coeffs))
         if self.counter is not None:
             n_q, n_s = eff.shape[0], eff.shape[2]
             self.counter.add(n_q * p.n_sc * n_s * (p.n_r * p.n_t + p.n_t * n_s))
         return eff, np.sum(np.abs(eff) ** 2, axis=(2, 3))
 
     def _build_composites(self, coeffs):
-        """The DL composites at ``coeffs``, built into the objective's buffer."""
-        return self.links.dl_composites(coeffs, out=self._composites)
+        """The DL composites at ``coeffs``: the links' last build, or a new
+        one counted in the objective's counter."""
+        return self.links.dl_composites(coeffs, self.counter)
 
     def _products(self, h, out):
         """W_i^H H_ib F_l of every (served pair p, owner k) from the link stack
@@ -651,22 +624,19 @@ class AoResult:
         return self.report.sum_utility
 
 
-def _initial_assignment(scenario: Scenario, links: LinkChannels, coeffs,
-                        composites=None) -> Assignment:
-    """Interference-free rate table on raw composite channels for association.
-    ``composites`` are the DL composites at ``coeffs`` when already built."""
+def _initial_assignment(scenario: Scenario, links: LinkChannels, coeffs) -> Assignment:
+    """Interference-free rate table on raw composite channels for association."""
     p = scenario.params
-    h = links.dl_composites(coeffs) if composites is None else composites
+    h = links.dl_composites(coeffs)
     gains = np.mean(np.sum(np.abs(h) ** 2, axis=(3, 4)), axis=2)
     return associate_users(scenario, rate(p.p_ap * gains / p.sigma2, p.bandwidth))
 
 
 def _design_all_beamformers(scenario, links, assignment, coeffs, tx_codebook, rx_codebook,
-                            counter=None, composites=None):
+                            counter=None):
     """Hybrid beamformers of every served user, one stacked design over their
-    serving links. ``composites`` are the DL composites at ``coeffs`` when
-    already built."""
-    h = links.dl_composites(coeffs) if composites is None else composites
+    serving links."""
+    h = links.dl_composites(coeffs)
     designs = design_beamformers(h[assignment.users, assignment.aps], tx_codebook, rx_codebook,
                                  scenario.params.n_s, total_power=1.0, counter=counter)
     return {i: design for (i, _), design in zip(assignment.served, designs)}
@@ -701,24 +671,20 @@ def _evaluate(scenario, links, assignment, coeffs, beamformers, aggregate, dl_ga
     return utility_report(scenario, assignment, rate_dl, ul), dl
 
 
-def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter, composites):
-    """RCG phase optimization for fixed beamformers, from ``phases``, whose DL
-    composites are ``composites``; the objective's first point takes them.
+def _phase_round(links, assignment, beamformers, phases, aggregate, cfg, counter):
+    """RCG phase optimization for fixed beamformers, from ``phases``.
 
-    Returns the phases, their objective, their DL triple gains (Q, n_sc), the
-    RCG trace and the DL composites at the phases if the objective holds them
-    (else None). The objective, with its theta-gradient factors, lives only
+    Returns the phases, their objective, their DL triple gains (Q, n_sc) and
+    the RCG trace. The objective, with its theta-gradient factors, lives only
     for the round.
     """
     objective = DlRateObjective(links, assignment, beamformers, aggregate, counter)
-    objective.prime(np.exp(1j * phases), composites)
     round_rcg = []
     if objective.n_phases > 0:
         phases, round_rcg = rcg_optimize_phases(objective, phases, cfg.epsilon, cfg.max_iter)
     obj_val = objective.value(phases)
-    coeffs = np.exp(1j * phases)
-    _, dl_gains = objective._effective(coeffs)  # cached by ``value``
-    return phases, obj_val, dl_gains, round_rcg, objective.held_composites(coeffs)
+    _, dl_gains = objective._effective(np.exp(1j * phases))  # cached by ``value``
+    return phases, obj_val, dl_gains, round_rcg
 
 
 def alternating_optimize(
@@ -733,12 +699,13 @@ def alternating_optimize(
     """Alternating optimization: hybrid beamformer design then RCG phase
     optimization, for up to ``outer_rounds`` rounds, keeping the best state.
 
-    Each round designs on the DL composites at its start phases and hands
-    them to its objective; a round starts from the composites the previous
-    round's objective built at the phases it returned, when it still holds
-    them, and builds them only otherwise. A round that returns its start
-    phases is followed by a copy of itself, not a run of the next round, which
-    would repeat it bit for bit and stop with ``no_improvement``.
+    Each round designs on the DL composites at its start phases, which
+    ``links.dl_composites`` builds only when its last build was at other
+    phases (the previous round's objective usually built there last), and
+    the round's objective reads them at its first point. A round that
+    returns its start phases is followed by a copy of itself, not a run of
+    the next round, which would repeat it bit for bit and stop with
+    ``no_improvement``.
 
     With no IRS elements the loop degenerates to a single beamforming pass
     identical to the plain pipeline evaluation.
@@ -752,9 +719,7 @@ def alternating_optimize(
         links = synthesize_links(scenario, seed)
     m = scenario.n_irs_elements
     phases = np.zeros(m)
-    coeffs = np.exp(1j * phases)
-    composites = links.dl_composites(coeffs)  # round 1 designs on these too
-    assignment = _initial_assignment(scenario, links, coeffs, composites)
+    assignment = _initial_assignment(scenario, links, np.exp(1j * phases))
     tx_codebook = build_analog_codebook(p.n_t, p.n_rf, beam_grid=cfg.beam_grid)
     rx_grid = 1 if p.n_r == 1 else min(cfg.beam_grid, 8)
     rx_codebook = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=rx_grid)
@@ -766,16 +731,12 @@ def alternating_optimize(
     stop_reason = "round_cap"
     for rnd in range(1, cfg.outer_rounds + 1):
         t0 = time.perf_counter()
-        if rnd > 1:
-            coeffs = np.exp(1j * phases)
-            if composites is None:  # the last round's objective no longer held them
-                composites = links.dl_composites(coeffs)
         beamformers = _design_all_beamformers(
-            scenario, links, assignment, coeffs, tx_codebook, rx_codebook, counter, composites
+            scenario, links, assignment, np.exp(1j * phases), tx_codebook, rx_codebook, counter
         )
         start = phases
-        phases, obj_val, dl_gains, round_rcg, composites = _phase_round(
-            links, assignment, beamformers, phases, aggregate, cfg, counter, composites
+        phases, obj_val, dl_gains, round_rcg = _phase_round(
+            links, assignment, beamformers, phases, aggregate, cfg, counter
         )
         if best is not None and obj_val < best[0]:
             stop_reason = "regressed"  # beamformer redesign hurt the objective
@@ -835,7 +796,9 @@ class _ProbeObjective(DlRateObjective):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # the user stack as stored, (U, n_sc, n_r, M), scaled by the phases per pass
+        # the composites, and the user stack as stored, (U, n_sc, n_r, M),
+        # scaled by the phases: both refilled by every pass
+        self._composites = np.empty_like(self.links.dl_nlos)
         self._scaled = np.empty_like(self.links.dl_user_cols.swapaxes(2, 3))
 
     def _build_composites(self, coeffs):
@@ -846,6 +809,8 @@ class _ProbeObjective(DlRateObjective):
             h += links.dl_nlos
         else:
             np.copyto(h, links.dl_nlos)
+        if self.counter is not None:
+            self.counter.add(h.size * len(coeffs))
         return h
 
     def _effective_matrices(self, h):
@@ -873,8 +838,10 @@ def _probe_objective(m: int, bf_counter=None, counter=None):
     tx_cb = build_analog_codebook(m, 1, beam_grid=1)
     rx_cb = build_analog_codebook(m, 1, beam_grid=1)
     coeffs = np.ones(m, dtype=complex)
+    # designed on a copy of the links, whose kept build is freed with it: the
+    # objective builds into its own buffer
     beamformers = _design_all_beamformers(
-        scenario, links, assignment, coeffs, tx_cb, rx_cb, bf_counter
+        scenario, replace(links), assignment, coeffs, tx_cb, rx_cb, bf_counter
     )
     return _ProbeObjective(links, assignment, beamformers, counter=counter)
 

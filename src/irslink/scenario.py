@@ -1,9 +1,12 @@
 """Indoor geometry, simulation parameters, codebook scenarios and user-AP association.
 
 A Scenario is immutable after load and safe to share read-only across
-workers. ``with_irs_elements`` derives variants by ``dataclasses.replace``,
-which re-runs validation; ``with_codebook`` changes only the system
-parameters, so it checks those and skips the geometry checks (``derive``).
+workers. The ``LinkChannels`` synthesized from one are read-only too, but
+for one mutable entry, their last DL composite build, which ``derive``
+copies of the links share. ``with_irs_elements`` derives variants by
+``dataclasses.replace``, which re-runs validation; ``with_codebook``
+changes only the system parameters, so it checks those and skips the
+geometry checks (``derive``).
 Configuration documents are YAML key/value trees with sections
 ``geometry``, ``system`` and ``optimizer``; unknown keys, wrongly typed
 values and out-of-range values are rejected with their field path.

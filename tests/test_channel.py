@@ -22,6 +22,7 @@ from irslink.channel import (
     subcarrier_pieces,
     synthesize_links,
 )
+from irslink.opcount import OpCounter
 from irslink.optimizer import alternating_optimize
 from irslink.scenario import (
     CARRIER_MIN,
@@ -35,6 +36,7 @@ from irslink.scenario import (
     SystemParams,
     compute_dod_doa,
     default_scenario,
+    derive,
     with_irs_elements,
 )
 
@@ -658,7 +660,7 @@ class TestCompositeBits:
             mp.setattr(channel, "PIECE_BYTES", 1 << 40)
             whole = links.dl_composites(coeffs)
             mp.setattr(channel, "PIECE_BYTES", piece_bytes)
-            pieced = links.dl_composites(coeffs, out=np.empty_like(links.dl_nlos))
+            pieced = replace(links).dl_composites(coeffs)  # links with nothing kept
         assert pieced.tobytes() == whole.tobytes()
 
     @given(st.integers(1, 300), st.integers(0, 3 << 20))
@@ -673,27 +675,112 @@ class TestCompositeBits:
 
     @settings(max_examples=20, deadline=None)
     @given(_cascade_links(), st.integers(0, 2**32 - 1))
-    def test_reused_buffer_equals_fresh_calls(self, case, seed):
+    def test_kept_build_equals_fresh_builds(self, case, seed):
         links, first = case
         rng = np.random.default_rng(seed)
-        buffer = np.empty_like(links.dl_nlos)
         for coeffs in (first, np.exp(1j * rng.uniform(-np.pi, np.pi, len(first))), first):
-            assert links.dl_composites(coeffs, out=buffer) is buffer
-            np.testing.assert_array_equal(buffer, links.dl_composites(coeffs))
-            np.testing.assert_array_equal(buffer, _three_operand(links, coeffs, "DL"))
+            h = links.dl_composites(coeffs)
+            assert links.dl_composites(coeffs) is h
+            np.testing.assert_array_equal(h, _three_operand(links, coeffs, "DL"))
 
-    def test_without_buffer_returns_a_new_array(self):
+    def test_new_coefficients_return_a_new_array(self):
         links = synthesize_links(_mimo_scenario(2, 2), seed=1)
         coeffs = np.exp(1j * np.array([0.3, -1.1, 2.0, 0.7]))
-        first, second = links.dl_composites(coeffs), links.dl_composites(coeffs)
-        assert first is not second and not np.shares_memory(first, second)
-        for h in (first, links.dl_composites(np.ones(4))):
+        first = links.dl_composites(coeffs)
+        second = links.dl_composites(np.ones(4))
+        assert not np.shares_memory(first, second)
+        for h in (first, second):
             assert not np.shares_memory(h, links.dl_nlos)
-        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, replace(links).dl_composites(coeffs))
         no_surface = synthesize_links(_mimo_scenario(), seed=1)
         h = no_surface.dl_composites(np.zeros(0))
         assert not np.shares_memory(h, no_surface.dl_nlos)
         np.testing.assert_array_equal(h, no_surface.dl_nlos)
+
+
+def _built_directly(links, coeffs):
+    """The DL composites of ``channel._composites`` called as ``dl_composites``
+    calls it."""
+    user, ap = links.dl_user_cols, links.dl_ap_rows
+    return channel._composites(links.dl_nlos, coeffs, lambda n: (user[:, n], ap[:, n]),
+                               "inmr,bnmt->ibnrt", user.nbytes // user.shape[1])
+
+
+class TestCompositeMemo:
+    """``dl_composites`` keeps its last build: equal coefficient bytes return
+    that read-only array, other coefficients a new build."""
+
+    @pytest.fixture
+    def cascade_calls(self, monkeypatch):
+        calls = []
+        cascade = channel._cascade
+        monkeypatch.setattr(channel, "_cascade",
+                            lambda *a, **k: calls.append(1) or cascade(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("sc", [
+        default_scenario(0), default_scenario(24), default_scenario(48), default_scenario(384),
+        _mimo_scenario(3, 2, n_sc=5),
+    ], ids=["m0", "m24", "m48", "m384", "mimo_n_r2"])
+    def test_equal_coefficients_reuse_other_coefficients_build(self, sc, cascade_calls):
+        links = synthesize_links(sc, seed=2)
+        m = sc.n_irs_elements
+        rng = np.random.default_rng(m)
+        first = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+        h = links.dl_composites(first)
+        assert not h.flags.writeable
+        assert h.tobytes() == _built_directly(links, first).tobytes()
+        cascade_calls.clear()
+        assert links.dl_composites(first.copy()) is h  # equal bytes: no cascade
+        assert cascade_calls == []
+        if m:  # other coefficients: a build of their own, as called directly
+            rebuilt = links.dl_composites(-first)
+            assert cascade_calls and rebuilt is not h
+            assert rebuilt.tobytes() == _built_directly(links, -first).tobytes()
+
+    def test_counts_the_builds_it_makes(self):
+        sc = _mimo_scenario(3, 2, n_sc=5)
+        links, counter = synthesize_links(sc, seed=1), OpCounter()
+        coeffs = np.exp(1j * np.linspace(-1.0, 1.0, 6))
+        links.dl_composites(coeffs, counter)
+        p = sc.params
+        assert counter.macs == sc.n_users * sc.n_aps * p.n_sc * 6 * p.n_r * p.n_t
+        links.dl_composites(coeffs, counter)  # the kept build counts nothing
+        assert counter.macs == sc.n_users * sc.n_aps * p.n_sc * 6 * p.n_r * p.n_t
+
+    def test_derive_copy_shares_the_entry_with_surface_does_not(self, cascade_calls):
+        sc = default_scenario(8)
+        links = synthesize_links(sc, seed=0)
+        coeffs = np.exp(1j * np.linspace(0.0, 1.0, 8))
+        h = links.dl_composites(coeffs)
+        cascade_calls.clear()
+        assert derive(links).dl_composites(coeffs) is h
+        assert cascade_calls == []
+        resized = links.with_surface(with_irs_elements(sc, 8))
+        fresh = resized.dl_composites(coeffs)
+        assert fresh is not h and len(cascade_calls) == 1
+        assert fresh.tobytes() == h.tobytes()
+        # the copy's build is the source's kept one too
+        other = np.ones(8, dtype=complex)
+        built = derive(links).dl_composites(other)
+        assert links.dl_composites(other) is built
+
+    def test_returned_array_is_read_only(self):
+        links = synthesize_links(_mimo_scenario(2, 2), seed=3)
+        for coeffs in (np.ones(4), np.exp(1j * np.array([0.5, 1.0, -2.0, 3.0]))):
+            h = links.dl_composites(coeffs)
+            with pytest.raises(ValueError, match="read-only"):
+                h[0, 0, 0, 0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                h *= 2.0
+
+    def test_every_stack_is_read_only(self):
+        # an edit in place would leave the kept build stale: it raises instead
+        links = synthesize_links(_mimo_scenario(2, 2), seed=3)
+        for f in fields(LinkChannels)[2:]:
+            stack = getattr(links, f.name)
+            with pytest.raises(ValueError, match="read-only"):
+                stack[(0,) * stack.ndim] = 1.0
 
 
 def _log_uniform(lo, hi):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from irslink import channel, optimizer
 from irslink.beamforming import build_analog_codebook, design_beamformers
-from irslink.channel import LinkChannels, synthesize_links
+from irslink.channel import synthesize_links
 from irslink.metrics import rate
 from irslink.opcount import OpCounter
 from irslink.optimizer import (
@@ -316,8 +316,9 @@ class TestStackedKernel:
 
 
 class TestCompositeBuffer:
-    """The objective refills one composite buffer on every kernel pass; what it
-    returns and caches must not depend on what the buffer held before."""
+    """Every kernel pass reads the composites ``dl_composites`` gives, a new
+    build or the links' kept one; what the objective returns and caches must
+    not depend on which."""
 
     def test_evicted_point_evaluated_again_matches_fresh_objective(self, stock_scenario):
         objective, links, assignment, beamformers = build_rate_objective(stock_scenario, seed=0)
@@ -341,10 +342,13 @@ class TestCompositeBuffer:
             for table, expected in zip(_gain_tables(objective, coeffs),
                                        _gain_tables(fresh, coeffs)):
                 np.testing.assert_array_equal(table, expected)
+        # the fresh objective's pass at points[0] read the objective's build of
+        # it, its pass at points[-1] built anew
+        kept_build = links.dl_composites(np.exp(1j * points[-1]))
         for arrays, copies in kept:  # later passes wrote into no earlier entry
             for array, copy in zip(arrays, copies):
                 np.testing.assert_array_equal(array, copy)
-                assert not np.shares_memory(array, objective._composites)
+                assert not np.shares_memory(array, kept_build)
         # every pass wrote its effective matrices and gains into arrays of its own
         entries = [array for arrays, _ in kept for array in arrays]
         for k, array in enumerate(entries):
@@ -355,7 +359,10 @@ class TestCompositeBuffer:
         value, grad = objective.value_and_grad(np.zeros(0))
         assert objective.value(np.zeros(0)) == value > 0.0
         assert grad.shape == (0,)
-        np.testing.assert_array_equal(objective._composites, objective.links.dl_nlos)
+        links = objective.links
+        h = links.dl_composites(np.zeros(0))
+        np.testing.assert_array_equal(h, links.dl_nlos)
+        assert not np.shares_memory(h, links.dl_nlos)
 
     def test_probe_counts_as_recorded(self):
         # counted before the composites were built in two steps; the counter
@@ -431,160 +438,159 @@ class TestStackedRoundSetUp:
 
 def _round_objective(sc, seed):
     """An AO round's objective: beamformers designed on the composites at
-    random phases theta, which are returned with it."""
+    random phases theta, which are returned with it, and those composites,
+    the links' kept build."""
     p = sc.params
     links = synthesize_links(sc, seed=seed)
     theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, sc.n_irs_elements)
     coeffs = np.exp(1j * theta)
-    composites = links.dl_composites(coeffs)
-    assignment = _initial_assignment(sc, links, coeffs, composites)
+    assignment = _initial_assignment(sc, links, coeffs)
     tx = build_analog_codebook(p.n_t, p.n_rf, beam_grid=16)
     rx = build_analog_codebook(p.n_r, min(p.n_r, p.n_s), beam_grid=1 if p.n_r == 1 else 8)
-    beamformers = _design_all_beamformers(sc, links, assignment, coeffs, tx, rx,
-                                          composites=composites)
-    return DlRateObjective(links, assignment, beamformers), theta, composites, beamformers
+    beamformers = _design_all_beamformers(sc, links, assignment, coeffs, tx, rx)
+    return (DlRateObjective(links, assignment, beamformers), theta, links.dl_composites(coeffs),
+            beamformers)
 
 
-class TestPrimedObjective:
-    """An AO round hands the composites it designed on to its objective, whose
-    first kernel pass at those phases then builds none."""
+@pytest.fixture
+def cascade_calls(monkeypatch):
+    """Records every ``channel._cascade`` call: one per subcarrier piece of a
+    composite build (every scenario here builds in one piece)."""
+    calls = []
+    cascade = channel._cascade
+    monkeypatch.setattr(channel, "_cascade", lambda *a, **k: calls.append(1) or cascade(*a, **k))
+    return calls
 
-    @pytest.fixture
-    def composite_calls(self, monkeypatch):
-        calls = []
-        build = LinkChannels.dl_composites
 
-        def recording(self, phi_coeffs, out=None):
-            calls.append(1)
-            return build(self, phi_coeffs, out)
-
-        monkeypatch.setattr(LinkChannels, "dl_composites", recording)
-        return calls
+class TestKeptComposites:
+    """The composites an AO round designed on are the links' kept build, so
+    the round's objective, whose first point is at those phases, builds
+    none there."""
 
     @pytest.mark.parametrize("name", ["4ant_2rf", "two_antenna_two_stream", "user_left_unserved"])
-    def test_first_point_builds_no_composites(self, name, composite_calls):
+    def test_first_point_builds_no_composites(self, name, cascade_calls):
         objective, theta, composites, beamformers = _round_objective(_ROUND_SCENARIOS[name], 4)
-        unprimed = DlRateObjective(objective.links, objective.assignment, beamformers)
-        unprimed.counter = OpCounter()
-        expected_value, expected_grad = unprimed.value_and_grad(theta)
+        # links with nothing kept: its objective builds at theta
+        unbuilt = DlRateObjective(replace(objective.links), objective.assignment, beamformers)
+        unbuilt.counter = OpCounter()
+        expected_value, expected_grad = unbuilt.value_and_grad(theta)
         objective.counter = OpCounter()
-        objective.prime(np.exp(1j * theta), composites)
-        composite_calls.clear()
+        cascade_calls.clear()
         value, grad = objective.value_and_grad(theta)
-        assert composite_calls == []
+        assert cascade_calls == []
         assert value == expected_value
         np.testing.assert_array_equal(grad, expected_grad)
-        # the primed pass counts the effective-matrix and gradient MACs only
+        # the pass on the kept build counts the effective-matrix and gradient MACs only
         p = objective.links.scenario.params
         n_users, n_aps = composites.shape[:2]
         cascade_macs = n_users * n_aps * p.n_sc * objective.n_phases * p.n_r * p.n_t
         assert cascade_macs > 0
-        assert objective.counter.macs == unprimed.counter.macs - cascade_macs
-        # the composites serve the first pass only
+        assert objective.counter.macs == unbuilt.counter.macs - cascade_macs
         other = theta + 0.5
-        assert objective.value(other) == unprimed.value(other)  # one build each
+        assert objective.value(other) == unbuilt.value(other)  # one build each
         assert objective.value(theta) == expected_value  # a cache hit
-        assert len(composite_calls) == 2
+        assert len(cascade_calls) == 2
 
-    def test_no_surface(self, composite_calls):
+    def test_no_surface(self, cascade_calls):
         # with no surface the round's value is the objective's first point
-        objective, theta, composites, beamformers = _round_objective(default_scenario(0), 5)
-        objective.prime(np.exp(1j * theta), composites)
-        composite_calls.clear()
+        objective, theta, _, beamformers = _round_objective(default_scenario(0), 5)
+        cascade_calls.clear()
         value = objective.value(theta)
-        assert composite_calls == []
-        unprimed = DlRateObjective(objective.links, objective.assignment, beamformers)
-        assert value == unprimed.value(theta)
+        assert cascade_calls == []
+        unbuilt = DlRateObjective(replace(objective.links), objective.assignment, beamformers)
+        assert value == unbuilt.value(theta)
+        assert len(cascade_calls) == 1
         coeffs = np.exp(1j * theta)
         np.testing.assert_array_equal(_gain_tables(objective, coeffs)[0],
-                                      _gain_tables(unprimed, coeffs)[0])
+                                      _gain_tables(unbuilt, coeffs)[0])
 
-    def test_composites_of_another_point_are_dropped(self, composite_calls):
+    def test_another_point_is_built(self, cascade_calls):
         objective, theta, composites, beamformers = _round_objective(default_scenario(), 6)
-        objective.prime(np.exp(1j * theta), composites)
-        composite_calls.clear()
+        cascade_calls.clear()
         other = theta + 0.25
         value, grad = objective.value_and_grad(other)
+        assert objective.links.dl_composites(np.exp(1j * other)) is not composites
         objective.value(theta)
-        assert len(composite_calls) == 2  # one build per point
-        unprimed = DlRateObjective(objective.links, objective.assignment, beamformers)
-        expected_value, expected_grad = unprimed.value_and_grad(other)
+        assert len(cascade_calls) == 2  # one build per point
+        unbuilt = DlRateObjective(replace(objective.links), objective.assignment, beamformers)
+        expected_value, expected_grad = unbuilt.value_and_grad(other)
         assert value == expected_value
         np.testing.assert_array_equal(grad, expected_grad)
 
-    def test_one_cascade_fewer_per_round(self, monkeypatch):
-        calls = []
-        cascade = channel._cascade
-        monkeypatch.setattr(channel, "_cascade", lambda *a, **k: calls.append(1) or cascade(*a, **k))
+    def test_cache_hit_keeps_the_last_build(self, cascade_calls):
+        objective, theta, composites, _ = _round_objective(default_scenario(), 6)
+        links, coeffs = objective.links, np.exp(1j * theta)
+        objective.value(theta)  # the pass on the kept build
+        assert links.dl_composites(coeffs) is composites
+        other = np.exp(1j * (theta + 0.25))
+        objective.value(theta + 0.25)
+        built = links.dl_composites(other)
+        cascade_calls.clear()
+        objective.value(theta)  # a cache hit builds nothing
+        assert cascade_calls == []
+        assert links.dl_composites(other) is built
+
+    def test_one_cascade_fewer_per_round(self, cascade_calls):
         result = alternating_optimize(default_scenario(24), seed=0)
         # three rounds run, the third regressed. The first round builds the
-        # composites at its start phases (1) and hands them to its objective,
-        # whose line searches decide on brackets: composites are built only at
-        # the 10 accepted points past each round's first, and once for the
-        # report's UL gains (1). Rounds 2 and 3 start from the composites the
-        # previous round's objective built at its returned phases. Without
-        # that the run built 3 + 10 + 1, without priming the objectives 89
-        # cascades, without the brackets 86.
+        # composites at its start phases (1) for association and design, and
+        # its objective's first point reads them; the line searches decide on
+        # brackets, so composites are built only at the 10 accepted points
+        # past each round's first, and once for the report's UL gains (1).
+        # Rounds 2 and 3 start where the previous round's objective built
+        # last. Building at each round's start the run took 3 + 10 + 1, and
+        # building at every objective's first point too 89 cascades; without
+        # the brackets, 86.
         assert len(result.trace) == 2 and result.stop_reason == "regressed"
-        assert len(calls) == 1 + 10 + 1
+        assert len(cascade_calls) == 1 + 10 + 1
 
 
 class TestRoundHandOver:
-    """An AO round after the first designs on the composites the previous
-    round's objective built at the phases it returned, and primes its own
-    objective with them."""
+    """An AO round after the first designs on the very array the previous
+    round's objective built last, at the phases it returned."""
 
     @pytest.mark.parametrize("overrides", [
         {"outer_rounds": 3},
-        # RCG stops at its first gradient, so the objective holds only the
-        # composites it was primed with, at the phases the round returns; the
-        # round after it would repeat it, so it is recorded, not designed
+        # RCG stops at its first gradient, so the objective builds nothing: it
+        # reads the composites the round designed on, at the phases it
+        # returns, and the round after it would repeat it, so it is recorded
         {"epsilon": 1e3, "outer_rounds": 3},
     ])
-    def test_next_round_designs_on_fresh_composites(self, fast_config, monkeypatch, overrides):
-        designs, handed = [], []
+    def test_next_round_designs_on_the_last_build(self, fast_config, monkeypatch, overrides):
+        designs, builds = [], []  # per round: (links, coeffs, composites), the objective's reads
         design, phase_round = optimizer._design_all_beamformers, optimizer._phase_round
+        build = DlRateObjective._build_composites
 
-        def recording_design(scenario, links, assignment, coeffs, tx, rx, counter=None,
-                             composites=None):
-            designs.append((links, coeffs.copy(), composites, composites.copy()))
-            return design(scenario, links, assignment, coeffs, tx, rx, counter, composites)
+        def recording_design(scenario, links, assignment, coeffs, *args):
+            out = design(scenario, links, assignment, coeffs, *args)
+            designs.append((links, coeffs.copy(), links.dl_composites(coeffs)))
+            return out
 
         def recording_round(*args):
-            out = phase_round(*args)
-            handed.append(out[-1])
-            return out
+            builds.append([])
+            return phase_round(*args)
+
+        def recording_build(objective, coeffs):
+            builds[-1].append(build(objective, coeffs))
+            return builds[-1][-1]
 
         monkeypatch.setattr(optimizer, "_design_all_beamformers", recording_design)
         monkeypatch.setattr(optimizer, "_phase_round", recording_round)
+        monkeypatch.setattr(DlRateObjective, "_build_composites", recording_build)
         result = alternating_optimize(default_scenario(24), seed=0,
                                       config=replace(fast_config, **overrides))
+        for links, coeffs, composites in designs:  # bit for bit a fresh build
+            assert composites.tobytes() == replace(links).dl_composites(coeffs).tobytes()
         if overrides.get("epsilon"):
             assert {state.iteration for state in result.rcg_trace} == {0}
-            assert len(designs) == len(handed) == 1 and len(result.trace) == 2
-            # the primed array itself is what the round hands on, at its start phases
-            links, coeffs, primed, _ = designs[0]
-            assert handed[0] is primed
-            assert handed[0].tobytes() == links.dl_composites(coeffs).tobytes()
+            assert len(designs) == len(builds) == 1 and len(result.trace) == 2
+            # the round's objective read the array the round designed on
+            assert len(builds[0]) == 1 and builds[0][0] is designs[0][2]
             return
-        assert len(designs) == len(handed) >= 2
-        for (links, coeffs, composites, at_design), previous in zip(designs[1:], handed):
-            assert composites is previous  # handed on, not built again
-            assert at_design.tobytes() == links.dl_composites(coeffs).tobytes()
-
-    def test_composites_of_a_point_not_returned_are_not_handed_on(self):
-        objective, theta, composites, _ = _round_objective(default_scenario(), 6)
-        coeffs = np.exp(1j * theta)
-        objective.prime(coeffs, composites)
-        assert objective.held_composites(coeffs) is composites
-        objective.value(theta)  # the primed pass
-        assert objective.held_composites(coeffs) is composites
-        other = np.exp(1j * (theta + 0.25))
-        objective.value(theta + 0.25)
-        assert objective.held_composites(coeffs) is None
-        assert objective.held_composites(other) is objective._composites
-        objective.value(theta)  # a cache hit builds nothing
-        assert objective.held_composites(coeffs) is None
+        assert len(designs) == len(builds) >= 2
+        assert builds[0][0] is designs[0][2]
+        for (_, _, composites), previous in zip(designs[1:], builds):
+            assert composites is previous[-1]  # not built again
 
 
 def _states_equal(got, want):
@@ -628,9 +634,9 @@ class TestRecordedRound:
         runs, phase_round = [], optimizer._phase_round
 
         def nudged_round(*args):
-            phases, *out, _ = phase_round(*args)
+            phases, *out = phase_round(*args)
             runs.append(phases)
-            return (np.nextafter(phases, np.inf), *out, None)
+            return (np.nextafter(phases, np.inf), *out)
 
         monkeypatch.setattr(optimizer, "_phase_round", nudged_round)
         config = replace(fast_config, epsilon=1e3, outer_rounds=3)
@@ -880,14 +886,12 @@ class TestBracket:
         np.testing.assert_array_equal(objective._radius[0, 0], -radius)
         assert np.all(radius >= oracle * (1.0 - 1e-12))
 
-    def test_exact_cache_and_hand_over_untouched(self):
+    def test_exact_cache_and_kept_composites_untouched(self):
         objective, theta, composites, _ = _round_objective(default_scenario(), 6)
-        coeffs = np.exp(1j * theta)
-        objective.prime(coeffs, composites)
         objective.brackets(theta[None])
         objective.brackets(theta[None] + 0.25)
         assert objective._cache == {}
-        assert objective.held_composites(coeffs) is composites
+        assert objective.links.dl_composites(np.exp(1j * theta)) is composites
 
 
 class TestGradient:
@@ -1447,8 +1451,9 @@ def test_large_surface_run_holds_about_one_piece_beyond_its_stacks():
     # stacks 3 MiB; beyond them the phase loop holds about one 512 KiB
     # PIECE_BYTES piece at a time. The traced peak read 16.8 MiB when the
     # links kept the UL gains, a composite build scaled the whole user stack
-    # and the objective kept W's first piece, 13.28 MiB with 1 MiB pieces, and
-    # reads 12.99 MiB now
+    # and the objective kept W's first piece, 13.28 MiB with 1 MiB pieces,
+    # 12.99 MiB while the objective kept a composite buffer of its own, and
+    # reads 12.92 MiB now
     scenario = default_scenario(384)
     config = replace(scenario.optimizer, max_iter=5, outer_rounds=2)
     tracing = tracemalloc.is_tracing()

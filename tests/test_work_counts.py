@@ -5,10 +5,11 @@ The counts are pinned exactly. A change that keeps every result but does more
 or less work (an extra kernel pass, a bracket that leaves a comparison open,
 one more RCG iteration) moves a count here before it shows as time.
 
-An AO round after a run's first starts from the composites the previous
-round's objective built at the phases it returned, so ``_cascade`` counts no
-build at the start of such a round; it builds them only when that objective
-no longer holds them. A line search's ladders hold the rungs the previous
+``LinkChannels.dl_composites`` keeps its last build, so ``_cascade`` counts
+no build at the start of an AO round whose phases were the last ones built
+(the previous round's objective usually ended on them), nor for a run whose
+links, shared with the previous codebook's run, were last built at its start
+phases. A line search's ladders hold the rungs the previous
 search of its RCG run read plus ``LADDER_MARGIN``, so ``bracketed_points`` is
 about the rungs read plus that margin per search.
 
@@ -89,7 +90,11 @@ def test_stock_sweep_seed_0(monkeypatch):
     # the round after it (one of the 18 kept) is recorded, not run. Against running
     # it, that saves its opening value_and_grad, its value and the final
     # gains' look-up (3 _effective calls, 2 of them cache hits), one kernel
-    # pass on the composites it held (53,248 MACs, no cascade) and one round run
+    # pass on the kept composites (53,248 MACs, no cascade) and one round run.
+    # The no-IRS links are shared by the codebooks of one antenna count, and
+    # their kept zero-phase composites with them: the 2ant_2rf, 4ant_2rf and
+    # 8ant_2rf no-IRS runs build none, 3 _cascade calls fewer than when each
+    # run built its own
     assert _ledger(monkeypatch, sweep) == {
         "value": 20,
         "value_and_grad": 50,
@@ -98,7 +103,7 @@ def test_stock_sweep_seed_0(monkeypatch):
         "open_comparisons": 0,
         "_effective": 90,
         "_kernel": 56,
-        "_cascade": 60,
+        "_cascade": 57,
         "rcg_iterations": 36,
         "ao_rounds_run": 20,
         "ao_rounds_kept": 18,
