@@ -11,7 +11,7 @@ Conventions:
     built for a whole stack of links at once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,29 +38,6 @@ def path_gain_db(distance, carrier: float, w: float):
     return -(pl0 + 10.0 * w * np.log10(distance / d0))
 
 
-def _amp_delay(carrier, dod, exponent, extra_loss_db=0.0):
-    """Amplitude and propagation delay of a stack of links, ``dod`` (..., 3)
-    (rx minus tx position): the per-link factors of every subcarrier's gain.
-    An amplitude that overflows is inf (or NaN), for ``_checked_amplitudes``."""
-    distance = vector_norm(dod)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pg = path_gain_db(distance, carrier, exponent) - extra_loss_db
-        # float_power, unlike power, rounds like the scalar 10.0 ** x
-        return np.float_power(10.0, pg / 20.0), distance / SPEED_OF_LIGHT
-
-
-def _checked_amplitudes(name, amp, dod):
-    """``amp``, the amplitudes of one family's hops ``dod``; ConfigError names
-    the exponent ``name`` where one exceeds ``NOISE_POWER_MAX``, the bound the
-    powers keep (below 1 m a path loss is a gain that grows with the exponent)."""
-    top = float(np.max(amp, initial=0.0))
-    if not top <= NOISE_POWER_MAX:  # NaN fails too
-        shortest = float(np.min(vector_norm(dod)))
-        raise ConfigError(f"system.{name}: the shortest hop ({shortest:.3g} m) has amplitude "
-                          f"{top!r}, above {NOISE_POWER_MAX!r}")
-    return amp
-
-
 def _hop_gains(params, carrier, amp, tau, n=slice(None)):
     """Per-subcarrier gains amp * phasor (..., n_sc) of links with amplitudes
     ``amp`` and delays ``tau`` (...), on the subcarriers ``n`` (a slice).
@@ -78,24 +55,34 @@ def _hop_gains(params, carrier, amp, tau, n=slice(None)):
     return amp[..., None] * phasor
 
 
-def _hop_factors(carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):
+def _hop_factors(params, carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):
     """Factors of rank-one hops h_n = gain_n * a_rx a_tx^H for a stack of links.
 
     ``dod`` is (..., 3) (rx minus tx position); ``a_rx`` / ``a_tx`` are
-    (..., n_rx) / (..., n_tx). Returns the amplitudes and delays (...), from
-    which ``_hop_gains`` forms the per-subcarrier gains, and the outer
-    products, (..., n_rx, n_tx).
+    (..., n_rx) / (..., n_tx); ``exponent`` names the path-loss exponent's
+    field of ``params``. Returns the amplitudes and delays (...), from which
+    ``_hop_gains`` forms the per-subcarrier gains, and the outer products,
+    (..., n_rx, n_tx). ConfigError names the exponent where an amplitude
+    exceeds ``NOISE_POWER_MAX``, the bound the powers keep (below 1 m a path
+    loss is a gain that grows with the exponent).
     """
-    amp, tau = _amp_delay(carrier, dod, exponent, extra_loss_db)
-    return amp, tau, a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
+    distance = vector_norm(dod)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is what the bound looks for
+        pg = path_gain_db(distance, carrier, getattr(params, exponent)) - extra_loss_db
+        # float_power, unlike power, rounds like the scalar 10.0 ** x
+        amp = np.float_power(10.0, pg / 20.0)
+    top = float(np.max(amp, initial=0.0))
+    if not top <= NOISE_POWER_MAX:  # NaN fails too
+        raise ConfigError(f"system.{exponent}: the shortest hop ({float(np.min(distance)):.3g} m) "
+                          f"has amplitude {top!r}, above {NOISE_POWER_MAX!r}")
+    return amp, distance / SPEED_OF_LIGHT, a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
 
 
 def _direct_hops(params, carrier, dod, a_rx, a_tx) -> np.ndarray:
     """Blocked user-AP hops, links stacked (U, B): (U, B, n_sc, n_rx, n_tx)."""
-    amp, tau, outer = _hop_factors(
-        carrier, dod, a_rx, a_tx, params.pathloss_exponent, params.nlos_penalty_db
-    )
-    gain = _hop_gains(params, carrier, _checked_amplitudes("pathloss_exponent", amp, dod), tau)
+    amp, tau, outer = _hop_factors(params, carrier, dod, a_rx, a_tx, "pathloss_exponent",
+                                   params.nlos_penalty_db)
+    gain = _hop_gains(params, carrier, amp, tau)
     return gain[..., :, None, None] * outer[..., None, :, :]
 
 
@@ -103,15 +90,15 @@ def _element_factors(params, carrier, dod, a_rx, a_tx):
     """``_hop_factors`` of the LoS hops between L nodes and the M IRS
     elements, links stacked (L, M), with the outer products flattened to
     (L, M, n_antennas); the IRS end is one element."""
-    amp, tau, outer = _hop_factors(carrier, dod, a_rx, a_tx, params.los_exponent)
+    amp, tau, outer = _hop_factors(params, carrier, dod, a_rx, a_tx, "los_exponent")
     n_links, m, n_rx, n_tx = outer.shape
-    return (_checked_amplitudes("los_exponent", amp, dod), tau,
-            outer.reshape(n_links, m, n_rx * n_tx))
+    return amp, tau, outer.reshape(n_links, m, n_rx * n_tx)
 
 
-def _element_hops(gain, steering) -> np.ndarray:
-    """Hop stack gain[l, m, n] * steering[l, m, :], from ``_hop_gains`` and
-    ``_element_factors``.
+def _element_hops(params, carrier, amp, tau, steering, n=slice(None)) -> np.ndarray:
+    """Hop stack gain[l, m, n] * steering[l, m, :] from the amplitudes,
+    delays and steering of ``_element_factors``, with the gains ``_hop_gains``
+    forms on the subcarriers ``n`` (a slice).
 
     The hops form an (L, n_sc, M, n_antennas) stack. Its memory runs
     element-fastest: the composites sum over elements, and einsum then walks
@@ -119,8 +106,9 @@ def _element_hops(gain, steering) -> np.ndarray:
     a stack formed from a slice of the factors (some links or subcarriers)
     has the same bits as that slice of the whole stack.
     """
-    n_links, m, n = steering.shape
-    hops = np.empty((n_links, gain.shape[-1], n, m), dtype=complex).swapaxes(2, 3)
+    gain = _hop_gains(params, carrier, amp, tau, n)
+    n_links, m, k = steering.shape
+    hops = np.empty((n_links, gain.shape[-1], k, m), dtype=complex).swapaxes(2, 3)
     return np.multiply(gain.swapaxes(1, 2)[..., None], steering[:, None], out=hops)
 
 
@@ -208,16 +196,16 @@ class LinkChannels:
     The DL hops, which every objective evaluation reads, are stored as
     (L, n_sc, M, n) stacks. The UL hops are read once per AO run, by the
     final report, so they are stored as their rank-one factors: amplitudes
-    and delays (L, M), from which ``_hop_gains`` forms the per-subcarrier
-    gains, and steering (L, M, n). ``ul_composites`` forms the gains and
-    stacks piece by piece, with ``ul_hops``.
+    and delays (L, M) and steering (L, M, n). ``ul_composites`` forms the
+    stacks piece by piece, with ``ul_hops``; both bands' stacks come from
+    ``_element_hops``.
 
-    Every stack is read-only, and ``dl_composites`` keeps its last build:
-    association, beamformer design and the DL objective each ask for the
-    composites at their phases, and a phase point is built once. The entry
-    is the one mutable part: ``derive`` copies, which share every stack,
-    share it too, and ``with_surface`` or ``dataclasses.replace`` start
-    their own.
+    Every stack (every field annotated ``np.ndarray``) is read-only, and
+    ``dl_composites`` keeps its last build: association, beamformer design
+    and the DL objective each ask for the composites at their phases, and a
+    phase point is built once. The entry is the one mutable part: ``derive``
+    copies, which share every stack, share it too, and ``with_surface`` or
+    ``dataclasses.replace`` start their own.
     """
 
     scenario: Scenario
@@ -234,12 +222,12 @@ class LinkChannels:
     ul_ap_steering: np.ndarray  # (B, M, n_t)
 
     def __post_init__(self):
-        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_amp",
-                     "ul_user_delay", "ul_user_steering", "ul_ap_amp", "ul_ap_delay",
-                     "ul_ap_steering"):
-            stack = getattr(self, name)
+        for f in fields(self):
+            if f.type is not np.ndarray:
+                continue
+            stack = getattr(self, f.name)
             if not np.all(np.isfinite(stack)):
-                raise ValueError(f"non-finite channel entries in {name}")
+                raise ValueError(f"non-finite channel entries in {f.name}")
             stack.flags.writeable = False  # an edit would leave the memo stale
         self._check_link_budget()
         # the memo: [(coefficient bytes, DL composites)] of the last build
@@ -302,9 +290,8 @@ class LinkChannels:
         subcarriers ``n`` (a slice): "user" gives the (U, n_sc, M, n_r) user
         -> IRS element hops, "ap" the (B, n_sc, M, n_t) IRS element -> AP hops."""
         p = self.scenario.params
-        amp, delay, steering = (getattr(self, f"ul_{side}_{name}")
-                                for name in ("amp", "delay", "steering"))
-        return _element_hops(_hop_gains(p, p.carrier_ul, amp, delay, n), steering)
+        return _element_hops(p, p.carrier_ul, *(getattr(self, f"ul_{side}_{name}")
+                                                for name in ("amp", "delay", "steering")), n)
 
     def with_surface(self, scenario: Scenario) -> "LinkChannels":
         """The links of ``scenario``, which differs from these links' in its IRS
@@ -368,16 +355,14 @@ def _surface_hops(scenario: Scenario) -> dict:
     ap_dep, ap_arr = _panel_steering(scenario, aps)[..., None]
     user_dep, user_arr = _panel_steering(scenario, users)[..., None]
 
-    def dl_hops(dod, a_rx, a_tx):
-        amp, tau, steering = _element_factors(p, p.carrier_dl, dod, a_rx, a_tx)
-        return _element_hops(_hop_gains(p, p.carrier_dl, amp, tau), steering)
-
     dod, _ = compute_dod_doa(aps[:, None], elems)
-    dl_ap_rows = dl_hops(dod, ap_arr, _ula_along(p.n_t, dod))
+    dl_ap_rows = _element_hops(
+        p, p.carrier_dl, *_element_factors(p, p.carrier_dl, dod, ap_arr, _ula_along(p.n_t, dod)))
     dod, doa = compute_dod_doa(elems, aps[:, None])
     ul_ap = _element_factors(p, p.carrier_ul, dod, _ula_along(p.n_t, doa), ap_dep)
     dod, doa = compute_dod_doa(elems, users[:, None])
-    dl_user_cols = dl_hops(dod, _ula_along(p.n_r, doa), user_dep)
+    dl_user_cols = _element_hops(
+        p, p.carrier_dl, *_element_factors(p, p.carrier_dl, dod, _ula_along(p.n_r, doa), user_dep))
     dod, _ = compute_dod_doa(users[:, None], elems)
     ul_user = _element_factors(p, p.carrier_ul, dod, user_arr, _ula_along(p.n_r, dod))
     return dict(dl_user_cols=dl_user_cols, dl_ap_rows=dl_ap_rows,

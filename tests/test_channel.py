@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import channel
-from irslink.arrays import SPEED_OF_LIGHT
+from irslink.arrays import SPEED_OF_LIGHT, vector_norm
 from irslink.channel import (
     LinkChannels,
-    _hop_factors,
     _hop_gains,
     _panel_steering,
     _ula_along,
@@ -220,10 +219,13 @@ class TestDirectChannels:
             assert np.allclose(np.abs(h), np.abs(h[0]))
 
     def test_nonfinite_rejected(self):
+        # every field annotated np.ndarray is checked, and those are the
+        # fields that hold the arrays
         links = _scalar_links(0.5, [0.1], [0.2])
-        for name in ("dl_nlos", "dl_user_cols", "dl_ap_rows", "ul_nlos", "ul_user_amp",
-                     "ul_user_delay", "ul_user_steering", "ul_ap_amp", "ul_ap_delay",
-                     "ul_ap_steering"):
+        names = [f.name for f in fields(LinkChannels) if f.type is np.ndarray]
+        assert names == [f.name for f in fields(links)
+                         if isinstance(getattr(links, f.name), np.ndarray)]
+        for name in names:
             bad = getattr(links, name).copy()
             bad.flat[-1] = np.nan
             with pytest.raises(ValueError, match=f"non-finite channel entries in {name}$"):
@@ -264,21 +266,25 @@ class TestDegenerateGeometry:
             )
 
     @pytest.mark.parametrize(
-        "name, value, user, shortest",
-        [("pathloss_exponent", 1e300, (2.0, 3.0, 2.0), "0.5"),
-         ("pathloss_exponent", 1300.0, (2.0, 3.0, 2.0), "0.5"),
-         ("los_exponent", 1e300, (0.5, 4.0, 1.2), "0.5"),
-         ("pathloss_exponent", 1e308, (2.0, 3.0, 1.5), "1")],
+        "name, value, ap, user, shortest",
+        [("pathloss_exponent", 1e300, (2.0, 3.0, 2.5), (2.0, 3.0, 2.0), "0.5"),
+         ("pathloss_exponent", 1300.0, (2.0, 3.0, 2.5), (2.0, 3.0, 2.0), "0.5"),
+         ("los_exponent", 1e300, (2.0, 3.0, 2.5), (0.5, 4.0, 1.2), "0.5"),
+         ("pathloss_exponent", 1e308, (2.0, 3.0, 2.5), (2.0, 3.0, 1.5), "1"),
+         ("los_exponent", 1e300, (0.5, 4.0, 1.2), (7.0, 9.0, 1.5), "0.5"),
+         ("los_exponent", 1300.0, (0.5, 4.0, 1.2), (7.0, 9.0, 1.5), "0.5")],
         ids=["direct_hop_overflows", "direct_hop_above_power_bound", "element_hop_overflows",
-             "exponent_times_zero_log_is_nan"],
+             "exponent_times_zero_log_is_nan", "ap_element_hop_overflows",
+             "ap_element_hop_above_power_bound"],
     )
-    def test_short_hop_whose_amplitude_overflows_rejected(self, name, value, user, shortest):
+    def test_short_hop_whose_amplitude_overflows_rejected(self, name, value, ap, user, shortest):
         # a hop shorter than 1 m turns its path loss into a gain that grows
-        # with the exponent: 0.5 m below the AP, or 0.5 m from a panel corner.
-        # At 1 m, 10 * 1e308 overflows to inf and inf * log10(1) is NaN. The
-        # scenario loads; synthesis rejects it before it forms the family's hops
+        # with the exponent: a user 0.5 m below the AP, or a user or the AP
+        # 0.5 m from a panel corner. At 1 m, 10 * 1e308 overflows to inf and
+        # inf * log10(1) is NaN. The scenario loads; synthesis rejects it
+        # before it forms the family's hops
         sc = _mimo_scenario(3, 2)
-        near = replace(sc, user_positions=np.array([user]),
+        near = replace(sc, ap_positions=np.array([ap]), user_positions=np.array([user]),
                        params=replace(sc.params, **{name: value}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -488,16 +494,26 @@ class TestLinkChannels:
         assert not np.allclose(ul, links.ul_nlos[0, 0])
 
 
+def _ul_amp_delay(p, dod):
+    """The UL element hops' amplitudes and delays, formed here as synthesis
+    forms them: 10**(pg/20) by np.float_power, and distance / c."""
+    distance = vector_norm(dod)
+    pg = path_gain_db(distance, p.carrier_ul, p.los_exponent)
+    return np.float_power(10.0, pg / 20.0), distance / SPEED_OF_LIGHT
+
+
 def _stored_ul_stacks(sc):
     """The UL element-hop stacks as synthesis stored them before it kept
-    their factors: ``_hop_factors``, the gains of the whole band and one
-    np.multiply into an element-fastest (L, n_sc, M, n) buffer."""
+    their factors: amplitudes, delays and outer products formed here, the
+    gains of the whole band and one np.multiply into an element-fastest
+    (L, n_sc, M, n) buffer."""
     p = sc.params
     aps, users = sc.ap_positions, sc.user_positions
     elems = sc.irs_element_positions()[None]
 
     def hops(carrier, dod, a_rx, a_tx):
-        amp, tau, outer = _hop_factors(carrier, dod, a_rx, a_tx, p.los_exponent)
+        amp, tau = _ul_amp_delay(p, dod)
+        outer = a_rx[..., :, None] * np.conj(a_tx)[..., None, :]
         gain = _hop_gains(p, carrier, amp, tau)
         n_links, m, n_rx, n_tx = outer.shape
         out = np.empty((n_links, gain.shape[-1], n_rx * n_tx, m), dtype=complex).swapaxes(2, 3)
@@ -556,7 +572,7 @@ class TestFactoredUlHops:
     def test_gains_from_stored_factors_equal_the_whole_product(self, delay_mode):
         # the gains a UL piece forms from the stored amplitudes and delays are,
         # byte for byte, the slice of the whole (L, M, n_sc) product formed from
-        # _hop_factors' amplitudes and delays
+        # amplitudes and delays formed here
         sc = default_scenario(24, delay_mode=delay_mode)
         p, links = sc.params, synthesize_links(sc, seed=4)
         elems = sc.irs_element_positions()[None]
@@ -564,9 +580,7 @@ class TestFactoredUlHops:
         ap_dod, _ = compute_dod_doa(elems, sc.ap_positions[:, None])
         for dod, amp, delay in ((user_dod, links.ul_user_amp, links.ul_user_delay),
                                 (ap_dod, links.ul_ap_amp, links.ul_ap_delay)):
-            unit = np.ones(dod.shape[:-1] + (1,))
-            whole = _hop_gains(p, p.carrier_ul,
-                               *_hop_factors(p.carrier_ul, dod, unit, unit, p.los_exponent)[:2])
+            whole = _hop_gains(p, p.carrier_ul, *_ul_amp_delay(p, dod))
             assert whole.shape == amp.shape + (p.n_sc,)
             for size in (1, 5, p.n_sc):
                 for start in range(0, p.n_sc, size):

@@ -592,8 +592,8 @@ system:
 
     def test_short_hop_whose_amplitude_overflows_names_the_exponent(self, tmp_path, capsys):
         # a user 0.5 m below the AP: at this exponent the direct hop's path
-        # loss is a gain that overflowed in channel._amp_delay, a traceback
-        # under -W error
+        # loss is a gain whose amplitude overflows, a traceback under -W error
+        # unless channel._hop_factors names the exponent
         scenario = tmp_path / "short_hop.yaml"
         scenario.write_text(
             "geometry:\n  ap_positions: [[2.0, 3.0, 2.5]]\n  user_positions: [[2.0, 3.0, 2.0]]\n"
