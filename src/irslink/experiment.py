@@ -200,7 +200,9 @@ def _run_external_snr(scenario: Scenario, trace: ExternalSnrTrace) -> UtilityRep
     Node id convention: users are 0..U-1, APs are U..U+B-1. The DL SNR for
     (user i, AP j) is the row (node=i, peer=U+j); UL is (node=U+j, peer=i).
     Interference decomposition is unavailable in this mode, and a single
-    imported UL value stands in for all subcarriers.
+    imported UL value stands in for all subcarriers. No rate, association
+    or utility here reads the AP antenna or RF-chain counts, so one report
+    serves every codebook of a sweep.
     """
     p = scenario.params
     U, B = scenario.n_users, scenario.n_aps
@@ -220,32 +222,25 @@ def run_experiment(spec: ExperimentSpec, scenario: Scenario | None = None) -> li
     if unknown:
         raise ValueError(f"unknown optimizer overrides: {sorted(unknown)}")
     config = replace(scenario.optimizer, **spec.optimizer_overrides)
+    # every codebook's system parameters, checked before any run
+    codebook_params = [with_codebook(scenario, cb).params for cb in spec.codebooks]
 
-    # the external-SNR runs need no AO, so they go first: a trace that lacks
-    # a row fails before any AO run, and their results still come last
+    # the external-SNR report needs no AO, so it goes first: a trace that
+    # lacks a row fails before any AO run, and its results still come last
     external = []
     if "external_snr" in spec.modes:
         trace = import_ns3_snr_csv(
             spec.snr_csv_path,
             known_node_ids=range(scenario.n_users + scenario.n_aps),
         )
-        for cb in spec.codebooks:
-            report = _run_external_snr(with_codebook(scenario, cb), trace)
-            external.append(
-                RunResult(
-                    codebook=cb.name,
-                    irs_elements=0,
-                    aggregate="external",
-                    mode="external_snr",
-                    report=report,
-                )
-            )
+        report = _run_external_snr(scenario, trace)
+        external = [RunResult(codebook=cb.name, irs_elements=0, aggregate="external",
+                              mode="external_snr", report=report) for cb in spec.codebooks]
 
     results = []
     surfaces = [with_irs_elements(scenario, m) for m in spec.irs_cases]
     links, links_n_t = {}, None  # IRS size -> links of the current antenna count
-    for cb in spec.codebooks:
-        params = with_codebook(scenario, cb).params
+    for cb, params in zip(spec.codebooks, codebook_params):
         variants = {m: derive(surface, params=params)
                     for m, surface in zip(spec.irs_cases, surfaces)}
         if cb.n_t != links_n_t:
@@ -285,6 +280,8 @@ def export_results(bundle: list[RunResult], directory, spec: ExperimentSpec | No
     Emits: utility per codebook/mode, utility vs IRS size, minimum
     transmission delay, convergence traces, and the manifest (written
     last as a completion marker). Empty bundles emit the manifest only.
+    The manifest's ``spec`` holds every field of ``spec``, each codebook as
+    [name, n_t, n_rf].
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -325,15 +322,7 @@ def export_results(bundle: list[RunResult], directory, spec: ExperimentSpec | No
         "files": [p.name for p in written],
         "spec": None
         if spec is None
-        else {
-            "scenario_path": spec.scenario_path,
-            "codebooks": [[c.name, c.n_t, c.n_rf] for c in spec.codebooks],
-            "irs_sizes": list(spec.irs_sizes),
-            "modes": list(spec.modes),
-            "seed": spec.seed,
-            "snr_csv_path": spec.snr_csv_path,
-            "optimizer_overrides": spec.optimizer_overrides,
-        },
+        else {**vars(spec), "codebooks": [[c.name, c.n_t, c.n_rf] for c in spec.codebooks]},
     }
     manifest_path = directory / "manifest.json"
     with open(manifest_path, "w") as fh:

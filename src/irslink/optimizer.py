@@ -10,7 +10,6 @@ best-objective state.
 
 import time
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -214,14 +213,11 @@ class DlRateObjective:
         """Signal and denominator (..., served pair, subcarrier) from triple
         gains (..., Q, n_sc): the signal from ``gains``, the interferers from
         ``interferer_gains``, added to the noise one at a time in triple order."""
-        signal = gains[..., self._signal, :]  # gathers copy, so both scale in place
+        signal = gains[..., self._signal, :]  # a gather copies, so it scales in place
         signal *= self.p_ap
         denom = np.full_like(signal, self.sigma2)
-        # (..., pair, interferer, subcarrier)
-        interference = interferer_gains[..., self._interferers, :]
-        interference *= self.p_ap
-        for k in range(interference.shape[-2]):
-            denom += interference[..., k, :]
+        for column in self._interferers.T:  # each pair's k-th interferer
+            denom += interferer_gains[..., column, :] * self.p_ap
         return signal, denom
 
     def _link_values(self, signal, denom, widen=None):
@@ -462,16 +458,19 @@ class DlRateObjective:
 def rcg_optimize_phases(
     objective,
     phases0: np.ndarray,
-    epsilon: float = 1e-3,
-    max_iter: int = 200,
+    epsilon: float = RcgConfig.epsilon,
+    max_iter: int = RcgConfig.max_iter,
 ) -> tuple[np.ndarray, list[RcgState]]:
     """Conjugate gradient ascent over IRS phase angles.
 
     Polak-Ribiere conjugation with non-negativity safeguard, Armijo
-    backtracking line search with steepest-ascent fallback, direction
-    restart every len(phases) iterations. Stops when the gradient 2-norm
-    drops to epsilon, at max_iter, or when the search along the raw
-    gradient finds no ascent; returns the best-objective iterate.
+    backtracking line search, direction restart every len(phases)
+    iterations. A conjugate direction that does not ascend, or whose search
+    finds no step, gives way to one search along the raw gradient
+    (``line_search_fallback``). Stops when the gradient 2-norm drops to
+    epsilon, at max_iter, or when the search along the raw gradient finds
+    no ascent; returns the best-objective iterate. An objective whose
+    ``brackets`` is missing or None is searched on exact values alone.
     """
     RcgConfig(epsilon=epsilon, max_iter=max_iter)  # raises ConfigError on a bad value
     theta = np.array(phases0, dtype=float)
@@ -555,22 +554,16 @@ def rcg_optimize_phases(
         return step
 
     for it in range(1, max_iter + 1):
-        if np.linalg.norm(g) <= epsilon:
+        if trace[-1].grad_norm <= epsilon:
             stop_reason = "epsilon"
             break
-        fallback = False
         slope = float(np.dot(g, d))
-        if slope <= 0.0:
+        step = line_search(d, slope) if slope > 0.0 else None
+        fallback = step is None
+        if fallback:
+            # search once along the raw gradient
             d = g.copy()
-            slope = float(np.dot(g, g))
-            fallback = True
-        step = line_search(d, slope)
-        if step is None and not fallback:
-            # retry along the raw gradient
-            d = g.copy()
-            slope = float(np.dot(g, g))
-            fallback = True
-            step = line_search(d, slope)
+            step = line_search(d, float(np.dot(g, g)))
         if step is None or (np.array_equal(d, g) and np.array_equal(theta + step * d, theta)):
             # no ascent along the raw gradient, or a step below the phases'
             # rounding: every later iteration would repeat this search
@@ -702,10 +695,11 @@ def alternating_optimize(
     Each round designs on the DL composites at its start phases, which
     ``links.dl_composites`` builds only when its last build was at other
     phases (the previous round's objective usually built there last), and
-    the round's objective reads them at its first point. A round that
+    the round's objective reads them at its first point. A round that gains
+    no more than IMPROVEMENT_TOL, relative, on the best round (always the
+    previous one) stops the loop with ``no_improvement``. A round that
     returns its start phases is followed by a copy of itself, not a run of
-    the next round, which would repeat it bit for bit and stop with
-    ``no_improvement``.
+    the next round, which would repeat it bit for bit and stop so.
 
     With no IRS elements the loop degenerates to a single beamforming pass
     identical to the plain pipeline evaluation.
@@ -727,7 +721,6 @@ def alternating_optimize(
     best = None  # (objective value, phases, beamformers, DL triple gains)
     trace: list[AoRound] = []
     rcg_trace: list[RcgState] = []
-    prev_obj = -np.inf
     stop_reason = "round_cap"
     for rnd in range(1, cfg.outer_rounds + 1):
         t0 = time.perf_counter()
@@ -755,11 +748,12 @@ def alternating_optimize(
             )
         )
         rcg_trace.extend(round_rcg)
+        stalled = best is not None and obj_val - best[0] <= IMPROVEMENT_TOL * max(abs(best[0]), 1.0)
         best = (obj_val, phases.copy(), beamformers, dl_gains)
         if m == 0:
             stop_reason = "no_surface"
             break
-        if prev_obj > -np.inf and obj_val - prev_obj <= IMPROVEMENT_TOL * max(abs(prev_obj), 1.0):
+        if stalled:
             stop_reason = "no_improvement"
             break
         if rnd < cfg.outer_rounds and phases.tobytes() == start.tobytes():
@@ -769,7 +763,6 @@ def alternating_optimize(
             rcg_trace.extend(round_rcg)
             stop_reason = "no_improvement"
             break
-        prev_obj = obj_val
 
     obj_val, phases, beamformers, dl_gains = best
     report, _ = _evaluate(
@@ -786,6 +779,8 @@ class _ProbeObjective(DlRateObjective):
     effective matrices as the chain (W^H H) F (n_s (n_r n_t + n_t n_s) MACs
     per triple and subcarrier). Every ``_probe_objective`` has one user and
     one AP, so the chain reads that link of the composites in place.
+    ``brackets`` is None: the probe's search takes every value exactly, on
+    the counted kernel.
 
     The GEMMs round otherwise than the run path's ``_cascade`` einsum and
     three-operand effective einsum, whose bits the golden result files and
@@ -793,6 +788,8 @@ class _ProbeObjective(DlRateObjective):
     class goes once a rounding-level re-record moves the run path onto the
     same products (ROADMAP item 2).
     """
+
+    brackets = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -852,11 +849,11 @@ def complexity_probe(m_values: list[int], rcg_iters: int = 30) -> list[dict]:
     Antenna counts scale with M (n_t = n_r = M) so the probe exercises the
     cubic composite-rebuild cost of phase optimization and the quadratic
     projection cost of hybrid beamforming. The probe measures the paper's
-    search: its RCG sees the objective without ``brackets``, so every trial
-    point runs the counted composite kernel. ``_ProbeObjective`` runs that
-    kernel as the products it counts, one GEMM for the composites and two
-    for the effective matrices, so the wall time and ``phase_macs`` measure
-    the same work.
+    search: RCG runs on the ``_ProbeObjective`` itself, whose ``brackets`` is
+    None, so every trial point runs the counted composite kernel. That
+    kernel runs as the products it counts, one GEMM for the composites and
+    two for the effective matrices, so the wall time and ``phase_macs``
+    measure the same work.
     """
     if list(m_values) != sorted(m_values):
         raise ValueError("m_values must be ascending")
@@ -866,8 +863,7 @@ def complexity_probe(m_values: list[int], rcg_iters: int = 30) -> list[dict]:
         bf_counter, phase_counter = OpCounter(), OpCounter()
         objective = _probe_objective(m, bf_counter, phase_counter)
         t0 = time.perf_counter()
-        exact = SimpleNamespace(value=objective.value, value_and_grad=objective.value_and_grad)
-        rcg_optimize_phases(exact, np.zeros(m), epsilon=0.0, max_iter=rcg_iters)
+        rcg_optimize_phases(objective, np.zeros(m), epsilon=0.0, max_iter=rcg_iters)
         seconds = time.perf_counter() - t0
         rows.append(
             {

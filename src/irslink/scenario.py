@@ -467,7 +467,6 @@ def associate_users(scenario: Scenario, dl_rates: np.ndarray) -> Assignment:
 # --- configuration loading ---------------------------------------------------
 
 _GEOMETRY_KEYS = {"bounds", "ap_positions", "user_positions", "irs_panels"}
-_PANEL_KEYS = {"origin", "m_y", "m_z", "spacing"}
 _TOP_KEYS = {"geometry", "system", "optimizer"}
 _ROOM = {"lo": [0.0, 0.0, 0.0], "hi": [10.0, 17.0, 3.0]}  # bounds when none are given
 
@@ -500,7 +499,7 @@ def _point(raw, path: str) -> tuple[float, float, float]:
 
 
 def _parse_panel(raw, path: str, params: SystemParams) -> IrsPanel:
-    _check_keys(raw, _PANEL_KEYS, path)
+    _check_keys(raw, {f.name for f in fields(IrsPanel)}, path)
     spacing = raw.get("spacing")
     spacing = params.wavelength_dl / 2.0 if spacing is None else spacing
     for key, value, kind in (("m_y", raw.get("m_y"), int), ("m_z", raw.get("m_z"), int),

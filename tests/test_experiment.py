@@ -412,6 +412,34 @@ class TestRunExperiment:
         assert r.mode == "external_snr"
         assert np.isfinite(r.min_transmission_delay)
 
+    @pytest.mark.parametrize("modes", [("with_irs",), ("with_irs", "external_snr")])
+    def test_codebook_invalid_for_the_scenario_fails_before_any_ao_run(self, tmp_path,
+                                                                       monkeypatch, modes):
+        def no_ao(*args, **kwargs):
+            raise AssertionError("AO ran before every codebook was checked")
+
+        monkeypatch.setattr(experiment, "alternating_optimize", no_ao)
+        by_name = {cb.name: cb for cb in STOCK_CODEBOOKS}
+        # two streams need two RF chains: 4ant_2rf runs, 2ant_1rf cannot
+        spec = ExperimentSpec(codebooks=(by_name["4ant_2rf"], by_name["2ant_1rf"]), modes=modes,
+                              snr_csv_path=str(snr_fixture(tmp_path / "snr.csv")),
+                              optimizer_overrides=FAST)
+        scenario = default_scenario(8, n_s=2, n_r=2, n_rf=2, n_t=4, n_sc=8)
+        with pytest.raises(ConfigError, match="^system.n_s: streams cannot exceed RF chains$"):
+            run_experiment(spec, scenario=scenario)
+
+    def test_external_snr_report_is_formed_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        run_external_snr = experiment._run_external_snr
+        monkeypatch.setattr(experiment, "_run_external_snr",
+                            lambda *args: calls.append(args) or run_external_snr(*args))
+        spec = ExperimentSpec(codebooks=STOCK_CODEBOOKS[:2], modes=("external_snr",),
+                              snr_csv_path=str(snr_fixture(tmp_path / "snr.csv")))
+        bundle = run_experiment(spec, scenario=small_scenario(0))
+        assert len(calls) == 1
+        assert [r.codebook for r in bundle] == ["2ant_1rf", "2ant_2rf"]
+        assert bundle[0].report is bundle[1].report
+
 
 class TestExportResults:
     def _bundle(self):
@@ -445,6 +473,7 @@ class TestExportResults:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["runs"]) == len(bundle)
         assert manifest["spec"]["seed"] == spec.seed
+        assert set(manifest["spec"]) == {f.name for f in dataclasses.fields(ExperimentSpec)}
 
     def test_reruns_are_byte_identical(self, tmp_path):
         spec, bundle_a = self._bundle()

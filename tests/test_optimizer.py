@@ -1120,6 +1120,47 @@ class TestRcg:
                           [2.0**k for k in range(7)], [128.0, 256.0],
                           [2.0**k for k in range(10)], [2.0**k for k in range(4)]]
 
+    class _Rays:
+        """``value`` and ``value_and_grad`` alone, no ``brackets``. The k-th
+        gradient is ``grads[k]``; from the point of the last gradient the
+        value peaks at step 1 along it and reads -2, below the gradient's -1,
+        off its ray. ``steps`` holds the steps of every value taken after
+        each gradient."""
+
+        def __init__(self, grads):
+            self.grads, self.steps = iter(grads), []
+
+        def value_and_grad(self, phases):
+            self.origin, self.g = np.array(phases, dtype=float), np.array(next(self.grads))
+            self.steps.append([])
+            return -1.0, self.g.copy()
+
+        def value(self, phases):
+            step = phases - self.origin
+            self.steps[-1].append(step.tolist())
+            s = float(step @ self.g) / float(self.g @ self.g)
+            return -((s - 1.0) ** 2) if np.array_equal(step, s * self.g) else -2.0
+
+    def test_direction_that_does_not_ascend_searches_the_raw_gradient_once(self):
+        # d1 = g1 + beta d0 = (-1, 1) + 3 (1, 0) = (2, 1), and g1 . d1 = -1
+        toy = self._Rays([[1.0, 0.0], [-1.0, 1.0], [1.0, 0.0]])
+        _, trace = rcg_optimize_phases(toy, np.zeros(2), epsilon=0.0, max_iter=2)
+        assert [s.line_search_fallback for s in trace] == [False, False, True]
+        # the second iteration searches along g1 alone: step 1 ascends, 2 does not
+        assert toy.steps[1] == [[-1.0, 1.0], [-2.0, 2.0]]
+        np.testing.assert_array_equal(trace[-1].phases, [0.0, 1.0])
+
+    def test_conjugate_search_without_a_step_is_retried_once_on_the_raw_gradient(self):
+        # d1 = g1 + beta d0 = (1, 1) + (1, 0) = (2, 1) ascends (g1 . d1 = 3),
+        # but reads -2 at every step
+        toy = self._Rays([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+        _, trace = rcg_optimize_phases(toy, np.zeros(2), epsilon=0.0, max_iter=2)
+        assert [s.line_search_fallback for s in trace] == [False, False, True]
+        halvings = [[2.0 * 0.5**k, 0.5**k] for k in range(47)]  # down to STEP_MIN
+        assert 0.5**46 > optimizer.STEP_MIN >= 0.5**47
+        assert toy.steps[1] == halvings + [[1.0, 1.0], [2.0, 2.0]]
+        np.testing.assert_array_equal(trace[-1].phases, [2.0, 1.0])
+
     def test_argument_validation(self):
         sc = scalar_scenario(1)
         objective, *_ = build_rate_objective(sc)
@@ -1368,6 +1409,15 @@ class TestComplexityProbe:
     def test_requires_sorted_m(self):
         with pytest.raises(ValueError):
             complexity_probe([8, 4])
+
+    def test_search_takes_no_brackets(self, monkeypatch):
+        assert _ProbeObjective.brackets is None
+
+        def bracketing(objective, points):
+            raise AssertionError("the probe's search bracketed its points")
+
+        monkeypatch.setattr(DlRateObjective, "brackets", bracketing)
+        assert complexity_probe([8], rcg_iters=3)[0]["phase_macs"] > 0
 
     def test_objective_builds_composites_by_gemm(self, monkeypatch):
         def einsum_build(objective, coeffs):
