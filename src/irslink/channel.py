@@ -5,8 +5,7 @@ Conventions:
   - path gains are dB power gains; the complex channel carries the
     amplitude 10**(pg/20).
   - per-subcarrier frequency response uses the delay phasor
-    exp(-j*2*pi*f_n*tau) with tau = distance/c; the literal real-decay
-    variant exp(-t/tau) is available behind ``delay_mode="real_decay"``.
+    exp(-j*2*pi*f_n*tau) with tau = distance/c.
   - every hop is rank one, h = gain * a_rx a_tx^H per subcarrier, and is
     built for a whole stack of links at once.
 """
@@ -46,13 +45,8 @@ def _hop_gains(params, carrier, amp, tau, n=slice(None)):
     subcarrier's frequency, so the gains of a slice of subcarriers have the
     bits of that slice of the whole band's.
     """
-    if params.delay_mode == "real_decay":
-        decay = np.exp(-params.t_proc / tau)[..., None]
-        phasor = np.broadcast_to(decay, decay.shape[:-1] + (params.n_sc,))[..., n]
-    else:
-        freqs = params.subcarrier_frequencies(carrier)[n]
-        phasor = np.exp(-2j * np.pi * freqs * tau[..., None])
-    return amp[..., None] * phasor
+    freqs = params.subcarrier_frequencies(carrier)[n]
+    return amp[..., None] * np.exp(-2j * np.pi * freqs * tau[..., None])
 
 
 def _hop_factors(params, carrier, dod, a_rx, a_tx, exponent, extra_loss_db=0.0):

@@ -147,8 +147,6 @@ class SystemParams:
     nlos_penalty_db: float = 10.0  # extra loss on the blocked direct path
     smallscale: bool = True  # complex Gaussian small-scale factor on NLoS
     tracking_e0: float = 1.0  # tracking error at zero UL SINR
-    delay_mode: str = "phasor"  # "phasor" | "real_decay"
-    t_proc: float = 1e-8  # only used by the literal real-decay channel variant
 
     def __post_init__(self):
         _check_types(self, "system")
@@ -160,7 +158,7 @@ class SystemParams:
                 raise ConfigError(f"system.{name}: must be finite")
         # a negative path-loss exponent or penalty turns a loss into a gain
         for name in ("s_i", "a_i", "lambda_i", "gamma_d", "r_min", "v_bits", "tracking_e0",
-                     "t_proc", "pathloss_exponent", "los_exponent", "nlos_penalty_db"):
+                     "pathloss_exponent", "los_exponent", "nlos_penalty_db"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"system.{name}: must be >= 0")
         if self.n_rf > self.n_t:
@@ -181,8 +179,6 @@ class SystemParams:
                 raise ConfigError(f"system.{name}: must be <= {NOISE_POWER_MAX!r} W")
         if self.mu_j <= self.lambda_i:
             raise ConfigError("system.mu_j: queuing stability violated (mu_j <= lambda_i)")
-        if self.delay_mode not in ("phasor", "real_decay"):
-            raise ConfigError("system.delay_mode: must be 'phasor' or 'real_decay'")
         if self.noise_power is not None and self.noise_power <= 0:
             raise ConfigError("system.noise_power: must be positive")
         try:

@@ -211,13 +211,6 @@ class TestDirectChannels:
             mags.append(float(np.abs(synthesize_links(sc).dl_nlos[0, 0, 0, 0, 0])))
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
-    def test_real_decay_variant_is_frequency_flat(self):
-        sc = scalar_scenario(2, n_sc=4, delay_mode="real_decay")
-        links = synthesize_links(sc)
-        for h in (links.dl_nlos[0, 0, :, 0, 0], links.dl_ap_rows[0, :, 1, 0]):
-            assert np.allclose(h.imag, h.imag[0])
-            assert np.allclose(np.abs(h), np.abs(h[0]))
-
     def test_nonfinite_rejected(self):
         # every field annotated np.ndarray is checked, and those are the
         # fields that hold the arrays
@@ -467,9 +460,8 @@ class TestLinkChannels:
         for name, stack in stacks.items():
             assert stack.strides[2] == stack.itemsize, name
 
-    @pytest.mark.parametrize("delay_mode", ["phasor", "real_decay"])
-    def test_with_surface_equals_a_fresh_synthesis(self, delay_mode):
-        sc = default_scenario(12, n_sc=3, delay_mode=delay_mode)
+    def test_with_surface_equals_a_fresh_synthesis(self):
+        sc = default_scenario(12, n_sc=3)
         links = synthesize_links(sc, seed=4)
         for m in (0, 8, 24):
             resized = with_irs_elements(sc, m)
@@ -543,9 +535,8 @@ def _held_bytes(links):
 
 class TestFactoredUlHops:
     @pytest.mark.parametrize("sc", [
-        default_scenario(24), default_scenario(384), _mimo_scenario(3, 2, n_sc=5),
-        _mimo_scenario(2, 2, n_sc=3, delay_mode="real_decay"), default_scenario(0),
-    ], ids=["stock24", "stock384", "mimo", "real_decay", "no_surface"])
+        default_scenario(24), default_scenario(384), _mimo_scenario(3, 2, n_sc=5), default_scenario(0),
+    ], ids=["stock24", "stock384", "mimo", "no_surface"])
     def test_formed_stacks_equal_the_stored_stacks(self, sc):
         links = synthesize_links(sc, seed=4)
         for formed, stored in zip((links.ul_hops("user"), links.ul_hops("ap")),
@@ -568,12 +559,11 @@ class TestFactoredUlHops:
                 assert array.ndim == (3 if factor == "steering" else 2), f.name
         assert _held_bytes(links) <= 8_300_000
 
-    @pytest.mark.parametrize("delay_mode", ["phasor", "real_decay"])
-    def test_gains_from_stored_factors_equal_the_whole_product(self, delay_mode):
+    def test_gains_from_stored_factors_equal_the_whole_product(self):
         # the gains a UL piece forms from the stored amplitudes and delays are,
         # byte for byte, the slice of the whole (L, M, n_sc) product formed from
         # amplitudes and delays formed here
-        sc = default_scenario(24, delay_mode=delay_mode)
+        sc = default_scenario(24)
         p, links = sc.params, synthesize_links(sc, seed=4)
         elems = sc.irs_element_positions()[None]
         user_dod, _ = compute_dod_doa(sc.user_positions[:, None], elems)
@@ -600,15 +590,14 @@ def _element_fastest(stack):
 @st.composite
 def _cascade_links(draw):
     """Random LinkChannels over U, B, n_sc, n_r, n_t and M, in either DL stack
-    layout and either delay mode, and unit-modulus coefficients for them.
+    layout, and unit-modulus coefficients for them.
     Composites read only the hops and, for the UL gains, the scenario's
     system parameters."""
     n_users, n_aps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     n_sc = draw(st.sampled_from([1, 2, 4]))
     n_r, n_t = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 8, 17, 64]))
     m = draw(st.one_of(st.sampled_from([0, 1, 384]), st.integers(0, 96)))
-    params = SystemParams(n_t=n_t, n_r=n_r, n_rf=1, n_s=1, n_sc=n_sc,
-                          delay_mode=draw(st.sampled_from(["phasor", "real_decay"])))
+    params = SystemParams(n_t=n_t, n_r=n_r, n_rf=1, n_s=1, n_sc=n_sc)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def cn(*shape):

@@ -318,13 +318,11 @@ def stock_sweep_calls():
 
 @pytest.fixture(scope="module")
 def two_size_sweep_calls():
-    """Two antenna counts, no surface and surfaces of 8 and 24 elements, seed
-    5, by delay mode (the real-decay UL gains are real, the phasor ones complex)."""
+    """Two antenna counts, no surface and surfaces of 8 and 24 elements, seed 5."""
     by_name = {cb.name: cb for cb in STOCK_CODEBOOKS}
     spec = ExperimentSpec(codebooks=(by_name["2ant_1rf"], by_name["4ant_2rf"]),
                           irs_sizes=(8, 24), seed=5, optimizer_overrides=FAST)
-    return {mode: _sweep_calls(spec, default_scenario(n_sc=8, delay_mode=mode))
-            for mode in ("phasor", "real_decay")}
+    return _sweep_calls(spec, default_scenario(n_sc=8))
 
 
 def _assert_links_equal_fresh(runs, seed):
@@ -353,16 +351,16 @@ class TestRunExperiment:
         assert {(sc.params.n_t, sc.params.n_rf) for sc, _ in runs} == {
             (cb.n_t, cb.n_rf) for cb in STOCK_CODEBOOKS}
         _assert_links_equal_fresh(runs, 3)
-        for runs, _ in two_size_sweep_calls.values():
-            assert [sc.n_irs_elements for sc, _ in runs] == [0, 8, 24] * 2
-            _assert_links_equal_fresh(runs, 5)
+        runs, _ = two_size_sweep_calls
+        assert [sc.n_irs_elements for sc, _ in runs] == [0, 8, 24] * 2
+        _assert_links_equal_fresh(runs, 5)
 
     def test_surface_sizes_share_the_first_size_direct_hops(self, two_size_sweep_calls):
-        for runs, synthesized in two_size_sweep_calls.values():
-            assert [(sc.params.n_t, sc.n_irs_elements) for sc in synthesized] == [(2, 0), (4, 0)]
-            for first, *others in (runs[:3], runs[3:]):
-                for _, links in others:
-                    assert links.dl_nlos is first[1].dl_nlos and links.ul_nlos is first[1].ul_nlos
+        runs, synthesized = two_size_sweep_calls
+        assert [(sc.params.n_t, sc.n_irs_elements) for sc in synthesized] == [(2, 0), (4, 0)]
+        for first, *others in (runs[:3], runs[3:]):
+            for _, links in others:
+                assert links.dl_nlos is first[1].dl_nlos and links.ul_nlos is first[1].ul_nlos
 
     def test_shared_links_are_checked_once_at_synthesis(self, monkeypatch):
         checks = []

@@ -672,7 +672,6 @@ _BRACKET_CASES = {
     "min_aggregate": (default_scenario(), "min"),
     "two_antenna_two_stream": (default_scenario(16, n_t=4, n_r=2, n_s=2, n_sc=8), "mean"),
     "one_subcarrier": (default_scenario(16, n_t=4, n_r=2, n_s=2, n_sc=1), "min"),
-    "real_decay": (default_scenario(delay_mode="real_decay"), "mean"),
     "user_left_unserved": (default_scenario(v_cap=1), "mean"),
     **{f"m{m}": (default_scenario(m), "mean") for m in (1, 96, 384)},
 }
@@ -755,7 +754,6 @@ class TestBracket:
             p_ap=10.0 ** data.draw(st.floats(-8.0, 8.0)),
             noise_figure_db=data.draw(st.floats(-150.0, 150.0)),
             nlos_penalty_db=data.draw(st.floats(0.0, 250.0)),
-            delay_mode=data.draw(st.sampled_from(["phasor", "real_decay"])),
         )
         objective, theta, _, beamformers = _round_objective(scenario, data.draw(st.integers(0, 99)))
         objective = DlRateObjective(objective.links, objective.assignment, beamformers,
@@ -865,7 +863,6 @@ class TestBracket:
             data.draw(st.integers(0, 96)), n_t=n_t, n_r=n_r, n_s=n_s,
             n_rf=data.draw(st.integers(n_s, min(n_t, 3))), n_sc=data.draw(st.integers(1, 16)),
             nlos_penalty_db=data.draw(st.floats(0.0, 250.0)),
-            delay_mode=data.draw(st.sampled_from(["phasor", "real_decay"])),
         )
         objective, theta, _, _ = _round_objective(scenario, data.draw(st.integers(0, 99)))
         assume(objective.assignment.served)
@@ -1357,7 +1354,6 @@ class TestRunProperties:
             m, n_t=n_t, n_r=n_r, n_s=n_s, n_rf=data.draw(st.integers(n_s, min(n_t, 2))),
             n_sc=data.draw(st.integers(1, 4)), v_cap=data.draw(st.integers(1, 2)),
             nlos_penalty_db=data.draw(st.floats(0.0, 60.0)),
-            delay_mode=data.draw(st.sampled_from(["phasor", "real_decay"])),
         )
         # a weak surface path stops RCG at its first gradient unless epsilon is 0
         config = RcgConfig(epsilon=data.draw(st.sampled_from([0.0, 1e-3])),

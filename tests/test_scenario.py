@@ -101,7 +101,6 @@ _MALFORMED = [
     (("system", "r_min"), -1.0, r"^system\.r_min: must be >= 0$"),
     (("system", "v_bits"), -5.0, r"^system\.v_bits: must be >= 0$"),
     (("system", "tracking_e0"), -1.0, r"^system\.tracking_e0: must be >= 0$"),
-    (("system", "t_proc"), -1e-8, r"^system\.t_proc: must be >= 0$"),
     (("system", "p_ap"), float("inf"), r"^system\.p_ap: must be finite$"),
     (("system", "bandwidth"), float("inf"), r"^system\.bandwidth: must be finite$"),
     (("system", "noise_figure_db"), float("inf"), r"^system\.noise_figure_db: must be finite$"),
@@ -305,8 +304,10 @@ system:
             ("codebooks", [{"name": "8ant_2rf", "n_t": 8, "n_rf": 2}], r"^config: unknown keys \['codebooks'\]$"),
             ("optimizer", {"step_init": 1}, r"^optimizer: unknown keys \['step_init'\]$"),
             ("optimizer", {"improvement_tol": 1e-6}, r"^optimizer: unknown keys \['improvement_tol'\]$"),
+            ("system", {"delay_mode": "real_decay"}, r"^system: unknown keys \['delay_mode'\]$"),
+            ("system", {"t_proc": 1e-8}, r"^system: unknown keys \['t_proc'\]$"),
         ],
-        ids=["codebooks", "step_init", "improvement_tol"],
+        ids=["codebooks", "step_init", "improvement_tol", "delay_mode", "t_proc"],
     )
     def test_removed_settings_rejected(self, section, value, message):
         cfg = minimal_config()
