@@ -211,6 +211,27 @@ class TestDirectChannels:
             mags.append(float(np.abs(synthesize_links(sc).dl_nlos[0, 0, 0, 0, 0])))
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
+    @pytest.mark.parametrize("stack", ["dl_nlos", "ul_nlos", "dl_ap_rows", "dl_user_cols",
+                                       "ul_ap", "ul_user"])
+    def test_gain_turns_with_the_hop_delay(self, stack):
+        # every hop gain is amp * exp(-j 2 pi f_n tau), tau = hop length / c:
+        # across subcarriers its modulus holds and its phase turns by
+        # -2 pi (f_n - f_0) tau
+        sc = _mimo_scenario(3, 2, n_sc=5)
+        p, links = sc.params, synthesize_links(sc, seed=4)
+        ap, user, elems = sc.ap_positions[0], sc.user_positions[0], sc.irs_element_positions()
+        if stack in ("dl_nlos", "ul_nlos"):
+            h = getattr(links, stack)[0, 0]
+            length = np.array(np.linalg.norm(user - ap)).reshape(1, 1)
+        else:
+            h = (links.ul_hops(stack[3:]) if stack.startswith("ul_")
+                 else getattr(links, stack))[0]
+            length = np.linalg.norm(elems - (ap if "ap" in stack else user), axis=1)[:, None]
+        carrier = p.carrier_dl if stack.startswith("dl_") else p.carrier_ul
+        offsets = p.subcarrier_frequencies(carrier) - p.subcarrier_frequencies(carrier)[0]
+        turn = np.exp(-2j * np.pi * offsets[:, None, None] * length[None] / SPEED_OF_LIGHT)
+        np.testing.assert_allclose(h, h[:1] * turn, rtol=1e-9, atol=0.0)
+
     def test_nonfinite_rejected(self):
         # every field annotated np.ndarray is checked, and those are the
         # fields that hold the arrays

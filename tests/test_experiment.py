@@ -564,6 +564,22 @@ system:
         assert captured.err == f"irslink: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", ["delay_mode: real_decay", "t_proc: 1.0e-8"],
+                             ids=["delay_mode", "t_proc"])
+    def test_removed_system_setting_is_one_error_line(self, tmp_path, capsys, setting):
+        scenario = tmp_path / "removed.yaml"
+        scenario.write_text(
+            "geometry:\n  ap_positions: [[2.0, 3.0, 2.5]]\n  user_positions: [[5.0, 5.0, 1.5]]\n"
+            f"system: {{{setting}}}\n"
+        )
+        argv = ["run", "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        key = setting.split(":")[0]
+        assert captured.out == ""
+        assert captured.err == f"irslink: error: system: unknown keys ['{key}']\n"
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_noise_power_is_one_error_line(self, tmp_path, capsys):
         scenario = tmp_path / "bad.yaml"
         scenario.write_text(
