@@ -103,6 +103,12 @@ def project_channel(h: np.ndarray, g_a: AnalogBeamformer, p_a: AnalogBeamformer,
     return out
 
 
+def _mul(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai)(br + i bi) with every real product rounded, no fused
+    multiply-add: as numpy's scalar loop and BLAS zscal form it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _rotate(x: np.ndarray, rot: np.ndarray, length: int) -> np.ndarray:
     """x * rot, rounded as numpy rounds ``v *= rot`` on one vector v of ``length``.
 
@@ -114,9 +120,81 @@ def _rotate(x: np.ndarray, rot: np.ndarray, length: int) -> np.ndarray:
     if length > 1:
         return x * rot
     out = np.empty(np.broadcast_shapes(x.shape, rot.shape), dtype=complex)
-    out.real = x.real * rot.real - x.imag * rot.imag
-    out.imag = x.real * rot.imag + x.imag * rot.real
+    out.real, out.imag = _mul(x.real, x.imag, rot.real, rot.imag)
     return out
+
+
+# zgesdd rescales a matrix whose largest entry modulus lies outside
+# [sqrt(tiny)/eps, eps/sqrt(tiny)] ~ [6.7e-139, 1.5e138]; a row is replayed
+# only while its largest real or imaginary part lies in this narrower range
+_ROW_RANGE = (2.0 ** -450, 2.0 ** 450)
+
+
+def _dlapy3(x: np.ndarray, y: np.ndarray, z) -> np.ndarray:
+    """sqrt(x^2 + y^2 + z^2) as LAPACK's dlapy3 rounds it, for w > 0."""
+    x, y, z = np.abs(x), np.abs(y), np.abs(z)
+    w = np.maximum(np.maximum(x, y), z)
+    return w * np.sqrt((x / w) ** 2 + (y / w) ** 2 + (z / w) ** 2)
+
+
+def _inverse(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 / (c + i d) as LAPACK's dladiv rounds it where it does not rescale,
+    parts far inside the float range (Baudin & Smith, 2012): the smaller part
+    is divided by the larger."""
+    swap = np.abs(d) > np.abs(c)
+    big, small = np.where(swap, d, c), np.where(swap, c, d)
+    r = small / big
+    t = 1.0 / (big + small * r)
+    rt = r * t
+    return np.where(swap, rt, t), -np.where(swap, t, rt)
+
+
+def _svd_of_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u (K, 1, 1) and vh (K, 1, n) of ``np.linalg.svd(h, full_matrices=False)``
+    for a stack of rows h (K, 1, n), n <= 2, bit for bit.
+
+    Replays the arithmetic of LAPACK's zgesdd (JOBZ='S') on one row: a 1 x 1
+    row takes its QR path and a 1 x 2 row its LQ path, each one zlarfg
+    Householder reflector, then the sign of the 1 x 1 bidiagonal's singular
+    value. As numpy's OpenBLAS build on x86-64 rounds them, the norm of the
+    reflected tail is an x87 sum of squares (np.longdouble), the reflector's
+    scale is dladiv's division and the complex products are unfused. Rows
+    the replay does not follow go to ``np.linalg.svd``: an entry with a zero
+    real or imaginary part (LAPACK's identity reflector, and signed zeros), a
+    largest part outside ``_ROW_RANGE`` (zgesdd's rescaling), and a result
+    with a zero part (signed zeros again).
+    """
+    k, _, n = h.shape
+    # one row of real and imaginary parts per entry, (2 n, K)
+    parts = np.ascontiguousarray(np.ascontiguousarray(h).reshape(k, n).view(float).T)
+    top = np.abs(parts).max(axis=0)
+    lapack = ~(parts.all(axis=0) & (top >= _ROW_RANGE[0]) & (top <= _ROW_RANGE[1]))
+    out = np.empty((2 * n, k))  # the replayed parts of u (n = 1) or vh (n = 2)
+    # the fallback rows' NaNs and overflows are overwritten below
+    with np.errstate(all="ignore"):
+        if n == 1:  # zlarfg on alpha = a
+            ar, ai = parts
+            beta = -np.copysign(_dlapy3(ar, ai, 0.0), ar)
+            sign = np.sign(beta)
+            out[0], out[1] = (1.0 - (beta - ar) / beta) * sign, (ai / beta) * sign
+        else:  # zlarfg on alpha = conj(a1), x = conj(a2)
+            ar, ai, xr, xi = parts * [[1.0], [-1.0], [1.0], [-1.0]]
+            xl = parts[2:].astype(np.longdouble)
+            xnorm = np.sqrt(xl[0] * xl[0] + xl[1] * xl[1]).astype(float)
+            beta = -np.copysign(_dlapy3(ar, ai, xnorm), ar)
+            tr, ti = (beta - ar) / beta, -ai / beta
+            # x scaled by 1 / (alpha - beta), then by -tau
+            wr, wi = _mul(-tr, -ti, *_mul(*_inverse(ar - beta, ai), xr, xi))
+            out[0], out[1], out[2], out[3] = 1.0 - tr, ti, wr, -wi
+    lapack |= ~out.all(axis=0)
+    replayed = np.ascontiguousarray(out.T).view(complex)[:, None, :]
+    if n == 1:
+        u, vh = replayed, np.ones((k, 1, 1), dtype=complex)
+    else:
+        u, vh = np.sign(beta).astype(complex)[:, None, None], replayed
+    if lapack.any():
+        u[lapack], _, vh[lapack] = np.linalg.svd(h[lapack], full_matrices=False)
+    return u, vh
 
 
 def digital_beamformers_svd(
@@ -134,12 +212,18 @@ def digital_beamformers_svd(
     largest-magnitude entry of the left vector is real-positive. If the
     analog precoders p_a (..., n_t, n_rf) are given the precoder is scaled so
     ||P_A P_D||_F^2 = total_power per subcarrier, otherwise ||P_D||_F^2 =
-    total_power; a subcarrier whose norm is zero stays unscaled.
+    total_power; a subcarrier whose norm is zero stays unscaled. One-row
+    matrices of one or two columns take ``_svd_of_rows``, the same bits as
+    ``np.linalg.svd`` without its per-matrix call.
     """
     *lead, n_sc, rx_rf, n_rf = h_d.shape
     if n_s > min(rx_rf, n_rf):
         raise ValueError("stream count exceeds projected channel rank bound")
-    u, _, vh = np.linalg.svd(h_d.reshape(-1, rx_rf, n_rf), full_matrices=False)
+    h_d = h_d.reshape(-1, rx_rf, n_rf)
+    if rx_rf == 1 and n_rf <= 2:
+        u, vh = _svd_of_rows(h_d)
+    else:
+        u, _, vh = np.linalg.svd(h_d, full_matrices=False)
     u, vh = u[:, :, :n_s], vh[:, :n_s, :]
     # singular vectors have unit norm, so the pivot is never zero
     pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)

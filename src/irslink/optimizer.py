@@ -466,11 +466,12 @@ def rcg_optimize_phases(
     Polak-Ribiere conjugation with non-negativity safeguard, Armijo
     backtracking line search, direction restart every len(phases)
     iterations. A conjugate direction that does not ascend, or whose search
-    finds no step, gives way to one search along the raw gradient
-    (``line_search_fallback``). Stops when the gradient 2-norm drops to
-    epsilon, at max_iter, or when the search along the raw gradient finds
-    no ascent; returns the best-objective iterate. An objective whose
-    ``brackets`` is missing or None is searched on exact values alone.
+    finds no step or a step that leaves the phases as they are, gives way to
+    one search along the raw gradient (``line_search_fallback``). Stops when
+    the gradient 2-norm drops to epsilon, at max_iter, or when the search
+    along the raw gradient finds no step that moves the phases; returns the
+    best-objective iterate. An objective whose ``brackets`` is missing or
+    None is searched on exact values alone.
     """
     RcgConfig(epsilon=epsilon, max_iter=max_iter)  # raises ConfigError on a bad value
     theta = np.array(phases0, dtype=float)
@@ -559,12 +560,14 @@ def rcg_optimize_phases(
             break
         slope = float(np.dot(g, d))
         step = line_search(d, slope) if slope > 0.0 else None
-        fallback = step is None
+        # a conjugate step below the phases' rounding is no step either
+        fallback = step is None or (
+            not np.array_equal(d, g) and np.array_equal(theta + step * d, theta))
         if fallback:
             # search once along the raw gradient
             d = g.copy()
             step = line_search(d, float(np.dot(g, g)))
-        if step is None or (np.array_equal(d, g) and np.array_equal(theta + step * d, theta)):
+        if step is None or np.array_equal(theta + step * d, theta):
             # no ascent along the raw gradient, or a step below the phases'
             # rounding: every later iteration would repeat this search
             stop_reason = "line_search"

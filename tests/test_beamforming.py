@@ -14,9 +14,11 @@ from irslink.beamforming import (
     digital_beamformers_svd,
     project_channel,
     select_codewords,
+    _svd_of_rows,
 )
+from irslink.experiment import ExperimentSpec, run_experiment
 from irslink.opcount import OpCounter
-from irslink.scenario import STOCK_CODEBOOKS
+from irslink.scenario import STOCK_CODEBOOKS, default_scenario
 
 from conftest import assert_same_design
 
@@ -295,6 +297,104 @@ class TestDigitalSvd:
         (p_d,), _ = digital_beamformers_svd(h_d[None], n_s=1, p_a=p_a.matrix)
         np.testing.assert_array_equal(p_d, _per_subcarrier_svd(h_d, 1, p_a=p_a)[0])
         np.testing.assert_allclose(np.linalg.norm(p_d, axis=(1, 2)), 1.0, rtol=1e-12)
+
+
+def _bits(z):
+    """Bit patterns of the real and imaginary parts, so that -0.0 != +0.0."""
+    z = np.ascontiguousarray(z)
+    return np.stack([z.real.view(np.uint64), z.imag.view(np.uint64)])
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _spy_svd(monkeypatch):
+    """Record the shape of every stack np.linalg.svd is called on."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+class TestRowReplica:
+    """``_svd_of_rows`` replays LAPACK's zgesdd on 1 x 1 and 1 x 2 rows: the
+    same bits as ``np.linalg.svd``, signed zeros included."""
+
+    @pytest.mark.parametrize("n_rf", [1, 2])
+    def test_random_rows_bit_for_bit(self, n_rf):
+        rng = np.random.default_rng(100 + n_rf)
+        k = 100_000
+        moduli = 10.0 ** rng.uniform(-120.0, 120.0, (k, 1, n_rf))
+        rows = moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, (k, 1, n_rf)))
+        rows[: k // 100, 0, 0] = 1j * rows[: k // 100, 0, 0].imag  # purely imaginary a1
+        # real and imaginary parts drawn apart, up to 1e135 and down to
+        # 1e-135: some results underflow to a zero part
+        parts = 10.0 ** rng.uniform(-135.0, 135.0, (k // 10, 2 * n_rf))
+        parts *= rng.choice([-1.0, 1.0], parts.shape)
+        h = np.concatenate([rows, parts.view(complex)[:, None, :]])
+        u, _, vh = np.linalg.svd(h, full_matrices=False)
+        got_u, got_vh = _svd_of_rows(h)
+        _assert_same_bits(got_u, u)
+        _assert_same_bits(got_vh, vh)
+
+    # each row stands beside seven ordinary ones, which the replay keeps
+    @pytest.mark.parametrize("row", [
+        [0.0], [0.0, 0.0],  # zero rows
+        [2.0], [-2.0 - 0.0j], [-0.0 + 3.0j],  # a real or imaginary a1 (1 x 1)
+        [1.0 + 2.0j, -3.0], [1.0 - 2.0j, 0.0], [-1.0 + 2.0j, -0.0j],  # a real or zero a2
+        [2.0, 1.0 + 1.0j], [3.0j, 1.0 - 1.0j],  # a real or imaginary a1 (1 x 2)
+        [1e139 + 1e139j], [1e-140 - 2e-140j, 3e-140 + 1e-140j],  # outside zgesdd's unscaled range
+        [1e140 + 1j, 1.0 + 1.0j], [1e-300 + 1e-300j, 1e-300 - 1e-300j],
+    ], ids=repr)
+    @pytest.mark.parametrize("with_analog", [False, True])
+    def test_fallback_rows_take_lapack(self, row, with_analog, monkeypatch):
+        n_rf = len(row)
+        rng = np.random.default_rng(n_rf)
+        h_d = _random_channel(rng, 8, 1, n_rf)
+        h_d[5, 0] = row
+        p_a = None
+        if with_analog:
+            phases = rng.uniform(0, 2 * np.pi, (6, n_rf))
+            p_a = AnalogBeamformer(np.exp(1j * phases) / np.sqrt(6), "p")
+        want = _per_subcarrier_svd(h_d, 1, p_a=p_a, total_power=2.5)
+        calls = _spy_svd(monkeypatch)
+        matrix = None if p_a is None else p_a.matrix
+        (p_d,), (g_d,) = digital_beamformers_svd(h_d[None], 1, p_a=matrix, total_power=2.5)
+        assert calls == [(1, 1, n_rf)]  # the one row the replay does not follow
+        _assert_same_bits(p_d, want[0])
+        _assert_same_bits(g_d, want[1])
+
+    @pytest.mark.parametrize("shape", [(8, 1, 3), (8, 2, 1), (8, 2, 2)])
+    def test_other_shapes_take_lapack(self, shape, monkeypatch):
+        h_d = _random_channel(np.random.default_rng(sum(shape)), *shape)
+        want = _per_subcarrier_svd(h_d, 1, total_power=2.5)
+        calls = _spy_svd(monkeypatch)
+        (p_d,), (g_d,) = digital_beamformers_svd(h_d[None], 1, total_power=2.5)
+        assert calls == [shape]
+        _assert_same_bits(p_d, want[0])
+        _assert_same_bits(g_d, want[1])
+
+    def test_stock_sweep_never_calls_lapack(self, monkeypatch):
+        # every stock codebook has one receive RF chain: the replay serves
+        # every digital stage of the stock sweep
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert len(run_experiment(ExperimentSpec(seed=0))) == 2 * len(STOCK_CODEBOOKS)
+
+    def test_two_stream_users_take_lapack(self, monkeypatch):
+        calls = _spy_svd(monkeypatch)
+        spec = ExperimentSpec(codebooks=(STOCK_CODEBOOKS[1],),
+                              optimizer_overrides={"max_iter": 5, "outer_rounds": 2})
+        run_experiment(spec, default_scenario(n_r=2, n_s=2))
+        assert calls and all(shape[1:] == (2, 2) for shape in calls)
 
 
 def _per_link_design(h, tx_codebook, rx_codebook, n_s, total_power):

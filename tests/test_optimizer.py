@@ -1158,6 +1158,36 @@ class TestRcg:
         assert toy.steps[1] == halvings + [[1.0, 1.0], [2.0, 2.0]]
         np.testing.assert_array_equal(trace[-1].phases, [2.0, 1.0])
 
+    def test_conjugate_step_below_the_phases_rounding_falls_back_to_the_raw_gradient(self):
+        # at theta1 = 2^36 (1, 1), half an ulp is 7.6e-6: the conjugate
+        # direction d1 = g1 + beta g0 ~ (2e-6, -2e-6) moves no phase at steps
+        # 1 and 2, and its Armijo threshold rounds to f, so its search accepts
+        # step 1; g1 ~ (-1e-4, -1e-4) itself moves both phases
+        theta1 = np.full(2, 2.0**36)
+        g0, g1 = np.ones(2), np.array([-1e-4 + 2e-6, -1e-4 - 2e-6])
+        assert not np.array_equal(g1 + float(g1 @ (g1 - g0)) / 2.0 * g0, g1)
+
+        class Cliff:
+            """1e8 at theta1 and 1e8 + 1 at theta1 + g1, 1e8 - 5 elsewhere;
+            the k-th gradient is g0, g1, then zero."""
+
+            def __init__(self):
+                self.grads = iter([g0, g1, np.zeros(2)])
+
+            def value(self, phases):
+                if np.array_equal(phases, theta1):
+                    return 1e8
+                return 1e8 + 1.0 if np.array_equal(phases, theta1 + g1) else 1e8 - 5.0
+
+            def value_and_grad(self, phases):
+                return self.value(phases), next(self.grads).copy()
+
+        _, trace = rcg_optimize_phases(Cliff(), theta1 - g0, epsilon=1e-9, max_iter=5)
+        assert [s.line_search_fallback for s in trace] == [False, False, True]
+        np.testing.assert_array_equal(trace[1].phases, theta1)
+        np.testing.assert_array_equal(trace[2].phases, theta1 + g1)
+        assert trace[-1].objective == 1e8 + 1.0 and trace[-1].stop_reason == "epsilon"
+
     def test_argument_validation(self):
         sc = scalar_scenario(1)
         objective, *_ = build_rate_objective(sc)
